@@ -54,7 +54,8 @@ def _cheap_form(rng: random.Random) -> str:
             f"(* {a} {b})",
             f"(- {a} {b})",
             f"(if (< {a} {b}) {a} {b})",
-            f"(car (cons {a} {b}))",
+            # A cons tail must be a list, so the pair is built on (list b).
+            f"(car (cons {a} (list {b})))",
         ]
     )
 
