@@ -22,13 +22,20 @@ retained heap. ``place_session`` picks the lowest backlog (capability
 breaks ties, so an empty fleet fills fastest-first); the legacy
 count-based key remains available as the ``placement="count"`` ablation
 (env ``REPRO_SERVE_PLACEMENT=count`` forces it fleet-wide).
+
+Each device's queue is a :class:`DeviceQueue`: per-session FIFOs behind
+an EDF index of session heads, so batch formation and rebalancing touch
+only the heads they consider instead of rescanning every queued ticket.
+Each device also indexes its resident sessions, so per-device sweeps
+never scan the whole session table.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import TYPE_CHECKING, Collection, Optional, Sequence, Union
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence, Union
 
 from ..core.nodes import NODE_BYTES
 from ..cpu.device import CPUDevice, CPUDeviceConfig
@@ -41,7 +48,7 @@ from .capability import capability_probe_ms, capability_score, restore_ms_per_by
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Ticket, TenantSession
 
-__all__ = ["DevicePool", "PooledDevice", "PLACEMENT_MODES", "link_ms"]
+__all__ = ["DevicePool", "DeviceQueue", "PooledDevice", "PLACEMENT_MODES", "link_ms"]
 
 DeviceSpec = Union[str, GPUSpec, CPUSpec]
 DeviceConfig = Union[GPUDeviceConfig, CPUDeviceConfig]
@@ -65,6 +72,282 @@ def link_ms(pdev: "PooledDevice", nbytes: int) -> float:
     return transfer(nbytes) if callable(transfer) else 0.0
 
 
+class _Fifo:
+    """One session's queued tickets, linked through ``Ticket._next``."""
+
+    __slots__ = ("head", "tail", "count")
+
+    def __init__(self, ticket: "Ticket") -> None:
+        self.head = self.tail = ticket
+        self.count = 1
+
+
+class DeviceQueue:
+    """One device's queued tickets: per-session FIFOs behind a head index.
+
+    Every ticket carries a queue position: :meth:`append` takes the next
+    position at the back, :meth:`appendleft` (quarantine retries) the
+    next one at the front. Iteration yields tickets in position order —
+    exactly the order a single deque holding the same operations would
+    have — and each session's tickets form an intrusive FIFO in that same
+    order, so nothing per session outlives its last queued ticket.
+
+    Two indexes sit on the session heads:
+
+    * **EDF** — heads that have arrived by the last admission horizon,
+      keyed ``(deadline_ms, arrival_ms, seq)``, plus a min-arrival heap
+      of heads that have not, for the horizon jump
+      (:meth:`admit` / :meth:`pop_ready`).
+    * **per-count** — sessions grouped by queued-ticket count, each group
+      ordered by head position (:meth:`pick_session`).
+
+    Both are heaps with lazy deletion: a ticket's live EDF entry is the
+    one its ``_entry`` slot points at, and a per-count entry is live
+    while its session still has that count and that head. ``len()`` and
+    per-session counts are O(1); every other operation is O(log S) per
+    ticket touched.
+    """
+
+    __slots__ = (
+        "_fifos",
+        "_front",
+        "_back",
+        "_lo",
+        "_hi",
+        "_ready",
+        "_future",
+        "_admitted",
+        "_sizes",
+        "_buckets",
+    )
+
+    def __init__(self) -> None:
+        self._fifos: dict["TenantSession", _Fifo] = {}
+        # Position order: appended tickets in _back (insertion order is
+        # position order), appendleft'ed ones in _front (newest, i.e.
+        # lowest position, last).
+        self._front: dict["Ticket", None] = {}
+        self._back: dict["Ticket", None] = {}
+        self._lo = 0
+        self._hi = 0
+        self._ready: list = []   # (deadline, arrival, seq, ticket)
+        self._future: list = []  # (arrival, seq, ticket)
+        self._admitted = float("-inf")
+        self._sizes: dict[int, int] = {}  # count -> sessions with it
+        self._buckets: dict[int, list] = {}  # count -> heap (head pos, head)
+
+    def __len__(self) -> int:
+        return len(self._front) + len(self._back)
+
+    def __bool__(self) -> bool:
+        return bool(self._front) or bool(self._back)
+
+    def __iter__(self) -> Iterator["Ticket"]:
+        return chain(reversed(self._front), self._back)
+
+    def count(self, session: "TenantSession") -> int:
+        """Queued tickets of ``session`` on this device."""
+        fifo = self._fifos.get(session)
+        return fifo.count if fifo is not None else 0
+
+    # -- edits ---------------------------------------------------------------------
+
+    def append(self, ticket: "Ticket") -> None:
+        ticket._pos = self._hi
+        self._hi += 1
+        self._back[ticket] = None
+        ticket._next = None
+        fifo = self._fifos.get(ticket.session)
+        if fifo is None:
+            self._fifos[ticket.session] = fifo = _Fifo(ticket)
+            self._index_head(ticket)
+            self._recount(0, fifo)
+        else:
+            fifo.tail._next = ticket
+            fifo.tail = ticket
+            fifo.count += 1
+            self._recount(fifo.count - 1, fifo)
+
+    def extend(self, tickets) -> None:
+        for ticket in tickets:
+            self.append(ticket)
+
+    def appendleft(self, ticket: "Ticket") -> None:
+        """Queue ``ticket`` ahead of everything (a quarantine retry)."""
+        self._lo -= 1
+        ticket._pos = self._lo
+        self._front[ticket] = None
+        fifo = self._fifos.get(ticket.session)
+        if fifo is None:
+            ticket._next = None
+            self._fifos[ticket.session] = fifo = _Fifo(ticket)
+        else:
+            fifo.head._entry = None  # no longer a head
+            ticket._next = fifo.head
+            fifo.head = ticket
+            fifo.count += 1
+        self._index_head(ticket)
+        self._recount(fifo.count - 1, fifo)
+
+    def take(self, ticket: "Ticket") -> None:
+        """Remove ``ticket``, which must be its session's head."""
+        session = ticket.session
+        fifo = self._fifos[session]
+        self._unlink(ticket)
+        nxt = ticket._next
+        ticket._next = None
+        if nxt is None:
+            del self._fifos[session]
+            self._recount(1, None)
+        else:
+            fifo.head = nxt
+            fifo.count -= 1
+            self._index_head(nxt)
+            self._recount(fifo.count + 1, fifo)
+
+    def remove_session(self, session: "TenantSession") -> list["Ticket"]:
+        """Remove and return every ticket of ``session``, in FIFO order."""
+        fifo = self._fifos.pop(session, None)
+        if fifo is None:
+            return []
+        out = []
+        ticket = fifo.head
+        while ticket is not None:
+            out.append(ticket)
+            self._unlink(ticket)
+            nxt = ticket._next
+            ticket._next = None
+            ticket = nxt
+        self._recount(fifo.count, None)
+        return out
+
+    def clear(self) -> list["Ticket"]:
+        """Empty the queue; returns what it held, in position order."""
+        out = list(self)
+        for ticket in out:
+            ticket._next = ticket._entry = None
+        self._fifos.clear()
+        self._front.clear()
+        self._back.clear()
+        self._ready.clear()
+        self._future.clear()
+        self._sizes.clear()
+        self._buckets.clear()
+        return out
+
+    def _unlink(self, ticket: "Ticket") -> None:
+        del (self._front if ticket._pos < 0 else self._back)[ticket]
+        ticket._entry = None
+
+    # -- EDF head index ------------------------------------------------------------
+
+    def _index_head(self, ticket: "Ticket") -> None:
+        entry = (ticket.arrival_ms, ticket.seq, ticket)
+        ticket._entry = entry
+        heappush(self._future, entry)
+
+    def _promote(self, horizon: float) -> None:
+        future = self._future
+        while future and future[0][0] <= horizon:
+            entry = heappop(future)
+            ticket = entry[2]
+            if ticket._entry is entry:
+                self.push_ready(ticket)
+
+    def admit(self, horizon: float) -> None:
+        """Admit every head that has arrived by ``horizon``.
+
+        If none has, the horizon jumps to the earliest head arrival, so a
+        non-empty queue always admits something. Device pipelines only
+        move forward, so a horizon below the previous one happens only
+        after an aborted batch that followed a jump; the admitted heads
+        are then re-keyed from scratch.
+        """
+        if horizon < self._admitted:
+            stale, self._ready = self._ready, []
+            for entry in stale:
+                if entry[3]._entry is entry:
+                    self._index_head(entry[3])
+        self._promote(horizon)
+        ready = self._ready
+        while ready and ready[0][3]._entry is not ready[0]:
+            heappop(ready)
+        if not ready:
+            future = self._future
+            while future and future[0][2]._entry is not future[0]:
+                heappop(future)
+            if future and future[0][0] > horizon:
+                horizon = future[0][0]
+                self._promote(horizon)
+        self._admitted = horizon
+
+    def pop_ready(self) -> Optional["Ticket"]:
+        """The next admitted head in EDF order, unindexed; the caller
+        either :meth:`take`\\ s it or hands it back via :meth:`push_ready`."""
+        ready = self._ready
+        while ready:
+            entry = heappop(ready)
+            ticket = entry[3]
+            if ticket._entry is entry:
+                ticket._entry = None
+                return ticket
+        return None
+
+    def push_ready(self, ticket: "Ticket") -> None:
+        entry = (ticket.deadline_ms, ticket.arrival_ms, ticket.seq, ticket)
+        ticket._entry = entry
+        heappush(self._ready, entry)
+
+    # -- per-count index -----------------------------------------------------------
+
+    def _recount(self, old: int, fifo: Optional[_Fifo]) -> None:
+        """A session's count went from ``old`` to ``fifo.count`` (0 when
+        ``fifo`` is None), or its head changed."""
+        sizes = self._sizes
+        if old:
+            left = sizes[old] - 1
+            if left:
+                sizes[old] = left
+            else:
+                del sizes[old]
+                del self._buckets[old]
+        if fifo is None:
+            return
+        count = fifo.count
+        live = sizes[count] = sizes.get(count, 0) + 1
+        heap = self._buckets.get(count)
+        if heap is None:
+            heap = self._buckets[count] = []
+        heappush(heap, (fifo.head._pos, fifo.head))
+        if len(heap) > 2 * live + 32:
+            heap[:] = [e for e in heap if self._live(count, e)]
+            heapify(heap)
+
+    def _live(self, count: int, entry: tuple) -> bool:
+        pos, ticket = entry
+        fifo = self._fifos.get(ticket.session)
+        return (
+            fifo is not None
+            and fifo.head is ticket
+            and fifo.count == count
+            and ticket._pos == pos
+        )
+
+    def pick_session(self, target: int) -> Optional["TenantSession"]:
+        """The session whose queued count comes closest to ``target``
+        without exceeding it (the lightest when every count overshoots);
+        among equal counts, the one whose head sits earliest."""
+        sizes = self._sizes
+        if not sizes:
+            return None
+        fitting = [c for c in sizes if c <= target]
+        count = max(fitting) if fitting else min(sizes)
+        heap = self._buckets[count]
+        while not self._live(count, heap[0]):
+            heappop(heap)
+        return heap[0][1].session
+
+
 class PooledDevice:
     """One device plus its queue and session bookkeeping."""
 
@@ -77,6 +360,8 @@ class PooledDevice:
         "probe_ms",
         "capability",
         "config",
+        "residents",
+        "_resident_list",
         "_restore_ms_per_byte",
         "_baseline_retained",
     )
@@ -89,8 +374,11 @@ class PooledDevice:
     ) -> None:
         self.device_id = device_id
         self.device = device
-        self.queue: deque["Ticket"] = deque()
+        self.queue = DeviceQueue()
         self.session_count = 0
+        #: Open sessions whose heap lives here.
+        self.residents: set["TenantSession"] = set()
+        self._resident_list: Optional[list["TenantSession"]] = None
         #: Set by the rebalancer when this device is being evacuated
         #: (repeated faults): placement avoids draining devices and the
         #: rebalancer migrates their sessions off.
@@ -121,6 +409,24 @@ class PooledDevice:
     @property
     def queue_depth(self) -> int:
         return len(self.queue)
+
+    def add_resident(self, session: "TenantSession") -> None:
+        self.residents.add(session)
+        self._resident_list = None
+
+    def remove_resident(self, session: "TenantSession") -> None:
+        self.residents.discard(session)
+        self._resident_list = None
+
+    def resident_sessions(self) -> list["TenantSession"]:
+        """Sessions resident here, in the server's session-table order
+        (open order). The list is rebuilt after any residency change, so
+        a caller may migrate sessions while iterating it."""
+        if self._resident_list is None:
+            self._resident_list = sorted(
+                self.residents, key=lambda s: s.open_order
+            )
+        return self._resident_list
 
     @property
     def retained_nodes(self) -> int:

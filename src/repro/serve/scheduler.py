@@ -1,8 +1,13 @@
 """The batching scheduler: per-device queues -> shared distribution rounds.
 
-Batch formation walks a device's FIFO queue and takes at most **one
-request per session** per batch (up to ``max_batch``). That single rule
-provides both guarantees the serving layer needs:
+Each device's queue (:class:`~repro.serve.pool.DeviceQueue`) holds one
+FIFO per session behind an index of session heads. Batch formation
+takes at most **one request per session** per batch (up to
+``max_batch``): it pops heads from the index until the batch closes,
+and a chosen session's next ticket becomes a head only after the batch
+is formed. Its cost grows with the heads it considers, not with the
+length of the queue. That single rule provides both guarantees the
+serving layer needs:
 
 * **ordering** — a session's second command can only run in a *later*
   batch than its first, so each tenant observes strict REPL order;
@@ -108,6 +113,11 @@ class Scheduler:
         #: survives device resets — a failover replaces the device
         #: object, not the passage of virtual time.
         self.pipelines: dict[str, DevicePipeline] = {}
+        #: Host-work counters (exact and seed-stable): queued tickets
+        #: batch formation looked at, and sessions the rebalancer looked
+        #: at as move candidates. Both grow linearly with the work.
+        self.tickets_examined = 0
+        self.sessions_examined = 0
 
     def pipeline(self, device_id: str) -> DevicePipeline:
         """This device's event timeline (created on first use)."""
@@ -141,6 +151,8 @@ class Scheduler:
             "mode": self.mode,
             "clock_ms": round(self.clock_ms, 3),
             "makespan_ms": round(self.makespan_ms, 3),
+            "tickets_examined": self.tickets_examined,
+            "sessions_examined": self.sessions_examined,
             "devices": {
                 did: {
                     "completed_ms": round(p.completed_ms, 3),
@@ -178,45 +190,46 @@ class Scheduler:
         one batch's upload never fails on size (a *single* over-capacity
         command still joins a batch alone and is refused per-request by
         the device's upload gate). Quarantined tickets (survivors of a
-        batch-fatal failure) always run alone."""
+        batch-fatal failure) always run alone. The walk visits tickets
+        in queue order and ends at the first quarantined one, head of
+        its session or not."""
         batch: list["Ticket"] = []
         sessions_in_batch: set[str] = set()
-        deferred: list["Ticket"] = []
         queue = pdev.queue
         cmdbuf = getattr(pdev.device, "cmdbuf", None)
         capacity = cmdbuf.capacity if cmdbuf is not None else None
         payload = 0
-        while queue and len(batch) < self.max_batch:
-            ticket = queue.popleft()
+        for ticket in queue:
+            if len(batch) >= self.max_batch:
+                break
+            self.tickets_examined += 1
             if ticket.quarantined:
-                if batch:
-                    # A quarantined ticket never shares a batch: leave it
-                    # at the head for the next (solo) pass.
-                    queue.appendleft(ticket)
-                else:
+                # A quarantined ticket never shares a batch: it stays at
+                # the head for the next (solo) pass.
+                if not batch:
                     batch.append(ticket)
                 break
             sid = ticket.session.session_id
             if sid in sessions_in_batch:
-                deferred.append(ticket)
-                continue
+                continue  # deferred: stays queued, in order
             size = self.payload_size(ticket.text)
             if capacity is not None and batch and payload + size > capacity:
-                queue.appendleft(ticket)  # full: keep for the next batch
-                break
+                break  # full: keep for the next batch
             sessions_in_batch.add(sid)
             payload += size
             batch.append(ticket)
-        # Deferred tickets go back to the *front*, preserving FIFO order.
-        for ticket in reversed(deferred):
-            queue.appendleft(ticket)
+        # Every chosen ticket was its session's first in queue order.
+        for ticket in batch:
+            queue.take(ticket)
         return batch
 
     def form_batch_async(self, pdev: "PooledDevice") -> list["Ticket"]:
         """Deadline-aware batch formation for the continuous pipeline.
 
         Candidates are each session's *head-of-line* ticket (per-session
-        FIFO is inviolable). A candidate is admissible once it has
+        FIFO is inviolable), read from the queue's EDF head index: only
+        the heads this batch considers are touched, never the whole
+        queue. A candidate is admissible once it has
         arrived by the device's admission horizon — the virtual time the
         next batch's kernel could start; if nothing has arrived by then
         the horizon jumps forward to the earliest head arrival, so a
@@ -247,45 +260,41 @@ class Scheduler:
         queue = pdev.queue
         if not queue:
             return []
-        heads: list["Ticket"] = []
-        seen: set[str] = set()
-        for ticket in queue:
-            sid = ticket.session.session_id
-            if sid in seen:
-                continue
-            seen.add(sid)
-            heads.append(ticket)
-        horizon = self.pipeline(pdev.device_id).horizon_ms
-        earliest = min(t.arrival_ms for t in heads)
-        horizon = max(horizon, earliest)
-        admissible = [t for t in heads if t.arrival_ms <= horizon]
-        admissible.sort(key=lambda t: (t.deadline_ms, t.arrival_ms, t.seq))
-
+        queue.admit(self.pipeline(pdev.device_id).horizon_ms)
         cmdbuf = getattr(pdev.device, "cmdbuf", None)
         capacity = cmdbuf.capacity if cmdbuf is not None else None
         batch: list["Ticket"] = []
+        skipped: list["Ticket"] = []  # popped heads that stay queued
         payload = 0
         has_deadline = False
-        for ticket in admissible:
+        while len(batch) < self.max_batch:
+            ticket = queue.pop_ready()
+            if ticket is None:
+                break
+            self.tickets_examined += 1
             if ticket.quarantined:
-                if not batch:
+                if batch:
+                    skipped.append(ticket)
+                else:
                     batch.append(ticket)  # solo quarantine batch
                 break
             if ticket.session.bulk and has_deadline:
-                continue  # chunks wait for a deadline-free batch
+                skipped.append(ticket)  # chunks wait for a deadline-free batch
+                continue
             size = self.payload_size(ticket.text)
             if capacity is not None and batch and payload + size > capacity:
+                skipped.append(ticket)
                 break
             payload += size
             batch.append(ticket)
             if ticket.deadline_ms != float("inf"):
                 has_deadline = True
-            if len(batch) >= self.max_batch:
-                break
-        chosen = set(map(id, batch))
-        remaining = [t for t in queue if id(t) not in chosen]
-        queue.clear()
-        queue.extend(remaining)
+        for ticket in skipped:
+            queue.push_ready(ticket)
+        # Each session's next ticket becomes a head only now, so it can
+        # never join the batch its predecessor is in.
+        for ticket in batch:
+            queue.take(ticket)
         return batch
 
     # -- dispatch -----------------------------------------------------------------
@@ -730,7 +739,7 @@ class Rebalancer:
                 continue
             pdev.draining = True
             stats.record_device_drained(pdev.device_id)
-            for session in self._sessions_on(pdev):
+            for session in pdev.resident_sessions():
                 moves.append(self.server.migrate_session(session))
         return moves
 
@@ -816,9 +825,7 @@ class Rebalancer:
             session = self._pick_session(hot, target_tickets=target)
             if session is None:
                 break
-            moved_q = sum(
-                1 for t in hot.queue if t.session is session
-            )
+            moved_q = hot.queue.count(session)
             # Wire estimate: the hot device's session-retained heap,
             # apportioned per resident session (the snapshot's real size
             # is only known after serialization — this prices the
@@ -956,33 +963,22 @@ class Rebalancer:
         """The session leveling moves off the hot device: prefer one
         with nothing queued — its migration moves only the heap
         snapshot, never reorders pending work."""
-        residents = self._sessions_on(hot)
-        if not residents:
-            return None
-        queued = {t.session for t in hot.queue}
-        idle = [s for s in residents if s not in queued]
-        return (idle or residents)[0]
+        residents = hot.resident_sessions()
+        scheduler = self.server.scheduler
+        for session in residents:
+            scheduler.sessions_examined += 1
+            if not hot.queue.count(session):
+                return session
+        return residents[0] if residents else None
 
-    def _sessions_on(self, pdev: "PooledDevice") -> list["TenantSession"]:
-        return [
-            s
-            for s in list(self.server.sessions.values())
-            if s.device_id == pdev.device_id
-        ]
-
-    @staticmethod
     def _pick_session(
-        pdev: "PooledDevice", target_tickets: int
+        self, pdev: "PooledDevice", target_tickets: int
     ) -> Optional["TenantSession"]:
         """The session whose queued-ticket count comes closest to the
         transfer target without exceeding it (falling back to the
-        lightest session when every candidate overshoots)."""
-        counts: dict["TenantSession", int] = {}
-        for ticket in pdev.queue:
-            counts[ticket.session] = counts.get(ticket.session, 0) + 1
-        if not counts:
-            return None
-        fitting = [s for s, n in counts.items() if n <= target_tickets]
-        if fitting:
-            return max(fitting, key=lambda s: counts[s])
-        return min(counts, key=lambda s: counts[s])
+        lightest session when every candidate overshoots); equal counts
+        go to the session whose head sits earliest in the queue."""
+        session = pdev.queue.pick_session(target_tickets)
+        if session is not None:
+            self.server.scheduler.sessions_examined += 1
+        return session

@@ -20,7 +20,6 @@ and a :class:`~repro.serve.stats.ServerStats` surface. Usage::
 from __future__ import annotations
 
 import os
-from collections import deque
 from itertools import count
 from typing import Optional, Sequence
 
@@ -152,6 +151,7 @@ class CuLiServer:
             )
         self.sessions: dict[str, TenantSession] = {}
         self._session_counter = count()
+        self._open_order = count()
         # Bulk collection jobs (gpu-map PR): internal per-device
         # sessions that carry sharded chunk requests, created lazily on
         # first use and owned by the server (closed with it).
@@ -216,8 +216,12 @@ class CuLiServer:
             pdev = self.pool[device_id]
             pdev.session_count += 1
         env = pdev.device.create_session_env(label=session_id)
-        session = TenantSession(self, session_id, pdev.device_id, env, slo_ms=slo_ms)
+        session = TenantSession(
+            self, session_id, pdev.device_id, env, slo_ms=slo_ms,
+            open_order=next(self._open_order),
+        )
         self.sessions[session_id] = session
+        pdev.add_resident(session)
         if self.supervisor is not None:
             self.supervisor.track_session(session)
         return session
@@ -236,24 +240,20 @@ class CuLiServer:
         if self.supervisor is not None:
             self.supervisor.forget_session(session)
         pdev = self.pool[session.device_id]
-        remaining = deque()
+        pdev.remove_resident(session)
         cancelled = 0
-        for ticket in pdev.queue:
-            if ticket.session is session:
-                err = RuntimeError(
-                    f"session {session.session_id} closed before execution"
-                )
-                # Cancellations never join the history (the tenant is
-                # gone) nor the latency reservoir (nobody was waiting).
-                ticket.resolve(
-                    CommandStats(output=f"error: {err}"),
-                    err,
-                    record_history=False,
-                )
-                cancelled += 1
-            else:
-                remaining.append(ticket)
-        pdev.queue = remaining
+        for ticket in pdev.queue.remove_session(session):
+            err = RuntimeError(
+                f"session {session.session_id} closed before execution"
+            )
+            # Cancellations never join the history (the tenant is gone)
+            # nor the latency reservoir (nobody was waiting).
+            ticket.resolve(
+                CommandStats(output=f"error: {err}"),
+                err,
+                record_history=False,
+            )
+            cancelled += 1
         if cancelled:
             self.stats.record_cancelled(cancelled)
         pdev.device.release_session_env(session.env)
@@ -312,12 +312,9 @@ class CuLiServer:
         except Exception:
             self.pool.session_closed(target.device_id)
             raise
-        moved = [t for t in source.queue if t.session is session]
-        if moved:
-            source.queue = deque(
-                t for t in source.queue if t.session is not session
-            )
-            target.queue.extend(moved)
+        target.queue.extend(source.queue.remove_session(session))
+        source.remove_resident(session)
+        target.add_resident(session)
         # Source-side teardown: drop the root and reclaim the migrated
         # heap now (host-orchestrated maintenance, uncharged — see
         # DESIGN.md deviation #9) so the arena's space is free for the
@@ -411,8 +408,12 @@ class CuLiServer:
                 except Exception:
                     self.pool.session_closed(pdev.device_id)
                     raise
-                session = TenantSession(self, session_id, pdev.device_id, env)
+                session = TenantSession(
+                    self, session_id, pdev.device_id, env,
+                    open_order=next(self._open_order),
+                )
                 self.sessions[session_id] = session
+                pdev.add_resident(session)
                 restored[session_id] = session
                 if self.supervisor is not None:
                     self.supervisor.track_session(session)

@@ -27,7 +27,8 @@ class Ticket:
     """A pending request: filled in when its batch executes."""
 
     __slots__ = ("session", "text", "stats", "error", "quarantined", "replay",
-                 "failovers", "arrival_ms", "deadline_ms", "seq", "resolve_ms")
+                 "failovers", "arrival_ms", "deadline_ms", "seq", "resolve_ms",
+                 "_pos", "_next", "_entry")
 
     _seq_counter = 0
 
@@ -73,6 +74,11 @@ class Ticket:
         #: past the supervisor's ``max_ticket_failovers`` it resolves as
         #: poisoned instead of retrying — the drain-termination bound.
         self.failovers = 0
+        #: Device-queue bookkeeping (:class:`~repro.serve.pool.DeviceQueue`):
+        #: queue position, next ticket of the same session, live EDF entry.
+        self._pos = 0
+        self._next: Optional[Ticket] = None
+        self._entry: Optional[tuple] = None
 
     def resolve(
         self,
@@ -129,11 +135,15 @@ class TenantSession:
         device_id: str,
         env: Environment,
         slo_ms: Optional[float] = None,
+        open_order: int = 0,
     ) -> None:
         self.server = server
         self.session_id = session_id
         self.device_id = device_id
         self.env = env
+        #: Position in the server's session table: a device's resident
+        #: index sorts by it to list sessions in table order.
+        self.open_order = open_order
         #: Latency SLO for this tenant in simulated ms, or None for a
         #: bulk tenant with no deadline. Drives the async scheduler's
         #: deadline-aware (EDF) batch ordering.

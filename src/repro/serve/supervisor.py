@@ -341,13 +341,8 @@ class DeviceSupervisor:
             if not was_open and stats is not None:
                 stats.record_breaker_open(device_id)
         # Capture victims and work before the reset wipes the queue view.
-        victims = [
-            s
-            for s in self.server.sessions.values()
-            if s.device_id == device_id
-        ]
-        queued = list(pdev.queue)
-        pdev.queue.clear()
+        victims = pdev.resident_sessions()
+        queued = pdev.queue.clear()
         self.server.pool.revive(device_id)
         if brk.flapping:
             self._maybe_evict(pdev, stats)
@@ -455,6 +450,8 @@ class DeviceSupervisor:
         if target is None or env is None:
             self._abandon_session(session, inflight + queued, cause, stats)
             return
+        pool[session.device_id].remove_resident(session)
+        target.add_resident(session)
         session.env = env
         session.device_id = target.device_id
         # Restoring the checkpoint moves its bytes host->device for real:
@@ -504,6 +501,9 @@ class DeviceSupervisor:
             self._resolve_poisoned(ticket, err, session.device_id, stats)
         self.store.drop(session.session_id)
         self.server.sessions.pop(session.session_id, None)
+        pdev = self.server.pool.devices.get(session.device_id)
+        if pdev is not None:
+            pdev.remove_resident(session)
         session._closed = True
 
     def _resolve_poisoned(
@@ -528,9 +528,7 @@ class DeviceSupervisor:
         device_id = pdev.device_id
         if len(pool.devices) <= 1:
             return
-        if pdev.queue or any(
-            s.device_id == device_id for s in self.server.sessions.values()
-        ):
+        if pdev.queue or pdev.residents:
             return
         pool.evict(device_id)
         self.breakers.pop(device_id, None)
@@ -648,9 +646,7 @@ class DeviceSupervisor:
             brk.tick()
             if brk.state == BREAKER_HALF_OPEN:
                 self._probe(pdev, brk, stats)
-        for session in list(self.server.sessions.values()):
-            if session.device_id != device_id:
-                continue
+        for session in pdev.resident_sessions():
             if not self.store.due(session.session_id):
                 continue
             snap, shipped = self.store.checkpoint(session)

@@ -3,6 +3,18 @@
 import pytest
 
 from repro.serve.pool import DevicePool
+from repro.serve.session import Ticket
+
+
+class _StandInSession:
+    """Just what a Ticket reads off its session."""
+
+    slo_ms = None
+    _pending = 0
+
+
+def _ticket(text="1"):
+    return Ticket(_StandInSession(), text)
 
 
 class TestConstruction:
@@ -86,8 +98,8 @@ class TestQueues:
     def test_enqueue_and_depths(self):
         pool = DevicePool(["gtx480"])
         assert pool.pending == 0
-        pool.enqueue("gtx480#0", object())
-        pool.enqueue("gtx480#0", object())
+        pool.enqueue("gtx480#0", _ticket())
+        pool.enqueue("gtx480#0", _ticket())
         assert pool.queue_depths() == {"gtx480#0": 2}
         assert pool.pending == 2
         pool.close()
