@@ -76,7 +76,9 @@ def _materialize_value(cache, ins: Instr, arena, ctx, memo: dict) -> Node:
     siblings too. Rebuilding that chain here (with the same write
     barrier ``append_child`` applies), memoized per execution so every
     tree position materializes at most once, keeps retained-heap
-    snapshots byte-identical between the tiers.
+    snapshots byte-identical between the tiers. The walk stops at the
+    first link already wired, so a form with n literal arguments costs
+    O(n) in total rather than O(n) per literal.
     """
     node = cache.materialize_one(ins.template, arena, ctx, memo)
     node.linked = True
@@ -85,8 +87,10 @@ def _materialize_value(cache, ins: Instr, arena, ctx, memo: dict) -> Node:
         sib = cache.materialize_one(sibling, arena, ctx, memo)
         sib.linked = True
         if prev.nxt is sib:
-            prev = sib
-            continue  # chain already wired by an earlier instruction
+            # An earlier instruction wired this link, and with it the rest
+            # of the chain: its walk ran to the end, and the remaining
+            # siblings would only be uncharged memo hits.
+            break
         barrier_source = prev.region
         prev.nxt = sib
         if barrier_source == REGION_TENURED and sib.region > REGION_TENURED:

@@ -308,3 +308,39 @@ class TestParseCacheTraceOwnership:
     def test_jit_requires_parse_cache(self):
         with pytest.raises(ValueError):
             Interpreter(InterpreterOptions(jit=True))
+
+
+class TestLiteralMaterialization:
+    @staticmethod
+    def hot_materializations(n: int) -> int:
+        """``materialize_one`` calls made by one traced execution of a
+        form with ``n`` literal arguments."""
+        interp = jit_interp(threshold=1)
+        cache = interp.parse_cache
+        calls = 0
+        materialize = cache.materialize_one
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return materialize(*args, **kwargs)
+
+        cache.materialize_one = counted
+        text = "(+ " + " ".join(["1"] * n) + ")"
+        ctx = NullContext(max_depth=256)
+        assert interp.process(text, ctx) == str(n)  # compiles the trace
+        calls = 0
+        assert interp.process(text, ctx) == str(n)  # runs it
+        assert interp.jit_stats.trace_hits == 1
+        return calls
+
+    def test_sibling_tail_walk_is_linear_in_literals(self):
+        """Each literal rebuilds its sibling chain only up to the first
+        link an earlier literal already wired; walking every chain to
+        its end made a wide form quadratic in host time."""
+        small, mid, large = (
+            self.hot_materializations(n) for n in (1000, 2000, 4000)
+        )
+        assert small >= 1000
+        assert mid <= 2.2 * small
+        assert large <= 2.2 * mid
