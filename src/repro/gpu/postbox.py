@@ -53,25 +53,56 @@ class Postbox:
 
 
 class PostboxArray:
-    """The global-memory array of postboxes, one per thread in the grid."""
+    """The global-memory array of postboxes, one per thread in the grid.
+
+    A :class:`Postbox` object is built on first access. A box nobody has
+    touched is still in its initial state (active, no work, no result),
+    so it needs no object: a big grid costs nothing until its workers
+    are used. Deactivating the never-touched boxes is charged as one
+    bulk ``ATOMIC_RMW`` of the same count, so op-count rows and
+    ``total_rmw_count`` equal those of an eagerly built array.
+    """
 
     def __init__(self, n_threads: int) -> None:
         if n_threads <= 0:
             raise ValueError("postbox array needs at least one thread")
-        self.boxes = [Postbox(i) for i in range(n_threads)]
+        self.n_threads = n_threads
+        self._boxes: dict[int, Postbox] = {}
+        #: deactivate_all sweeps so far: each stored 0 into the active
+        #: flag of every box, including those not yet built.
+        self._sweeps = 0
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return self.n_threads
 
     def __getitem__(self, thread_id: int) -> Postbox:
-        return self.boxes[thread_id]
+        box = self._boxes.get(thread_id)
+        if box is not None:
+            return box
+        if thread_id < 0:
+            thread_id += self.n_threads
+        if not 0 <= thread_id < self.n_threads:
+            raise IndexError("postbox index out of range")
+        box = self._boxes.get(thread_id)
+        if box is None:
+            box = self._boxes[thread_id] = Postbox(thread_id)
+            if self._sweeps:
+                box.active.value = 0
+                box.active.rmw_count = self._sweeps
+        return box
 
     def deactivate_all(self, ctx: ExecContext) -> None:
         """Master thread terminates: clear every worker's active flag."""
-        for box in self.boxes:
+        for box in self._boxes.values():
             box.deactivate(ctx)
+        untouched = self.n_threads - len(self._boxes)
+        if untouched:
+            ctx.charge(Op.ATOMIC_RMW, float(untouched))
+        self._sweeps += 1
 
     def total_rmw_count(self) -> int:
-        return sum(
-            b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count for b in self.boxes
+        untouched = self.n_threads - len(self._boxes)
+        return untouched * self._sweeps + sum(
+            b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count
+            for b in self._boxes.values()
         )

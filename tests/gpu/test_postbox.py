@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.gpu.device as gpu_device
 from repro.context import CountingContext
+from repro.gpu.device import GPUDevice
 from repro.gpu.postbox import Postbox, PostboxArray
+from repro.gpu.specs import GPU_BY_NAME
 from repro.ops import Op
 
 
@@ -72,3 +75,73 @@ class TestPostboxArray:
     def test_requires_threads(self):
         with pytest.raises(ValueError):
             PostboxArray(0)
+
+
+class EagerPostboxArray:
+    """The array as it was before boxes were built lazily: one Postbox
+    per thread, up front (the reference the lazy array must match)."""
+
+    def __init__(self, n_threads: int) -> None:
+        self.boxes = [Postbox(i) for i in range(n_threads)]
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, thread_id: int) -> Postbox:
+        return self.boxes[thread_id]
+
+    def deactivate_all(self, ctx) -> None:
+        for box in self.boxes:
+            box.deactivate(ctx)
+
+    def total_rmw_count(self) -> int:
+        return sum(
+            b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count
+            for b in self.boxes
+        )
+
+
+def _device_lifetime(spec_name: str) -> dict:
+    """Open a device, run serial and parallel commands, close it."""
+    device = GPUDevice(GPU_BY_NAME[spec_name])
+    outputs = [
+        device.submit(text).output
+        for text in (
+            "(defun sq (x) (* x x))",
+            "(||| 8 sq (1 2 3 4 5 6 7 8))",
+            "(+ 1 2)",
+        )
+    ]
+    device.close()
+    return {
+        "outputs": outputs,
+        "rows": [list(row) for row in device.master_ctx.counts.rows],
+        "rmw": device.postboxes.total_rmw_count(),
+        "base_latency_ms": device.base_latency_ms,
+    }
+
+
+class TestLazyPostboxes:
+    def test_untouched_boxes_are_not_built(self):
+        boxes = PostboxArray(1024)
+        boxes[7].assign("x", CountingContext())
+        assert len(boxes._boxes) == 1
+        assert boxes[-1].thread_id == 1023
+        with pytest.raises(IndexError):
+            boxes[1024]
+
+    def test_touch_after_deactivation_sees_the_sweep(self):
+        ctx = CountingContext()
+        boxes = PostboxArray(4)
+        boxes.deactivate_all(ctx)
+        assert boxes[2].active.value == 0
+        assert boxes.total_rmw_count() == 4
+        assert ctx.counts.count_of(Op.ATOMIC_RMW) == 4
+
+    @pytest.mark.parametrize("spec_name", ["gtx1080", "tesla-v100"])
+    def test_device_lifetime_matches_eager_array(self, spec_name, monkeypatch):
+        lazy = _device_lifetime(spec_name)
+        monkeypatch.setattr(gpu_device, "PostboxArray", EagerPostboxArray)
+        eager = _device_lifetime(spec_name)
+        assert lazy == eager
+        assert lazy["outputs"][1] == "(1 4 9 16 25 36 49 64)"
