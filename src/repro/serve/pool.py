@@ -109,6 +109,7 @@ class DeviceQueue:
     """
 
     __slots__ = (
+        "depth",
         "_fifos",
         "_front",
         "_back",
@@ -122,6 +123,8 @@ class DeviceQueue:
     )
 
     def __init__(self) -> None:
+        #: Queued tickets (``len()``, readable without a method call).
+        self.depth = 0
         self._fifos: dict["TenantSession", _Fifo] = {}
         # Position order: appended tickets in _back (insertion order is
         # position order), appendleft'ed ones in _front (newest, i.e.
@@ -137,10 +140,10 @@ class DeviceQueue:
         self._buckets: dict[int, list] = {}  # count -> heap (head pos, head)
 
     def __len__(self) -> int:
-        return len(self._front) + len(self._back)
+        return self.depth
 
     def __bool__(self) -> bool:
-        return bool(self._front) or bool(self._back)
+        return self.depth > 0
 
     def __iter__(self) -> Iterator["Ticket"]:
         return chain(reversed(self._front), self._back)
@@ -156,6 +159,7 @@ class DeviceQueue:
         ticket._pos = self._hi
         self._hi += 1
         self._back[ticket] = None
+        self.depth += 1
         ticket._next = None
         fifo = self._fifos.get(ticket.session)
         if fifo is None:
@@ -177,6 +181,7 @@ class DeviceQueue:
         self._lo -= 1
         ticket._pos = self._lo
         self._front[ticket] = None
+        self.depth += 1
         fifo = self._fifos.get(ticket.session)
         if fifo is None:
             ticket._next = None
@@ -226,6 +231,7 @@ class DeviceQueue:
         out = list(self)
         for ticket in out:
             ticket._next = ticket._entry = None
+        self.depth = 0
         self._fifos.clear()
         self._front.clear()
         self._back.clear()
@@ -237,6 +243,7 @@ class DeviceQueue:
 
     def _unlink(self, ticket: "Ticket") -> None:
         del (self._front if ticket._pos < 0 else self._back)[ticket]
+        self.depth -= 1
         ticket._entry = None
 
     # -- EDF head index ------------------------------------------------------------
@@ -408,7 +415,7 @@ class PooledDevice:
 
     @property
     def queue_depth(self) -> int:
-        return len(self.queue)
+        return self.queue.depth
 
     def add_resident(self, session: "TenantSession") -> None:
         self.residents.add(session)
@@ -448,7 +455,7 @@ class PooledDevice:
         for restores: a migrated or server-restored session arrives
         *with* its tenured subgraph, so ties between equally-subscribed
         devices must break toward the emptiest arena."""
-        return (self.session_count, self.retained_nodes, len(self.queue))
+        return (self.session_count, self.retained_nodes, self.queue_depth)
 
     # -- modeled-time load accounting ---------------------------------------------
 
