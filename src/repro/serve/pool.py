@@ -268,7 +268,7 @@ class DeviceQueue:
         non-empty queue always admits something. Device pipelines only
         move forward, so a horizon below the previous one happens only
         after an aborted batch that followed a jump; the admitted heads
-        are then re-keyed from scratch.
+        all go back to the arrival heap.
         """
         if horizon < self._admitted:
             stale, self._ready = self._ready, []
