@@ -87,9 +87,7 @@ def run_interactive(with_bulk: bool) -> dict:
         interactive_share=1.0,
         interactive_slo_ms=INTERACTIVE_SLO_MS,
     )
-    with CuLiServer(
-        devices=[DEVICE] * N_DEVICES, max_batch=8, scheduler="async"
-    ) as server:
+    with CuLiServer(devices=[DEVICE] * N_DEVICES, max_batch=8) as server:
         job = None
         if with_bulk:
             job = server.submit_bulk(

@@ -12,8 +12,8 @@ run by the perf-smoke job:
   homogeneous serve-layer family (throughput, rebalance, failover,
   continuous batching).
 * ``hetero`` — ``benchmarks/baselines/BENCH_hetero.json``: the mixed
-  GPU+CPU fleet family (capability-aware vs count placement on the
-  10k-session replay harness).
+  GPU+CPU fleet family (capability-aware placement on the 10k-session
+  replay harness).
 * ``bulk`` — ``benchmarks/baselines/BENCH_bulk.json``: the data-parallel
   ``gpu-map`` family (fleet sharding vs one device, interactive p99
   under a co-running bulk job).

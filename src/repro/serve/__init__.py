@@ -26,8 +26,8 @@ from .capability import (
 )
 from .chaos import ChaosMonkey
 from .checkpoint import CheckpointStore
-from .pool import PLACEMENT_MODES, DevicePool, PooledDevice, link_ms
-from .scheduler import SCHEDULER_MODES, Rebalancer, Scheduler
+from .pool import DevicePool, PooledDevice, link_ms
+from .scheduler import Rebalancer, Scheduler
 from .server import CuLiServer
 from .session import TenantSession, Ticket
 from .stats import DeviceStats, LatencyReservoir, MigrationRecord, ServerStats
@@ -51,8 +51,6 @@ __all__ = [
     "DevicePipeline",
     "PipelineSlot",
     "LatencyReservoir",
-    "SCHEDULER_MODES",
-    "PLACEMENT_MODES",
     "PROBE_FORMS",
     "capability_probe_ms",
     "capability_score",

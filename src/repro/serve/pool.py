@@ -19,9 +19,7 @@ ms per probe request) and exposes :attr:`~PooledDevice.backlog_ms`, the
 expected drain time of everything standing against the device: resident
 sessions' service demand, queued work, and the wire-weight of its
 retained heap. ``place_session`` picks the lowest backlog (capability
-breaks ties, so an empty fleet fills fastest-first); the legacy
-count-based key remains available as the ``placement="count"`` ablation
-(env ``REPRO_SERVE_PLACEMENT=count`` forces it fleet-wide).
+breaks ties, so an empty fleet fills fastest-first).
 
 Each device's queue is a :class:`DeviceQueue`: per-session FIFOs behind
 an EDF index of session heads, so batch formation and rebalancing touch
@@ -32,7 +30,6 @@ never scan the whole session table.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence, Union
@@ -48,17 +45,10 @@ from .capability import capability_probe_ms, capability_score, restore_ms_per_by
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Ticket, TenantSession
 
-__all__ = ["DevicePool", "DeviceQueue", "PooledDevice", "PLACEMENT_MODES", "link_ms"]
+__all__ = ["DevicePool", "DeviceQueue", "PooledDevice", "link_ms"]
 
 DeviceSpec = Union[str, GPUSpec, CPUSpec]
 DeviceConfig = Union[GPUDeviceConfig, CPUDeviceConfig]
-
-#: Valid ``DevicePool(placement=)`` / ``CuLiServer(placement=)`` values:
-#: ``"cost"`` is the capability-normalized backlog model (default),
-#: ``"count"`` the original session/queue-count key (the ablation the
-#: hetero-fleet bench diffs against).
-PLACEMENT_MODES = ("cost", "count")
-
 
 def link_ms(pdev: "PooledDevice", nbytes: int) -> float:
     """Modeled time to move ``nbytes`` across one device's host link.
@@ -447,16 +437,6 @@ class PooledDevice:
         environment every fresh device starts with."""
         return max(0, self.retained_nodes - self._baseline_retained)
 
-    @property
-    def load(self) -> tuple[int, int, int]:
-        """The count-mode placement key: sessions first, then retained
-        heap, then queued work (the pre-capability policy, kept as the
-        ``placement="count"`` ablation). The retained-heap term matters
-        for restores: a migrated or server-restored session arrives
-        *with* its tenured subgraph, so ties between equally-subscribed
-        devices must break toward the emptiest arena."""
-        return (self.session_count, self.retained_nodes, self.queue_depth)
-
     # -- modeled-time load accounting ---------------------------------------------
 
     @property
@@ -487,10 +467,14 @@ class PooledDevice:
         )
 
     def placement_key(self, incoming_nbytes: int = 0) -> tuple:
-        """The cost-mode placement key: normalized backlog (plus the
-        incoming restore's wire weight, when the session arrives with a
+        """The placement key: normalized backlog (plus the incoming
+        restore's wire weight, when the session arrives with a
         snapshot), capability as the empty-fleet tie-break (fastest
-        first), then the count key for full determinism."""
+        first), then session count, retained heap and queue depth for
+        full determinism. The retained-heap term matters for restores:
+        a migrated or server-restored session arrives *with* its
+        tenured subgraph, so ties between equally-subscribed devices
+        break toward the emptiest arena."""
         return (
             self.backlog_ms + self.restore_cost_ms(incoming_nbytes),
             self.probe_ms,
@@ -516,7 +500,6 @@ class DevicePool:
         gpu_config: Optional[GPUDeviceConfig] = None,
         cpu_config: Optional[CPUDeviceConfig] = None,
         device_configs: Optional[Sequence[Optional[DeviceConfig]]] = None,
-        placement: Optional[str] = None,
     ) -> None:
         if not devices:
             raise ValueError("a device pool needs at least one device")
@@ -525,18 +508,6 @@ class DevicePool:
                 f"device_configs must align with devices: got "
                 f"{len(device_configs)} configs for {len(devices)} devices"
             )
-        if placement is None:
-            # Same ship-the-fast-mode stance as REPRO_SERVE_JIT/ASYNC:
-            # cost-aware placement is the default, the environment can
-            # force the count-based ablation fleet-wide (CI tier matrix),
-            # an explicit argument always wins.
-            placement = os.environ.get("REPRO_SERVE_PLACEMENT", "cost")
-        if placement not in PLACEMENT_MODES:
-            raise ValueError(
-                f"unknown placement mode {placement!r}: expected one of "
-                f"{PLACEMENT_MODES}"
-            )
-        self.placement = placement
         # Shared configs are kept so a lost device can be force-reset to
         # an identical fresh one (revive): same spec, same interpreter
         # options, empty arena. Per-slot overrides live on the
@@ -591,13 +562,11 @@ class DevicePool:
     ) -> PooledDevice:
         """Pick the device with the lowest modeled backlog.
 
-        Cost mode (default) minimizes :meth:`PooledDevice.placement_key`
-        — expected backlog-ms plus the wire weight of the arriving
-        session's snapshot (``incoming_nbytes``: restores and failovers
-        land with their heap, which a PCIe device pays for and a CPU
-        does not), capability breaking empty-fleet ties fastest-first.
-        Count mode keeps the original key: fewest sessions, then the
-        smallest retained heap, then the shortest queue.
+        Minimizes :meth:`PooledDevice.placement_key` — expected
+        backlog-ms plus the wire weight of the arriving session's
+        snapshot (``incoming_nbytes``: restores and failovers land with
+        their heap, which a PCIe device pays for and a CPU does not),
+        capability breaking empty-fleet ties fastest-first.
 
         ``exclude`` removes candidates (a migration's source device, and
         draining devices are always skipped); if exclusions would leave
@@ -613,12 +582,7 @@ class DevicePool:
             candidates = [
                 d for d in self.devices.values() if d.device_id not in exclude
             ] or list(self.devices.values())
-        if self.placement == "count":
-            pdev = min(candidates, key=lambda d: d.load)
-        else:
-            pdev = min(
-                candidates, key=lambda d: d.placement_key(incoming_nbytes)
-            )
+        pdev = min(candidates, key=lambda d: d.placement_key(incoming_nbytes))
         pdev.session_count += 1
         return pdev
 

@@ -19,29 +19,21 @@ as shared ``|||`` service rounds on the GPU (one handshake, one PCIe
 transaction, tenants evaluated concurrently by worker warps) or as
 pthread waves on the CPU.
 
-Two drain disciplines share that machinery (``CuLiServer(scheduler=)``):
+Draining is **continuous batching**: each device owns a
+:class:`~repro.serve.timeline.DevicePipeline` (double-buffered command
+buffers on a virtual event timeline — batch *k+1*'s payload upload
+overlaps batch *k*'s kernel), requests are admitted into the next
+in-flight batch as slots free under deadline-aware (EDF) ordering, and
+each device's batches resolve at their own pipeline completion — no
+fleet barrier. The rebalancer and supervisor hooks run at *safe points*
+(:meth:`Rebalancer.at_safe_point`, ``DeviceSupervisor.at_safe_point``):
+between two dispatches of the host loop nothing is in flight, so the
+policies only ever move idle sessions and queued tickets.
 
-* **lockstep** — the original global rounds: every device runs one
-  batch per pass, and the pass ends at a fleet-wide barrier where the
-  rebalancer and supervisor hooks run. On the modeled clock every
-  ticket of a round resolves when the *slowest* device's batch ends —
-  the barrier's tail-latency cost, charged honestly.
-* **async (continuous batching)** — the default: each device owns a
-  :class:`~repro.serve.timeline.DevicePipeline` (double-buffered
-  command buffers on a virtual event timeline — batch *k+1*'s payload
-  upload overlaps batch *k*'s kernel), requests are admitted into the
-  next in-flight batch as slots free under deadline-aware (EDF)
-  ordering, and each device's batches resolve at their own pipeline
-  completion — no barrier. The between-rounds hooks re-anchor to
-  per-device *safe points* (:meth:`Rebalancer.at_safe_point`,
-  ``DeviceSupervisor.at_safe_point``): a device is quiescent right
-  after its own dispatch resolves, regardless of what the rest of the
-  fleet is doing.
-
-Per-tenant transcripts are byte-identical across the two disciplines
-(property-pinned): async reorders *across* sessions only; each
-session's commands still execute in submission order against the same
-placed heap.
+Continuous batching reorders work *across* sessions only: each
+session's commands execute in submission order against its placed
+heap, so every tenant's transcript equals the one it gets running solo
+on a fresh single-device server (property-pinned).
 
 Fault isolation: containable device faults (arena exhaustion, a per-job
 livelock) come back from ``submit_batch`` as per-item errors — the
@@ -76,9 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Scheduler", "Rebalancer"]
 
-#: Valid ``Scheduler(mode=)`` / ``CuLiServer(scheduler=)`` values.
-SCHEDULER_MODES = ("lockstep", "async")
-
 
 class Scheduler:
     """Forms batches from per-device queues and dispatches them."""
@@ -87,29 +76,18 @@ class Scheduler:
         self,
         pool: "DevicePool",
         max_batch: int = 32,
-        mode: str = "lockstep",
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if mode not in SCHEDULER_MODES:
-            raise ValueError(
-                f"unknown scheduler mode {mode!r}: expected one of "
-                f"{SCHEDULER_MODES}"
-            )
         self.pool = pool
         self.max_batch = max_batch
-        self.mode = mode
         #: Installed by :class:`~repro.serve.supervisor.DeviceSupervisor`
         #: (failover-enabled servers): wraps submissions with the
         #: watchdog/chaos layer and owns device-loss recovery. None keeps
         #: the pre-failover behaviour exactly (losses degrade to the
         #: batch-fatal quarantine path).
         self.supervisor: Optional["DeviceSupervisor"] = None
-        #: Fleet virtual clock (simulated ms): the arrival watermark for
-        #: requests submitted without an explicit ``arrival_ms``, and —
-        #: in lockstep mode — the running round-end clock.
-        self.clock_ms = 0.0
-        #: Per-device event timelines (async mode). Keyed by device id;
+        #: Per-device event timelines. Keyed by device id;
         #: survives device resets — a failover replaces the device
         #: object, not the passage of virtual time.
         self.pipelines: dict[str, DevicePipeline] = {}
@@ -128,19 +106,16 @@ class Scheduler:
 
     @property
     def now_ms(self) -> float:
-        """The fleet watermark: default arrival stamp for new requests."""
-        if self.mode == "async" and self.pipelines:
-            return max(
-                self.clock_ms,
-                max(p.completed_ms for p in self.pipelines.values()),
-            )
-        return self.clock_ms
+        """The fleet watermark (simulated ms): the latest pipeline
+        completion, and the default arrival stamp for new requests."""
+        return max(
+            (p.completed_ms for p in self.pipelines.values()), default=0.0
+        )
 
     @property
     def makespan_ms(self) -> float:
-        """Modeled fleet completion time under this drain discipline:
-        lockstep's sum-of-round-maxima clock, or the latest async
-        pipeline completion. (Distinct from
+        """Modeled fleet completion time: the latest pipeline
+        completion. (Distinct from
         ``ServerStats.simulated_makespan_ms``, which is pure per-device
         busy occupancy and ignores scheduling.)"""
         return self.now_ms
@@ -148,8 +123,6 @@ class Scheduler:
     def pipeline_snapshot(self) -> dict:
         """Gauge payload for ``ServerStats.snapshot()["scheduler"]``."""
         return {
-            "mode": self.mode,
-            "clock_ms": round(self.clock_ms, 3),
             "makespan_ms": round(self.makespan_ms, 3),
             "tickets_examined": self.tickets_examined,
             "sessions_examined": self.sessions_examined,
@@ -180,49 +153,6 @@ class Scheduler:
         """
         return len(sanitize_input(text).encode()) + 1
 
-    def form_batch(self, pdev: "PooledDevice") -> list["Ticket"]:
-        """Pop up to ``max_batch`` queued tickets, one per session, FIFO.
-
-        Tickets whose session already has a ticket in this batch stay
-        queued (in order) for a later batch. On devices with a bounded
-        command buffer the combined payload stays within capacity —
-        sized in sanitized bytes, matching the device's own packing — so
-        one batch's upload never fails on size (a *single* over-capacity
-        command still joins a batch alone and is refused per-request by
-        the device's upload gate). Quarantined tickets (survivors of a
-        batch-fatal failure) always run alone. The walk visits tickets
-        in queue order and ends at the first quarantined one, head of
-        its session or not."""
-        batch: list["Ticket"] = []
-        sessions_in_batch: set[str] = set()
-        queue = pdev.queue
-        cmdbuf = getattr(pdev.device, "cmdbuf", None)
-        capacity = cmdbuf.capacity if cmdbuf is not None else None
-        payload = 0
-        for ticket in queue:
-            if len(batch) >= self.max_batch:
-                break
-            self.tickets_examined += 1
-            if ticket.quarantined:
-                # A quarantined ticket never shares a batch: it stays at
-                # the head for the next (solo) pass.
-                if not batch:
-                    batch.append(ticket)
-                break
-            sid = ticket.session.session_id
-            if sid in sessions_in_batch:
-                continue  # deferred: stays queued, in order
-            size = self.payload_size(ticket.text)
-            if capacity is not None and batch and payload + size > capacity:
-                break  # full: keep for the next batch
-            sessions_in_batch.add(sid)
-            payload += size
-            batch.append(ticket)
-        # Every chosen ticket was its session's first in queue order.
-        for ticket in batch:
-            queue.take(ticket)
-        return batch
-
     def form_batch_async(self, pdev: "PooledDevice") -> list["Ticket"]:
         """Deadline-aware batch formation for the continuous pipeline.
 
@@ -250,12 +180,15 @@ class Scheduler:
         tickets sort ahead of every chunk, so the exclusion is one-way
         by construction.
 
-        The capacity and quarantine rules match :meth:`form_batch`: the
-        combined payload stays within the command buffer, and a
-        quarantined ticket only ever runs alone. With no SLOs and equal
-        arrivals the EDF key degenerates to submission order, so this
-        forms byte-identical batches to the lockstep walk — the
-        degenerate-case anchor for the oracle property.
+        On devices with a bounded command buffer the combined payload
+        stays within capacity — sized in sanitized bytes, matching the
+        device's own packing — so one batch's upload never fails on size
+        (a *single* over-capacity command still joins a batch alone and
+        is refused per-request by the device's upload gate). A
+        quarantined ticket (a survivor of a batch-fatal failure) only
+        ever runs alone. With no SLOs and equal arrivals the EDF key
+        degenerates to submission order: one ticket per session, in the
+        order the sessions' heads were queued.
         """
         queue = pdev.queue
         if not queue:
@@ -306,8 +239,8 @@ class Scheduler:
         """Execute one batch on one device and resolve its tickets.
 
         Returns the :class:`~repro.runtime.batch.BatchResult` on a
-        completed transaction (the drain loops charge it to the modeled
-        clock/pipeline), or ``None`` when the transaction did not
+        completed transaction (the drain loop charges it to the device's
+        pipeline), or ``None`` when the transaction did not
         complete — device loss or batch-fatal failure, both handled
         internally.
 
@@ -416,26 +349,6 @@ class Scheduler:
         if stats is not None and retried:
             stats.record_quarantined(len(retried))
 
-    def drain(
-        self,
-        stats: Optional["ServerStats"] = None,
-        rebalancer: Optional["Rebalancer"] = None,
-    ) -> int:
-        """Serve every queued request; returns the number of batches run.
-
-        Dispatches to the drain discipline selected at construction:
-        :meth:`_drain_lockstep` (global rounds with fleet barriers) or
-        :meth:`_drain_async` (per-device continuous pipelines with
-        device-local safe points). Both always terminate with zero
-        pending tickets: a batch-fatal device failure converts its
-        tickets into solo quarantine retries, a quarantined ticket that
-        fails again resolves with its error instead of looping, and
-        failover re-enqueues are bounded by the per-ticket failover cap.
-        """
-        if self.mode == "async":
-            return self._drain_async(stats, rebalancer)
-        return self._drain_lockstep(stats, rebalancer)
-
     @staticmethod
     def _stamp_latencies(
         batch: list["Ticket"],
@@ -461,72 +374,12 @@ class Scheduler:
                         max(0.0, resolve_ms - ticket.arrival_ms)
                     )
 
-    def _drain_lockstep(
+    def drain(
         self,
-        stats: Optional["ServerStats"],
-        rebalancer: Optional["Rebalancer"],
+        stats: Optional["ServerStats"] = None,
+        rebalancer: Optional["Rebalancer"] = None,
     ) -> int:
-        """The original global drain rounds.
-
-        Each pass forms one batch per device (devices run concurrently in
-        simulated time), repeating until all queues are empty — a session
-        with k queued commands therefore takes k batches, in order.
-
-        On the virtual clock the pass is a *barrier*: every batch starts
-        no earlier than the round clock (and no earlier than its latest
-        request arrival), and every ticket of the round — fast device or
-        slow — resolves when the slowest batch ends. That is the cost
-        the async pipelines exist to remove, charged honestly here so
-        the two disciplines are comparable on one timeline.
-
-        A ``rebalancer`` runs between rounds — after every device's
-        batch of the pass has resolved, when no ticket is in flight — so
-        it only ever moves *idle* sessions. Migrations re-route a
-        session's still-queued tickets with its heap; pending never
-        grows, so drain still terminates.
-
-        With a supervisor installed, its between-rounds hook runs after
-        the rebalancer's: idle chaos, breaker cooldown ticks, half-open
-        probes, and interval checkpoints all happen while nothing is in
-        flight. Failover re-enqueues work (replay + retry tickets), so
-        pending can *grow* within a pass — termination then rests on the
-        per-ticket failover cap: every ticket either resolves normally
-        or resolves poisoned after at most ``max_ticket_failovers``
-        losses, so the queue still always reaches zero.
-        """
-        batches = 0
-        while self.pool.pending:
-            round_batches: list[list["Ticket"]] = []
-            round_end = self.clock_ms
-            for pdev in list(self.pool.devices.values()):
-                batch = self.form_batch(pdev)
-                if batch:
-                    result = self.dispatch(pdev, batch, stats)
-                    batches += 1
-                    round_batches.append(batch)
-                    if result is not None:
-                        floor = max(
-                            self.clock_ms,
-                            max(t.arrival_ms for t in batch),
-                        )
-                        round_end = max(
-                            round_end, floor + result.times.total_ms
-                        )
-            self.clock_ms = round_end
-            for batch in round_batches:
-                self._stamp_latencies(batch, round_end, stats)
-            if rebalancer is not None:
-                rebalancer.after_round(stats)
-            if self.supervisor is not None:
-                self.supervisor.after_round(stats)
-        return batches
-
-    def _drain_async(
-        self,
-        stats: Optional["ServerStats"],
-        rebalancer: Optional["Rebalancer"],
-    ) -> int:
-        """Continuous batching: per-device pipelines, no fleet barrier.
+        """Serve every queued request; returns the number of batches run.
 
         Each sweep gives every device one admission opportunity: form a
         deadline-ordered batch from whatever has arrived by the device's
@@ -535,20 +388,21 @@ class Scheduler:
         batch's kernel under double buffering), kernel on the engine,
         download on the down-link. The batch's tickets resolve at *its
         own* pipeline completion; a fast device never waits for a slow
-        one, which is where the modeled throughput and tail-latency win
-        over lockstep comes from.
+        one.
 
-        Immediately after a device's dispatch resolves, that device is
-        quiescent — nothing of *its* is in flight — so its **safe
-        point** runs: the rebalancer's per-device policy slice and the
-        supervisor's (idle chaos, breaker tick/probe, interval
-        checkpoints for resident sessions). Cross-device migrations at a
-        safe point only ever touch queued (never in-flight) tickets,
-        same as the lockstep barrier guaranteed globally.
+        Between two dispatches of the host loop nothing is in flight, so
+        the end of every sweep is a **safe point**: the rebalancer's
+        policies and each device's supervisor hook (idle chaos, breaker
+        tick/probe, interval checkpoints for resident sessions) run
+        there, and migrations only ever touch idle heaps and queued
+        (never in-flight) tickets.
 
-        Termination matches lockstep: quarantine resolves or retries
-        solo, failover re-enqueues are bounded per ticket, and the
-        horizon rule guarantees a non-empty queue always yields a batch.
+        Drain always terminates with zero pending tickets: a batch-fatal
+        device failure converts its tickets into solo quarantine
+        retries, a quarantined ticket that fails again resolves with its
+        error instead of looping, failover re-enqueues are bounded by the
+        per-ticket failover cap, and the horizon rule guarantees a
+        non-empty queue always yields a batch.
         """
         batches = 0
         while self.pool.pending:
@@ -579,27 +433,23 @@ class Scheduler:
                     # horizon.
                     done = max(pipe.horizon_ms, floor)
                 self._stamp_latencies(batch, done, stats)
-            # The fleet is quiescent between dispatches of the host
-            # loop, so the hooks run here: the rebalancer once (its
-            # policies are fleet-wide by nature), then each device's
-            # supervisor safe point — per-device chaos, breaker
-            # lifecycle, checkpoints, uptime — on the device's own
-            # safe-point round clock.
+            # The safe point: the rebalancer once (its policies are
+            # fleet-wide by nature), then each device's supervisor hook
+            # on the device's own safe-point round clock.
             if rebalancer is not None:
                 rebalancer.at_safe_point(stats)
             if self.supervisor is not None:
                 for pdev in list(self.pool.devices.values()):
                     self.supervisor.at_safe_point(pdev, stats)
-        self.clock_ms = max(self.clock_ms, self.now_ms)
         return batches
 
 
 class Rebalancer:
-    """Between-round elastic rebalancing: migrate idle sessions off
+    """Elastic rebalancing at safe points: migrate idle sessions off
     overloaded or fault-ridden devices.
 
-    Two policies run after every distribution round, while no ticket is
-    in flight:
+    Three policies run at every safe point, while no ticket is in
+    flight:
 
     * **Fault drain** — a device that accumulates ``fault_threshold``
       *new* faults (contained plus batch-fatal, PR 4's classification)
@@ -622,23 +472,18 @@ class Rebalancer:
       materially between the fullest and emptiest usable device,
       sessions migrate toward the emptiest (sharing the same per-round
       move budget). Queue shedding cannot see this skew when queues
-      drain within a pass — the state a device-loss failover leaves
+      drain within a sweep — the state a device-loss failover leaves
       behind, with every victim on the survivors and the revived device
       empty.
 
-    Both policies follow the pool's placement mode. Under ``"cost"``
-    (the default) backlogs and gaps are compared in **modeled
-    milliseconds** — queue depths and session counts weighted by each
-    device's calibrated per-request cost (``PooledDevice.probe_ms``) —
-    which on a homogeneous fleet reduces exactly to the original count
-    gates, and on a mixed fleet stops the policy from "levelling" five
-    queued requests on a Xeon against five on a Fermi card as if they
-    weighed the same. Cost mode also runs a migration **cost/benefit
-    veto**: the expected win (hot minus cold backlog after the move)
-    must exceed the snapshot's wire cost over both ``link_ms`` legs —
-    a session is never moved somewhere that makes it slower. Under
-    ``"count"`` the original count-based gates run verbatim (the
-    ablation ``benchmarks/bench_hetero_fleet.py`` diffs against).
+    Backlogs and gaps are compared in **modeled milliseconds** — queue
+    depths and session counts weighted by each device's calibrated
+    per-request cost (``PooledDevice.probe_ms``) — so on a mixed fleet
+    the policy never "levels" five queued requests on a Xeon against
+    five on a Fermi card as if they weighed the same. Every move also
+    faces a **cost/benefit veto**: the expected win must exceed the
+    snapshot's wire cost over both ``link_ms`` legs — a session is
+    never moved somewhere that makes it slower.
 
     Moving a session is never free: each migration's snapshot bytes are
     charged as modeled host<->device transfer time on both links
@@ -679,12 +524,18 @@ class Rebalancer:
         dstats = self.server.stats.per_device.get(device_id)
         self._fault_marks[device_id] = dstats.faults if dstats else 0
 
-    # -- the between-rounds hook --------------------------------------------------
+    # -- the safe-point hook -------------------------------------------------------
 
-    def after_round(
+    def at_safe_point(
         self, stats: Optional["ServerStats"] = None
     ) -> list["MigrationRecord"]:
-        """Run the policies once; returns the migrations performed."""
+        """Run the policies once; returns the migrations performed.
+
+        The scheduler calls this between two dispatches of its host
+        loop, when nothing is physically in flight anywhere: a migration
+        only ever moves *queued* (never dispatched) tickets and an
+        *idle* session heap.
+        """
         moves = self._drain_faulty(stats)
         moves.extend(self._shed_overload())
         if len(moves) < self.max_moves_per_round:
@@ -692,24 +543,6 @@ class Rebalancer:
                 self._level_sessions(self.max_moves_per_round - len(moves))
             )
         return moves
-
-    def at_safe_point(
-        self, stats: Optional["ServerStats"] = None
-    ) -> list["MigrationRecord"]:
-        """The rebalancing hook re-anchored for the async scheduler.
-
-        Under lockstep the policies ran at the global round barrier; the
-        async pipelines have no barrier, but between any two dispatches
-        of the host loop nothing is physically in flight anywhere — a
-        migration only ever moves *queued* (never dispatched) tickets
-        and an *idle* session heap — so every sweep's end is a
-        fleet-quiescent point where the same policies run safely. The
-        policies themselves are unchanged: queue-depth and
-        session-count gaps mean the same thing whichever discipline
-        produced them (per-device pipeline clocks differ only in
-        *virtual* time, which the gap gates never read).
-        """
-        return self.after_round(stats)
 
     # -- fault drain ---------------------------------------------------------------
 
@@ -746,40 +579,12 @@ class Rebalancer:
     # -- overload shedding ---------------------------------------------------------
 
     def _shed_overload(self) -> list["MigrationRecord"]:
-        if self.server.pool.placement == "count":
-            return self._shed_overload_count()
-        return self._shed_overload_cost()
-
-    def _shed_overload_count(self) -> list["MigrationRecord"]:
-        """The original count-based shedding (``placement="count"``)."""
-        pool = self.server.pool
-        moves: list["MigrationRecord"] = []
-        for _ in range(self.max_moves_per_round):
-            usable = [d for d in pool.devices.values() if not d.draining]
-            if len(usable) < 2:
-                break
-            hot = max(usable, key=lambda d: d.queue_depth)
-            cold = min(usable, key=lambda d: d.queue_depth)
-            gap = hot.queue_depth - cold.queue_depth
-            if gap < 2 or hot.queue_depth < self.imbalance_ratio * (
-                cold.queue_depth + 1
-            ):
-                break
-            session = self._pick_session(hot, target_tickets=max(1, gap // 2))
-            if session is None:
-                break
-            moves.append(self.server.migrate_session(session, cold.device_id))
-        return moves
-
-    def _shed_overload_cost(self) -> list["MigrationRecord"]:
         """Backlog shedding in modeled ms, with a cost/benefit veto.
 
-        The gates are the count gates with every ticket weighted by its
-        device's per-request cost: the gap must be worth at least two
-        hot-device requests, and the hot backlog must exceed
-        ``imbalance_ratio`` x the cold backlog plus one cold request
-        (the count gate's ``+1`` slack, in cold ms). On a homogeneous
-        pool both reduce exactly to the originals. The transfer target
+        Every ticket is weighted by its device's per-request cost: the
+        gap must be worth at least two hot-device requests, and the hot
+        backlog must exceed ``imbalance_ratio`` x the cold backlog plus
+        one cold request. The transfer target
         fills half the gap measured in drain time — moving a ticket off
         the hot device saves ``e_hot`` there and costs ``e_cold`` on the
         cold one, so half the gap is ``gap_ms / (e_hot + e_cold)``
@@ -790,13 +595,10 @@ class Rebalancer:
 
         * **queue relief** — the cold device's queued backlog after
           absorbing the session's tickets, plus the snapshot wire cost
-          on both links, must undercut the hot queue backlog (the
-          original check; in lockstep mode it is the whole truth,
-          because the round barrier resolves every dispatched batch
-          before a rebalance point).
+          on both links, must undercut the hot queue backlog.
         * **drain horizon** — the same comparison with each side's
           *committed pipeline completion* added in. Queue depths alone
-          lie in async mode: a device that just dispatched everything
+          lie: a device that just dispatched everything
           it held looks idle while its pipeline is committed
           milliseconds into the future, and pricing moves against the
           empty queue sheds the fleet's entire backlog onto one
@@ -848,61 +650,25 @@ class Rebalancer:
 
     def _committed_ms(self, pdev: "PooledDevice") -> float:
         """When this device's pipeline resolves everything it has already
-        dispatched (0.0 in lockstep mode, where the round barrier means
-        nothing is ever in flight across a rebalance point)."""
+        dispatched (0.0 before its first batch)."""
         pipe = self.server.scheduler.pipelines.get(pdev.device_id)
         return pipe.completed_ms if pipe is not None else 0.0
 
     # -- session leveling ----------------------------------------------------------
 
     def _level_sessions(self, budget: int) -> list["MigrationRecord"]:
-        """Level resident session load, not just queue depths.
+        """Level resident session demand, not just queue depths.
 
         Queue shedding is blind to placement skew when queues drain to
-        zero within each pass — exactly the state a device-loss failover
+        zero within each sweep — exactly the state a device-loss failover
         leaves behind (every victim lands on the survivors while the
         revived device sits empty). Moving sessions until the skew
         closes re-levels the fleet within a couple of rounds; on an
-        already-even pool the gate never opens. Cost mode compares
-        session counts weighted by per-request cost (demand-ms) and
-        vetoes any move that would leave the receiving device slower
-        than the donor already is, or whose one-time wire cost the freed
-        service time cannot repay; count mode is the original
-        count-gap-of-two policy.
-        """
-        if self.server.pool.placement == "count":
-            return self._level_sessions_count(budget)
-        return self._level_sessions_cost(budget)
+        already-even pool the gate never opens.
 
-    def _level_sessions_count(self, budget: int) -> list["MigrationRecord"]:
-        pool = self.server.pool
-        moves: list["MigrationRecord"] = []
-        for _ in range(budget):
-            usable = [
-                d
-                for d in pool.devices.values()
-                if not d.draining and not d.device.lost
-            ]
-            if len(usable) < 2:
-                break
-            hot = max(usable, key=lambda d: d.session_count)
-            cold = min(usable, key=lambda d: d.session_count)
-            if hot.session_count < cold.session_count + 2:
-                break
-            session = self._leveling_candidate(hot)
-            if session is None:
-                break
-            moves.append(
-                self.server.migrate_session(session, cold.device_id)
-            )
-        return moves
-
-    def _level_sessions_cost(self, budget: int) -> list["MigrationRecord"]:
-        """Demand-ms leveling: the count gate with each resident session
-        weighted by its device's per-request cost. The gap must be worth
-        two cold-device requests (homogeneous pools: exactly the old
-        count-of-two gate), and a move is vetoed on either of two
-        cost/benefit checks:
+        Session counts are weighted by per-request cost (demand-ms): the
+        gap must be worth two cold-device requests, and a move is vetoed
+        on either of two cost/benefit checks:
 
         * **capacity** — the cold device *after* absorbing one more
           session would already out-demand the hot device. Moving a

@@ -64,6 +64,18 @@ class CuLiServer:
         placement: Optional[str] = None,
         device_configs: Optional[Sequence] = None,
     ) -> None:
+        # The drain discipline (continuous batching) and the load model
+        # (modeled-time cost placement) are fixed: ``scheduler=`` and
+        # ``placement=`` accept only their names, for callers that spell
+        # them out.
+        if scheduler not in (None, "async"):
+            raise ValueError(
+                f"unknown scheduler {scheduler!r}: only 'async' is supported"
+            )
+        if placement not in (None, "cost"):
+            raise ValueError(
+                f"unknown placement {placement!r}: only 'cost' is supported"
+            )
         # The serving layer defaults to the fast-path ablation (interned
         # symbols, indexed session roots, parse cache, generational
         # region GC): serving is our infrastructure on top of the paper,
@@ -110,38 +122,20 @@ class CuLiServer:
                 cpu_config = CPUDeviceConfig(
                     interpreter=InterpreterOptions.fast(**fast_overrides)
                 )
-        # Placement mode (heterogeneous-fleet PR): "cost" normalizes
-        # load by each device's calibrated capability (the default;
-        # REPRO_SERVE_PLACEMENT=count forces the count-based ablation
-        # fleet-wide), and ``device_configs`` gives individual devices
-        # their own config — a mixed fleet rarely wants one arena size
-        # everywhere. Both thread straight to the DevicePool.
+        # ``device_configs`` gives individual devices their own config —
+        # a mixed fleet rarely wants one arena size everywhere.
         self.pool = DevicePool(
             devices,
             gpu_config=gpu_config,
             cpu_config=cpu_config,
             device_configs=device_configs,
-            placement=placement,
         )
-        # Drain discipline (continuous-batching PR): serving defaults to
-        # the async per-device pipelines — same ship-the-fast-mode
-        # stance as the fast path / GC / JIT tiers — while
-        # ``scheduler="lockstep"`` keeps the original global rounds as
-        # the byte-identical oracle. REPRO_SERVE_ASYNC=0 forces the
-        # lockstep ablation fleet-wide (CI's scheduler tier matrix); an
-        # explicit ``scheduler=`` argument always wins.
-        if scheduler is None:
-            scheduler = (
-                "async"
-                if os.environ.get("REPRO_SERVE_ASYNC", "1") != "0"
-                else "lockstep"
-            )
         if max_session_queue < 1:
             raise ValueError("max_session_queue must be >= 1")
         #: Admission-control cap: a session with this many unresolved
         #: tickets has further submissions refused (AdmissionError).
         self.max_session_queue = max_session_queue
-        self.scheduler = Scheduler(self.pool, max_batch=max_batch, mode=scheduler)
+        self.scheduler = Scheduler(self.pool, max_batch=max_batch)
         self.stats = ServerStats()
         self.stats._queue_depth_fn = self.pool.queue_depths
         self.stats._scheduler_fn = self.scheduler.pipeline_snapshot

@@ -210,7 +210,7 @@ class ServerStats:
         self._queue_depth_fn: Optional[Callable[[], dict[str, int]]] = None
         #: live breaker-state gauge, installed by the supervisor
         self._breaker_state_fn: Optional[Callable[[], dict[str, str]]] = None
-        #: live scheduler-timeline gauge (mode, virtual clock, per-device
+        #: live scheduler-timeline gauge (virtual clock, per-device
         #: pipeline completion/overlap), installed by the server
         self._scheduler_fn: Optional[Callable[[], dict]] = None
 
@@ -263,9 +263,8 @@ class ServerStats:
     def record_latency(self, latency_ms: float) -> None:
         """One request's enqueue->resolve latency on the virtual clock.
 
-        Recorded by the scheduler when the ticket resolves: at its
-        batch's pipeline completion (async) or its round's barrier end
-        (lockstep). Replay tickets and close-time cancellations are
+        Recorded by the scheduler when the ticket resolves, at its
+        batch's pipeline completion. Replay tickets and close-time cancellations are
         excluded — no tenant was waiting on them.
         """
         self.latency.record(latency_ms)
@@ -692,7 +691,7 @@ class ServerStats:
                 d["overlap_ms"] for d in sched.get("devices", {}).values()
             )
             lines.append(
-                f"scheduler: {sched['mode']}, virtual clock "
+                f"scheduler: virtual clock "
                 f"{sched['makespan_ms']:.3f} ms, "
                 f"transfer overlap {overlap:.3f} ms"
             )

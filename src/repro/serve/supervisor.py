@@ -193,12 +193,9 @@ class DeviceSupervisor:
         #: the watchdog waited out before force-resetting).
         self.hang_detect_ms = hang_detect_ms
         self.breakers: dict[str, CircuitBreaker] = {}
-        self.round_no = 0
-        #: Async-scheduler round counters: one per device, advanced at
-        #: each device-local safe point. Breaker windows/cooldowns are
-        #: *per device*, so under continuous batching each device's
-        #: breaker ages on its own clock instead of the (now absent)
-        #: global round number.
+        #: Safe-point round counters, one per device: breaker windows
+        #: and cooldowns are *per device*, so each device's breaker ages
+        #: on its own clock.
         self.device_rounds: dict[str, int] = {}
         # Wire into the serving loop: the scheduler routes submissions
         # and loss handling through us, the stats surface gains the live
@@ -219,14 +216,6 @@ class DeviceSupervisor:
             )
             self.breakers[device_id] = brk
         return brk
-
-    def _round_for(self, device_id: str) -> int:
-        """The round clock breaker events on this device age against:
-        the global round number under lockstep drains, the device's own
-        safe-point counter under the async scheduler (whichever has
-        advanced further — a server can mix drain modes only via
-        reconstruction, but the max keeps the clock monotonic)."""
-        return max(self.round_no, self.device_rounds.get(device_id, 0))
 
     def breaker_states(self) -> dict[str, str]:
         """Live per-device breaker state (stats gauge)."""
@@ -335,7 +324,7 @@ class DeviceSupervisor:
             )
         brk = self.breaker(device_id)
         was_open = brk.state != BREAKER_CLOSED
-        state = brk.record_failure(self._round_for(device_id))
+        state = brk.record_failure(self.device_rounds.get(device_id, 0))
         if state == BREAKER_OPEN:
             pdev.draining = True  # placement avoids it until a probe passes
             if not was_open and stats is not None:
@@ -535,84 +524,24 @@ class DeviceSupervisor:
         if stats is not None:
             stats.record_device_evicted(device_id)
 
-    # -- the between-rounds hook (called by the scheduler) -------------------------
-
-    def after_round(self, stats: Optional["ServerStats"] = None) -> None:
-        """Runs while no ticket is in flight: idle chaos, breaker
-        lifecycle (cooldown ticks, half-open probes), interval
-        checkpoints, and per-device uptime accounting."""
-        self.round_no += 1
-        pool = self.server.pool
-        if self.chaos is not None:
-            for pdev in list(pool.devices.values()):
-                if pdev.device.lost:
-                    continue
-                if self.chaos.draw_idle(pdev.device_id):
-                    pdev.device.mark_lost("chaos: idle kill between rounds")
-                    exc = DeviceLostError(
-                        f"device {pdev.device_id} lost: chaos idle kill"
-                    )
-                    exc.work_ran = False
-                    self.on_device_loss(pdev, [], exc, stats)
-        # Fold Rebalancer fault-drains into the breaker lifecycle: a
-        # drained device used to need a manual reset_device call to ever
-        # serve again; tripping its breaker gives it the same automated
-        # cooldown -> probe -> close road back every lost device gets.
-        fresh_trips: set = set()
-        for pdev in pool.devices.values():
-            if pdev.draining:
-                brk = self.breaker(pdev.device_id)
-                if brk.state == BREAKER_CLOSED:
-                    brk.trip()
-                    fresh_trips.add(pdev.device_id)
-                    if stats is not None:
-                        stats.record_breaker_open(pdev.device_id)
-        for device_id, brk in list(self.breakers.items()):
-            pdev = pool.devices.get(device_id)
-            if pdev is None:
-                continue  # evicted
-            if device_id in fresh_trips:
-                continue  # cooldown starts counting next round
-            brk.tick()
-            if brk.state == BREAKER_HALF_OPEN:
-                self._probe(pdev, brk, stats)
-        # Interval checkpoints (between rounds: no nursery open, every
-        # session idle — the snapshot sees a consistent heap).
-        for session in list(self.server.sessions.values()):
-            if not self.store.due(session.session_id):
-                continue
-            pdev = pool.devices.get(session.device_id)
-            snap, shipped = self.store.checkpoint(session)
-            if stats is not None:
-                if shipped and pdev is not None:
-                    stats.record_checkpoint(
-                        pdev.device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
-                    )
-                else:
-                    stats.record_checkpoint_skipped()
-        if stats is not None:
-            for device_id, pdev in pool.devices.items():
-                dstats = stats.per_device.get(device_id)
-                if dstats is None:
-                    continue
-                dstats.rounds_total += 1
-                if not pdev.draining and not pdev.device.lost:
-                    dstats.rounds_up += 1
+    # -- the safe-point hook (called by the scheduler) ----------------------------
 
     def at_safe_point(
         self, pdev: "PooledDevice", stats: Optional["ServerStats"] = None
     ) -> None:
-        """Device-local slice of :meth:`after_round` for the async
-        scheduler: runs right after ``pdev``'s own dispatch resolved, so
-        *this* device is quiescent while the rest of the fleet keeps
-        flowing. Everything the global barrier hook did for the whole
-        fleet happens here for one device — idle chaos, draining->trip,
-        breaker cooldown tick and half-open probe, interval checkpoints
-        for the sessions *resident on this device* (their heaps are idle
-        between their own batches; co-residents of other devices are
-        checkpointed at those devices' safe points), and uptime
-        accounting — against the device's own safe-point round counter
-        instead of the global round number.
+        """Runs while nothing of ``pdev``'s is in flight: idle chaos,
+        breaker lifecycle, interval checkpoints and uptime accounting,
+        all against the device's own safe-point round counter.
+
+        * **idle chaos** — the chaos monkey may kill the idle device.
+        * **draining -> trip** — a Rebalancer fault-drain trips the
+          device's breaker, so a drained device gets the same automated
+          cooldown -> probe -> close road back every lost device gets.
+        * **breaker** — cooldown tick, then the half-open probe.
+        * **checkpoints** — interval checkpoints for the sessions
+          *resident on this device* (their heaps are idle between their
+          own batches; co-residents of other devices are checkpointed at
+          those devices' safe points).
         """
         device_id = pdev.device_id
         pool = self.server.pool
@@ -694,18 +623,18 @@ class DeviceSupervisor:
                     if isinstance(exc, DeviceHangError)
                     else 0.0,
                 )
-            brk.record_failure(self._round_for(device_id))  # flap
+            brk.record_failure(self.device_rounds.get(device_id, 0))  # flap
             self.server.pool.revive(device_id)
             if brk.flapping:
                 self._maybe_evict(pdev, stats)
             return
         except CuLiError:
-            brk.record_failure(self._round_for(device_id))
+            brk.record_failure(self.device_rounds.get(device_id, 0))
             if brk.flapping:
                 self._maybe_evict(pdev, stats)
             return
         if not ok:
-            brk.record_failure(self._round_for(device_id))
+            brk.record_failure(self.device_rounds.get(device_id, 0))
             if brk.flapping:
                 self._maybe_evict(pdev, stats)
             return

@@ -1,8 +1,7 @@
 """Modeled event timeline for per-device continuous batching.
 
-The async scheduler replaces lockstep drain rounds with one
-:class:`DevicePipeline` per pooled device: a small virtual-time model of
-a double-buffered command stream. All times here are *simulated device
+The scheduler drives one :class:`DevicePipeline` per pooled device: a
+small virtual-time model of a double-buffered command stream. All times here are *simulated device
 milliseconds* on the same clock as
 :class:`~repro.timing.PhaseBreakdown` — the pipeline never sleeps or
 measures host wall time; it just decides *when* each batch's phases
@@ -33,7 +32,7 @@ A batch charged at arrival-floor ``floor`` with phases
 
 and its requests resolve at download end. The *serial* clock — what the
 same sequence of batches would cost with no overlap, i.e. the classic
-``sum(total_ms)`` occupancy the lockstep scheduler charges — is kept
+``sum(total_ms)`` occupancy — is kept
 alongside, so ``overlap_ms`` (serial minus pipelined completion) is the
 modeled win attributable purely to the timeline.
 """

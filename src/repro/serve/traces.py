@@ -3,7 +3,7 @@
 The workload generator behind ``benchmarks/bench_continuous_batching.py``,
 ``benchmarks/bench_hetero_fleet.py`` (the roadmap's 10k-session replay
 harness: ``weighting="zipf"`` over ~10k tenants), and the
-async-vs-lockstep property tests. A trace is a list of
+solo-oracle property tests. A trace is a list of
 :class:`TraceRequest` — (arrival time, tenant, program text) — drawn
 from one seeded PRNG, so every consumer replays the *same* workload:
 
@@ -64,8 +64,8 @@ def _heavy_form(rng: random.Random, depth: int) -> str:
     """A heavy-tailed command: nested arithmetic of ``depth`` levels.
 
     Depth scales service demand roughly linearly (every level is one
-    more eval node), giving the batch-duration spread that makes
-    lockstep's wait-for-the-slowest barrier expensive.
+    more eval node), giving the batch-duration spread that lets a fast
+    device's pipeline run ahead of a slow one's.
     """
     expr = str(rng.randint(1, 9))
     for _ in range(depth):
@@ -272,9 +272,8 @@ def replay_trace(server, trace: list[TraceRequest], prefix: str = "trace"):
     order; returns ``(sessions, tickets)``. The caller flushes.
 
     Sessions are opened with each tenant's class SLO, so deadline-aware
-    ordering engages on async servers and is inert (ignored) on
-    lockstep ones — same inputs either way, which is what makes the
-    differential transcripts comparable.
+    ordering engages; per-session order is unaffected, which is what
+    makes each tenant's transcript comparable with a solo run.
     """
     sessions: dict[int, object] = {}
     for req in trace:

@@ -1,20 +1,19 @@
-"""Property: the async scheduler is byte-identical to lockstep.
+"""Property: every tenant's transcript equals its solo run.
 
-The lockstep drain is the serving layer's oracle — the discipline every
-prior PR's differential suite pinned. Continuous batching is allowed to
-reorder work *across* sessions (that is where its makespan and tail
+The oracle (:mod:`tests.oracle`) runs each tenant's commands alone and
+in order on a fresh single-device server. Continuous batching is allowed
+to reorder work *across* sessions (that is where its makespan and tail
 latency wins come from) but never to change what any tenant observes:
 per-session FIFO is inviolable, every heap mutation happens on the same
 placed environment, and a containable fault stays contained to its own
-ticket. So for any workload, any gc policy, seeded chaos, and
-rebalancing, the per-tenant transcripts of an async server must equal a
-lockstep server's, byte for byte.
+ticket. So for any workload, any gc policy, JIT on or off, seeded chaos,
+rebalancing and a mixed fleet, the per-tenant transcripts of a shared
+server must equal the solo ones, byte for byte.
 
-These tests drive both disciplines over identical inputs — scripted
-multi-tenant workloads and seeded arrival traces with mixed SLO classes
-— and compare full transcripts. Accounting invariants ride along:
-``enqueued == completed + cancelled`` and zero pending after a drain,
-whichever scheduler ran.
+These tests drive scripted multi-tenant workloads and seeded arrival
+traces with mixed SLO classes and compare full transcripts. Accounting
+invariants ride along: ``enqueued == completed + cancelled`` and zero
+pending after a drain.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import os
 import pytest
 
 from repro.serve import ChaosMonkey, CuLiServer, generate_trace, replay_trace
+from tests.oracle import solo_outputs, solo_trace_transcripts
 
 # REPRO_TEST_FLEET overrides the default pool with a comma-separated
 # device list, so CI's mixed-fleet matrix leg re-runs this whole module
@@ -54,21 +54,28 @@ def tenant_script(i: int) -> list[str]:
     )
 
 
-def run_scripted(mode: str, **server_kwargs) -> tuple[list[list[str]], dict]:
-    """All tenants' scripts interleaved through one server in ``mode``;
-    returns (per-tenant transcripts, accounting snapshot)."""
+def run_scripted(
+    pin: bool = False, flush_every: int = 2, **server_kwargs
+) -> tuple[list[list[str]], dict]:
+    """All tenants' scripts interleaved through one shared server;
+    returns (per-tenant transcripts, accounting snapshot). ``pin`` opens
+    every session on the first device, a skew the rebalancer sheds."""
     server_kwargs.setdefault("devices", list(DEVICES))
-    with CuLiServer(scheduler=mode, **server_kwargs) as server:
-        sessions = [server.open_session(f"t{i}") for i in range(TENANTS)]
+    with CuLiServer(**server_kwargs) as server:
+        home = next(iter(server.pool.devices)) if pin else None
+        sessions = [
+            server.open_session(f"t{i}", device_id=home)
+            for i in range(TENANTS)
+        ]
         scripts = [tenant_script(i) for i in range(TENANTS)]
         tickets: list[list] = [[] for _ in range(TENANTS)]
         # Interleave: one command per tenant per wave, flushing every
-        # other wave so batching windows vary.
+        # ``flush_every`` waves so batching windows vary.
         for step in range(max(len(s) for s in scripts)):
             for i, session in enumerate(sessions):
                 if step < len(scripts[i]):
                     tickets[i].append(session.submit(scripts[i][step]))
-            if step % 2 == 1:
+            if step % flush_every == flush_every - 1:
                 server.flush()
         server.flush()
         st = server.stats
@@ -77,8 +84,17 @@ def run_scripted(mode: str, **server_kwargs) -> tuple[list[list[str]], dict]:
             "enqueued": st.requests_enqueued,
             "completed": st.requests_completed,
             "cancelled": st.requests_cancelled,
+            "migrations": st.sessions_migrated,
         }
         return [[t.output for t in row] for row in tickets], accounting
+
+
+def solo_scripted(**server_kwargs) -> list[list[str]]:
+    """Every tenant's script run solo (the oracle)."""
+    return [
+        solo_outputs(tenant_script(i), **server_kwargs)
+        for i in range(TENANTS)
+    ]
 
 
 def assert_balanced(accounting: dict) -> None:
@@ -89,133 +105,93 @@ def assert_balanced(accounting: dict) -> None:
 
 
 @pytest.mark.parametrize("gc_policy", GC_POLICIES)
-def test_async_matches_lockstep_across_gc_policies(gc_policy):
-    lock, lock_acct = run_scripted("lockstep", gc_policy=gc_policy)
-    asy, asy_acct = run_scripted("async", gc_policy=gc_policy)
-    assert asy == lock
-    assert_balanced(lock_acct)
-    assert_balanced(asy_acct)
+def test_transcripts_match_solo_across_gc_policies(gc_policy):
+    shared, acct = run_scripted(gc_policy=gc_policy)
+    assert shared == solo_scripted(gc_policy=gc_policy)
+    assert_balanced(acct)
 
 
 @pytest.mark.parametrize("jit", [False, True])
-def test_async_matches_lockstep_with_and_without_jit(jit):
-    lock, _ = run_scripted("lockstep", jit=jit)
-    asy, _ = run_scripted("async", jit=jit)
-    assert asy == lock
+def test_transcripts_match_solo_with_and_without_jit(jit):
+    shared, _ = run_scripted(jit=jit)
+    assert shared == solo_scripted(jit=jit)
 
 
-def test_async_matches_lockstep_under_rebalancing():
-    """Migrations at async safe points move the same idle heaps the
-    lockstep barrier moved: transcripts cannot tell the difference."""
-    lock, _ = run_scripted("lockstep", rebalance=True, max_batch=8)
-    asy, asy_acct = run_scripted("async", rebalance=True, max_batch=8)
-    assert asy == lock
-    assert_balanced(asy_acct)
+def test_transcripts_match_solo_under_rebalancing():
+    """Migrations at safe points move idle heaps, and their queued
+    tickets, between devices: transcripts cannot tell the difference.
+    Every session starts on one device with its whole script queued, so
+    the shedding moves sessions with deep queues."""
+    shared, acct = run_scripted(
+        pin=True, flush_every=len(tenant_script(0)), rebalance=True, max_batch=8
+    )
+    assert acct["migrations"] > 0
+    assert shared == solo_scripted()
+    assert_balanced(acct)
 
 
 @pytest.mark.parametrize("seed", [7, 401])
-def test_async_matches_lockstep_under_seeded_chaos(seed):
-    """Device kills and hangs land at different drains under the two
-    disciplines (the chaos PRNG is consumed per safe point), yet
-    exactly-once failover keeps every transcript equal to the quiet
-    lockstep truth — the strongest form of the oracle property."""
-    quiet, _ = run_scripted("lockstep")
-    kwargs = dict(
+def test_transcripts_match_solo_under_seeded_chaos(seed):
+    """Device kills and hangs land mid-workload, yet exactly-once
+    failover keeps every transcript equal to the quiet solo truth — the
+    strongest form of the oracle property."""
+    monkey = ChaosMonkey(seed=seed, kill_rate=0.08, hang_rate=0.05)
+    disturbed, acct = run_scripted(
+        chaos=monkey,
         checkpoint_interval=3,
         failover_config={"breaker_failures": 3, "cooldown_rounds": 1},
     )
-    for mode in ("lockstep", "async"):
-        monkey = ChaosMonkey(seed=seed, kill_rate=0.08, hang_rate=0.05)
-        disturbed, acct = run_scripted(mode, chaos=monkey, **kwargs)
-        assert monkey.events > 0, f"seed {seed} injected no chaos ({mode})"
-        assert disturbed == quiet, f"{mode} transcripts diverged under chaos"
-        assert_balanced(acct)
+    assert monkey.events > 0, f"seed {seed} injected no chaos"
+    assert disturbed == solo_scripted(), "transcripts diverged under chaos"
+    assert_balanced(acct)
 
 
 @pytest.mark.parametrize("trace_seed", [1, 2018])
 def test_trace_replay_transcripts_are_schedule_invariant(trace_seed):
     """A bursty mixed-class trace (interactive SLO tenants + bulk) gives
-    EDF real reordering freedom; per-tenant outputs still match."""
+    EDF real reordering freedom; per-tenant outputs still match solo."""
     trace = generate_trace(
         seed=trace_seed, tenants=TENANTS, requests=120, duration_ms=3.0
     )
-
-    def replay(mode: str) -> dict[int, list[str]]:
-        with CuLiServer(
-            devices=list(DEVICES), max_batch=8, scheduler=mode
-        ) as server:
-            sessions, tickets = replay_trace(server, trace)
-            server.flush()
-            assert all(t.done for t in tickets)
-            assert server.pending == 0
-            return {
-                tenant: [s.output for s in session.history]
-                for tenant, session in sessions.items()
-            }
-
-    assert replay("async") == replay("lockstep")
+    with CuLiServer(devices=list(DEVICES), max_batch=8) as server:
+        sessions, tickets = replay_trace(server, trace)
+        server.flush()
+        assert all(t.done for t in tickets)
+        assert server.pending == 0
+        shared = {
+            tenant: [s.output for s in session.history]
+            for tenant, session in sessions.items()
+        }
+    assert shared == solo_trace_transcripts(trace)
 
 
-def test_async_matches_lockstep_on_a_heterogeneous_fleet():
+def test_transcripts_match_solo_on_a_heterogeneous_fleet():
     """The oracle property survives unequal devices: cost-aware
     placement spreads tenants across a GPU+Volta+CPU pool by modeled
     backlog, devices resolve batches at wildly different speeds, and
-    per-tenant transcripts still match lockstep byte for byte — with
-    rebalancing active, in both placement modes."""
-    for placement in ("cost", "count"):
-        lock, _ = run_scripted(
-            "lockstep",
-            devices=list(MIXED_FLEET),
-            rebalance=True,
-            placement=placement,
-        )
-        asy, acct = run_scripted(
-            "async",
-            devices=list(MIXED_FLEET),
-            rebalance=True,
-            placement=placement,
-        )
-        assert asy == lock, f"diverged under placement={placement}"
-        assert_balanced(acct)
-
-
-def test_transcripts_are_placement_invariant():
-    """Cost vs count placement puts sessions on different devices, but
-    every transcript is device-independent: same bytes either way."""
-    cost, _ = run_scripted(
-        "async", devices=list(MIXED_FLEET), placement="cost"
-    )
-    count, _ = run_scripted(
-        "async", devices=list(MIXED_FLEET), placement="count"
-    )
-    assert cost == count
+    with rebalancing active per-tenant transcripts still match solo."""
+    shared, acct = run_scripted(devices=list(MIXED_FLEET), rebalance=True)
+    assert shared == solo_scripted()
+    assert_balanced(acct)
 
 
 def test_fault_containment_is_schedule_invariant():
-    """A tenant that exhausts its arena faults only itself under either
-    discipline; co-tenant transcripts stay byte-identical."""
-
-    def run(mode: str) -> tuple[list[str], list[list[str]]]:
-        with CuLiServer(
-            devices=["gtx1080"] * 2, scheduler=mode, max_batch=8
-        ) as server:
-            hog = server.open_session("hog")
-            others = [server.open_session(f"ok{i}") for i in range(4)]
-            hog_tickets = [
-                hog.submit("(defun spin (n) (if (< n 1) 0 (cons n (spin (- n 1)))))")
-            ]
-            other_tickets: list[list] = [[] for _ in others]
-            for r in range(4):
-                hog_tickets.append(hog.submit("(spin 100000)"))
-                for i, s in enumerate(others):
-                    other_tickets[i].append(s.submit(f"(+ {r} (* {i} {i}))"))
-            server.flush()
-            return (
-                ["error" if t.error is not None else t.output for t in hog_tickets],
-                [[t.output for t in row] for row in other_tickets],
-            )
-
-    lock_hog, lock_others = run("lockstep")
-    asy_hog, asy_others = run("async")
-    assert asy_others == lock_others
-    assert asy_hog == lock_hog
+    """A tenant that exhausts its arena faults only itself; co-tenant
+    transcripts stay byte-identical to their solo runs."""
+    spin = "(defun spin (n) (if (< n 1) 0 (cons n (spin (- n 1)))))"
+    with CuLiServer(devices=["gtx1080"] * 2, max_batch=8) as server:
+        hog = server.open_session("hog")
+        others = [server.open_session(f"ok{i}") for i in range(4)]
+        hog_tickets = [hog.submit(spin)]
+        other_tickets: list[list] = [[] for _ in others]
+        for r in range(4):
+            hog_tickets.append(hog.submit("(spin 100000)"))
+            for i, s in enumerate(others):
+                other_tickets[i].append(s.submit(f"(+ {r} (* {i} {i}))"))
+        server.flush()
+    assert hog_tickets[0].output == solo_outputs([spin])[0]
+    assert all(t.error is not None for t in hog_tickets[1:])
+    for i, row in enumerate(other_tickets):
+        assert [t.output for t in row] == solo_outputs(
+            [f"(+ {r} (* {i} {i}))" for r in range(4)]
+        )

@@ -1,8 +1,8 @@
 """Continuous batching mechanisms: the event timeline, EDF admission,
 backpressure, safe-point hooks, and the latency surface.
 
-The differential pins (async transcripts byte-identical to lockstep,
-including under chaos and rebalancing) live in
+The differential pins (every tenant's transcript byte-identical to its
+solo run, including under chaos and rebalancing) live in
 ``tests/properties/test_property_async.py``; this file tests the
 machinery itself — where batches land on the modeled timeline, which
 requests a batch admits and in what order, when submissions are
@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import AdmissionError
 from repro.serve import (
-    SCHEDULER_MODES,
     CuLiServer,
     DevicePipeline,
     LatencyReservoir,
@@ -97,33 +96,29 @@ class TestDevicePipeline:
 
 
 class TestModeSelection:
-    def test_default_is_async(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_ASYNC", raising=False)
+    def test_default_is_async(self):
+        """With no ``scheduler=`` the drain runs the per-device
+        pipelines: the batch lands on the device's event timeline."""
         with CuLiServer(devices=[DEVICE]) as server:
-            assert server.scheduler.mode == "async"
-
-    def test_env_zero_selects_lockstep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ASYNC", "0")
-        with CuLiServer(devices=[DEVICE]) as server:
-            assert server.scheduler.mode == "lockstep"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ASYNC", "0")
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
-            assert server.scheduler.mode == "async"
+            assert server.open_session().eval("(+ 1 2)") == "3"
+            (dev,) = server.stats.snapshot()["scheduler"]["devices"].values()
+            assert dev["batches"] == 1
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            CuLiServer(devices=[DEVICE], scheduler="round-robin")
-        assert SCHEDULER_MODES == ("lockstep", "async")
+        for mode in ("round-robin", "lockstep"):
+            with pytest.raises(ValueError, match="scheduler"):
+                CuLiServer(devices=[DEVICE], scheduler=mode)
 
-    def test_both_modes_serve_correctly(self):
-        for mode in SCHEDULER_MODES:
-            with CuLiServer(devices=[DEVICE], scheduler=mode) as server:
-                session = server.open_session()
-                assert session.eval("(+ 1 2)") == "3"
-                assert session.eval("(setq x 10)") == "10"
-                assert session.eval("(* x x)") == "100"
+    def test_explicit_surviving_modes_are_accepted(self):
+        """``scheduler="async"`` and ``placement="cost"`` name the only
+        discipline and load model; callers that spell them out (the
+        repository benchmark does) keep working."""
+        with CuLiServer(
+            devices=[DEVICE], scheduler="async", placement="cost"
+        ) as server:
+            session = server.open_session()
+            assert session.eval("(setq x 10)") == "10"
+            assert session.eval("(* x x)") == "100"
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +131,7 @@ class TestEDFBatchFormation:
         """An SLO-bearing request jumps ahead of earlier bulk arrivals
         within one batch (order inside a batch is the order requests
         were packed, which is the EDF order)."""
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             bulk = server.open_session("bulk")            # no deadline
             urgent = server.open_session("urgent", slo_ms=1.0)
             bulk.submit("(+ 1 1)", arrival_ms=0.0)
@@ -151,7 +146,7 @@ class TestEDFBatchFormation:
             server.scheduler.dispatch(pdev, batch, server.stats)
 
     def test_bulk_ties_break_by_arrival_then_seq(self):
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             a = server.open_session("a")
             b = server.open_session("b")
             tb = b.submit("(+ 2 2)", arrival_ms=0.0)
@@ -167,7 +162,7 @@ class TestEDFBatchFormation:
         """Only the head-of-line ticket per session is a candidate, so a
         later command can never overtake an earlier one from the same
         tenant — even when the later one's deadline is tighter."""
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session("s", slo_ms=5.0)
             first = session.submit("(setq x 1)", arrival_ms=0.0)
             second = session.submit("(setq x 2)", arrival_ms=0.0)
@@ -180,7 +175,7 @@ class TestEDFBatchFormation:
     def test_future_arrivals_wait_behind_the_horizon(self):
         """A request that has not arrived by the admission horizon stays
         queued while arrived work is served."""
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             now_s = server.open_session("now")
             later_s = server.open_session("later")
             now = now_s.submit("(+ 1 1)", arrival_ms=0.0)
@@ -197,7 +192,7 @@ class TestEDFBatchFormation:
         """An all-future queue still yields a batch: the horizon jumps
         forward (the device sits idle until work arrives) instead of
         spinning or deadlocking."""
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session("s")
             ticket = session.submit("(+ 1 1)", arrival_ms=500.0)
             server.flush()
@@ -205,19 +200,24 @@ class TestEDFBatchFormation:
             assert ticket.resolve_ms >= 500.0
             assert server.scheduler.now_ms >= 500.0
 
-    def test_degenerates_to_lockstep_batches_without_slos(self):
-        """No SLOs, equal arrivals: EDF collapses to submission order and
-        both formation walks pick the same batch — the anchor for the
-        async==lockstep oracle property."""
-        with CuLiServer(devices=[DEVICE], scheduler="async", max_batch=4) as server:
+    def test_no_slo_batches_keep_submission_order(self):
+        """No SLOs, equal arrivals: EDF collapses to submission order,
+        one ticket per session per batch."""
+        with CuLiServer(devices=[DEVICE], max_batch=4) as server:
             sessions = [server.open_session(f"t{i}") for i in range(6)]
-            for s in sessions:
-                s.submit("(+ 1 1)", arrival_ms=0.0)
+            first = [s.submit("(+ 1 1)", arrival_ms=0.0) for s in sessions]
+            second = [s.submit("(+ 2 2)", arrival_ms=0.0) for s in sessions]
             pdev = server.pool[sessions[0].device_id]
-            expected = [t.session.session_id for t in list(pdev.queue)[:4]]
-            batch = server.scheduler.form_batch_async(pdev)
-            assert [t.session.session_id for t in batch] == expected
-            server.flush()
+            batches = []
+            while pdev.queue:
+                batch = server.scheduler.form_batch_async(pdev)
+                server.scheduler.dispatch(pdev, batch, server.stats)
+                batches.append(batch)
+            assert batches == [
+                first[:4],
+                first[4:] + second[:2],
+                second[2:],
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +227,7 @@ class TestEDFBatchFormation:
 
 class TestAdmissionControl:
     def test_queue_cap_rejects_with_admission_error(self):
-        with CuLiServer(
-            devices=[DEVICE], scheduler="async", max_session_queue=3
-        ) as server:
+        with CuLiServer(devices=[DEVICE], max_session_queue=3) as server:
             session = server.open_session()
             for i in range(3):
                 session.submit(f"(+ {i} 1)")
@@ -243,9 +241,7 @@ class TestAdmissionControl:
             server.flush()
 
     def test_cap_is_per_session_not_global(self):
-        with CuLiServer(
-            devices=[DEVICE], scheduler="async", max_session_queue=1
-        ) as server:
+        with CuLiServer(devices=[DEVICE], max_session_queue=1) as server:
             a = server.open_session("a")
             b = server.open_session("b")
             a.submit("(+ 1 1)")
@@ -255,9 +251,7 @@ class TestAdmissionControl:
             server.flush()
 
     def test_rejected_submission_leaves_no_ticket(self):
-        with CuLiServer(
-            devices=[DEVICE], scheduler="async", max_session_queue=1
-        ) as server:
+        with CuLiServer(devices=[DEVICE], max_session_queue=1) as server:
             session = server.open_session()
             session.submit("(+ 1 1)")
             before = server.stats.requests_enqueued
@@ -267,17 +261,6 @@ class TestAdmissionControl:
             assert session.pending == 1
             server.flush()
             assert session.pending == 0
-
-    def test_cap_applies_to_lockstep_too(self):
-        with CuLiServer(
-            devices=[DEVICE], scheduler="lockstep", max_session_queue=2
-        ) as server:
-            session = server.open_session()
-            session.submit("(+ 1 1)")
-            session.submit("(+ 2 2)")
-            with pytest.raises(AdmissionError):
-                session.submit("(+ 3 3)")
-            server.flush()
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError, match="max_session_queue"):
@@ -327,7 +310,7 @@ class TestLatencyReservoir:
 
 class TestLatencyAccounting:
     def test_every_completed_request_is_sampled(self):
-        with CuLiServer(devices=[DEVICE] * 2, scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE] * 2) as server:
             sessions = [server.open_session(f"t{i}") for i in range(4)]
             for s in sessions:
                 for i in range(3):
@@ -339,7 +322,7 @@ class TestLatencyAccounting:
             assert snap["p99_ms"] <= snap["max_ms"]
 
     def test_latency_measured_from_arrival(self):
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session()
             ticket = session.submit("(+ 1 1)", arrival_ms=100.0)
             server.flush()
@@ -347,22 +330,10 @@ class TestLatencyAccounting:
             latency = ticket.resolve_ms - ticket.arrival_ms
             assert server.stats.latency.max == pytest.approx(latency)
 
-    def test_lockstep_charges_the_round_barrier(self):
-        """Every ticket of a lockstep round resolves at the round's end:
-        co-scheduled fast and slow requests share one resolve time."""
-        with CuLiServer(devices=[DEVICE] * 2, scheduler="lockstep") as server:
-            a = server.open_session("a")
-            b = server.open_session("b")
-            # Different devices (alternating placement), same round.
-            ta = a.submit("(+ 1 1)")
-            tb = b.submit("(length (list 1 2 3 4 5 6 7 8 9))")
-            server.flush()
-            assert ta.resolve_ms == tb.resolve_ms
-
     def test_async_resolves_per_device(self):
         """Per-device pipelines: co-round tickets on different devices
         resolve at their own batch completion, not a shared barrier."""
-        with CuLiServer(devices=[DEVICE] * 2, scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE] * 2) as server:
             a = server.open_session("a")
             b = server.open_session("b")
             ta = a.submit("(+ 1 1)")
@@ -371,13 +342,13 @@ class TestLatencyAccounting:
             assert ta.resolve_ms != tb.resolve_ms
 
     def test_render_includes_latency_and_scheduler_lines(self):
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session()
             session.eval("(+ 1 2)")
             text = server.stats.render()
             assert "latency:" in text
             assert "p50" in text and "p99" in text
-            assert "scheduler: async" in text
+            assert "scheduler: virtual clock" in text
             assert "rejected" in text
 
 
@@ -388,14 +359,13 @@ class TestLatencyAccounting:
 
 class TestSchedulerSnapshot:
     def test_snapshot_reports_pipelines(self):
-        with CuLiServer(devices=[DEVICE] * 2, scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE] * 2) as server:
             sessions = [server.open_session(f"t{i}") for i in range(4)]
             for s in sessions:
                 for i in range(3):
                     s.submit(f"(* {i} {i})")
             server.flush()
             sched = server.stats.snapshot()["scheduler"]
-            assert sched["mode"] == "async"
             assert sched["makespan_ms"] > 0.0
             assert len(sched["devices"]) == 2
             for dev in sched["devices"].values():
@@ -405,7 +375,7 @@ class TestSchedulerSnapshot:
     def test_back_to_back_batches_overlap_transfers(self):
         """A device running several queued batches hides uploads under
         kernels: pipelined completion beats the serial clock."""
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session()
             items = " ".join(str(i) for i in range(64))
             for _ in range(6):
@@ -417,18 +387,9 @@ class TestSchedulerSnapshot:
             assert dev["overlap_ms"] > 0.0
             assert dev["completed_ms"] < dev["serial_ms"]
 
-    def test_lockstep_advances_the_round_clock(self):
-        with CuLiServer(devices=[DEVICE], scheduler="lockstep") as server:
-            session = server.open_session()
-            session.eval("(+ 1 2)")
-            sched = server.stats.snapshot()["scheduler"]
-            assert sched["mode"] == "lockstep"
-            assert sched["makespan_ms"] > 0.0
-            assert sched["devices"] == {}
-
 
 # ---------------------------------------------------------------------------
-# Safe points: the between-rounds hooks under the async drain
+# Safe points: the rebalancer and supervisor hooks
 # ---------------------------------------------------------------------------
 
 
@@ -436,7 +397,6 @@ class TestSafePoints:
     def test_interval_checkpoints_still_ship(self):
         with CuLiServer(
             devices=[DEVICE] * 2,
-            scheduler="async",
             failover=True,
             checkpoint_interval=2,
         ) as server:
@@ -447,9 +407,7 @@ class TestSafePoints:
             assert server.stats.checkpoints_shipped > 0
 
     def test_rebalancer_still_fires_on_skew(self):
-        with CuLiServer(
-            devices=[DEVICE] * 2, scheduler="async", rebalance=True, max_batch=8
-        ) as server:
+        with CuLiServer(devices=[DEVICE] * 2, rebalance=True, max_batch=8) as server:
             tenants = [server.open_session(f"t{i}") for i in range(8)]
             for r in range(3):
                 for i, t in enumerate(tenants):
@@ -469,7 +427,6 @@ class TestSafePoints:
 
         with CuLiServer(
             devices=[DEVICE] * 2,
-            scheduler="async",
             failover=True,
             checkpoint_interval=1,
             chaos=ChaosMonkey(seed=7, kill_rate=0.2),
@@ -532,7 +489,7 @@ class TestTraceGenerator:
         trace = generate_trace(seed=11, tenants=4, requests=32)
         outputs = []
         for _ in range(2):
-            with CuLiServer(devices=[DEVICE] * 2, scheduler="async") as server:
+            with CuLiServer(devices=[DEVICE] * 2) as server:
                 sessions, tickets = replay_trace(server, trace)
                 assert len(sessions) == 4
                 assert len(tickets) == len(trace)
@@ -555,21 +512,21 @@ class TestTraceGenerator:
 
 class TestTicketDeadlines:
     def test_slo_session_sets_finite_deadline(self):
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session(slo_ms=5.0)
             ticket = session.submit("(+ 1 1)", arrival_ms=10.0)
             assert ticket.deadline_ms == pytest.approx(15.0)
             server.flush()
 
     def test_bulk_session_deadline_is_inf(self):
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session()
             ticket = session.submit("(+ 1 1)")
             assert math.isinf(ticket.deadline_ms)
             server.flush()
 
     def test_default_arrival_is_the_virtual_now(self):
-        with CuLiServer(devices=[DEVICE], scheduler="async") as server:
+        with CuLiServer(devices=[DEVICE]) as server:
             session = server.open_session()
             session.eval("(+ 1 1)")  # advance the pipeline clock
             now = server.scheduler.now_ms

@@ -121,18 +121,6 @@ class TestBulkJob:
         with CuLiServer(devices=["gtx1080", "gtx1080"]) as server:
             assert server.gpu_map("+", []) == "nil"
 
-    def test_lockstep_parity(self):
-        elems = list(range(64))
-        outs = []
-        for mode in ("async", "lockstep"):
-            with CuLiServer(
-                devices=["gtx1080", "tesla-m40"], scheduler=mode
-            ) as server:
-                outs.append(
-                    server.gpu_map("(lambda (x) (+ x 7))", elems)
-                )
-        assert outs[0] == outs[1]
-
     def test_result_before_flush_raises(self):
         with CuLiServer(devices=["gtx1080"]) as server:
             job = server.submit_bulk("(lambda (x) x)", [1, 2, 3])
@@ -274,9 +262,7 @@ class TestCoexistence:
         # max_batch=1 exposes pure EDF order: bulk chunks queued FIRST
         # (arrival 0, deadline +inf) must still resolve AFTER the
         # interactive request that arrived later with a tight deadline.
-        with CuLiServer(
-            devices=["gtx1080"], scheduler="async", max_batch=1
-        ) as server:
+        with CuLiServer(devices=["gtx1080"], max_batch=1) as server:
             job = server.submit_bulk(
                 "(lambda (x) x)",
                 list(range(12)),

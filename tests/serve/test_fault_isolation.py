@@ -346,7 +346,7 @@ class TestMultibytePayloadOffsets:
 
 
 class TestSanitizedCapacityAccounting:
-    """Satellite: form_batch must size what the device sizes — the
+    """Satellite: batch formation must size what the device sizes — the
     sanitized text — and stay aligned with the device's payload split."""
 
     def test_payload_size_uses_sanitized_bytes(self):
@@ -368,7 +368,7 @@ class TestSanitizedCapacityAccounting:
             b = server.open_session()
             ta = a.submit("(+ 1 2)" + pad)
             tb = b.submit("(* 2 3)" + pad)
-            batch = server.scheduler.form_batch(pdev)
+            batch = server.scheduler.form_batch_async(pdev)
             assert batch == [ta, tb]
             uploads_before = pdev.device.cmdbuf.log.uploads
             server.scheduler.dispatch(pdev, batch, server.stats)
@@ -386,7 +386,7 @@ class TestSanitizedCapacityAccounting:
             b = server.open_session()
             ta = a.submit(big)
             tb = b.submit(big)
-            batch = server.scheduler.form_batch(pdev)
+            batch = server.scheduler.form_batch_async(pdev)
             assert batch == [ta]
             assert len(pdev.queue) == 1
             server.scheduler.dispatch(pdev, batch, server.stats)

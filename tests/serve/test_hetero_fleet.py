@@ -3,10 +3,7 @@ per-device configs, cross-kind migration, and modeled-time rebalancing.
 
 The tentpole contract: load is accounted in modeled milliseconds, so a
 Tesla V100, a GTX 480, and a Xeon can shard one pool without the
-policies treating their queues as equal. The legacy count-based
-behaviour stays available as ``placement="count"`` and must keep
-behaving exactly as before (the ablation the hetero bench diffs
-against).
+policies treating their queues as equal.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ class TestCapabilityCalibration:
 
 class TestCostPlacement:
     def test_empty_fleet_fills_fastest_first(self):
-        pool = DevicePool(MIXED, placement="cost")
+        pool = DevicePool(MIXED)
         try:
             assert pool.place_session().name == "intel-e5-2620"
         finally:
@@ -81,9 +78,7 @@ class TestCostPlacement:
         """On gtx1080 + Xeon the modeled-time equilibrium parks almost
         every idle session on the ~88x-faster CPU: the GPU's one-session
         demand already outweighs dozens of CPU sessions."""
-        with CuLiServer(
-            devices=["gtx1080", "intel-e5-2620"], placement="cost"
-        ) as server:
+        with CuLiServer(devices=["gtx1080", "intel-e5-2620"]) as server:
             sessions = [server.open_session() for _ in range(12)]
             on_cpu = sum(
                 1 for s in sessions if s.device_id.startswith("intel")
@@ -93,28 +88,10 @@ class TestCostPlacement:
             # zero backlog, so it still absorbs a session.
             assert on_cpu < 12
 
-    def test_count_mode_is_the_legacy_round_robin(self):
-        with CuLiServer(
-            devices=["gtx1080", "intel-e5-2620"], placement="count"
-        ) as server:
-            placements = [server.open_session().device_id for _ in range(4)]
-            assert placements == [
-                "gtx1080#0", "intel-e5-2620#1",
-                "gtx1080#0", "intel-e5-2620#1",
-            ]
-
-    def test_placement_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PLACEMENT", "count")
-        pool = DevicePool(["gtx1080", "intel-e5-2620"])
-        try:
-            assert pool.placement == "count"
-            assert pool.place_session().name == "gtx1080"
-        finally:
-            pool.close()
-
     def test_unknown_placement_rejected(self):
-        with pytest.raises(ValueError, match="placement"):
-            DevicePool(["gtx1080"], placement="weird")
+        for placement in ("weird", "count"):
+            with pytest.raises(ValueError, match="placement"):
+                CuLiServer(devices=["gtx1080"], placement=placement)
 
     def test_incoming_snapshot_bytes_weigh_the_pcie_leg(self):
         """A restore arriving with a fat heap prefers the free CPU link
@@ -140,7 +117,7 @@ class TestCostPlacement:
             session = donor.open_session("mover")
             session.eval("(setq keep (list 1 2 3))")
             saved = donor.save()
-        with CuLiServer(devices=MIXED, placement="cost") as target:
+        with CuLiServer(devices=MIXED) as target:
             restored = target.restore(saved)
             assert restored["mover"].device_id.startswith("intel")
             assert restored["mover"].eval("(length keep)") == "3"
@@ -253,9 +230,8 @@ class TestCrossKindMigration:
         "source,dest", [("gtx1080", "intel-e5-2620"), ("intel-e5-2620", "gtx1080")]
     )
     def test_cross_kind_move_is_transcript_invisible(self, source, dest):
-        with CuLiServer(devices=[source, dest], placement="count") as server:
-            session = server.open_session()
-            assert session.device_id == f"{source}#0"
+        with CuLiServer(devices=[source, dest]) as server:
+            session = server.open_session(device_id=f"{source}#0")
             outputs = [session.eval(c) for c in self.SCRIPT[:2]]
             record = session.migrate(f"{dest}#1")
             assert record.source == f"{source}#0"
@@ -265,10 +241,8 @@ class TestCrossKindMigration:
         assert outputs == self._solo(source) == self._solo(dest)
 
     def test_gpu_to_cpu_charges_only_the_pcie_leg(self):
-        with CuLiServer(
-            devices=["gtx1080", "intel-e5-2620"], placement="count"
-        ) as server:
-            session = server.open_session()   # -> gtx1080#0
+        with CuLiServer(devices=["gtx1080", "intel-e5-2620"]) as server:
+            session = server.open_session(device_id="gtx1080#0")
             session.eval("(setq v (list 1 2 3 4))")
             record = session.migrate("intel-e5-2620#1")
             gpu_leg = server.pool["gtx1080#0"].device.spec.transfer_ms(
@@ -280,10 +254,8 @@ class TestCrossKindMigration:
             assert dstats.busy_ms == 0.0
 
     def test_cpu_to_gpu_charges_only_the_pcie_leg(self):
-        with CuLiServer(
-            devices=["intel-e5-2620", "gtx1080"], placement="count"
-        ) as server:
-            session = server.open_session()   # -> intel#0
+        with CuLiServer(devices=["intel-e5-2620", "gtx1080"]) as server:
+            session = server.open_session(device_id="intel-e5-2620#0")
             session.eval("(setq v (list 1 2 3 4))")
             busy_before = server.stats.per_device["intel-e5-2620#0"].busy_ms
             record = session.migrate("gtx1080#1")
@@ -299,13 +271,11 @@ class TestCrossKindMigration:
 class TestCostRebalancing:
     def test_leveling_never_pulls_sessions_onto_a_slower_device(self):
         """The cost/benefit veto: a loaded Xeon next to an idle GTX 1080
-        stays loaded — one session on the GPU costs more service time
-        than all of them on the CPU — where count-mode leveling would
-        shuffle sessions over."""
+        stays loaded: one session on the GPU costs more service time
+        than all of them on the CPU, so a session-count gap alone never
+        moves one."""
         with CuLiServer(
-            devices=["intel-e5-2620", "gtx1080"],
-            rebalance=True,
-            placement="cost",
+            devices=["intel-e5-2620", "gtx1080"], rebalance=True
         ) as server:
             sessions = []
             for k in range(6):
@@ -320,29 +290,9 @@ class TestCostRebalancing:
             server.flush()
             assert server.stats.sessions_migrated == migrations_before
 
-    def test_count_mode_levels_the_same_pool(self):
-        """The ablation shows the contrast: count-based leveling happily
-        moves sessions from the loaded CPU to the idle (slow) GPU."""
-        with CuLiServer(
-            devices=["intel-e5-2620", "gtx1080"],
-            rebalance=True,
-            placement="count",
-        ) as server:
-            sessions = []
-            for k in range(6):
-                s = server.open_session(f"t{k}")
-                if not s.device_id.startswith("intel"):
-                    server.migrate_session(s, "intel-e5-2620#0")
-                sessions.append(s)
-            migrations_before = server.stats.sessions_migrated
-            for s in sessions:
-                s.submit("(+ 1 2)")
-            server.flush()
-            assert server.stats.sessions_migrated > migrations_before
-
     def test_homogeneous_shedding_still_levels_queues(self):
-        """On an equal-device pool the ms gates reduce to the original
-        count gates: the deep-skew shedding test still fires."""
+        """On an equal-device pool the ms gates still fire on a deep
+        queue skew."""
         with CuLiServer(
             devices=["gtx1080", "gtx1080"], rebalance=True, max_batch=8
         ) as server:
@@ -383,7 +333,7 @@ class TestFleetMetrics:
             assert server.stats.utilization_spread() == 0.0
 
     def test_pipeline_reports_engine_utilization(self):
-        with CuLiServer(devices=["gtx1080"], scheduler="async") as server:
+        with CuLiServer(devices=["gtx1080"]) as server:
             session = server.open_session()
             for k in range(4):
                 session.submit(f"(+ {k} 1)")

@@ -21,16 +21,9 @@ from repro.cpu.device import CPUDeviceConfig
 from repro.errors import ArenaExhaustedError
 from repro.gpu.device import GPUDeviceConfig
 from repro.serve import CuLiServer, Rebalancer
+from tests.oracle import solo_outputs
 
 DEVICE = "gtx1080"
-
-
-def solo_outputs(commands, **server_kwargs):
-    """The commands run on a private, never-migrated single-device server."""
-    server_kwargs.setdefault("devices", [DEVICE])
-    with CuLiServer(**server_kwargs) as server:
-        session = server.open_session()
-        return [session.eval(command) for command in commands]
 
 
 def session_script(tag: str) -> list[str]:

@@ -69,7 +69,9 @@ class TestPlacement:
     def test_load_key_includes_retained_nodes(self):
         pool = DevicePool(["gtx480"])
         pdev = pool["gtx480#0"]
-        sessions, retained, queued = pdev.load
+        # The placement key's deterministic tail: sessions, retained
+        # heap, queued work.
+        sessions, retained, queued = pdev.placement_key()[2:]
         assert sessions == 0 and queued == 0
         assert retained == pdev.device.interp.arena.used
         pool.close()

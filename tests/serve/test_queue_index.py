@@ -2,9 +2,9 @@
 
 ``DeviceQueue`` replaced a plain deque that batch formation rescanned
 for every batch. The reference functions below are the deque-based
-``Scheduler.form_batch_async``, ``Scheduler.form_batch`` and
-``Rebalancer._pick_session`` as they were before the index existed,
-kept verbatim apart from taking the deque explicitly. Randomized
+``Scheduler.form_batch_async`` and ``Rebalancer._pick_session`` as they
+were before the index existed, kept verbatim apart from taking the
+deque explicitly. Randomized
 operation sequences drive both representations side by side and assert
 identical batches, identical picks and identical queue order.
 """
@@ -22,37 +22,6 @@ from repro.serve.scheduler import Scheduler
 from repro.serve.session import Ticket
 
 # -- the deque-based reference -------------------------------------------------
-
-
-def ref_form_batch(self, pdev, queue):
-    batch = []
-    sessions_in_batch = set()
-    deferred = []
-    cmdbuf = getattr(pdev.device, "cmdbuf", None)
-    capacity = cmdbuf.capacity if cmdbuf is not None else None
-    payload = 0
-    while queue and len(batch) < self.max_batch:
-        ticket = queue.popleft()
-        if ticket.quarantined:
-            if batch:
-                queue.appendleft(ticket)
-            else:
-                batch.append(ticket)
-            break
-        sid = ticket.session.session_id
-        if sid in sessions_in_batch:
-            deferred.append(ticket)
-            continue
-        size = self.payload_size(ticket.text)
-        if capacity is not None and batch and payload + size > capacity:
-            queue.appendleft(ticket)
-            break
-        sessions_in_batch.add(sid)
-        payload += size
-        batch.append(ticket)
-    for ticket in reversed(deferred):
-        queue.appendleft(ticket)
-    return batch
 
 
 def ref_form_batch_async(self, pdev, queue):
@@ -156,7 +125,7 @@ def _text(rng: random.Random) -> str:
 
 def _run(seed: int, steps: int = 300) -> None:
     rng = random.Random(seed)
-    sched = Scheduler(pool=None, max_batch=rng.choice([1, 3, 8]), mode="async")
+    sched = Scheduler(pool=None, max_batch=rng.choice([1, 3, 8]))
     capacity = rng.choice([None, 48])
     devices = [_Device("d0", capacity), _Device("d1", capacity)]
     sessions = [
@@ -192,13 +161,8 @@ def _run(seed: int, steps: int = 300) -> None:
             pipe = sched.pipeline(dev.device_id)
             step = rng.choice([0.0, 0.2, 1.0, -0.5])
             pipe.engine_free_ms = max(0.0, pipe.engine_free_ms + step)
-            lockstep = rng.random() < 0.25
-            if lockstep:
-                want = ref_form_batch(sched, dev, dev.ref)
-                got = sched.form_batch(dev)
-            else:
-                want = ref_form_batch_async(sched, dev, dev.ref)
-                got = sched.form_batch_async(dev)
+            want = ref_form_batch_async(sched, dev, dev.ref)
+            got = sched.form_batch_async(dev)
             assert got == want
             if len(got) > 1 and rng.random() < 0.2:
                 # Batch-fatal abort: every ticket retries solo, in front.
@@ -270,21 +234,3 @@ def _run(seed: int, steps: int = 300) -> None:
 @pytest.mark.parametrize("seed", range(80))
 def test_indexed_queue_matches_deque_reference(seed):
     _run(seed)
-
-
-def test_quarantined_non_head_ends_a_lockstep_walk():
-    """A failover retry queued behind its session's replays is not a
-    head, but the lockstep walk still stops at it."""
-    sched = Scheduler(pool=None, max_batch=8, mode="lockstep")
-    dev = _Device("d0", None)
-    a, b = _Session(0, None, False), _Session(1, None, False)
-    for session, kw in [(a, {}), (a, {"quarantined": True}), (b, {})]:
-        ticket = Ticket(session, "(+ 1 2)")
-        for key, value in kw.items():
-            setattr(ticket, key, value)
-        dev.queue.append(ticket)
-        dev.ref.append(ticket)
-    want = ref_form_batch(sched, dev, dev.ref)
-    assert [t.session for t in want] == [a]
-    assert sched.form_batch(dev) == want
-    dev.check()

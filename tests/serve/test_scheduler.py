@@ -18,7 +18,7 @@ class TestBatchFormation:
         for i in range(3):
             sess.submit(f"(+ {i} {i})")
         pdev = server.pool[sess.device_id]
-        batch = server.scheduler.form_batch(pdev)
+        batch = server.scheduler.form_batch_async(pdev)
         assert len(batch) == 1  # same session: later commands defer
         assert pdev.queue_depth == 2
 
@@ -27,7 +27,7 @@ class TestBatchFormation:
         for s in sessions:
             s.submit("(+ 1 1)")
         pdev = server.pool[sessions[0].device_id]
-        batch = server.scheduler.form_batch(pdev)
+        batch = server.scheduler.form_batch_async(pdev)
         assert len(batch) == 5
 
     def test_max_batch_respected(self):
@@ -36,7 +36,7 @@ class TestBatchFormation:
         for s in sessions:
             s.submit("1")
         pdev = server.pool[sessions[0].device_id]
-        assert len(server.scheduler.form_batch(pdev)) == 3
+        assert len(server.scheduler.form_batch_async(pdev)) == 3
         assert pdev.queue_depth == 2
         server.close()
 
@@ -48,7 +48,7 @@ class TestBatchFormation:
         a.submit("3")
         b.submit("4")
         pdev = server.pool[a.device_id]
-        batch = server.scheduler.form_batch(pdev)
+        batch = server.scheduler.form_batch_async(pdev)
         assert [t.text for t in batch] == ["1", "4"]
         # a's remaining commands still in submission order at the front
         assert [t.text for t in pdev.queue] == ["2", "3"]
@@ -60,10 +60,21 @@ class TestBatchFormation:
             flooder.submit(f"{i}")
         victim.submit("(+ 40 2)")
         pdev = server.pool[flooder.device_id]
-        batch = server.scheduler.form_batch(pdev)
+        batch = server.scheduler.form_batch_async(pdev)
         by_session = [t.session.session_id for t in batch]
         assert by_session.count(flooder.session_id) == 1
         assert by_session.count(victim.session_id) == 1
+
+    def test_quarantined_ticket_runs_alone(self, server):
+        """A quarantined ticket (a batch-fatal survivor) closes the batch
+        it would join and then runs in a batch of its own."""
+        sessions = [server.open_session() for _ in range(3)]
+        first, suspect, last = (s.submit("(+ 1 1)") for s in sessions)
+        suspect.quarantined = True
+        pdev = server.pool[sessions[0].device_id]
+        assert server.scheduler.form_batch_async(pdev) == [first]
+        assert server.scheduler.form_batch_async(pdev) == [suspect]
+        assert server.scheduler.form_batch_async(pdev) == [last]
 
 
 class TestOrdering:

@@ -12,12 +12,10 @@ from __future__ import annotations
 from repro.serve import CuLiServer
 
 
-def _drain_counters(n: int, scheduler: str) -> tuple[int, int]:
+def _drain_counters(n: int) -> tuple[int, int]:
     """One loaded device holding ``n`` single-ticket sessions (plus an
     idle one the rebalancer can shed to), drained to empty."""
-    with CuLiServer(
-        devices=["gtx1080", "gtx1080"], rebalance=True, scheduler=scheduler
-    ) as server:
+    with CuLiServer(devices=["gtx1080", "gtx1080"], rebalance=True) as server:
         tickets = [
             server.open_session(device_id="gtx1080#0").submit(f"(+ {k} 1)")
             for k in range(n)
@@ -36,14 +34,13 @@ def test_counters_start_at_zero():
 
 
 def test_no_cliff_when_sessions_double():
-    for scheduler in ("async", "lockstep"):
-        tickets_n, sessions_n = _drain_counters(300, scheduler)
-        tickets_2n, sessions_2n = _drain_counters(600, scheduler)
-        assert tickets_n >= 300
-        assert sessions_n > 0  # the rebalancer did shed
-        assert tickets_2n <= 2.2 * tickets_n
-        assert sessions_2n <= 2.2 * sessions_n
+    tickets_n, sessions_n = _drain_counters(300)
+    tickets_2n, sessions_2n = _drain_counters(600)
+    assert tickets_n >= 300
+    assert sessions_n > 0  # the rebalancer did shed
+    assert tickets_2n <= 2.2 * tickets_n
+    assert sessions_2n <= 2.2 * sessions_n
 
 
 def test_counters_are_seed_stable():
-    assert _drain_counters(100, "async") == _drain_counters(100, "async")
+    assert _drain_counters(100) == _drain_counters(100)
