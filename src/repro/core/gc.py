@@ -203,8 +203,7 @@ def collect_garbage(interp: "Interpreter", ctx: Optional[ExecContext] = None) ->
 
 
 def collect_with_accounting(interp: "Interpreter", spec) -> tuple[int, float, int, int, float]:
-    """Device-side end-of-command collection with cost conversion (the
-    shared body of both devices' ``_run_gc``).
+    """Device-side end-of-command collection with cost conversion.
 
     Runs the policy collector charged to a fresh counting context and
     converts the op counts into modeled milliseconds through the

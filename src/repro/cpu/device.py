@@ -17,17 +17,11 @@ import numpy as np
 
 from ..context import CountingContext
 from ..core.interpreter import Interpreter, InterpreterOptions
-from ..errors import (
-    DeviceLostError,
-    DeviceShutdownError,
-    LispError,
-    is_containable_fault,
-)
+from ..gpu.fileio import HostFileSystem, InMemoryFileService
 from ..gpu.hostlink import parens_balanced, sanitize_input, unbalanced_error
 from ..gpu.memory import OutputBuffer, SourceBuffer
-from ..errors import UnbalancedInputError
-from ..ops import Op, Phase
-from ..runtime.batch import BatchItem, BatchRequest, BatchResult
+from ..ops import Phase
+from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
 from ..runtime.fidelity import Fidelity
 from ..timing import CommandStats, PhaseBreakdown
 from .pool import CPUParallelEngine
@@ -38,8 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CPUDevice", "CPUDeviceConfig"]
 
-_HOST_LOOP_MS = 0.001
-
 
 @dataclass
 class CPUDeviceConfig:
@@ -47,14 +39,11 @@ class CPUDeviceConfig:
     interpreter: Optional[InterpreterOptions] = None
 
 
-class CPUDevice:
+class CPUDevice(BatchDevice):
     """One CuLi instance running on a simulated multicore CPU."""
 
     def __init__(self, spec: CPUSpec, config: Optional[CPUDeviceConfig] = None) -> None:
-        self.spec = spec
-        self.config = config or CPUDeviceConfig()
-        self.fidelity = self.config.fidelity
-
+        super().__init__(spec, config or CPUDeviceConfig())
         self.master_ctx = CountingContext(
             max_depth=spec.max_recursion_depth, thread_id=0
         )
@@ -65,28 +54,15 @@ class CPUDevice:
         self.engine = CPUParallelEngine(self)
         self.interp.parallel_engine = self.engine
         # Host and device share memory: file I/O is a direct call.
-        from ..gpu.fileio import HostFileSystem, InMemoryFileService
-
         self.filesystem = HostFileSystem()
         self.interp.file_service = InMemoryFileService(self.filesystem)
         self.master_ctx.set_phase(Phase.EVAL)
-
-        self.commands_executed = 0
-        self._closed = False
-        self._lost_reason: Optional[str] = None
 
     # -- accounting ---------------------------------------------------------------
 
     def master_cycles(self, phase: Phase) -> float:
         row = np.asarray(self.master_ctx.counts.rows[phase], dtype=np.float64)
         return float(self.spec.costs.vector @ row)
-
-    def _run_gc(self) -> tuple[int, float, int, int, float]:
-        """End-of-command reclamation charged as modeled device time;
-        see :func:`repro.core.gc.collect_with_accounting`."""
-        from ..core.gc import collect_with_accounting
-
-        return collect_with_accounting(self.interp, self.spec)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -96,46 +72,11 @@ class CPUDevice:
         return self.spec.setup_us / 1000.0 + self.spec.cycles_to_ms(self._setup_cycles)
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def kind(self) -> str:
         return "cpu"
 
     def close(self) -> None:
         self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- device loss (failover support) -------------------------------------------
-
-    def mark_lost(self, reason: str = "device lost") -> None:
-        """Simulate a whole-device crash (a pthread pool's host dying is
-        rarer than a GPU falling off the bus, but the fleet treats both
-        the same): subsequent submits raise
-        :class:`~repro.errors.DeviceLostError` until force-reset."""
-        self._lost_reason = reason
-
-    @property
-    def lost(self) -> bool:
-        return self._lost_reason is not None
-
-    def _check_lost(self) -> None:
-        if self._lost_reason is not None:
-            raise DeviceLostError(f"device {self.name} lost: {self._lost_reason}")
-
-    # -- tenant environments (multi-tenant serving) -------------------------------
-
-    def create_session_env(self, label: str = "session") -> "Environment":
-        """A persistent per-tenant session-root scope (tenant isolation +
-        GC-root registration — see :meth:`Interpreter.create_session_env`)."""
-        return self.interp.create_session_env(label)
-
-    def release_session_env(self, env: "Environment") -> None:
-        self.interp.release_session_env(env)
 
     # -- command execution -------------------------------------------------------------
 
@@ -145,8 +86,6 @@ class CPUDevice:
         sanitize: bool = True,
         env: Optional["Environment"] = None,
     ) -> CommandStats:
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         if sanitize:
             text = sanitize_input(text)
@@ -163,28 +102,12 @@ class CPUDevice:
         try:
             output = self.interp.process(source, master, out, env=env)
         except Exception:
-            # Reclaim the failed command's partial trees and close the
-            # open nursery region even when gc_after_command is off.
-            self.interp.abort_command()
+            self._abort_transaction()
             raise
 
         freed, gc_ms, _, _, _ = self._run_gc()
-
-        to_ms = self.spec.cycles_to_ms
-        times = PhaseBreakdown(
-            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
-            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
-            + to_ms(self.engine.worker_wall_cycles),
-            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
-            other_ms=self.spec.command_overhead_us / 1000.0,
-            transfer_ms=0.0,  # host and device share memory
-            host_ms=_HOST_LOOP_MS,
-            gc_ms=gc_ms,
-            distribute_ms=to_ms(self.engine.distribute_cycles),
-            worker_ms=to_ms(self.engine.worker_wall_cycles),
-            collect_ms=to_ms(self.engine.collect_cycles),
-            spin_cycles=self.engine.spin_cycles,
-        )
+        # Host and device share memory: no transfer time.
+        times = self._master_times(gc_ms)
 
         self.commands_executed += 1
         return CommandStats(
@@ -207,28 +130,28 @@ class CPUDevice:
         condition-variable wake (``command_overhead_us``) is paid once
         per batch instead of once per command.
 
-        Failure containment mirrors the GPU path: Lisp-level errors and
-        containable device faults (arena exhaustion, per-job livelock)
-        kill only their request — with the request's nursery allocations
-        rolled back to a per-request watermark — while device-fatal
-        errors abort the batch but leave the device usable.
+        Failure containment is the GPU path's: each request runs through
+        :func:`~repro.runtime.batch.run_contained`, so Lisp-level errors
+        and containable device faults (arena exhaustion, per-job
+        livelock) kill only their request — with the request's nursery
+        allocations rolled back to a per-request watermark — while
+        device-fatal errors abort the batch but leave the device usable.
         """
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         requests = list(requests)
         n = len(requests)
         if n == 0:
             return BatchResult()
         texts = [sanitize_input(r.text) for r in requests]
+        interp = self.interp
 
         self.engine.begin_command()
         jobs_before = self.engine.jobs
         rounds_before = self.engine.round_count
-        jit0 = self.interp.jit_stats.as_dict()
+        jit0 = interp.jit_stats.as_dict()
         # One nursery region for the whole batch; collection runs once
         # per batch wave-set, never per request.
-        self.interp.begin_command_region()
+        interp.begin_command_region()
 
         job_cycles = np.zeros(n, dtype=np.float64)
         phase_cycles = [
@@ -245,31 +168,18 @@ class CPUDevice:
                 )
                 rctx.set_phase(Phase.EVAL)
                 out = OutputBuffer(capacity=1 << 20)
-                env = req.env if req.env is not None else self.interp.global_env
+                env = req.env if req.env is not None else interp.global_env
                 nested_wall0 = self.engine.worker_wall_cycles
-                # Fault-isolation checkpoint: a request killed by a
-                # containable device fault rolls its nursery allocations
-                # back so the rest of the wave can reuse the space.
-                checkpoint = self.interp.arena.region_watermark()
-                try:
-                    if not parens_balanced(text):
-                        raise unbalanced_error(text)
-                    outputs[i] = self.interp.process(
-                        SourceBuffer(text), rctx, out, env=env
+                if parens_balanced(text):
+                    outputs[i], errors[i] = run_contained(
+                        interp,
+                        rctx,
+                        lambda: interp.process(SourceBuffer(text), rctx, out, env=env),
                     )
-                except LispError as exc:
-                    errors[i] = exc
-                    outputs[i] = f"error: {exc}"
-                except UnbalancedInputError as exc:
-                    errors[i] = exc
-                    outputs[i] = f"error: {exc}"
-                except Exception as exc:
-                    if not is_containable_fault(exc):
-                        raise  # device-fatal: abort the batch
-                    errors[i] = exc
-                    outputs[i] = f"error: {exc}"
-                    freed, _ = self.interp.arena.rollback_region(checkpoint)
-                    rctx.charge(Op.NODE_WRITE, freed)
+                else:
+                    errors[i] = unbalanced_error(text)
+                if errors[i] is not None:
+                    outputs[i] = f"error: {errors[i]}"
                 nested_wall = self.engine.worker_wall_cycles - nested_wall0
                 for phase in (Phase.PARSE, Phase.EVAL, Phase.PRINT):
                     row = np.asarray(rctx.counts.rows[phase], dtype=np.float64)
@@ -277,10 +187,7 @@ class CPUDevice:
                 phase_cycles[i][Phase.EVAL] += nested_wall
                 job_cycles[i] = sum(phase_cycles[i].values())
         except Exception:
-            # Device-fatal failure: reclaim the batch's partial trees and
-            # close the open nursery region, matching submit's path (a
-            # region left open would leak into the next transaction).
-            self.interp.abort_command()
+            self._abort_transaction()
             raise
 
         # Greedy wave schedule: hw_threads requests run concurrently; each
@@ -296,7 +203,7 @@ class CPUDevice:
         # summed work (phases interleave across concurrent threads).
         shrink = wall_cycles / total_cycles if total_cycles > 0 else 0.0
 
-        freed, gc_ms, regions_reset, majors, gc_wall_ms = self._run_gc()
+        gc = self._run_gc()
 
         to_ms = self.spec.cycles_to_ms
         sum_phase = {
@@ -308,51 +215,28 @@ class CPUDevice:
             eval_ms=to_ms(sum_phase[Phase.EVAL] * shrink),
             print_ms=to_ms(sum_phase[Phase.PRINT] * shrink),
             other_ms=self.spec.command_overhead_us / 1000.0,  # ONE wake
-            transfer_ms=0.0,
-            host_ms=_HOST_LOOP_MS,
-            gc_ms=gc_ms,  # ONE collection per batch
+            host_ms=self._HOST_LOOP_MS,
+            gc_ms=gc[1],  # ONE collection per batch
             worker_ms=to_ms(wall_cycles),
         )
-        self.commands_executed += n
-
-        share = PhaseBreakdown(
-            other_ms=batch_times.other_ms,
-            host_ms=batch_times.host_ms,
-            gc_ms=batch_times.gc_ms,
-        ).scaled(1.0 / n)
-        items: list[BatchItem] = []
-        for i, req in enumerate(requests):
-            times = PhaseBreakdown(
-                parse_ms=to_ms(phase_cycles[i][Phase.PARSE]),
-                eval_ms=to_ms(phase_cycles[i][Phase.EVAL]),
-                print_ms=to_ms(phase_cycles[i][Phase.PRINT]),
-                worker_ms=to_ms(job_cycles[i]),
-            ).merged_with(share)
-            items.append(
-                BatchItem(
-                    request=req,
-                    stats=CommandStats(
-                        output=outputs[i],
-                        times=times,
-                        input_chars=len(texts[i]),
-                        output_chars=len(outputs[i]),
-                        jobs=1 if errors[i] is None else 0,
-                        rounds=1 if errors[i] is None else 0,
-                    ),
-                    error=errors[i],
-                )
+        own_times = [
+            PhaseBreakdown(
+                parse_ms=to_ms(pc[Phase.PARSE]),
+                eval_ms=to_ms(pc[Phase.EVAL]),
+                print_ms=to_ms(pc[Phase.PRINT]),
+                worker_ms=to_ms(cycles),
             )
-        jit1 = self.interp.jit_stats.as_dict()
-        return BatchResult(
-            items=items,
-            times=batch_times,
-            jobs=(self.engine.jobs - jobs_before) + sum(1 for e in errors if e is None),
+            for pc, cycles in zip(phase_cycles, job_cycles)
+        ]
+        return self._batch_result(
+            requests,
+            texts,
+            outputs,
+            errors,
+            own_times,
+            batch_times,
+            gc,
+            jit0,
+            jobs=(self.engine.jobs - jobs_before) + errors.count(None),
             rounds=(self.engine.round_count - rounds_before) + waves,
-            nodes_freed=freed,
-            regions_reset=regions_reset,
-            major_collections=majors,
-            gc_wall_ms=gc_wall_ms,
-            traces_compiled=jit1["traces_compiled"] - jit0["traces_compiled"],
-            trace_hits=jit1["trace_hits"] - jit0["trace_hits"],
-            guard_bails=jit1["guard_bails"] - jit0["guard_bails"],
         )

@@ -21,14 +21,16 @@ import numpy as np
 
 from ..context import CountingContext
 from ..core.interpreter import CommandPlan, Interpreter, InterpreterOptions
+from ..core.nodes import NODE_BYTES
 from ..core.printer import Printer
-from ..errors import DeviceLostError, DeviceShutdownError
+from ..errors import HostProtocolError
 from ..gpu.cache import SetAssociativeCache
 from ..gpu.fileio import FileServiceLink, HostFileSystem
 from ..gpu.grid import GridConfig
 from ..gpu.hostlink import (
     CommandBuffer,
     parens_balanced,
+    payload_bytes,
     sanitize_input,
     unbalanced_error,
 )
@@ -36,10 +38,8 @@ from ..gpu.kernel import GPUParallelEngine, ServiceJob
 from ..gpu.memory import GlobalMemory, OutputBuffer, SourceBuffer
 from ..gpu.postbox import PostboxArray
 from ..gpu.specs import GPUSpec
-from ..core.nodes import NODE_BYTES
-from ..errors import HostProtocolError, LispError, is_containable_fault
 from ..ops import Op, Phase
-from ..runtime.batch import BatchItem, BatchRequest, BatchResult
+from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
 from ..runtime.fidelity import Fidelity
 from ..timing import CommandStats, PhaseBreakdown
 
@@ -58,9 +58,6 @@ _DRAM_EXTRA_NS = {
     "volta": 220.0,  # HBM2
 }
 
-#: Host-side work per command (prompt handling, fgets, puts) in ms.
-_HOST_LOOP_MS = 0.001
-
 
 @dataclass
 class GPUDeviceConfig:
@@ -72,13 +69,11 @@ class GPUDeviceConfig:
     interpreter: Optional[InterpreterOptions] = None
 
 
-class GPUDevice:
+class GPUDevice(BatchDevice):
     """One CuLi instance resident on one simulated GPU."""
 
     def __init__(self, spec: GPUSpec, config: Optional[GPUDeviceConfig] = None) -> None:
-        self.spec = spec
-        self.config = config or GPUDeviceConfig()
-        self.fidelity = self.config.fidelity
+        super().__init__(spec, config or GPUDeviceConfig())
         self.enable_block_sync_flag = self.config.enable_block_sync_flag
         self.grid = GridConfig.for_spec(
             spec, master_block_disabled=self.config.disable_master_block_workers
@@ -122,18 +117,7 @@ class GPUDevice:
         self.interp.file_service = self.file_link
         self.master_ctx.set_phase(Phase.EVAL)
 
-        self.commands_executed = 0
-        self._closed = False
-        self._lost_reason: Optional[str] = None
-
     # -- cycle accounting helpers ----------------------------------------------
-
-    def _run_gc(self) -> tuple[int, float, int, int, float]:
-        """End-of-command reclamation charged as modeled device time;
-        see :func:`repro.core.gc.collect_with_accounting`."""
-        from ..core.gc import collect_with_accounting
-
-        return collect_with_accounting(self.interp, self.spec)
 
     def master_cycles(self, phase: Phase) -> float:
         row = np.asarray(self.master_ctx.counts.rows[phase], dtype=np.float64)
@@ -162,10 +146,6 @@ class GPUDevice:
         return startup + stop
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def kind(self) -> str:
         return "gpu"
 
@@ -178,37 +158,10 @@ class GPUDevice:
         self.master_ctx.set_phase(Phase.EVAL)
         self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- device loss (failover support) -------------------------------------------
-
-    def mark_lost(self, reason: str = "device lost") -> None:
-        """Simulate a whole-device crash: every subsequent command or
-        batch raises :class:`~repro.errors.DeviceLostError` until the
-        serving layer force-resets the device (replaces it with a fresh
-        one — the crashed arena's contents are unrecoverable)."""
-        self._lost_reason = reason
-
-    @property
-    def lost(self) -> bool:
-        return self._lost_reason is not None
-
-    def _check_lost(self) -> None:
-        if self._lost_reason is not None:
-            raise DeviceLostError(f"device {self.name} lost: {self._lost_reason}")
-
-    # -- tenant environments (multi-tenant serving) -------------------------------
-
-    def create_session_env(self, label: str = "session") -> "Environment":
-        """A persistent per-tenant session-root scope (tenant isolation +
-        GC-root registration — see :meth:`Interpreter.create_session_env`)."""
-        return self.interp.create_session_env(label)
-
-    def release_session_env(self, env: "Environment") -> None:
-        """Drop a tenant scope; its bindings become garbage."""
-        self.interp.release_session_env(env)
+    def _abort_transaction(self) -> None:
+        """Also release the command buffer so the REPL stays alive."""
+        self.cmdbuf.dev_sync = 0
+        super()._abort_transaction()
 
     # -- command execution ------------------------------------------------------------
 
@@ -224,8 +177,6 @@ class GPUDevice:
         tenant's session environment); None means the global environment,
         i.e. classic single-tenant CuLi.
         """
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         if sanitize:
             text = sanitize_input(text)
@@ -247,32 +198,16 @@ class GPUDevice:
         try:
             output = self.interp.process(source, master, out, env=env)
         except Exception:
-            # The device releases the buffer so the REPL stays alive,
-            # and reclaims the failed command's partial trees (closing
-            # the open nursery region even when gc_after_command is off).
-            self.cmdbuf.dev_sync = 0
-            self.interp.abort_command()
+            self._abort_transaction()
             raise
         self.cmdbuf.device_write_result(output)
 
         result_text, down_ms = self.cmdbuf.host_download()
 
         freed, gc_ms, _, _, _ = self._run_gc()
-
-        to_ms = self.spec.cycles_to_ms
-        times = PhaseBreakdown(
-            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
-            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
-            + to_ms(self.engine.worker_wall_cycles),
-            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
-            other_ms=self.spec.command_overhead_us / 1000.0,
+        times = self._master_times(
+            gc_ms,
             transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
-            host_ms=_HOST_LOOP_MS,
-            gc_ms=gc_ms,
-            distribute_ms=to_ms(self.engine.distribute_cycles),
-            worker_ms=to_ms(self.engine.worker_wall_cycles),
-            collect_ms=to_ms(self.engine.collect_cycles),
-            spin_cycles=self.engine.spin_cycles,
             cache_hits=self.cache.stats.hits - cache_hits0,
             cache_misses=self.cache.stats.misses - cache_miss0,
         )
@@ -300,100 +235,31 @@ class GPUDevice:
         The per-command handshake, the PCIe latency, and the distribution
         overhead are paid once per batch instead of once per command.
 
-        Failure containment (fault isolation): Lisp-level errors and
-        *containable* device faults — arena exhaustion, a livelock
-        confined to one job's evaluation (see
-        :class:`~repro.errors.DeviceError`) — are isolated per request:
-        the faulting job is killed, its nursery allocations are rolled
-        back to a per-job watermark, and the remaining runnable jobs
-        finish their service round. Only device-fatal errors (shutdown,
-        buffer-protocol corruption, batch-level engine misconfiguration)
-        abort the transaction; the buffer is then released and the open
-        nursery region closed, matching :meth:`submit`, so the device
-        serves subsequent batches.
+        Failure containment (fault isolation): each request's parse and
+        evaluation run through :func:`~repro.runtime.batch.run_contained`,
+        so Lisp-level errors and *containable* device faults — arena
+        exhaustion, a livelock confined to one job's evaluation (see
+        :class:`~repro.errors.DeviceError`) — kill only their request,
+        with its nursery allocations rolled back to a per-job watermark,
+        while the remaining runnable jobs finish their service round.
+        Only device-fatal errors (shutdown, buffer-protocol corruption,
+        batch-level engine misconfiguration) abort the transaction; the
+        buffer is then released and the open nursery region closed,
+        matching :meth:`submit`, so the device serves subsequent batches.
 
-        A batch whose combined payload exceeds the command buffer is
-        transparently split into several capacity-bounded buffer
-        transactions (each paying its own upload/download), so callers
-        never see a size failure for individually-valid commands.
+        The batch is one buffer transaction. An unbalanced or singly
+        over-capacity request is refused per request and carries no
+        payload; a joined payload over capacity is refused whole by the
+        upload gate (:class:`~repro.errors.HostProtocolError`, raised
+        before any device state changes). Packing batches to capacity is
+        the scheduler's job (:func:`~repro.gpu.hostlink.payload_bytes`).
         """
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         requests = list(requests)
         if not requests:
             return BatchResult()
-        texts = [sanitize_input(r.text) for r in requests]
-
-        chunks = self._payload_chunks(texts)
-        if len(chunks) > 1:
-            merged = BatchResult()
-            for chunk in chunks:
-                part = self._submit_batch_txn(
-                    [requests[i] for i in chunk], [texts[i] for i in chunk]
-                )
-                merged.items.extend(part.items)
-                merged.times = merged.times.merged_with(part.times)
-                merged.jobs += part.jobs
-                merged.rounds += part.rounds
-                merged.upload_ms += part.upload_ms
-                merged.download_ms += part.download_ms
-                merged.nodes_freed += part.nodes_freed
-                merged.regions_reset += part.regions_reset
-                merged.major_collections += part.major_collections
-                merged.gc_wall_ms += part.gc_wall_ms
-                merged.traces_compiled += part.traces_compiled
-                merged.trace_hits += part.trace_hits
-                merged.guard_bails += part.guard_bails
-            return merged
-        return self._submit_batch_txn(requests, texts)
-
-    def _payload_chunks(self, texts: list[str]) -> list[list[int]]:
-        """Split request indices so each chunk's joined payload fits the
-        command buffer. Requests refused before upload (unbalanced, or
-        singly over-capacity) carry no payload and stay in place."""
-        cap = self.cmdbuf.capacity
-        chunks: list[list[int]] = [[]]
-        payload = 0
-        for i, text in enumerate(texts):
-            size = len(text.encode()) + 1  # join separator
-            if not parens_balanced(text) or size - 1 > cap:
-                chunks[-1].append(i)
-                continue
-            if chunks[-1] and payload + size > cap:
-                chunks.append([i])
-                payload = size
-            else:
-                chunks[-1].append(i)
-                payload += size
-        return [chunk for chunk in chunks if chunk]
-
-    @staticmethod
-    def _payload_base_offsets(
-        texts: Sequence[str], pre_errors: dict[int, Exception]
-    ) -> list[int]:
-        """Each request's base *byte* offset inside the packed payload.
-
-        The payload joins the accepted requests with one separator byte,
-        so request ``i`` starts at the sum of its predecessors' encoded
-        sizes (refused requests carry no payload and keep their
-        predecessor's offset). Offsets must advance in bytes — the same
-        unit the packing sizes with — or non-ASCII requests' simulated
-        input addresses drift off their true buffer positions.
-        """
-        offsets: list[int] = []
-        offset = 0
-        for i, text in enumerate(texts):
-            offsets.append(offset)
-            if i not in pre_errors:
-                offset += len(text.encode()) + 1  # join separator
-        return offsets
-
-    def _submit_batch_txn(
-        self, requests: list[BatchRequest], texts: list[str]
-    ) -> BatchResult:
-        """One capacity-bounded batch transaction (see submit_batch)."""
         n = len(requests)
+        texts = [sanitize_input(r.text) for r in requests]
 
         # The host's upload gate applies per request: an unbalanced or
         # oversized command is refused (and reported) without failing
@@ -413,6 +279,7 @@ class GPUDevice:
         up_ms = self.cmdbuf.host_upload(payload)
 
         master = self.master_ctx
+        interp = self.interp
         master.reset()
         master.set_phase(Phase.EVAL)
         self.engine.begin_command()
@@ -420,12 +287,12 @@ class GPUDevice:
         cache_hits0 = self.cache.stats.hits
         cache_miss0 = self.cache.stats.misses
         self.cmdbuf.device_read()  # master wakes once for the whole batch
-        jit0 = self.interp.jit_stats.as_dict()
+        jit0 = interp.jit_stats.as_dict()
         # One nursery region serves the whole batch transaction: every
         # tenant's temporaries land in it, escapes are promoted by the
         # write barriers, and collection runs once per service round —
         # never per item.
-        self.interp.begin_command_region()
+        interp.begin_command_region()
 
         jobs: list[ServiceJob] = []
         parse_cycles = [0.0] * n
@@ -439,40 +306,30 @@ class GPUDevice:
                 out = OutputBuffer(
                     base=self.output_region.base, capacity=self.cmdbuf.capacity
                 )
-                env = req.env if req.env is not None else self.interp.global_env
+                env = req.env if req.env is not None else interp.global_env
                 job = ServiceJob(CommandPlan([]), env, out)
+                jobs.append(job)
                 if i in pre_errors:
                     job.error = pre_errors[i]
-                    jobs.append(job)
                     continue
                 c0 = self.master_cycles(Phase.PARSE)
-                checkpoint = self.interp.arena.region_watermark()
-                try:
-                    job.plan = self.interp.prepare_command(
-                        SourceBuffer(
-                            text, base=self.input_region.base + base_offsets[i]
-                        ),
-                        master,
-                    )
-                except LispError as exc:
-                    job.error = exc
-                except Exception as exc:
-                    if not is_containable_fault(exc):
-                        raise
-                    # A request whose parse tree alone exhausts the arena
-                    # is killed without poisoning its co-tenants; its
-                    # partial tree is rolled back so they can allocate.
-                    job.error = exc
-                    freed, _ = self.interp.arena.rollback_region(checkpoint)
-                    master.charge(Op.NODE_WRITE, freed)
+                # A request whose parse tree alone exhausts the arena is
+                # killed without poisoning its co-tenants.
+                source = SourceBuffer(
+                    text, base=self.input_region.base + base_offsets[i]
+                )
+                plan, job.error = run_contained(
+                    interp, master, lambda: interp.prepare_command(source, master)
+                )
+                if job.error is None:
+                    job.plan = plan
                 parse_cycles[i] = self.master_cycles(Phase.PARSE) - c0
-                jobs.append(job)
 
             # ---- shared service rounds: workers evaluate tenants (EVAL) ----
             master.set_phase(Phase.EVAL)
             runnable = [job for job in jobs if job.error is None]
             per_job_cycles = dict(
-                zip(map(id, runnable), self.engine.run_service_batch(self.interp, runnable))
+                zip(map(id, runnable), self.engine.run_service_batch(interp, runnable))
             )
 
             # ---- master: print each request's results (PRINT) -------------
@@ -492,89 +349,65 @@ class GPUDevice:
                 print_cycles[i] = self.master_cycles(Phase.PRINT) - c0
             master.set_phase(Phase.OTHER)
         except Exception:
-            # Device-fatal failure: release the buffer so the REPL stays
-            # alive and reclaim the batch's partial trees. abort_command
-            # also closes the open nursery region when gc_after_command
-            # is off — otherwise the next transaction would silently
-            # join this aborted batch's region and inherit its garbage.
-            self.cmdbuf.dev_sync = 0
-            self.interp.abort_command()
+            self._abort_transaction()
             raise
 
         # One downstream transaction returns every tenant's output.
         self.cmdbuf.device_write_result(" ".join(outputs))
         _, down_ms = self.cmdbuf.host_download()
 
-        freed, gc_ms, regions_reset, majors, gc_wall_ms = self._run_gc()
-
-        to_ms = self.spec.cycles_to_ms
-        batch_times = PhaseBreakdown(
-            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
-            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
-            + to_ms(self.engine.worker_wall_cycles),
-            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
-            other_ms=self.spec.command_overhead_us / 1000.0,  # ONE handshake
+        gc = self._run_gc()
+        batch_times = self._master_times(
+            gc_ms=gc[1],  # ONE collection per batch transaction
             transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
-            host_ms=_HOST_LOOP_MS,
-            gc_ms=gc_ms,  # ONE collection per batch transaction
-            distribute_ms=to_ms(self.engine.distribute_cycles),
-            worker_ms=to_ms(self.engine.worker_wall_cycles),
-            collect_ms=to_ms(self.engine.collect_cycles),
-            spin_cycles=self.engine.spin_cycles,
             cache_hits=self.cache.stats.hits - cache_hits0,
             cache_misses=self.cache.stats.misses - cache_miss0,
         )
-        self.commands_executed += n
-
-        # Shared costs (handshake, transfer, distribute/collect, host
-        # loop) are attributed evenly so per-request stats stay additive.
-        share = PhaseBreakdown(
-            other_ms=batch_times.other_ms,
-            transfer_ms=batch_times.transfer_ms,
-            host_ms=batch_times.host_ms,
-            gc_ms=batch_times.gc_ms,
-            distribute_ms=batch_times.distribute_ms,
-            collect_ms=batch_times.collect_ms,
-            eval_ms=batch_times.distribute_ms + batch_times.collect_ms,
-            spin_cycles=batch_times.spin_cycles,
-        ).scaled(1.0 / n)
-
-        items: list[BatchItem] = []
-        for i, (req, job) in enumerate(zip(requests, jobs)):
+        to_ms = self.spec.cycles_to_ms
+        own_times = []
+        for i, job in enumerate(jobs):
             own_eval_ms = to_ms(per_job_cycles.get(id(job), 0.0))
-            times = PhaseBreakdown(
-                parse_ms=to_ms(parse_cycles[i]),
-                eval_ms=own_eval_ms,
-                print_ms=to_ms(print_cycles[i]),
-                worker_ms=own_eval_ms,
-            ).merged_with(share)
-            items.append(
-                BatchItem(
-                    request=req,
-                    stats=CommandStats(
-                        output=outputs[i],
-                        times=times,
-                        input_chars=len(texts[i]),
-                        output_chars=len(outputs[i]),
-                        jobs=1 if job.error is None else 0,
-                        rounds=1 if job.error is None else 0,
-                    ),
-                    error=job.error,
+            own_times.append(
+                PhaseBreakdown(
+                    parse_ms=to_ms(parse_cycles[i]),
+                    eval_ms=own_eval_ms,
+                    print_ms=to_ms(print_cycles[i]),
+                    worker_ms=own_eval_ms,
                 )
             )
-        jit1 = self.interp.jit_stats.as_dict()
-        return BatchResult(
-            items=items,
-            times=batch_times,
+        return self._batch_result(
+            requests,
+            texts,
+            outputs,
+            [job.error for job in jobs],
+            own_times,
+            batch_times,
+            gc,
+            jit0,
             jobs=self.engine.jobs,
             rounds=self.engine.round_count,
             upload_ms=up_ms,
             download_ms=down_ms,
-            nodes_freed=freed,
-            regions_reset=regions_reset,
-            major_collections=majors,
-            gc_wall_ms=gc_wall_ms,
-            traces_compiled=jit1["traces_compiled"] - jit0["traces_compiled"],
-            trace_hits=jit1["trace_hits"] - jit0["trace_hits"],
-            guard_bails=jit1["guard_bails"] - jit0["guard_bails"],
         )
+
+    @staticmethod
+    def _payload_base_offsets(
+        texts: Sequence[str], pre_errors: dict[int, Exception]
+    ) -> list[int]:
+        """Each request's base *byte* offset inside the packed payload.
+
+        The payload joins the accepted requests with one separator byte,
+        so request ``i`` starts at the sum of its predecessors'
+        :func:`~repro.gpu.hostlink.payload_bytes` (refused requests carry
+        no payload and keep their predecessor's offset). Offsets must
+        advance in bytes — the same unit the scheduler packs with — or
+        non-ASCII requests' simulated input addresses drift off their
+        true buffer positions.
+        """
+        offsets: list[int] = []
+        offset = 0
+        for i, text in enumerate(texts):
+            offsets.append(offset)
+            if i not in pre_errors:
+                offset += payload_bytes(text)
+        return offsets

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 from ..errors import HostProtocolError, UnbalancedInputError
 from .specs import GPUSpec
 
-__all__ = ["CommandBuffer", "sanitize_input", "parens_balanced", "unbalanced_error"]
+__all__ = [
+    "CommandBuffer",
+    "sanitize_input",
+    "parens_balanced",
+    "payload_bytes",
+    "unbalanced_error",
+]
 
 
 def parens_balanced(text: str) -> bool:
@@ -45,6 +51,8 @@ def sanitize_input(text: str) -> str:
     The paper's host "fetches, sanitizes and uploads the input"; control
     characters would confuse the device tokenizer, so they become spaces.
     """
+    if text.isprintable():  # nothing to replace or drop: the common case
+        return text.strip()
     cleaned = []
     for ch in text:
         if ch in "\n\r\t\v\f":
@@ -53,6 +61,19 @@ def sanitize_input(text: str) -> str:
             cleaned.append(ch)
         # other control chars are dropped
     return "".join(cleaned).strip()
+
+
+def payload_bytes(text: str) -> int:
+    """One request's share of a batch payload, in bytes: the *sanitized*
+    text's UTF-8 length plus one join-separator byte.
+
+    Batch formation packs with it, so a formed batch's joined payload
+    fits the command buffer, and the device places each request's
+    simulated input address with it. Sizing the raw text instead would
+    disagree with the device whenever sanitization strips or collapses
+    characters.
+    """
+    return len(sanitize_input(text).encode()) + 1
 
 
 @dataclass

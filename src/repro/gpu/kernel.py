@@ -31,8 +31,9 @@ import numpy as np
 from ..context import CountingContext, ExecContext, NullContext
 from ..core.interpreter import sequential_engine
 from ..core.nodes import Node, NodeType
-from ..errors import LispError, LivelockError, is_containable_fault
+from ..errors import LivelockError
 from ..ops import Op, Phase
+from ..runtime.batch import run_contained
 from ..runtime.fidelity import Fidelity, group_rows, task_signature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -403,30 +404,19 @@ class GPUParallelEngine:
                     # mode charges the same appends to its one context).
                     job.out.bind(wctx)
                     interp.push_output(job.out)
-                    # Fault-isolation checkpoint: if this job dies on a
-                    # containable device fault, its nursery allocations
-                    # past here are reclaimed before the next job runs.
-                    checkpoint = interp.arena.region_watermark()
+                    # Per-job containment: a job that dies on a Lisp
+                    # error or a containable device fault is killed
+                    # alone, its nursery allocations rolled back before
+                    # the next job runs.
                     try:
-                        job.results = [
-                            interp.run_plan_step(step, job.env, wctx)
-                            for step in job.plan.steps
-                        ]
-                    except LispError as exc:
-                        job.error = exc
-                        job.results = None
-                    except Exception as exc:
-                        if not is_containable_fault(exc):
-                            raise  # device-fatal: abort the transaction
-                        # Contained device fault: kill this job only.
-                        # Write-barrier promotions already rescued any
-                        # escaped survivors; everything else the job
-                        # allocated is rolled back so the remaining jobs
-                        # of the batch can reuse the space.
-                        job.error = exc
-                        job.results = None
-                        freed, _ = interp.arena.rollback_region(checkpoint)
-                        wctx.charge(Op.NODE_WRITE, freed)
+                        job.results, job.error = run_contained(
+                            interp,
+                            wctx,
+                            lambda: [
+                                interp.run_plan_step(step, job.env, wctx)
+                                for step in job.plan.steps
+                            ],
+                        )
                     finally:
                         interp.pop_output()
                     wctx.charge(Op.BARRIER)

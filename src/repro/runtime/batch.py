@@ -9,17 +9,38 @@ per-command costs the paper charges once per REPL input — the mapped
 memory handshake, the PCIe transfer latency, and (on the GPU) the
 master's distribute/collect work, which is shared across tenants inside
 ``|||``-style service rounds.
+
+:class:`BatchDevice` is the host layer both device kinds share around
+their kernels, and :func:`run_contained` is the one per-job containment
+clause every batched parse or eval runs through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
+from ..context import ExecContext
 from ..core.environment import Environment
+from ..core.gc import collect_with_accounting
+from ..errors import (
+    DeviceLostError,
+    DeviceShutdownError,
+    LispError,
+    is_containable_fault,
+)
+from ..ops import Op, Phase
 from ..timing import CommandStats, PhaseBreakdown
 
-__all__ = ["BatchRequest", "BatchItem", "BatchResult"]
+__all__ = [
+    "BatchRequest",
+    "BatchItem",
+    "BatchResult",
+    "BatchDevice",
+    "run_contained",
+]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -116,3 +137,217 @@ class BatchResult:
     def faults(self) -> list[Exception]:
         """Contained device faults only (a subset of :attr:`errors`)."""
         return [item.error for item in self.items if item.faulted]
+
+
+def run_contained(
+    interp, ctx: ExecContext, work: Callable[[], T]
+) -> tuple[Optional[T], Optional[Exception]]:
+    """Run one batched job's parse or eval with failure containment.
+
+    Returns ``(value, None)``, or ``(None, error)`` when the job died on
+    a Lisp error or a containable device fault (arena exhaustion, a
+    livelock confined to the job — see :class:`~repro.errors.DeviceError`).
+    A contained fault's nursery allocations past the job's entry
+    watermark are rolled back, so the rest of the batch can reuse the
+    space (write-barrier promotions already rescued escaped survivors);
+    the rollback is charged to ``ctx``, the master, worker or request
+    context that ran the job. Anything else is device-fatal and
+    propagates to abort the batch.
+
+    Only per-job work goes through here: checks that fail for the whole
+    batch, such as the service round's Fig. 12/13 livelocks, run outside
+    it and stay batch-fatal (DESIGN.md deviation #8).
+    """
+    checkpoint = interp.arena.region_watermark()
+    try:
+        return work(), None
+    except LispError as exc:
+        return None, exc
+    except Exception as exc:
+        if not is_containable_fault(exc):
+            raise
+        freed, _ = interp.arena.rollback_region(checkpoint)
+        ctx.charge(Op.NODE_WRITE, freed)
+        return None, exc
+
+
+class BatchDevice:
+    """The host layer the GPU and CPU builds of CuLi share.
+
+    Both run the same interpreter behind the same REPL protocol and
+    differ only in the parallel back-end and the host link, so the
+    lifecycle and device-loss surface, the tenant scopes, the
+    end-of-command collection, the abort path and the batch result
+    assembly live here once. Subclasses build ``interp``, ``engine`` and
+    ``master_ctx`` and define ``kind``, ``close``, ``master_cycles``,
+    ``base_latency_ms``, ``submit`` and ``submit_batch``.
+    """
+
+    #: Host-side work per command (prompt handling, fgets, puts) in ms.
+    _HOST_LOOP_MS = 0.001
+
+    def __init__(self, spec, config) -> None:
+        self.spec = spec
+        self.config = config
+        self.fidelity = config.fidelity
+        self.commands_executed = 0
+        self._closed = False
+        self._lost_reason: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    # -- device loss (failover support) -------------------------------------------
+
+    def mark_lost(self, reason: str = "device lost") -> None:
+        """Simulate a whole-device crash (a GPU falling off the bus, or a
+        pthread pool's host dying): every subsequent command or batch
+        raises :class:`~repro.errors.DeviceLostError` until the serving
+        layer force-resets the device (replaces it with a fresh one —
+        the crashed arena's contents are unrecoverable)."""
+        self._lost_reason = reason
+
+    @property
+    def lost(self) -> bool:
+        return self._lost_reason is not None
+
+    def _check_lost(self) -> None:
+        """Entry check of every command and batch: a closed device raises
+        :class:`~repro.errors.DeviceShutdownError`, a lost one
+        :class:`~repro.errors.DeviceLostError`."""
+        if self._closed:
+            raise DeviceShutdownError(f"device {self.name} has been shut down")
+        if self._lost_reason is not None:
+            raise DeviceLostError(f"device {self.name} lost: {self._lost_reason}")
+
+    # -- tenant environments (multi-tenant serving) -------------------------------
+
+    def create_session_env(self, label: str = "session") -> Environment:
+        """A persistent per-tenant session-root scope (tenant isolation +
+        GC-root registration — see :meth:`Interpreter.create_session_env`)."""
+        return self.interp.create_session_env(label)
+
+    def release_session_env(self, env: Environment) -> None:
+        """Drop a tenant scope; its bindings become garbage."""
+        self.interp.release_session_env(env)
+
+    # -- command accounting --------------------------------------------------------
+
+    def _run_gc(self) -> tuple[int, float, int, int, float]:
+        """End-of-command reclamation charged as modeled device time;
+        see :func:`repro.core.gc.collect_with_accounting`."""
+        return collect_with_accounting(self.interp, self.spec)
+
+    def _abort_transaction(self) -> None:
+        """Device-fatal failure of a command or batch: reclaim its
+        partial trees. ``abort_command`` also closes the open nursery
+        region when ``gc_after_command`` is off — otherwise the next
+        transaction would silently join the aborted one's region and
+        inherit its garbage."""
+        self.interp.abort_command()
+
+    def _master_times(
+        self,
+        gc_ms: float,
+        transfer_ms: float = 0.0,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+    ) -> PhaseBreakdown:
+        """Phase split of one transaction the master ran: its own
+        parse/eval/print counters plus the engine's distribute, worker
+        and collect cycles, one handshake and one host-loop turn."""
+        to_ms = self.spec.cycles_to_ms
+        engine = self.engine
+        return PhaseBreakdown(
+            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
+            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
+            + to_ms(engine.worker_wall_cycles),
+            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
+            other_ms=self.spec.command_overhead_us / 1000.0,
+            transfer_ms=transfer_ms,
+            host_ms=self._HOST_LOOP_MS,
+            gc_ms=gc_ms,
+            distribute_ms=to_ms(engine.distribute_cycles),
+            worker_ms=to_ms(engine.worker_wall_cycles),
+            collect_ms=to_ms(engine.collect_cycles),
+            spin_cycles=engine.spin_cycles,
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
+        )
+
+    def _batch_result(
+        self,
+        requests: Sequence[BatchRequest],
+        texts: Sequence[str],
+        outputs: Sequence[str],
+        errors: Sequence[Optional[Exception]],
+        own_times: Sequence[PhaseBreakdown],
+        batch_times: PhaseBreakdown,
+        gc: tuple[int, float, int, int, float],
+        jit0: dict,
+        *,
+        jobs: int,
+        rounds: int,
+        upload_ms: float = 0.0,
+        download_ms: float = 0.0,
+    ) -> BatchResult:
+        """Assemble one batch transaction's result.
+
+        Each item carries its own work (``own_times``) plus a 1/n share
+        of the costs the batch paid once — handshake, transfer,
+        distribute/collect, host loop, collection — so per-request stats
+        stay additive. ``gc`` is the :meth:`_run_gc` tuple, ``jit0`` the
+        JIT counters before the batch; the keyword totals are the
+        device's own (the upload/download split is zero on the CPU).
+        """
+        n = len(requests)
+        share = PhaseBreakdown(
+            other_ms=batch_times.other_ms,
+            transfer_ms=batch_times.transfer_ms,
+            host_ms=batch_times.host_ms,
+            gc_ms=batch_times.gc_ms,
+            distribute_ms=batch_times.distribute_ms,
+            collect_ms=batch_times.collect_ms,
+            eval_ms=batch_times.distribute_ms + batch_times.collect_ms,
+            spin_cycles=batch_times.spin_cycles,
+        ).scaled(1.0 / n)
+        items = [
+            BatchItem(
+                request=req,
+                stats=CommandStats(
+                    output=output,
+                    times=own.merged_with(share),
+                    input_chars=len(text),
+                    output_chars=len(output),
+                    jobs=int(error is None),
+                    rounds=int(error is None),
+                ),
+                error=error,
+            )
+            for req, text, output, error, own in zip(
+                requests, texts, outputs, errors, own_times
+            )
+        ]
+        self.commands_executed += n
+        freed, _, regions_reset, majors, gc_wall_ms = gc
+        jit1 = self.interp.jit_stats.as_dict()
+        return BatchResult(
+            items=items,
+            times=batch_times,
+            nodes_freed=freed,
+            regions_reset=regions_reset,
+            major_collections=majors,
+            gc_wall_ms=gc_wall_ms,
+            traces_compiled=jit1["traces_compiled"] - jit0["traces_compiled"],
+            trace_hits=jit1["trace_hits"] - jit0["trace_hits"],
+            guard_bails=jit1["guard_bails"] - jit0["guard_bails"],
+            jobs=jobs,
+            rounds=rounds,
+            upload_ms=upload_ms,
+            download_ms=download_ms,
+        )

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.nodes import NODE_BYTES
 from ..errors import CuLiError, DeviceLostError
-from ..gpu.hostlink import sanitize_input
+from ..gpu.hostlink import payload_bytes
 from ..runtime.batch import BatchRequest, BatchResult
 from ..timing import CommandStats
 from .pool import link_ms
@@ -141,18 +141,6 @@ class Scheduler:
 
     # -- batch formation ----------------------------------------------------------
 
-    @staticmethod
-    def payload_size(text: str) -> int:
-        """One request's contribution to a batch payload, in bytes.
-
-        Sized exactly as the device sizes it: the *sanitized* text's
-        encoded length plus one join-separator byte. Sizing the raw text
-        instead (the old behaviour) disagrees with the device whenever
-        sanitization strips or collapses characters, splitting batches
-        the device would happily run in one buffer transaction.
-        """
-        return len(sanitize_input(text).encode()) + 1
-
     def form_batch_async(self, pdev: "PooledDevice") -> list["Ticket"]:
         """Deadline-aware batch formation for the continuous pipeline.
 
@@ -180,9 +168,11 @@ class Scheduler:
         tickets sort ahead of every chunk, so the exclusion is one-way
         by construction.
 
-        On devices with a bounded command buffer the combined payload
-        stays within capacity — sized in sanitized bytes, matching the
-        device's own packing — so one batch's upload never fails on size
+        On devices with a bounded command buffer this is the one packer:
+        the combined payload stays within capacity, each request sized by
+        :func:`~repro.gpu.hostlink.payload_bytes` (sanitized bytes plus
+        a separator), so one batch's upload never fails on size — the
+        device refuses an over-capacity batch rather than splitting it
         (a *single* over-capacity command still joins a batch alone and
         is refused per-request by the device's upload gate). A
         quarantined ticket (a survivor of a batch-fatal failure) only
@@ -214,7 +204,7 @@ class Scheduler:
             if ticket.session.bulk and has_deadline:
                 skipped.append(ticket)  # chunks wait for a deadline-free batch
                 continue
-            size = self.payload_size(ticket.text)
+            size = payload_bytes(ticket.text)
             if capacity is not None and batch and payload + size > capacity:
                 skipped.append(ticket)
                 break
@@ -451,7 +441,7 @@ class Rebalancer:
     Three policies run at every safe point, while no ticket is in
     flight:
 
-    * **Fault drain** — a device that accumulates ``fault_threshold``
+    * **Fault drain** — a device that accumulates ``FAULT_THRESHOLD``
       *new* faults (contained plus batch-fatal, PR 4's classification)
       since this rebalancer last looked is marked draining: every
       session still on it migrates off (their queued tickets travel
@@ -463,8 +453,8 @@ class Rebalancer:
       at fault), but the last healthy device is never drained — the
       pool always serves.
     * **Overload shedding** — when the hottest device's queue backlog
-      exceeds ``imbalance_ratio`` x the coldest's (and by a meaningful
-      margin), up to ``max_moves_per_round`` sessions move from hot to
+      exceeds ``IMBALANCE_RATIO`` x the coldest's (and by a meaningful
+      margin), up to ``MAX_MOVES_PER_ROUND`` sessions move from hot to
       cold. The candidate whose queued-ticket count best fills half the
       gap is chosen, so one move does the most levelling possible
       without overshooting.
@@ -493,23 +483,15 @@ class Rebalancer:
     cost is the host-side backlog comparison.
     """
 
-    def __init__(
-        self,
-        server: "CuLiServer",
-        imbalance_ratio: float = 2.0,
-        max_moves_per_round: int = 2,
-        fault_threshold: int = 3,
-    ) -> None:
-        if imbalance_ratio < 1.0:
-            raise ValueError("imbalance_ratio must be >= 1.0")
-        if max_moves_per_round < 1:
-            raise ValueError("max_moves_per_round must be >= 1")
-        if fault_threshold < 1:
-            raise ValueError("fault_threshold must be >= 1")
+    #: Hot backlog must exceed this multiple of the cold backlog to shed.
+    IMBALANCE_RATIO = 2.0
+    #: Migrations per safe point, shared by shedding and leveling.
+    MAX_MOVES_PER_ROUND = 2
+    #: New faults on one device that mark it draining.
+    FAULT_THRESHOLD = 3
+
+    def __init__(self, server: "CuLiServer") -> None:
         self.server = server
-        self.imbalance_ratio = imbalance_ratio
-        self.max_moves_per_round = max_moves_per_round
-        self.fault_threshold = fault_threshold
         #: Per-device fault count already accounted for: drain decisions
         #: compare against the *delta* since the mark, not the lifetime
         #: counter, so a long-serving device is judged on recent health.
@@ -538,9 +520,9 @@ class Rebalancer:
         """
         moves = self._drain_faulty(stats)
         moves.extend(self._shed_overload())
-        if len(moves) < self.max_moves_per_round:
+        if len(moves) < self.MAX_MOVES_PER_ROUND:
             moves.extend(
-                self._level_sessions(self.max_moves_per_round - len(moves))
+                self._level_sessions(self.MAX_MOVES_PER_ROUND - len(moves))
             )
         return moves
 
@@ -560,7 +542,7 @@ class Rebalancer:
             if dstats is None:
                 continue
             mark = self._fault_marks.get(pdev.device_id, 0)
-            if dstats.faults - mark < self.fault_threshold:
+            if dstats.faults - mark < self.FAULT_THRESHOLD:
                 continue
             self._fault_marks[pdev.device_id] = dstats.faults
             # Nowhere to evacuate to if every other device is draining.
@@ -583,7 +565,7 @@ class Rebalancer:
 
         Every ticket is weighted by its device's per-request cost: the
         gap must be worth at least two hot-device requests, and the hot
-        backlog must exceed ``imbalance_ratio`` x the cold backlog plus
+        backlog must exceed ``IMBALANCE_RATIO`` x the cold backlog plus
         one cold request. The transfer target
         fills half the gap measured in drain time — moving a ticket off
         the hot device saves ``e_hot`` there and costs ``e_cold`` on the
@@ -609,7 +591,7 @@ class Rebalancer:
         """
         pool = self.server.pool
         moves: list["MigrationRecord"] = []
-        for _ in range(self.max_moves_per_round):
+        for _ in range(self.MAX_MOVES_PER_ROUND):
             usable = [d for d in pool.devices.values() if not d.draining]
             if len(usable) < 2:
                 break
@@ -619,7 +601,7 @@ class Rebalancer:
             hot_q_ms = hot.queue_backlog_ms
             cold_q_ms = cold.queue_backlog_ms
             gap_ms = hot_q_ms - cold_q_ms
-            if gap_ms < 2 * e_hot or hot_q_ms < self.imbalance_ratio * (
+            if gap_ms < 2 * e_hot or hot_q_ms < self.IMBALANCE_RATIO * (
                 cold_q_ms + e_cold
             ):
                 break

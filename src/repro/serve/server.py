@@ -54,7 +54,6 @@ class CuLiServer:
         gc_policy: Optional[str] = None,
         jit: Optional[bool] = None,
         rebalance: bool = False,
-        rebalancer: Optional[Rebalancer] = None,
         failover: bool = False,
         checkpoint_interval: int = 8,
         chaos: Optional[ChaosMonkey] = None,
@@ -153,11 +152,10 @@ class CuLiServer:
         self._bulk_counter = count()
         # Elastic rebalancing (heap snapshot / migration PR): off by
         # default so existing single-placement serving is untouched;
-        # ``rebalance=True`` installs the default policy, or pass a
-        # configured Rebalancer.
-        self.rebalancer: Optional[Rebalancer] = rebalancer
-        if self.rebalancer is None and rebalance:
-            self.rebalancer = Rebalancer(self)
+        # ``rebalance=True`` installs the policy.
+        self.rebalancer: Optional[Rebalancer] = (
+            Rebalancer(self) if rebalance else None
+        )
         # Device-loss failover (checkpoint/supervisor PR): off by default
         # so a loss degrades to the batch-fatal quarantine path exactly
         # as before. ``failover=True`` (or any chaos monkey) installs the

@@ -4,7 +4,12 @@ import pytest
 
 from repro.cpu.device import CPUDevice
 from repro.cpu.specs import INTEL_E5_2620
-from repro.errors import DeviceShutdownError, LivelockError
+from repro.errors import (
+    DeviceLostError,
+    DeviceShutdownError,
+    HostProtocolError,
+    LivelockError,
+)
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
 from repro.gpu.specs import GTX1080
 from repro.runtime.batch import BatchRequest
@@ -114,17 +119,59 @@ class TestAmortization:
         assert transfer == pytest.approx(batch.times.transfer_ms)
 
 
+@pytest.mark.parametrize("make", ["gpu", "cpu"])
+class TestLossAndShutdown:
+    """The entry check both device kinds share: a lost device raises
+    DeviceLostError, a closed one DeviceShutdownError, on both the
+    single-command and the batched path."""
+
+    def test_lost_device_refuses_work(self, make, gpu, cpu):
+        device = gpu if make == "gpu" else cpu
+        assert not device.lost
+        device.mark_lost("test: fell off the bus")
+        assert device.lost
+        with pytest.raises(DeviceLostError, match="fell off the bus"):
+            device.submit("(+ 1 2)")
+        with pytest.raises(DeviceLostError, match="fell off the bus"):
+            device.submit_batch([BatchRequest("(+ 1 2)")])
+        assert device.commands_executed == 0
+
+    def test_closed_device_refuses_work(self, make, gpu, cpu):
+        device = gpu if make == "gpu" else cpu
+        device.close()
+        assert device.closed and not device.lost
+        with pytest.raises(DeviceShutdownError):
+            device.submit("(+ 1 2)")
+        with pytest.raises(DeviceShutdownError):
+            device.submit_batch([BatchRequest("(+ 1 2)")])
+
+    def test_shutdown_wins_over_loss(self, make, gpu, cpu):
+        device = gpu if make == "gpu" else cpu
+        device.mark_lost()
+        device.close()
+        assert device.lost
+        with pytest.raises(DeviceShutdownError):
+            device.submit("(+ 1 2)")
+        with pytest.raises(DeviceShutdownError):
+            device.submit_batch([BatchRequest("(+ 1 2)")])
+
+
 class TestDeviceLevelInvariants:
-    def test_combined_payload_split_into_transactions(self, gpu):
+    def test_over_capacity_batch_refused_whole(self, gpu):
         """Two individually-valid 40 KiB commands exceed the 64 KiB
-        buffer together: the device splits them into two transactions
-        instead of failing the batch."""
+        buffer together: the device does not split them (the scheduler
+        is the one packer) — the upload gate refuses the batch before
+        any device state changes, and the device serves the next one."""
         big = "(+ " + " ".join(["1"] * 20000) + ")"  # ~40 KiB each
-        result = gpu.submit_batch([BatchRequest(big), BatchRequest(big)])
-        assert result.outputs == ["20000", "20000"]
-        single = gpu.submit("(+ 1 1)")
-        # Two buffer transactions => two handshakes.
-        assert result.times.other_ms == pytest.approx(2 * single.times.other_ms)
+        uploads = gpu.cmdbuf.log.uploads
+        with pytest.raises(HostProtocolError, match="exceeds command buffer"):
+            gpu.submit_batch([BatchRequest(big), BatchRequest(big)])
+        assert gpu.cmdbuf.log.uploads == uploads
+        assert gpu.cmdbuf.dev_sync == 0
+        assert gpu.commands_executed == 0
+        assert not gpu.interp.arena.region_active
+        result = gpu.submit_batch([BatchRequest(big), BatchRequest("(+ 1 1)")])
+        assert result.outputs == ["20000", "2"]
 
     def test_master_block_ablation_livelocks_service_round(self):
         """Fig. 12 applies to service rounds exactly as to ||| rounds."""

@@ -347,14 +347,14 @@ class TestMultibytePayloadOffsets:
 
 class TestSanitizedCapacityAccounting:
     """Satellite: batch formation must size what the device sizes — the
-    sanitized text — and stay aligned with the device's payload split."""
+    sanitized text — since the scheduler is the only payload packer."""
 
     def test_payload_size_uses_sanitized_bytes(self):
-        from repro.serve.scheduler import Scheduler
+        from repro.gpu.hostlink import payload_bytes
 
         raw = "(+ 1 2)" + "\x00" * 1000  # dropped by sanitization
-        assert Scheduler.payload_size(raw) == len("(+ 1 2)".encode()) + 1
-        assert Scheduler.payload_size("(é)") == len("(é)".encode()) + 1
+        assert payload_bytes(raw) == len("(+ 1 2)".encode()) + 1
+        assert payload_bytes("(é)") == len("(é)".encode()) + 1
 
     def test_boundary_raw_oversized_sanitized_fits_one_batch(self):
         """Two requests whose *raw* sizes each exceed the command buffer

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.gpu.hostlink import payload_bytes
 from repro.serve.pool import DeviceQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.session import Ticket
@@ -53,7 +54,7 @@ def ref_form_batch_async(self, pdev, queue):
             break
         if ticket.session.bulk and has_deadline:
             continue
-        size = self.payload_size(ticket.text)
+        size = payload_bytes(ticket.text)
         if capacity is not None and batch and payload + size > capacity:
             break
         payload += size
