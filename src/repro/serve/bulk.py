@@ -42,7 +42,8 @@ from ..errors import AdmissionError, EvalError
 if TYPE_CHECKING:  # pragma: no cover
     from .pool import PooledDevice
     from .server import CuLiServer
-    from .session import TenantSession, Ticket
+    from .session import Ticket
+    from .stats import ServerStats
 
 __all__ = ["BulkChunk", "BulkJob", "split_list_text"]
 
@@ -156,7 +157,7 @@ class BulkJob:
 
     def __init__(
         self, job_id: int, fn_text: str, n_elements: int,
-        chunks: list[BulkChunk], stats=None,
+        chunks: list[BulkChunk], stats: "ServerStats",
     ) -> None:
         self.job_id = job_id
         self.fn_text = fn_text
@@ -193,7 +194,7 @@ class BulkJob:
             raise RuntimeError(
                 "bulk job not finished: call server.flush() first"
             )
-        if self._stats is not None and not self._gather_recorded:
+        if not self._gather_recorded:
             self._gather_recorded = True
             self._stats.record_bulk_gathered(errors=len(self.errors))
         for chunk in self.chunks:
@@ -239,8 +240,10 @@ def shard_bulk_job(
     big job pipelines as several batch rounds instead of one monolith —
     but never into more tickets than the device's bulk session has
     admission headroom for (chunks coalesce rather than trip the
-    per-session queue cap; a device with *no* headroom refuses with
-    :class:`~repro.errors.AdmissionError`, like any tenant).
+    per-session queue cap). If any device with a share has *no*
+    headroom the whole job is refused with
+    :class:`~repro.errors.AdmissionError`, like any tenant, before a
+    single chunk is queued.
     """
     texts = [
         element if isinstance(element, str) else repr(element)
@@ -250,8 +253,7 @@ def shard_bulk_job(
         pdev for pdev in server.pool.devices.values() if not pdev.draining
     ] or list(server.pool.devices.values())
     shares = capability_shares(devices, len(texts))
-    chunks: list[BulkChunk] = []
-    cursor = 0
+    plan = []  # (device id, bulk session, share, headroom)
     for pdev, share in zip(devices, shares):
         if share == 0 and texts:
             continue
@@ -262,6 +264,12 @@ def shard_bulk_job(
                 f"bulk session on {pdev.device_id} has no admission "
                 f"headroom (cap {server.max_session_queue}): flush first"
             )
+        plan.append((pdev.device_id, session, share, headroom))
+        if not texts:
+            break  # the single empty chunk is enough
+    chunks: list[BulkChunk] = []
+    cursor = 0
+    for device_id, session, share, headroom in plan:
         want = max(1, -(-share // chunk_elems)) if texts else 1
         n_chunks = min(want, headroom)
         base, rem = divmod(share, n_chunks)
@@ -272,12 +280,8 @@ def shard_bulk_job(
             body = " ".join(texts[cursor:cursor + count])
             text = f"(gpu-map {fn_text} ({body}))"
             ticket = session.submit(text, arrival_ms=arrival_ms)
-            chunks.append(
-                BulkChunk(ticket, pdev.device_id, cursor, count)
-            )
+            chunks.append(BulkChunk(ticket, device_id, cursor, count))
             cursor += count
-        if not texts:
-            break  # the single empty chunk is enough
     job = BulkJob(job_id, fn_text, len(texts), chunks, stats=server.stats)
     server.stats.record_bulk_submitted(
         chunks=len(chunks), elements=len(texts)

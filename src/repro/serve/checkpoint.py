@@ -32,7 +32,6 @@ checkpoint already equals the live state.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Optional
 
 from ..runtime.snapshot import HeapSnapshot, snapshot_env
@@ -53,12 +52,6 @@ class CheckpointStore:
         self._snapshots: dict[str, HeapSnapshot] = {}
         self._digests: dict[str, str] = {}
         self._suffix: dict[str, list[str]] = {}
-        # Lifetime counters (surfaced through ServerStats).
-        self.checkpoints_taken = 0      #: snapshots actually shipped
-        self.checkpoints_skipped = 0    #: digest-unchanged, not re-shipped
-        self.checkpoint_nodes = 0
-        self.checkpoint_bytes = 0
-        self.wall_ms = 0.0              #: host time spent serializing
 
     # -- session lifecycle --------------------------------------------------------
 
@@ -95,21 +88,15 @@ class CheckpointStore:
         ``shipped`` is False when the digest matches the stored
         checkpoint (nothing crosses the link, nothing to charge). Either
         way the suffix log resets — the stored checkpoint now equals the
-        live persistent state.
+        live persistent state. The caller records the outcome in
+        ``ServerStats`` (the only checkpoint counters).
         """
-        t0 = time.perf_counter()
         snap = snapshot_env(session.env, label=session.session_id)
         digest = snap.digest()
-        self.wall_ms += (time.perf_counter() - t0) * 1000.0
         shipped = digest != self._digests.get(session.session_id)
         if shipped:
             self._snapshots[session.session_id] = snap
             self._digests[session.session_id] = digest
-            self.checkpoints_taken += 1
-            self.checkpoint_nodes += snap.node_count
-            self.checkpoint_bytes += snap.nbytes
-        else:
-            self.checkpoints_skipped += 1
         self._suffix[session.session_id] = []
         return snap, shipped
 
@@ -122,10 +109,6 @@ class CheckpointStore:
     def suffix(self, session_id: str) -> list[str]:
         """The post-checkpoint command texts, oldest first (a copy)."""
         return list(self._suffix.get(session_id, ()))
-
-    def rpo_rounds(self, session_id: str) -> int:
-        """Rounds of work a recovery right now would have to replay."""
-        return len(self._suffix.get(session_id, ()))
 
     def on_recovered(self, session_id: str) -> None:
         """Reset the suffix log after a failover: the replay tickets now

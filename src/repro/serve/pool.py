@@ -352,7 +352,6 @@ class PooledDevice:
         "device_id",
         "device",
         "queue",
-        "session_count",
         "draining",
         "probe_ms",
         "capability",
@@ -372,7 +371,6 @@ class PooledDevice:
         self.device_id = device_id
         self.device = device
         self.queue = DeviceQueue()
-        self.session_count = 0
         #: Open sessions whose heap lives here.
         self.residents: set["TenantSession"] = set()
         self._resident_list: Optional[list["TenantSession"]] = None
@@ -406,6 +404,11 @@ class PooledDevice:
     @property
     def queue_depth(self) -> int:
         return self.queue.depth
+
+    @property
+    def session_count(self) -> int:
+        """Sessions resident here."""
+        return len(self.residents)
 
     def add_resident(self, session: "TenantSession") -> None:
         self.residents.add(session)
@@ -572,6 +575,10 @@ class DevicePool:
         draining devices are always skipped); if exclusions would leave
         no candidate at all the filter is dropped — the pool never
         refuses to place.
+
+        Placement only chooses: the caller makes the session resident
+        (:meth:`PooledDevice.add_resident`) once its environment exists
+        there.
         """
         candidates = [
             d
@@ -582,13 +589,7 @@ class DevicePool:
             candidates = [
                 d for d in self.devices.values() if d.device_id not in exclude
             ] or list(self.devices.values())
-        pdev = min(candidates, key=lambda d: d.placement_key(incoming_nbytes))
-        pdev.session_count += 1
-        return pdev
-
-    def session_closed(self, device_id: str) -> None:
-        pdev = self.devices[device_id]
-        pdev.session_count = max(0, pdev.session_count - 1)
+        return min(candidates, key=lambda d: d.placement_key(incoming_nbytes))
 
     # -- queues -------------------------------------------------------------------
 
@@ -611,15 +612,12 @@ class DevicePool:
         arena, so the replacement is built from the same spec and config
         (the slot's own override when one was given, else the shared
         kind config) with an empty arena. The :class:`PooledDevice`
-        wrapper (queue, draining flag, capability) is kept — the
-        supervisor owns moving its work and sessions elsewhere — but the
-        session count resets to zero: the victims are re-placed through
-        ``place_session`` during recovery.
+        wrapper (queue, residents, draining flag, capability) is kept —
+        the supervisor owns moving its work and sessions elsewhere.
         """
         pdev = self.devices[device_id]
         old = pdev.device
         pdev.device = self._build_device(old.spec, pdev.config)
-        pdev.session_count = 0
         pdev._baseline_retained = pdev.device.interp.arena.tenured_count
         old.close()
         return pdev

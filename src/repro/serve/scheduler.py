@@ -75,11 +75,15 @@ class Scheduler:
     def __init__(
         self,
         pool: "DevicePool",
+        stats: "ServerStats",
         max_batch: int = 32,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.pool = pool
+        #: The server's stats surface: every batch, fault and latency
+        #: this scheduler resolves is recorded there.
+        self.stats = stats
         self.max_batch = max_batch
         #: Installed by :class:`~repro.serve.supervisor.DeviceSupervisor`
         #: (failover-enabled servers): wraps submissions with the
@@ -116,8 +120,10 @@ class Scheduler:
     def makespan_ms(self) -> float:
         """Modeled fleet completion time: the latest pipeline
         completion. (Distinct from
-        ``ServerStats.simulated_makespan_ms``, which is pure per-device
-        busy occupancy and ignores scheduling.)"""
+        ``ServerStats.simulated_makespan_ms``: the busiest device's
+        summed busy time, which also carries the migration, checkpoint,
+        restore and hang-detection charges no pipeline sees, and ignores
+        queueing and transfer overlap.)"""
         return self.now_ms
 
     def pipeline_snapshot(self) -> dict:
@@ -223,8 +229,7 @@ class Scheduler:
     # -- dispatch -----------------------------------------------------------------
 
     def dispatch(
-        self, pdev: "PooledDevice", batch: list["Ticket"],
-        stats: Optional["ServerStats"] = None,
+        self, pdev: "PooledDevice", batch: list["Ticket"]
     ) -> Optional[BatchResult]:
         """Execute one batch on one device and resolve its tickets.
 
@@ -265,15 +270,15 @@ class Scheduler:
                 # The device is gone, batch and resident arenas with it:
                 # the supervisor force-resets it and rebuilds the victim
                 # sessions from their checkpoints on surviving devices.
-                supervisor.on_device_loss(pdev, batch, exc, stats)
+                supervisor.on_device_loss(pdev, batch, exc)
                 return None
             # Without a supervisor a loss degrades to the batch-fatal
             # quarantine path (the device object survives in simulation,
             # so solo retries still serve).
-            self._handle_fatal_batch(pdev, batch, exc, stats)
+            self._handle_fatal_batch(pdev, batch, exc)
             return None
         except CuLiError as exc:
-            self._handle_fatal_batch(pdev, batch, exc, stats)
+            self._handle_fatal_batch(pdev, batch, exc)
             return None
         except Exception as exc:
             # A simulator bug, not a modeled device failure: resolve the
@@ -292,10 +297,9 @@ class Scheduler:
                 replayed += 1
             if supervisor is not None:
                 supervisor.note_completed(ticket)
-        if stats is not None:
-            stats.record_batch(pdev.device_id, result)
-            if replayed:
-                stats.record_replayed(replayed)
+        self.stats.record_batch(pdev.device_id, result)
+        if replayed:
+            self.stats.record_replayed(replayed)
         return result
 
     def _handle_fatal_batch(
@@ -303,7 +307,6 @@ class Scheduler:
         pdev: "PooledDevice",
         batch: list["Ticket"],
         exc: Exception,
-        stats: Optional["ServerStats"],
     ) -> None:
         """Quarantine policy for a batch the device aborted wholesale.
 
@@ -325,25 +328,22 @@ class Scheduler:
         batch-fatal abort — the documented trade for never losing or
         wedging tickets (DESIGN.md deviation #8).
         """
-        if stats is not None:
-            stats.record_batch_fatal(pdev.device_id)
+        stats = self.stats
+        stats.record_batch_fatal(pdev.device_id)
         retried = [t for t in batch if len(batch) > 1 and not t.quarantined]
         poisoned = [t for t in batch if t not in retried]
         for ticket in poisoned:
             ticket.resolve(CommandStats(output=f"error: {exc}"), exc)
-        if stats is not None and poisoned:
+        if poisoned:
             stats.record_poisoned(pdev.device_id, len(poisoned))
         for ticket in reversed(retried):
             ticket.quarantined = True
             pdev.queue.appendleft(ticket)
-        if stats is not None and retried:
+        if retried:
             stats.record_quarantined(len(retried))
 
-    @staticmethod
     def _stamp_latencies(
-        batch: list["Ticket"],
-        resolve_ms: float,
-        stats: Optional["ServerStats"],
+        self, batch: list["Ticket"], resolve_ms: float
     ) -> None:
         """Stamp every newly-resolved ticket of ``batch`` with its
         virtual resolve time and record enqueue->resolve latency.
@@ -359,16 +359,12 @@ class Scheduler:
         for ticket in batch:
             if ticket.done and ticket.resolve_ms is None:
                 ticket.resolve_ms = resolve_ms
-                if stats is not None and not ticket.replay:
-                    stats.record_latency(
+                if not ticket.replay:
+                    self.stats.record_latency(
                         max(0.0, resolve_ms - ticket.arrival_ms)
                     )
 
-    def drain(
-        self,
-        stats: Optional["ServerStats"] = None,
-        rebalancer: Optional["Rebalancer"] = None,
-    ) -> int:
+    def drain(self, rebalancer: Optional["Rebalancer"] = None) -> int:
         """Serve every queued request; returns the number of batches run.
 
         Each sweep gives every device one admission opportunity: form a
@@ -402,7 +398,7 @@ class Scheduler:
                     continue
                 pipe = self.pipeline(pdev.device_id)
                 floor = max(t.arrival_ms for t in batch)
-                result = self.dispatch(pdev, batch, stats)
+                result = self.dispatch(pdev, batch)
                 batches += 1
                 if result is not None:
                     kernel_ms = max(
@@ -422,15 +418,15 @@ class Scheduler:
                     # cost; resolve any poisoned tickets at the current
                     # horizon.
                     done = max(pipe.horizon_ms, floor)
-                self._stamp_latencies(batch, done, stats)
+                self._stamp_latencies(batch, done)
             # The safe point: the rebalancer once (its policies are
             # fleet-wide by nature), then each device's supervisor hook
             # on the device's own safe-point round clock.
             if rebalancer is not None:
-                rebalancer.at_safe_point(stats)
+                rebalancer.at_safe_point()
             if self.supervisor is not None:
                 for pdev in list(self.pool.devices.values()):
-                    self.supervisor.at_safe_point(pdev, stats)
+                    self.supervisor.at_safe_point(pdev)
         return batches
 
 
@@ -501,16 +497,14 @@ class Rebalancer:
         """Return a drained device to service (operator hook, e.g. after
         the fault source was identified and closed): clears ``draining``
         and forgives the faults recorded so far."""
-        pdev = self.server.pool[device_id]
-        pdev.draining = False
-        dstats = self.server.stats.per_device.get(device_id)
-        self._fault_marks[device_id] = dstats.faults if dstats else 0
+        self.server.pool[device_id].draining = False
+        self._fault_marks[device_id] = (
+            self.server.stats.per_device[device_id].faults
+        )
 
     # -- the safe-point hook -------------------------------------------------------
 
-    def at_safe_point(
-        self, stats: Optional["ServerStats"] = None
-    ) -> list["MigrationRecord"]:
+    def at_safe_point(self) -> list["MigrationRecord"]:
         """Run the policies once; returns the migrations performed.
 
         The scheduler calls this between two dispatches of its host
@@ -518,7 +512,7 @@ class Rebalancer:
         only ever moves *queued* (never dispatched) tickets and an
         *idle* session heap.
         """
-        moves = self._drain_faulty(stats)
+        moves = self._drain_faulty()
         moves.extend(self._shed_overload())
         if len(moves) < self.MAX_MOVES_PER_ROUND:
             moves.extend(
@@ -528,19 +522,14 @@ class Rebalancer:
 
     # -- fault drain ---------------------------------------------------------------
 
-    def _drain_faulty(
-        self, stats: Optional["ServerStats"]
-    ) -> list["MigrationRecord"]:
-        if stats is None:
-            return []
+    def _drain_faulty(self) -> list["MigrationRecord"]:
         pool = self.server.pool
+        stats = self.server.stats
         moves: list["MigrationRecord"] = []
         for pdev in pool.devices.values():
             if pdev.draining:
                 continue
-            dstats = stats.per_device.get(pdev.device_id)
-            if dstats is None:
-                continue
+            dstats = stats.per_device[pdev.device_id]
             mark = self._fault_marks.get(pdev.device_id, 0)
             if dstats.faults - mark < self.FAULT_THRESHOLD:
                 continue

@@ -134,8 +134,8 @@ class CuLiServer:
         #: Admission-control cap: a session with this many unresolved
         #: tickets has further submissions refused (AdmissionError).
         self.max_session_queue = max_session_queue
-        self.scheduler = Scheduler(self.pool, max_batch=max_batch)
         self.stats = ServerStats()
+        self.scheduler = Scheduler(self.pool, self.stats, max_batch=max_batch)
         self.stats._queue_depth_fn = self.pool.queue_depths
         self.stats._scheduler_fn = self.scheduler.pipeline_snapshot
         for device_id, pdev in self.pool.devices.items():
@@ -206,7 +206,6 @@ class CuLiServer:
             pdev = self.pool.place_session()
         else:
             pdev = self.pool[device_id]
-            pdev.session_count += 1
         env = pdev.device.create_session_env(label=session_id)
         session = TenantSession(
             self, session_id, pdev.device_id, env, slo_ms=slo_ms,
@@ -219,7 +218,7 @@ class CuLiServer:
         return session
 
     def close_session(self, session: TenantSession) -> None:
-        """Release a tenant's environment and placement slot.
+        """Release a tenant's environment and its residency.
 
         Queued-but-unserved tickets are cancelled first (resolved with an
         error): the environment stops being a GC root on release, so
@@ -249,7 +248,6 @@ class CuLiServer:
         if cancelled:
             self.stats.record_cancelled(cancelled)
         pdev.device.release_session_env(session.env)
-        self.pool.session_closed(session.device_id)
 
     # -- migration (elastic rebalancing) ------------------------------------------
 
@@ -285,7 +283,6 @@ class CuLiServer:
                 # device, or everything else draining): a self-migration
                 # would copy the heap for nothing and charge phantom
                 # transfer, so refuse like the explicit path does.
-                self.pool.session_closed(target.device_id)
                 raise ValueError(
                     f"no other device to migrate {session.session_id} to"
                 )
@@ -295,15 +292,10 @@ class CuLiServer:
                 raise ValueError(
                     f"session {session.session_id} is already on {device_id}"
                 )
-            target.session_count += 1
         snap = snapshot_env(session.env, label=session.session_id)
-        try:
-            new_env = restore_env(
-                snap, target.device.interp, label=session.session_id
-            )
-        except Exception:
-            self.pool.session_closed(target.device_id)
-            raise
+        new_env = restore_env(
+            snap, target.device.interp, label=session.session_id
+        )
         target.queue.extend(source.queue.remove_session(session))
         source.remove_resident(session)
         target.add_resident(session)
@@ -313,7 +305,6 @@ class CuLiServer:
         # tenants that stayed.
         source.device.release_session_env(session.env)
         source.device.interp.collect_garbage()
-        self.pool.session_closed(source.device_id)
         session.env = new_env
         session.device_id = target.device_id
         source_ms = link_ms(source, snap.nbytes)
@@ -332,13 +323,15 @@ class CuLiServer:
     # -- whole-fleet persistence ---------------------------------------------------
 
     def save(self) -> dict:
-        """Snapshot every open session's persistent heap (JSON-able).
+        """Snapshot every open tenant's persistent heap and SLO (JSON-able).
 
         Queued requests are flushed first — a saved fleet holds only
-        durable tenant state, never in-flight commands. Feed the result
-        to :meth:`restore` on a freshly constructed server (same device
-        inventory not required: restored sessions are re-placed by the
-        pool's least-loaded/emptiest-arena policy).
+        durable tenant state, never in-flight commands. The internal
+        bulk-carrier sessions are not tenants and are not saved: a
+        restored server opens fresh ones on its first bulk job. Feed the
+        result to :meth:`restore` on a freshly constructed server (same
+        device inventory not required: restored sessions are re-placed
+        by the pool's least-loaded/emptiest-arena policy).
         """
         if self._closed:
             raise RuntimeError("server is closed")
@@ -349,11 +342,13 @@ class CuLiServer:
             "sessions": [
                 {
                     "session_id": session.session_id,
+                    "slo_ms": session.slo_ms,
                     "snapshot": snapshot_env(
                         session.env, label=session.session_id
                     ).to_dict(),
                 }
                 for session in self.sessions.values()
+                if not session.bulk
             ],
         }
 
@@ -393,15 +388,11 @@ class CuLiServer:
                 # the snapshot's wire weight on each candidate's link
                 # (free on a CPU, charged on PCIe) to the backlog.
                 pdev = self.pool.place_session(incoming_nbytes=snap.nbytes)
-                try:
-                    env = restore_env(
-                        snap, pdev.device.interp, label=session_id
-                    )
-                except Exception:
-                    self.pool.session_closed(pdev.device_id)
-                    raise
+                env = restore_env(snap, pdev.device.interp, label=session_id)
+                # Payloads written before the SLO was saved carry none.
                 session = TenantSession(
                     self, session_id, pdev.device_id, env,
+                    slo_ms=entry.get("slo_ms"),
                     open_order=next(self._open_order),
                 )
                 self.sessions[session_id] = session
@@ -530,7 +521,7 @@ class CuLiServer:
         With a rebalancer installed, idle sessions may migrate between
         batch rounds (overload shedding, fault-drain) — see
         :class:`~repro.serve.scheduler.Rebalancer`."""
-        return self.scheduler.drain(self.stats, rebalancer=self.rebalancer)
+        return self.scheduler.drain(rebalancer=self.rebalancer)
 
     @property
     def pending(self) -> int:

@@ -20,6 +20,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DeviceStats", "LatencyReservoir", "MigrationRecord", "ServerStats"]
 
 
+def _fleet_total(field: str, doc: str) -> property:
+    """A read-only fleet total: ``field`` summed over every device."""
+
+    def total(stats: "ServerStats") -> int:
+        return sum(getattr(d, field) for d in stats.per_device.values())
+
+    return property(total, doc=doc)
+
+
 class LatencyReservoir:
     """Bounded sample of per-request enqueue->resolve latencies.
 
@@ -129,14 +138,28 @@ class ServerStats:
     per-phase latency decomposition the paper reports for one command is
     available for the whole serving run; ``throughput_rps`` is requests
     per simulated second of makespan.
+
+    Every device is registered once, when the server is built, and never
+    unregistered (an evicted device keeps its counters). Counts that a
+    device owns live only in its :class:`DeviceStats`; the fleet totals
+    below are their sums, never a second counter.
     """
+
+    batches = _fleet_total("batches", "Batches completed, fleet-wide.")
+    requests_completed = _fleet_total(
+        "requests", "Requests served (poisoned ones included)."
+    )
+    errors = _fleet_total("errors", "Requests that resolved with an error.")
+    devices_lost = _fleet_total("losses", "Device crashes and hangs.")
+    device_hangs = _fleet_total("hangs", "The losses that were hangs.")
+    sessions_migrated = _fleet_total("migrations_in", "Sessions migrated.")
+    sessions_recovered = _fleet_total(
+        "recoveries_in", "Victim sessions rebuilt after a device loss."
+    )
 
     def __init__(self) -> None:
         self.requests_enqueued = 0
-        self.requests_completed = 0
         self.requests_cancelled = 0  #: enqueued, then cancelled (session close)
-        self.errors = 0
-        self.batches = 0
         # Fault-isolation counters: device faults contained per request,
         # batch-fatal device failures, solo quarantine retries, and
         # tickets resolved as poison after quarantine.
@@ -162,23 +185,18 @@ class ServerStats:
         self.jit_trace_hits = 0
         self.jit_guard_bails = 0
         # Elastic-rebalancing counters (heap snapshot / migration PR):
-        # sessions moved between devices, the heap volume they carried,
-        # the modeled transfer time charged for the moves, devices
-        # evacuated after repeated faults, and sessions restored from a
-        # saved fleet snapshot.
-        self.sessions_migrated = 0
+        # the heap volume migrations carried, the modeled transfer time
+        # charged for the moves, devices evacuated after repeated faults,
+        # and sessions restored from a saved fleet snapshot.
         self.migration_nodes = 0
         self.migration_bytes = 0
         self.migration_transfer_ms = 0.0
         self.devices_drained = 0
         self.sessions_restored = 0
-        # Failover counters (device-loss supervisor PR): whole-device
-        # losses, sessions failed over from their checkpoints, replayed
-        # suffix commands, and the recovery-point-objective actually
-        # observed (rounds of replay per recovered session).
-        self.devices_lost = 0
-        self.device_hangs = 0
-        self.sessions_recovered = 0
+        # Failover counters (device-loss supervisor PR): replayed suffix
+        # commands, the recovery-point-objective actually observed
+        # (rounds of replay per recovered session), checkpoints, restores
+        # and the breaker's work.
         self.requests_replayed = 0
         self.rpo_rounds_sum = 0
         self.rpo_rounds_max = 0
@@ -235,12 +253,8 @@ class ServerStats:
         self.requests_cancelled += n
 
     def record_batch(self, device_id: str, result: "BatchResult") -> None:
-        self.batches += 1
         self.batch_size_sum += result.size
         self.batch_size_max = max(self.batch_size_max, result.size)
-        self.requests_completed += result.size
-        n_errors = len(result.errors)
-        self.errors += n_errors
         n_faults = len(result.faults)
         self.faults_contained += n_faults
         self.phase_totals = self.phase_totals.merged_with(result.times)
@@ -255,7 +269,7 @@ class ServerStats:
         dstats.busy_ms += result.times.total_ms
         dstats.batches += 1
         dstats.requests += result.size
-        dstats.errors += n_errors
+        dstats.errors += len(result.errors)
         dstats.jobs += result.jobs
         dstats.rounds += result.rounds
         dstats.faults += n_faults
@@ -307,21 +321,18 @@ class ServerStats:
         the sum lands in ``phase_totals.transfer_ms`` — so rebalancing
         is never free in the makespan it is trying to shrink.
         """
-        self.sessions_migrated += 1
         self.migration_nodes += record.nodes
         self.migration_bytes += record.nbytes
         self.migration_transfer_ms += record.transfer_ms
         self.phase_totals = self.phase_totals.merged_with(
             PhaseBreakdown(transfer_ms=record.transfer_ms)
         )
-        src = self.per_device.get(record.source)
-        if src is not None:
-            src.busy_ms += source_ms
-            src.migrations_out += 1
-        dst = self.per_device.get(record.dest)
-        if dst is not None:
-            dst.busy_ms += dest_ms
-            dst.migrations_in += 1
+        src = self.per_device[record.source]
+        src.busy_ms += source_ms
+        src.migrations_out += 1
+        dst = self.per_device[record.dest]
+        dst.busy_ms += dest_ms
+        dst.migrations_in += 1
 
     def record_device_drained(self, device_id: str) -> None:
         """A device was marked draining (repeated faults): its sessions
@@ -339,12 +350,9 @@ class ServerStats:
         (and as errors): the enqueued/completed/cancelled balance holds.
         """
         self.poisoned_requests += n
-        self.requests_completed += n
-        self.errors += n
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.requests += n
-            dstats.errors += n
+        dstats = self.per_device[device_id]
+        dstats.requests += n
+        dstats.errors += n
 
     # -- failover recording (device-loss supervisor) -------------------------------
 
@@ -357,16 +365,12 @@ class ServerStats:
         hang out before force-resetting — real makespan the fleet lost,
         charged to the device like any busy time.
         """
-        self.devices_lost += 1
+        dstats = self.per_device[device_id]
+        dstats.losses += 1
+        dstats.faults += 1
         if hang:
-            self.device_hangs += 1
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.losses += 1
-            dstats.faults += 1
-            if hang:
-                dstats.hangs += 1
-            dstats.busy_ms += detect_ms
+            dstats.hangs += 1
+        dstats.busy_ms += detect_ms
         if detect_ms > 0.0:
             self.phase_totals = self.phase_totals.merged_with(
                 PhaseBreakdown(other_ms=detect_ms)
@@ -382,12 +386,9 @@ class ServerStats:
         never more than the checkpoint interval, which is the RPO bound
         the supervisor advertises.
         """
-        self.sessions_recovered += 1
         self.rpo_rounds_sum += rpo_rounds
         self.rpo_rounds_max = max(self.rpo_rounds_max, rpo_rounds)
-        dstats = self.per_device.get(dest_device_id)
-        if dstats is not None:
-            dstats.recoveries_in += 1
+        self.per_device[dest_device_id].recoveries_in += 1
 
     def record_replayed(self, n: int) -> None:
         """Replay tickets served (suffix re-execution during recovery)."""
@@ -405,9 +406,7 @@ class ServerStats:
         self.phase_totals = self.phase_totals.merged_with(
             PhaseBreakdown(transfer_ms=transfer_ms)
         )
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.busy_ms += transfer_ms
+        self.per_device[device_id].busy_ms += transfer_ms
 
     def record_checkpoint_skipped(self) -> None:
         """A due checkpoint whose digest matched the stored one: the
@@ -423,9 +422,7 @@ class ServerStats:
         self.phase_totals = self.phase_totals.merged_with(
             PhaseBreakdown(transfer_ms=transfer_ms)
         )
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.busy_ms += transfer_ms
+        self.per_device[device_id].busy_ms += transfer_ms
 
     def record_breaker_open(self, device_id: str) -> None:
         """A device's circuit breaker tripped open."""
@@ -439,9 +436,7 @@ class ServerStats:
         """A probe succeeded (breaker closes): its round is real device
         time but no tenant request — only busy time is charged."""
         self.probes_ok += 1
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.busy_ms += busy_ms
+        self.per_device[device_id].busy_ms += busy_ms
 
     def record_device_evicted(self, device_id: str) -> None:
         """A permanently flapping device was removed from the pool."""

@@ -65,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pool import PooledDevice
     from .server import CuLiServer
     from .session import TenantSession
-    from .stats import ServerStats
 
 __all__ = [
     "CircuitBreaker",
@@ -180,6 +179,7 @@ class DeviceSupervisor:
         if max_ticket_failovers < 1:
             raise ValueError("max_ticket_failovers must be >= 1")
         self.server = server
+        self.stats = server.stats
         self.chaos = chaos
         self.store = CheckpointStore(checkpoint_interval)
         self.breaker_failures = breaker_failures
@@ -201,7 +201,7 @@ class DeviceSupervisor:
         # and loss handling through us, the stats surface gains the live
         # breaker-state gauge.
         server.scheduler.supervisor = self
-        server.stats._breaker_state_fn = self.breaker_states
+        self.stats._breaker_state_fn = self.breaker_states
 
     # -- breaker bookkeeping -------------------------------------------------------
 
@@ -297,11 +297,7 @@ class DeviceSupervisor:
     # -- loss handling -------------------------------------------------------------
 
     def on_device_loss(
-        self,
-        pdev: "PooledDevice",
-        batch: list[Ticket],
-        exc: Exception,
-        stats: Optional["ServerStats"] = None,
+        self, pdev: "PooledDevice", batch: list[Ticket], exc: Exception
     ) -> None:
         """Fail every resident session over after ``pdev`` died.
 
@@ -313,28 +309,25 @@ class DeviceSupervisor:
         replayed suffix first, then the in-flight retry, then the queue.
         """
         device_id = pdev.device_id
-        hang = isinstance(exc, DeviceHangError)
         work_ran = bool(getattr(exc, "work_ran", True))
         if not pdev.device.lost:
             pdev.device.mark_lost(str(exc))
-        if stats is not None:
-            stats.record_device_lost(
-                device_id, hang=hang,
-                detect_ms=self.hang_detect_ms if hang else 0.0,
-            )
+        # Capture victims and work before the reset wipes the queue view.
+        # The victims leave the dead slot now: until recovery places each
+        # one, it is resident nowhere.
+        victims = pdev.resident_sessions()
+        for session in victims:
+            pdev.remove_resident(session)
+        queued = pdev.queue.clear()
+        self._reset_lost(pdev, exc)
         brk = self.breaker(device_id)
         was_open = brk.state != BREAKER_CLOSED
-        state = brk.record_failure(self.device_rounds.get(device_id, 0))
-        if state == BREAKER_OPEN:
+        # A slot that lost sessions is never evicted here: its victims
+        # still name it as their device until they are recovered.
+        if self._breaker_failure(pdev, brk, evict=not victims) == BREAKER_OPEN:
             pdev.draining = True  # placement avoids it until a probe passes
-            if not was_open and stats is not None:
-                stats.record_breaker_open(device_id)
-        # Capture victims and work before the reset wipes the queue view.
-        victims = pdev.resident_sessions()
-        queued = pdev.queue.clear()
-        self.server.pool.revive(device_id)
-        if brk.flapping:
-            self._maybe_evict(pdev, stats)
+            if not was_open:
+                self.stats.record_breaker_open(device_id)
         # Per-ticket failover accounting on the in-flight batch: a
         # ticket that has already ridden through too many losses is the
         # common factor — resolve it poisoned instead of retrying again
@@ -343,7 +336,7 @@ class DeviceSupervisor:
         for ticket in batch:
             ticket.failovers += 1
             if ticket.failovers > self.max_ticket_failovers:
-                self._resolve_poisoned(ticket, exc, device_id, stats)
+                self._resolve_poisoned(ticket, exc, device_id)
             else:
                 if work_ran:
                     # The round executed before the device died, so any
@@ -368,8 +361,29 @@ class DeviceSupervisor:
                 inflight=by_session_inflight.get(session.session_id, []),
                 queued=by_session_queued.get(session.session_id, []),
                 cause=exc,
-                stats=stats,
             )
+
+    def _reset_lost(self, pdev: "PooledDevice", exc: Exception) -> None:
+        """Count one device loss and force-reset the device: a hang also
+        charges the watchdog's detection wait to the device."""
+        hang = isinstance(exc, DeviceHangError)
+        self.stats.record_device_lost(
+            pdev.device_id,
+            hang=hang,
+            detect_ms=self.hang_detect_ms if hang else 0.0,
+        )
+        self.server.pool.revive(pdev.device_id)
+
+    def _breaker_failure(
+        self, pdev: "PooledDevice", brk: CircuitBreaker, evict: bool = True
+    ) -> str:
+        """Count one failure on ``pdev``'s breaker and return its new
+        state; a device that has flapped for good is evicted when
+        ``evict`` allows."""
+        state = brk.record_failure(self.device_rounds.get(pdev.device_id, 0))
+        if evict and brk.flapping:
+            self._maybe_evict(pdev)
+        return state
 
     def kill_device(
         self, device_id: str, reason: str = "operator kill", hang: bool = False
@@ -381,7 +395,7 @@ class DeviceSupervisor:
         exc_type = DeviceHangError if hang else DeviceLostError
         exc = exc_type(f"device {device_id} lost: {reason}")
         exc.work_ran = False
-        self.on_device_loss(pdev, [], exc, self.server.stats)
+        self.on_device_loss(pdev, [], exc)
 
     # -- recovery ------------------------------------------------------------------
 
@@ -392,7 +406,6 @@ class DeviceSupervisor:
         inflight: list[Ticket],
         queued: list[Ticket],
         cause: Exception,
-        stats: Optional["ServerStats"],
     ) -> None:
         sid = session.session_id
         pool = self.server.pool
@@ -434,23 +447,19 @@ class DeviceSupervisor:
                 # the device is left exactly as it was — and try the
                 # next candidate.
                 pdev.device.interp.collect_major()
-                pool.session_closed(pdev.device_id)
                 tried.add(pdev.device_id)
         if target is None or env is None:
-            self._abandon_session(session, inflight + queued, cause, stats)
+            self._abandon_session(session, inflight + queued, cause)
             return
-        pool[session.device_id].remove_resident(session)
         target.add_resident(session)
         session.env = env
         session.device_id = target.device_id
         # Restoring the checkpoint moves its bytes host->device for real:
         # charge the wire like a migration's destination half.
         if snap is not None:
-            ms = link_ms(target, snap.nbytes)
-            if stats is not None:
-                stats.record_failover_restore(
-                    target.device_id, snap.nbytes, ms
-                )
+            self.stats.record_failover_restore(
+                target.device_id, snap.nbytes, link_ms(target, snap.nbytes)
+            )
         # Re-enqueue in recovery order: the replayed suffix rebuilds the
         # post-checkpoint state, then the lost round's retry, then the
         # untouched queue — per-session submission order holds end to end.
@@ -460,24 +469,21 @@ class DeviceSupervisor:
             ticket.replay = True
             target.queue.append(ticket)
             replayed += 1
-            if stats is not None:
-                stats.record_enqueue()
+            self.stats.record_enqueue()
         for ticket in inflight:
             target.queue.append(ticket)
         for ticket in queued:
             target.queue.append(ticket)
         self.store.on_recovered(sid)
-        if stats is not None:
-            stats.record_session_recovered(
-                target.device_id, rpo_rounds=len(suffix), replayed=replayed
-            )
+        self.stats.record_session_recovered(
+            target.device_id, rpo_rounds=len(suffix), replayed=replayed
+        )
 
     def _abandon_session(
         self,
         session: "TenantSession",
         tickets: list[Ticket],
         cause: Exception,
-        stats: Optional["ServerStats"],
     ) -> None:
         """Last-resort path: no device could hold the restored heap.
         Resolve every pending ticket with the loss (never silently drop
@@ -487,30 +493,20 @@ class DeviceSupervisor:
             f"device could restore its checkpoint after {cause}"
         )
         for ticket in tickets:
-            self._resolve_poisoned(ticket, err, session.device_id, stats)
+            self._resolve_poisoned(ticket, err, session.device_id)
         self.store.drop(session.session_id)
         self.server.sessions.pop(session.session_id, None)
-        pdev = self.server.pool.devices.get(session.device_id)
-        if pdev is not None:
-            pdev.remove_resident(session)
         session._closed = True
 
     def _resolve_poisoned(
-        self,
-        ticket: Ticket,
-        exc: Exception,
-        device_id: str,
-        stats: Optional["ServerStats"],
+        self, ticket: Ticket, exc: Exception, device_id: str
     ) -> None:
         ticket.resolve(CommandStats(output=f"error: {exc}"), exc)
-        if stats is not None:
-            stats.record_poisoned(device_id, 1)
+        self.stats.record_poisoned(device_id, 1)
 
     # -- eviction ------------------------------------------------------------------
 
-    def _maybe_evict(
-        self, pdev: "PooledDevice", stats: Optional["ServerStats"]
-    ) -> None:
+    def _maybe_evict(self, pdev: "PooledDevice") -> None:
         """Remove a permanently flapping device from the pool — unless it
         is the last one, or tenants are (still) resident on it."""
         pool = self.server.pool
@@ -521,14 +517,11 @@ class DeviceSupervisor:
             return
         pool.evict(device_id)
         self.breakers.pop(device_id, None)
-        if stats is not None:
-            stats.record_device_evicted(device_id)
+        self.stats.record_device_evicted(device_id)
 
     # -- the safe-point hook (called by the scheduler) ----------------------------
 
-    def at_safe_point(
-        self, pdev: "PooledDevice", stats: Optional["ServerStats"] = None
-    ) -> None:
+    def at_safe_point(self, pdev: "PooledDevice") -> None:
         """Runs while nothing of ``pdev``'s is in flight: idle chaos,
         breaker lifecycle, interval checkpoints and uptime accounting,
         all against the device's own safe-point round counter.
@@ -557,15 +550,14 @@ class DeviceSupervisor:
                     f"device {device_id} lost: chaos idle kill"
                 )
                 exc.work_ran = False
-                self.on_device_loss(pdev, [], exc, stats)
+                self.on_device_loss(pdev, [], exc)
         fresh_trip = False
         if pdev.draining:
             brk = self.breaker(device_id)
             if brk.state == BREAKER_CLOSED:
                 brk.trip()
                 fresh_trip = True
-                if stats is not None:
-                    stats.record_breaker_open(device_id)
+                self.stats.record_breaker_open(device_id)
         brk = self.breakers.get(device_id)
         if (
             brk is not None
@@ -574,39 +566,31 @@ class DeviceSupervisor:
         ):
             brk.tick()
             if brk.state == BREAKER_HALF_OPEN:
-                self._probe(pdev, brk, stats)
+                self._probe(pdev, brk)
         for session in pdev.resident_sessions():
             if not self.store.due(session.session_id):
                 continue
             snap, shipped = self.store.checkpoint(session)
-            if stats is not None:
-                if shipped:
-                    stats.record_checkpoint(
-                        device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
-                    )
-                else:
-                    stats.record_checkpoint_skipped()
-        if stats is not None:
-            dstats = stats.per_device.get(device_id)
-            if dstats is not None:
-                dstats.rounds_total += 1
-                if not pdev.draining and not pdev.device.lost:
-                    dstats.rounds_up += 1
+            if shipped:
+                self.stats.record_checkpoint(
+                    device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
+                )
+            else:
+                self.stats.record_checkpoint_skipped()
+        dstats = self.stats.per_device[device_id]
+        dstats.rounds_total += 1
+        if not pdev.draining and not pdev.device.lost:
+            dstats.rounds_up += 1
 
     # -- probes --------------------------------------------------------------------
 
-    def _probe(
-        self,
-        pdev: "PooledDevice",
-        brk: CircuitBreaker,
-        stats: Optional["ServerStats"],
-    ) -> None:
+    def _probe(self, pdev: "PooledDevice", brk: CircuitBreaker) -> None:
         """Half-open probe: one synthetic no-tenant batch decides whether
         the device returns to service or flaps back open."""
         device_id = pdev.device_id
-        if stats is not None:
-            stats.record_probe(device_id)
+        self.stats.record_probe(device_id)
         request = BatchRequest(text=self.PROBE_TEXT, env=None, tag="__probe__")
+        ok = False
         try:
             result = self.submit(pdev, [request])
             ok = (
@@ -615,33 +599,15 @@ class DeviceSupervisor:
                 and result.items[0].stats.output == self.PROBE_ANSWER
             )
         except DeviceLostError as exc:
-            if stats is not None:
-                stats.record_device_lost(
-                    device_id,
-                    hang=isinstance(exc, DeviceHangError),
-                    detect_ms=self.hang_detect_ms
-                    if isinstance(exc, DeviceHangError)
-                    else 0.0,
-                )
-            brk.record_failure(self.device_rounds.get(device_id, 0))  # flap
-            self.server.pool.revive(device_id)
-            if brk.flapping:
-                self._maybe_evict(pdev, stats)
-            return
+            self._reset_lost(pdev, exc)
         except CuLiError:
-            brk.record_failure(self.device_rounds.get(device_id, 0))
-            if brk.flapping:
-                self._maybe_evict(pdev, stats)
-            return
+            pass  # a device fault: the probe failed like a wrong answer
         if not ok:
-            brk.record_failure(self.device_rounds.get(device_id, 0))
-            if brk.flapping:
-                self._maybe_evict(pdev, stats)
+            self._breaker_failure(pdev, brk)  # a flap
             return
         brk.on_probe_success()
         pdev.draining = False
-        if stats is not None:
-            stats.record_probe_ok(device_id, result.times.total_ms)
+        self.stats.record_probe_ok(device_id, result.times.total_ms)
         if self.server.rebalancer is not None:
             # Forgive the fault marks the Rebalancer counted: the probe
             # just demonstrated the device serves again, and stale marks

@@ -143,7 +143,7 @@ class TestEDFBatchFormation:
                 bulk.session_id,
             ]
             # form_batch_async pops its picks: run them so nothing hangs.
-            server.scheduler.dispatch(pdev, batch, server.stats)
+            server.scheduler.dispatch(pdev, batch)
 
     def test_bulk_ties_break_by_arrival_then_seq(self):
         with CuLiServer(devices=[DEVICE]) as server:
@@ -183,7 +183,7 @@ class TestEDFBatchFormation:
             pdev = server.pool[now_s.device_id]
             batch = server.scheduler.form_batch_async(pdev)
             assert batch == [now]
-            server.scheduler.dispatch(pdev, batch, server.stats)
+            server.scheduler.dispatch(pdev, batch)
             server.flush()  # jumps the horizon forward for `later`
             assert now.ok and later.ok
             assert later.resolve_ms >= 1e6
@@ -211,7 +211,7 @@ class TestEDFBatchFormation:
             batches = []
             while pdev.queue:
                 batch = server.scheduler.form_batch_async(pdev)
-                server.scheduler.dispatch(pdev, batch, server.stats)
+                server.scheduler.dispatch(pdev, batch)
                 batches.append(batch)
             assert batches == [
                 first[:4],

@@ -169,6 +169,25 @@ class TestBulkJob:
             server.flush()  # drained, headroom restored
             assert server.gpu_map("(lambda (x) x)", [7]) == "(7)"
 
+    def test_refused_job_queues_no_chunk(self):
+        """A job refused on one device's headroom queues nothing on the
+        devices before it: no orphan chunk runs that no job can gather."""
+        with CuLiServer(
+            devices=["gtx1080", "tesla-v100"], max_session_queue=1
+        ) as server:
+            # One element goes to the faster V100 and fills its carrier.
+            server.submit_bulk("(lambda (x) (* x x))", [1], chunk_elems=1)
+            pending = server.pending
+            jobs = server.stats.bulk_jobs
+            with pytest.raises(AdmissionError, match="headroom"):
+                server.submit_bulk(
+                    "(lambda (x) (+ x 1))", [10, 20, 30, 40], chunk_elems=1
+                )
+            assert server.pending == pending == 1
+            assert server.stats.bulk_jobs == jobs == 1
+            server.flush()
+            assert server.stats.requests_completed == 1
+
 
 # ---------------------------------------------------------------------------
 # Stats surface

@@ -280,6 +280,25 @@ class TestBreakerIntegration:
             assert a.eval("x") == "5"
             assert a.device_id != dev
 
+    def test_loss_with_victims_does_not_evict(self):
+        """A flapping device that dies with sessions resident stays in
+        the pool while its victims are recovered; the next loss, with
+        nobody resident, evicts it."""
+        with failover_server(failover_config={"max_flaps": 1}) as server:
+            a = server.open_session("a")
+            server.open_session("b")
+            a.eval("(setq x 5)")
+            dev = a.device_id
+            server.supervisor.breaker(dev).flaps = 1  # flapping for good
+            server.supervisor.kill_device(dev, "dies with a resident")
+            assert dev in server.pool.devices
+            assert server.stats.devices_evicted == 0
+            assert a.device_id != dev
+            assert a.eval("x") == "5"
+            server.supervisor.kill_device(dev, "dies empty")
+            assert dev not in server.pool.devices
+            assert server.stats.devices_evicted == 1
+
     def test_last_device_is_never_evicted(self):
         with failover_server(
             devices=[DEVICE],

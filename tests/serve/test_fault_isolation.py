@@ -371,7 +371,7 @@ class TestSanitizedCapacityAccounting:
             batch = server.scheduler.form_batch_async(pdev)
             assert batch == [ta, tb]
             uploads_before = pdev.device.cmdbuf.log.uploads
-            server.scheduler.dispatch(pdev, batch, server.stats)
+            server.scheduler.dispatch(pdev, batch)
             assert pdev.device.cmdbuf.log.uploads == uploads_before + 1
             assert ta.output == "3" and tb.output == "6"
 
@@ -389,7 +389,7 @@ class TestSanitizedCapacityAccounting:
             batch = server.scheduler.form_batch_async(pdev)
             assert batch == [ta]
             assert len(pdev.queue) == 1
-            server.scheduler.dispatch(pdev, batch, server.stats)
+            server.scheduler.dispatch(pdev, batch)
             server.flush()
             assert ta.output == tb.output == str(n)
 

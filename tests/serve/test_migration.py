@@ -280,6 +280,42 @@ class TestSaveRestore:
             assert ticket.done and server.pending == 0
             assert len(saved["sessions"]) == 1
 
+    def test_bulk_carriers_are_not_saved(self):
+        """Internal bulk-carrier sessions are not tenants: a restored
+        fleet holds only the real tenants, so carriers never weigh on
+        placement as phantom residents."""
+        with CuLiServer(devices=[DEVICE, DEVICE]) as server:
+            server.gpu_map("(lambda (x) (* x x))", [1, 2, 3, 4])
+            tenant = server.open_session("tenant")
+            tenant.eval("(setq v 7)")
+            saved = server.save()
+        assert [e["session_id"] for e in saved["sessions"]] == ["tenant"]
+        with CuLiServer(devices=[DEVICE, DEVICE]) as revived:
+            restored = revived.restore(saved)
+            assert sorted(restored) == ["tenant"]
+            assert restored["tenant"].eval("v") == "7"
+            assert sum(
+                d.session_count for d in revived.pool.devices.values()
+            ) == 1
+
+    def test_restore_keeps_the_slo(self):
+        """A tenant saved with an SLO comes back with it (and so keeps
+        its EDF priority); a payload without the field restores one
+        with no SLO."""
+        with CuLiServer(devices=[DEVICE]) as server:
+            server.open_session("fast", slo_ms=0.5).eval("(setq v 1)")
+            server.open_session("bulk-tenant").eval("(setq v 2)")
+            saved = json.loads(json.dumps(server.save()))
+        with CuLiServer(devices=[DEVICE]) as revived:
+            restored = revived.restore(saved)
+            assert restored["fast"].slo_ms == 0.5
+            assert restored["bulk-tenant"].slo_ms is None
+        for entry in saved["sessions"]:
+            del entry["slo_ms"]
+        with CuLiServer(devices=[DEVICE]) as revived:
+            restored = revived.restore(saved)
+            assert restored["fast"].slo_ms is None
+
     def test_restore_targets_the_emptiest_arena(self):
         """The placement satellite end to end: with equal session
         counts, a restored heap lands on the device retaining the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.pool import DevicePool
+from repro.serve.pool import DevicePool, PooledDevice
 from repro.serve.session import Ticket
 
 
@@ -35,19 +35,28 @@ class TestConstruction:
         pool.close()
 
 
+def place(pool: DevicePool, session=None) -> PooledDevice:
+    """Place a stand-in session and make it resident, as the server
+    does once the session's environment exists."""
+    pdev = pool.place_session()
+    pdev.add_resident(session if session is not None else object())
+    return pdev
+
+
 class TestPlacement:
     def test_least_loaded_round_robin(self):
         pool = DevicePool(["gtx480", "gtx480"])
-        placements = [pool.place_session().device_id for _ in range(4)]
+        placements = [place(pool).device_id for _ in range(4)]
         assert placements.count("gtx480#0") == 2
         assert placements.count("gtx480#1") == 2
         pool.close()
 
     def test_session_close_frees_slot(self):
         pool = DevicePool(["gtx480", "gtx480"])
-        first = pool.place_session()
-        pool.place_session()
-        pool.session_closed(first.device_id)
+        session = object()
+        first = place(pool, session)
+        place(pool)
+        first.remove_resident(session)
         # The freed device is now least loaded again.
         assert pool.place_session().device_id == first.device_id
         pool.close()
@@ -60,7 +69,7 @@ class TestPlacement:
         fat = pool["gtx480#0"]
         fat.device.submit("(defun retained (x) (list x x x))")
         assert fat.retained_nodes > pool["gtx480#1"].retained_nodes
-        assert pool.place_session().device_id == "gtx480#1"
+        assert place(pool).device_id == "gtx480#1"
         # Key order is sessions first: the fat-but-empty device still
         # wins over an equally-empty-arena device with more sessions.
         assert pool.place_session().device_id == "gtx480#0"

@@ -21,6 +21,7 @@ from repro.gpu.hostlink import payload_bytes
 from repro.serve.pool import DeviceQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.session import Ticket
+from repro.serve.stats import ServerStats
 
 # -- the deque-based reference -------------------------------------------------
 
@@ -126,7 +127,9 @@ def _text(rng: random.Random) -> str:
 
 def _run(seed: int, steps: int = 300) -> None:
     rng = random.Random(seed)
-    sched = Scheduler(pool=None, max_batch=rng.choice([1, 3, 8]))
+    sched = Scheduler(
+        pool=None, stats=ServerStats(), max_batch=rng.choice([1, 3, 8])
+    )
     capacity = rng.choice([None, 48])
     devices = [_Device("d0", capacity), _Device("d1", capacity)]
     sessions = [
