@@ -59,6 +59,10 @@ class ExecContext:
     def touch_memory(self, addr: int, size: int = 1) -> None:
         """Route an access through the cache model, if one is attached."""
 
+    def touch_each(self, addr: int, size: int) -> None:
+        """``size`` one-byte :meth:`touch_memory` calls from ``addr``, in
+        order, made as one call (a scanned run of characters)."""
+
     # -- phase bookkeeping ---------------------------------------------------
 
     def set_phase(self, phase: Phase) -> None:
@@ -129,6 +133,20 @@ class CountingContext(ExecContext):
             return
         if not cache.access(addr, size):
             self.extra_cycles[self.phase] += self.miss_penalty
+
+    def touch_each(self, addr: int, size: int) -> None:
+        cache = self.cache
+        if cache is None:
+            return
+        misses = cache.access_each(addr, size)
+        if misses:
+            # One add per miss, as the per-byte touches made them: a
+            # product could round differently from the repeated adds.
+            extra = self.extra_cycles[self.phase]
+            penalty = self.miss_penalty
+            for _ in range(misses):
+                extra += penalty
+            self.extra_cycles[self.phase] = extra
 
     def reset(self) -> None:
         self.counts.reset()

@@ -147,8 +147,9 @@ class NodeArena:
         if self.atomic_cursor:
             self.cursor.fetch_add_contended(1, ctx, self.contention_width)
         if self._free:
+            # free() cleared every other field when it listed the node.
             node = self._free.pop()
-            self._reset(node, ntype)
+            node.ntype = ntype
         else:
             if self._used >= self.capacity:
                 raise ArenaExhaustedError(
@@ -169,8 +170,8 @@ class NodeArena:
         return node
 
     @staticmethod
-    def _reset(node: Node, ntype: NodeType) -> None:
-        node.ntype = ntype
+    def _clear(node: Node) -> None:
+        node.ntype = NodeType.N_NIL
         node.ival = 0
         node.fval = 0.0
         node.sval = ""
@@ -197,7 +198,7 @@ class NodeArena:
             )
         if self._used <= 0:
             raise ArenaExhaustedError("free() with no live nodes — double free?")
-        self._reset(node, NodeType.N_NIL)
+        self._clear(node)
         node.region = REGION_FREE
         self._used -= 1
         self.stats.frees += 1
@@ -265,14 +266,8 @@ class NodeArena:
         region = self._current_region
         if region <= REGION_TENURED:
             return (0, 0)
-        freed = 0
-        promoted = 0
-        for node in self._region_nodes:
-            if node.region == region:
-                self.free(node)
-                freed += 1
-            elif node.region == REGION_TENURED:
-                promoted += 1
+        freed, survivors = self._release(self._region_nodes, region)
+        promoted = len(survivors)
         self._region_nodes.clear()
         self._current_region = REGION_TENURED
         self.gc_stats.minor_collections += 1
@@ -307,21 +302,36 @@ class NodeArena:
         region = self._current_region
         if region <= REGION_TENURED or watermark >= len(self._region_nodes):
             return (0, 0)
-        freed = 0
-        survivors: list[Node] = []
-        for node in self._region_nodes[watermark:]:
-            if node.region == region:
-                self.free(node)
-                freed += 1
-            elif node.region == REGION_TENURED:
-                # Promoted escapees stay in the slab so the final region
-                # reset still counts them in its promotion statistics.
-                survivors.append(node)
+        freed, survivors = self._release(self._region_nodes[watermark:], region)
+        # Promoted escapees stay in the slab so the final region reset
+        # still counts them in its promotion statistics.
         del self._region_nodes[watermark:]
         self._region_nodes.extend(survivors)
         self.gc_stats.checkpoint_rollbacks += 1
         self.gc_stats.nodes_freed += freed
         return (freed, len(survivors))
+
+    def _release(self, nodes: list[Node], region: int) -> tuple[int, list[Node]]:
+        """Free every node of ``nodes`` still tagged ``region``, in one
+        pass with one bookkeeping update (what :meth:`free` does per
+        node; a tag match rules out a double free). Returns the freed
+        count and the nodes promoted to the tenured generation."""
+        clear = self._clear
+        free_list = self._free
+        survivors: list[Node] = []
+        freed = 0
+        for node in nodes:
+            tag = node.region
+            if tag == region:
+                clear(node)
+                node.region = REGION_FREE
+                free_list.append(node)
+                freed += 1
+            elif tag == REGION_TENURED:
+                survivors.append(node)
+        self._used -= freed
+        self.stats.frees += freed
+        return freed, survivors
 
     # -- mark epochs ------------------------------------------------------------
 

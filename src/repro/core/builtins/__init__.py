@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["BuiltinFunction", "BuiltinRegistry", "install_all"]
 
+#: Charged on every builtin call: the call itself and the dispatch branch.
+_CALL_OPS = (Op.CALL, Op.BRANCH)
+
 #: fn(interp, env, ctx, args, depth) -> Node, args unevaluated.
 BuiltinImpl = Callable[..., "Node"]
 
@@ -76,8 +79,7 @@ class BuiltinFunction:
         args: list["Node"],
         depth: int,
     ) -> "Node":
-        ctx.charge(Op.CALL)
-        ctx.charge(Op.BRANCH)
+        ctx.charge_many(_CALL_OPS)
         return self.fn(interp, env, ctx, args, depth)
 
 

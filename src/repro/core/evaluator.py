@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Evaluator"]
 
+#: Fixed work at every eval entry, charged in one call.
+_ENTRY_OPS = (Op.CALL, Op.NODE_READ, Op.BRANCH, Op.BRANCH)
+#: ... and at a list's entry, with the load of its head node.
+_LIST_ENTRY_OPS = _ENTRY_OPS + (Op.NODE_READ,)
+
 
 class Evaluator:
     def __init__(self, interp: "Interpreter") -> None:
@@ -50,19 +55,19 @@ class Evaluator:
             raise RecursionDepthError(
                 f"evaluation exceeded device stack depth ({ctx.max_depth})"
             )
-        ctx.charge(Op.CALL)
-        ctx.charge(Op.NODE_READ)  # load the node's type tag
-        ctx.charge(Op.BRANCH, 2)  # type dispatch
         ntype = node.ntype
+        if ntype == NodeType.N_LIST or ntype == NodeType.N_EXPRESSION:
+            # The entry work plus the list's head load, in one charge.
+            ctx.charge_many(_LIST_ENTRY_OPS)
+            return self._eval_list(node, env, ctx, depth)
+        # Call, load of the node's type tag, two-way type dispatch.
+        ctx.charge_many(_ENTRY_OPS)
 
         if ntype == NodeType.N_SYMBOL:
             found = env.lookup(node.sval, ctx, node.sym_id)
             if found is None:
                 return node  # late binding: unmatched symbols stay
             return found
-
-        if ntype == NodeType.N_LIST or ntype == NodeType.N_EXPRESSION:
-            return self._eval_list(node, env, ctx, depth)
 
         # Primitives (numbers, strings, nil, T, functions, forms) are
         # self-evaluating.
@@ -71,9 +76,9 @@ class Evaluator:
     # -- list / call handling -------------------------------------------------------
 
     def _eval_list(self, node: Node, env: Environment, ctx: ExecContext, depth: int) -> Node:
+        """Evaluate a list; :meth:`eval` charged the load of its head."""
         interp = self.interp
         head = node.first
-        ctx.charge(Op.NODE_READ)
         if head is None:
             # The empty list evaluates to nil (a false condition).
             return interp.nil
@@ -128,11 +133,10 @@ class Evaluator:
         """Walk the sibling chain after the head; one load per link."""
         args: list[Node] = []
         child = head.nxt
-        ctx.charge(Op.NODE_READ)
         while child is not None:
             args.append(child)
             child = child.nxt
-            ctx.charge(Op.NODE_READ)
+        ctx.charge(Op.NODE_READ, len(args) + 1)
         return args
 
     # -- forms -------------------------------------------------------------------

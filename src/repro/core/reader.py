@@ -7,11 +7,19 @@ sees a whitespace character, or an opening or closing parenthesis. These
 characters are markers for the parser. The substring between the last
 marker and the current marker is the input to generate a new node."
 
-The tokenizer is a single-pass cursor: every character is fetched through
+The tokenizer is a single-pass cursor: every character is loaded from
 :class:`~repro.gpu.memory.SourceBuffer` exactly once (one ``CHAR_LOAD`` +
 ``PARSE_STEP``, cache-modelled), like the C scanner it stands in for.
 Parsing is therefore a serial, latency-bound scan on the master thread —
 exactly the behaviour the paper identifies as CuLi's bottleneck.
+
+The host pays that scan as one run per parse. The cursor is a plain int
+over the text: whitespace, comments and atoms advance by one regex match,
+strings by one ``str.find``. When the parse ends, normally or on an
+error, :meth:`~repro.gpu.memory.SourceBuffer.load_run` charges positions
+``0 .. min(pos, n)`` (the terminator included). Those are the same op
+counts, and the same cache addresses in the same order, as one load per
+character, since no other cache access happens inside a parse.
 
 Note on environments: the paper creates an environment per list at parse
 time; we charge that allocation here but materialize environments lazily
@@ -20,6 +28,7 @@ during evaluation (see DESIGN.md deviations).
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 from ..context import ExecContext
@@ -36,6 +45,12 @@ __all__ = ["Parser"]
 
 _WHITESPACE = " \t\n\r\v\f"
 _QUOTE_SUGAR = "'"
+#: Characters that start a run of whitespace and ';' line comments.
+_SKIP_START = _WHITESPACE + ";"
+#: One run of whitespace and comments; a comment ends before its newline.
+_SKIP = re.compile(f"(?:[{_WHITESPACE}]+|;[^\n]*)*")
+#: An atom runs up to whitespace or a parenthesis.
+_ATOM = re.compile(f"[^{_WHITESPACE}()]*")
 _MAX_NESTING = 512
 
 
@@ -45,10 +60,9 @@ class Parser:
     def __init__(self, interp: "Interpreter", ctx: ExecContext) -> None:
         self.interp = interp
         self.ctx = ctx
-        self._src: SourceBuffer | None = None
+        self._text = ""
         self._n = 0
         self._pos = 0
-        self._ch = "\0"
 
     # -- public -----------------------------------------------------------------
 
@@ -57,48 +71,34 @@ class Parser:
         if isinstance(source, str):
             source = SourceBuffer(source, base=base_addr)
         source.bind(self.ctx)
-        self._src = source
-        self._n = len(source)
-        self._pos = -1
-        self._next()  # load the first character
-        top: list[Node] = []
-        while True:
-            self._skip_whitespace()
-            if self._at_end:
-                break
-            top.append(self._parse_one(depth=0))
-        if not top:
-            raise ParseError("empty input", position=0)
-        return top
+        self._text = text = source.text
+        self._n = n = len(text)
+        self._pos = 0
+        try:
+            top: list[Node] = []
+            while True:
+                self._skip_whitespace()
+                if self._pos >= n:
+                    break
+                top.append(self._parse_one(depth=0))
+            if not top:
+                raise ParseError("empty input", position=0)
+            return top
+        finally:
+            # Every character the cursor reached, the terminator at n
+            # included, was loaded exactly once: charge them as one run,
+            # also when the parse stops early on an error.
+            source.load_run(0, min(self._pos, n) + 1)
 
     # -- cursor -------------------------------------------------------------------
-
-    @property
-    def _at_end(self) -> bool:
-        return self._pos >= self._n
-
-    def _next(self) -> None:
-        """Advance the cursor and load the character under it (once)."""
-        self._pos += 1
-        if self._pos <= self._n:
-            # Reading the terminator at position n is the C scanner's
-            # final load of '\0'; past it we stop touching memory.
-            self._ch = self._src.char_at(self._pos)  # type: ignore[union-attr]
-        else:
-            self._ch = "\0"
 
     def _skip_whitespace(self) -> None:
         """Skip whitespace and ';' line comments (an extension — the
         paper has no comments; files pulled in via ``load`` keep their
         newlines, so comments terminate correctly there)."""
-        while not self._at_end:
-            if self._ch in _WHITESPACE:
-                self._next()
-            elif self._ch == ";":
-                while not self._at_end and self._ch != "\n":
-                    self._next()
-            else:
-                return
+        pos = self._pos
+        if pos < self._n and self._text[pos] in _SKIP_START:
+            self._pos = _SKIP.match(self._text, pos).end()
 
     # -- grammar -------------------------------------------------------------------
 
@@ -107,7 +107,7 @@ class Parser:
             raise ParseError(
                 "nesting too deep for the device parser stack", position=self._pos
             )
-        ch = self._ch
+        ch = self._text[self._pos]
         if ch == "(":
             return self._parse_list(depth)
         if ch == ")":
@@ -116,36 +116,52 @@ class Parser:
             return self._parse_quoted(depth)
         if ch == '"':
             return self._parse_string()
-        return self._parse_atom()
+        # An atom runs up to the next marker.
+        start = self._pos
+        self._pos = end = _ATOM.match(self._text, start).end()
+        if end == start:
+            raise ParseError("empty atom", position=start)
+        return self._make_atom(self._text[start:end], start)
 
     def _parse_list(self, depth: int) -> Node:
         ctx = self.ctx
         arena = self.interp.arena
+        text = self._text
+        n = self._n
         open_pos = self._pos
-        self._next()  # consume '('
+        self._pos += 1  # consume '('
         lst = arena.alloc(NodeType.N_LIST, ctx)
-        # The paper allocates a fresh environment per parsed list; we
-        # charge that cost here (materialized lazily at eval time).
-        ctx.charge(Op.NODE_ALLOC)
-        while True:
-            self._skip_whitespace()
-            if self._at_end:
-                raise ParseError("missing ')'", position=open_pos)
-            if self._ch == ")":
-                self._next()  # consume ')'
-                ctx.charge(Op.NODE_WRITE)  # close the list (store last pointer)
-                return lst.seal()
-            child = self._parse_one(depth + 1)
-            ctx.charge(Op.NODE_WRITE, 2)  # link child into first/last chain
-            lst.append_child(child)
+        # The list's own writes are tallied and charged once, when it
+        # closes or when the parse fails inside it: two per linked child
+        # (first/last chain) and one to close it (store last pointer).
+        writes = 0
+        try:
+            while True:
+                pos = self._pos
+                if pos < n and text[pos] in _SKIP_START:  # _skip_whitespace, inlined
+                    pos = self._pos = _SKIP.match(text, pos).end()
+                if pos >= n:
+                    raise ParseError("missing ')'", position=open_pos)
+                if text[pos] == ")":
+                    self._pos = pos + 1  # consume ')'
+                    writes += 1
+                    return lst.seal()
+                child = self._parse_one(depth + 1)
+                writes += 2
+                lst.append_child(child)
+        finally:
+            # The paper allocates a fresh environment per parsed list; we
+            # charge that cost here (materialized lazily at eval time).
+            ctx.charge(Op.NODE_ALLOC)
+            ctx.charge(Op.NODE_WRITE, writes)
 
     def _parse_quoted(self, depth: int) -> Node:
         """Reader sugar: 'x -> (quote x). An extension over the paper."""
         ctx = self.ctx
         arena = self.interp.arena
-        self._next()  # consume the quote character
+        self._pos += 1  # consume the quote character
         self._skip_whitespace()
-        if self._at_end:
+        if self._pos >= self._n:
             raise ParseError("dangling quote", position=self._pos)
         inner = self._parse_one(depth + 1)
         lst = arena.alloc(NodeType.N_LIST, ctx)
@@ -158,23 +174,12 @@ class Parser:
     def _parse_string(self) -> Node:
         """Scan a double-quoted string. No escape sequences (like the paper)."""
         start = self._pos
-        self._next()  # consume the opening quote
-        while not self._at_end and self._ch != '"':
-            self._next()
-        if self._at_end:
+        close = self._text.find('"', start + 1)
+        if close < 0:
+            self._pos = self._n
             raise ParseError("unterminated string", position=start)
-        self._next()  # consume the closing quote
-        token = self._src.slice(start, self._pos)  # type: ignore[union-attr]
-        return self._make_atom(token, start)
-
-    def _parse_atom(self) -> Node:
-        start = self._pos
-        while not self._at_end and self._ch not in _WHITESPACE and self._ch not in "()":
-            self._next()
-        token = self._src.slice(start, self._pos)  # type: ignore[union-attr]
-        if not token:
-            raise ParseError("empty atom", position=start)
-        return self._make_atom(token, start)
+        self._pos = close + 1  # consume the closing quote
+        return self._make_atom(self._text[start : self._pos], start)
 
     def _make_atom(self, token: str, position: int) -> Node:
         ctx = self.ctx

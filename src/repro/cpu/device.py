@@ -159,7 +159,7 @@ class CPUDevice(BatchDevice):
         ]
         outputs = [""] * n
         errors: list[Optional[Exception]] = [None] * n
-        cost_vec = self.spec.costs.vector
+        costs = self.spec.costs
 
         try:
             for i, (req, text) in enumerate(zip(requests, texts)):
@@ -181,11 +181,12 @@ class CPUDevice(BatchDevice):
                 if errors[i] is not None:
                     outputs[i] = f"error: {errors[i]}"
                 nested_wall = self.engine.worker_wall_cycles - nested_wall0
-                for phase in (Phase.PARSE, Phase.EVAL, Phase.PRINT):
-                    row = np.asarray(rctx.counts.rows[phase], dtype=np.float64)
-                    phase_cycles[i][phase] = float(cost_vec @ row)
-                phase_cycles[i][Phase.EVAL] += nested_wall
-                job_cycles[i] = sum(phase_cycles[i].values())
+                parse_c, eval_c, print_c = costs.row_cycles(rctx.counts.rows[:3])
+                pc = phase_cycles[i]
+                pc[Phase.PARSE] = parse_c
+                pc[Phase.EVAL] = eval_c + nested_wall
+                pc[Phase.PRINT] = print_c
+                job_cycles[i] = sum(pc.values())
         except Exception:
             self._abort_transaction()
             raise

@@ -91,6 +91,27 @@ class SetAssociativeCache:
                 all_hit = False
         return all_hit
 
+    def access_each(self, addr: int, size: int) -> int:
+        """Touch ``size`` bytes from ``addr`` one byte at a time, in order.
+
+        Equivalent to ``size`` calls of ``access(addr + i)``: each line
+        is touched once (hit or miss) and the line's remaining bytes in
+        the run hit, because the line is then most recently used.
+        Returns the number of misses.
+        """
+        if addr < 0 or size < 0:
+            raise ValueError("invalid access")
+        if size == 0:
+            return 0
+        stats = self.stats
+        misses0 = stats.misses
+        first = addr // self.line_bytes
+        last = (addr + size - 1) // self.line_bytes
+        for line in range(first, last + 1):
+            self._touch_line(line)
+        stats.hits += size - (last - first + 1)
+        return stats.misses - misses0
+
     def flush(self) -> None:
         self._sets = [[] for _ in range(self.n_sets)]
 

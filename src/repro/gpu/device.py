@@ -302,6 +302,9 @@ class GPUDevice(BatchDevice):
             # ---- master: serial parse scan over every request (PARSE) ----
             master.set_phase(Phase.PARSE)
             base_offsets = self._payload_base_offsets(texts, pre_errors)
+            # Nothing is charged between two requests, so each request's
+            # closing reading is the next one's opening reading.
+            c0 = self.master_cycles(Phase.PARSE)
             for i, (req, text) in enumerate(zip(requests, texts)):
                 out = OutputBuffer(
                     base=self.output_region.base, capacity=self.cmdbuf.capacity
@@ -312,7 +315,6 @@ class GPUDevice(BatchDevice):
                 if i in pre_errors:
                     job.error = pre_errors[i]
                     continue
-                c0 = self.master_cycles(Phase.PARSE)
                 # A request whose parse tree alone exhausts the arena is
                 # killed without poisoning its co-tenants.
                 source = SourceBuffer(
@@ -323,7 +325,9 @@ class GPUDevice(BatchDevice):
                 )
                 if job.error is None:
                     job.plan = plan
-                parse_cycles[i] = self.master_cycles(Phase.PARSE) - c0
+                c1 = self.master_cycles(Phase.PARSE)
+                parse_cycles[i] = c1 - c0
+                c0 = c1
 
             # ---- shared service rounds: workers evaluate tenants (EVAL) ----
             master.set_phase(Phase.EVAL)
@@ -334,8 +338,8 @@ class GPUDevice(BatchDevice):
 
             # ---- master: print each request's results (PRINT) -------------
             master.set_phase(Phase.PRINT)
+            c0 = self.master_cycles(Phase.PRINT)
             for i, job in enumerate(jobs):
-                c0 = self.master_cycles(Phase.PRINT)
                 if job.error is None and job.results is not None:
                     job.out.bind(master)
                     printer = Printer(master)
@@ -346,7 +350,9 @@ class GPUDevice(BatchDevice):
                     outputs[i] = job.out.getvalue()
                 else:
                     outputs[i] = f"error: {job.error}"
-                print_cycles[i] = self.master_cycles(Phase.PRINT) - c0
+                c1 = self.master_cycles(Phase.PRINT)
+                print_cycles[i] = c1 - c0
+                c0 = c1
             master.set_phase(Phase.OTHER)
         except Exception:
             self._abort_transaction()

@@ -154,13 +154,15 @@ class GPUParallelEngine:
         arena = interp.arena
 
         offset = 0
+        # Nothing is charged between rounds: each round's closing reading
+        # opens the next round.
+        c0 = dev.master_cycles(Phase.EVAL)
         while offset < n:
             k = min(workers, n - offset)
             round_rows = rows[offset : offset + k]
             last_round = offset + k >= n
 
             # ---- master: distribution -------------------------------------
-            c0 = dev.master_cycles(Phase.EVAL)
             for j, row in enumerate(round_rows):
                 expr = self._build_worker_expression(interp, fn, row, master)
                 box = dev.postboxes[grid.worker_tid(j)]
@@ -197,6 +199,7 @@ class GPUParallelEngine:
                 results[offset + j] = collected
             c3 = dev.master_cycles(Phase.EVAL)
             self.collect_cycles += c3 - c2
+            c0 = c3
 
             offset += k
 
@@ -359,6 +362,8 @@ class GPUParallelEngine:
         self._active = True  # a nested ||| inside a request runs sequentially
         try:
             offset = 0
+            # Each round's closing reading opens the next round.
+            c0 = dev.master_cycles(Phase.EVAL)
             while offset < n:
                 k = min(workers, n - offset)
                 round_jobs = jobs[offset : offset + k]
@@ -376,7 +381,6 @@ class GPUParallelEngine:
                 warps_touched = len(set(warp_of))
 
                 # ---- master: distribution ---------------------------------
-                c0 = dev.master_cycles(Phase.EVAL)
                 for j, job in enumerate(round_jobs):
                     master.charge(Op.NODE_READ)  # fetch request root
                     box = dev.postboxes[grid.worker_tid(slots[j])]
@@ -444,6 +448,7 @@ class GPUParallelEngine:
                     dev.postboxes[grid.worker_tid(slots[j])].collect(master)
                 c3 = dev.master_cycles(Phase.EVAL)
                 self.collect_cycles += c3 - c2
+                c0 = c3
 
                 self.jobs += k
                 self.rounds.append(

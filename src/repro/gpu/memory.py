@@ -7,6 +7,11 @@ types the interpreter streams through — :class:`SourceBuffer` (the parser
 reads it char by char, charging ``CHAR_LOAD``/``PARSE_STEP`` and touching
 the cache) and :class:`OutputBuffer` (the printer appends to it, charging
 ``CHAR_STORE``/``PRINT_STEP``).
+
+The parser's character loads are charged as one run per parse
+(:meth:`SourceBuffer.load_run`): the same op counts, and the same cache
+addresses in the same order, as one load per character, made in one
+call. The contract is in DESIGN.md ("Host-side charge folding").
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from ..ops import Op
 
 __all__ = ["GlobalMemory", "Region", "SourceBuffer", "OutputBuffer"]
 
-# Fixed op tuples for the two per-character hot loops: one bulk charge
-# per step instead of two Python calls (counts are identical).
+# Fixed op tuples of the two character streams, charged once per run
+# (a parse's loads, one append) with the run length as the count.
 _SCAN_OPS = (Op.CHAR_LOAD, Op.PARSE_STEP)
 _PRINT_OPS = (Op.CHAR_STORE, Op.PRINT_STEP)
 
@@ -85,8 +90,9 @@ class SourceBuffer:
     """The uploaded input string, read char-by-char by the parser.
 
     Mirrors the paper's parser: "it reads the string character by
-    character". Every read charges one ``CHAR_LOAD`` plus one
-    ``PARSE_STEP`` and touches the cache at the character's address.
+    character". Every character read charges one ``CHAR_LOAD`` plus one
+    ``PARSE_STEP`` and touches the cache at the character's address;
+    :meth:`load_run` charges a run of consecutive reads in one call.
     """
 
     __slots__ = ("text", "base", "_ctx")
@@ -103,17 +109,19 @@ class SourceBuffer:
         self._ctx = ctx
         return self
 
-    def char_at(self, pos: int) -> str:
-        """Charged single-character load; '\\0' past the end (C-style)."""
+    def load_run(self, start: int, count: int) -> None:
+        """Charge ``count`` character reads from ``start``, in address order.
+
+        Reads at or past the end load the C terminator ('\\0') and are
+        charged like any other. A negative start faults before anything
+        is charged or touched.
+        """
+        if start < 0:
+            raise MemoryFaultError(f"negative read at {start} in source buffer")
         ctx = self._ctx
-        if ctx is not None:
-            ctx.charge_many(_SCAN_OPS)
-            ctx.touch_memory(self.base + pos)
-        if pos >= len(self.text):
-            return "\0"
-        if pos < 0:
-            raise MemoryFaultError(f"negative read at {pos} in source buffer")
-        return self.text[pos]
+        if ctx is not None and count > 0:
+            ctx.charge_many(_SCAN_OPS, count)
+            ctx.touch_each(self.base + start, count)
 
     def slice(self, start: int, end: int) -> str:
         """Uncharged substring extraction (characters were already read)."""

@@ -131,9 +131,19 @@ class CostTable:
         """Total cycles for an op-count vector (all phases summed)."""
         return float(self.vector @ counts.total())
 
+    def row_cycles(self, rows: list[list[float]]) -> list[float]:
+        """Cycles of each op-count row: one numpy conversion, one dot per row.
+
+        Each value equals ``float(vector @ np.asarray(row))`` bit for bit.
+        A matrix-vector product would not: BLAS gemv sums in another
+        order and can differ in the last bit.
+        """
+        vec = self.vector
+        return [float(vec @ row) for row in np.asarray(rows, dtype=np.float64)]
+
     def cycles_by_phase(self, counts: "OpCounts") -> np.ndarray:
-        """Cycles per phase, shape ``(N_PHASES,)``."""
-        return counts.matrix() @ self.vector
+        """Cycles per phase, shape ``(N_PHASES,)``, one dot per row."""
+        return np.array(self.row_cycles(counts.rows))
 
     def scaled(self, factor: float, label: str | None = None) -> "CostTable":
         vec = self.vector * float(factor)

@@ -190,18 +190,23 @@ class ParseCache:
             self.stats.evictions += 1
         return True
 
-    def _snapshot(self, node: Node) -> Optional[TemplateNode]:
-        if node.ntype not in _SNAPSHOTTABLE or node.fn is not None or node.params is not None:
-            return None
-        template = TemplateNode(node)
-        child = node.first
-        while child is not None:
-            sub = self._snapshot(child)
-            if sub is None:
+    @staticmethod
+    def _snapshot(node: Node) -> Optional[TemplateNode]:
+        """Copy one parsed tree into templates, or None if any node in it
+        is not snapshottable. Iterative, so the host stack stays flat."""
+        root = TemplateNode(node)
+        stack = [(node, root)]
+        while stack:
+            src, template = stack.pop()
+            if src.ntype not in _SNAPSHOTTABLE or src.fn is not None or src.params is not None:
                 return None
-            template.children.append(sub)
-            child = child.nxt
-        return template
+            child = src.first
+            while child is not None:
+                sub = TemplateNode(child)
+                template.children.append(sub)
+                stack.append((child, sub))
+                child = child.nxt
+        return root
 
     # -- materialization -----------------------------------------------------------
 

@@ -26,6 +26,8 @@ __all__ = ["AtomClass", "looks_numeric", "parse_number", "classify_atom"]
 
 _NUM_START = set("0123456789+-.E")
 _DIGITS = set("0123456789")
+#: Per mantissa digit: classify, multiply-accumulate (IMUL + ALU).
+_DIGIT_OPS = (Op.PARSE_STEP, Op.IMUL, Op.ALU)
 
 
 class AtomClass(Enum):
@@ -50,12 +52,15 @@ def parse_number(token: str, ctx: ExecContext) -> int | float | None:
     ``PARSE_STEP`` (classification) — the character loads themselves were
     already charged by the tokenizer. Digit accumulation charges ``IMUL``
     + ``ALU`` per digit, exactly what a device-side atoi/atof loop does.
+    The loop tallies these counts and charges them once per token, on
+    every way out.
     """
     n = len(token)
     i = 0
+    steps = 0  # PARSE_STEP for the sign and the dot; digits add theirs below
     if i < n and token[i] in "+-":
         i += 1
-        ctx.charge(Op.PARSE_STEP)
+        steps += 1
     mant_digits = 0
     saw_dot = False
     int_value = 0
@@ -63,34 +68,38 @@ def parse_number(token: str, ctx: ExecContext) -> int | float | None:
         ch = token[i]
         if ch in _DIGITS:
             mant_digits += 1
-            ctx.charge(Op.PARSE_STEP)
-            ctx.charge(Op.IMUL)
-            ctx.charge(Op.ALU)
             if not saw_dot:
                 int_value = int_value * 10 + (ord(ch) - 48)
             i += 1
         elif ch == "." and not saw_dot:
             saw_dot = True
-            ctx.charge(Op.PARSE_STEP)
+            steps += 1
             i += 1
         else:
             break
     if mant_digits == 0:
+        if steps:
+            ctx.charge(Op.PARSE_STEP, steps)
         return None
     saw_exp = False
-    exp_digits = 0
+    exp_digits = 0  # an exponent digit charges PARSE_STEP + IMUL, no ALU
     if i < n and token[i] in "eE":
         j = i + 1
         if j < n and token[j] in "+-":
             j += 1
         while j < n and token[j] in _DIGITS:
             exp_digits += 1
-            ctx.charge(Op.PARSE_STEP)
-            ctx.charge(Op.IMUL)
             j += 1
         if exp_digits:
             saw_exp = True
             i = j
+    if steps or exp_digits:
+        digits = mant_digits + exp_digits
+        ctx.charge(Op.PARSE_STEP, steps + digits)
+        ctx.charge(Op.IMUL, digits)
+        ctx.charge(Op.ALU, mant_digits)
+    else:  # a plain unsigned integer: the same count of all three
+        ctx.charge_many(_DIGIT_OPS, mant_digits)
     if i != n:
         return None  # trailing junk: not a number after all -> symbol
     if saw_dot or saw_exp:
@@ -116,7 +125,7 @@ def classify_atom(token: str, ctx: ExecContext) -> tuple[AtomClass, object]:
     if token in ("T", "t"):
         ctx.charge(Op.SYM_CHAR_CMP, 1)
         return AtomClass.TRUE, None
-    if looks_numeric(token):
+    if token[0] in _NUM_START:  # looks_numeric (token is not empty here)
         value = parse_number(token, ctx)
         if value is not None:
             if isinstance(value, float):

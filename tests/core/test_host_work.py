@@ -1,0 +1,96 @@
+"""Deterministic host-work gate for the interpreter core's cost accounting.
+
+Host wall time is too noisy to gate, so this counts the Python calls the
+interpreter makes into its execution context (``charge``, ``charge_many``
+and the cache touches) over a fixed corpus. The counter is a test-only
+context subclass: the hot path carries no counter of its own.
+
+* A parse makes exactly one scan charge and one cache touch, however long
+  its input is.
+* A whole request (parse, eval, print) stays at or below the number of
+  charge calls recorded when the folded tallies landed.
+"""
+
+from __future__ import annotations
+
+from repro.context import CountingContext
+from repro.core.interpreter import Interpreter
+from repro.core.reader import Parser
+from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.memory import OutputBuffer, SourceBuffer
+from repro.ops import Op, Phase
+
+_SCAN_OPS = (Op.CHAR_LOAD, Op.PARSE_STEP)
+
+CORPUS = (
+    "(+ 1 2)",
+    "(* 12345 (- 678 9))",
+    "(defun sq (x) (* x x))",
+    "(sq 41)",
+    "(setq acc (list 1 2 3 4 5 6 7 8))",
+    "(car (cdr acc))",
+    '(princ (string-append "hello, " "world"))',
+    "(if (< 3 4) 'yes 'no)",
+    "; a comment\n(let ((a 1.5) (b -2)) (+ a b))",
+    "(||| 4 sq (1 2 3 4))",
+    "(list 3.25 6.02E+23 -17 nil T \"s\" 'q)",
+    "(+ 1 2) (* 3 4) (- 10 5)",
+)
+
+#: Charge calls (``charge`` + ``charge_many``) over all of CORPUS, recorded
+#: when the tallies were folded: 272.0 per request. The per-character scan
+#: with per-digit and per-link charges made 4,069 (339.1 per request).
+#: Lower is fine; higher fails.
+CHARGE_CALLS_CEILING = 3264
+
+
+class TallyContext(CountingContext):
+    """Counts every call into the context, then charges as usual."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.calls = {"charge": 0, "charge_many": 0, "scan": 0, "touch": 0}
+
+    def charge(self, op, n=1.0):
+        self.calls["charge"] += 1
+        super().charge(op, n)
+
+    def charge_many(self, ops, n=1.0):
+        self.calls["charge_many"] += 1
+        if tuple(ops) == _SCAN_OPS:
+            self.calls["scan"] += 1
+        super().charge_many(ops, n)
+
+    def touch_memory(self, addr, size=1):
+        self.calls["touch"] += 1
+        super().touch_memory(addr, size)
+
+    def touch_each(self, addr, size):
+        self.calls["touch"] += 1
+        super().touch_each(addr, size)
+
+
+def _tally() -> TallyContext:
+    ctx = TallyContext(cache=SetAssociativeCache(64), miss_penalty=1.0)
+    ctx.set_phase(Phase.PARSE)
+    return ctx
+
+
+def test_one_scan_charge_and_one_touch_per_parse():
+    interp = Interpreter()
+    for text in (*CORPUS, "(" + " ".join(["12345"] * 400) + ")"):
+        ctx = _tally()
+        Parser(interp, ctx).parse(SourceBuffer(text, base=4096))
+        assert ctx.calls["scan"] == 1, text
+        assert ctx.calls["touch"] == 1, text
+        # ... and the run still charged every character plus the terminator.
+        assert ctx.counts.count_of(Op.CHAR_LOAD) == len(text) + 1
+
+
+def test_charge_calls_per_request_at_or_below_ceiling():
+    interp = Interpreter()
+    ctx = _tally()
+    for text in CORPUS:
+        interp.process(SourceBuffer(text), ctx, OutputBuffer())
+    calls = ctx.calls["charge"] + ctx.calls["charge_many"]
+    assert calls <= CHARGE_CALLS_CEILING, f"{calls / len(CORPUS):.1f} per request"

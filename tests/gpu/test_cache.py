@@ -1,5 +1,7 @@
 """The set-associative L2 model."""
 
+import random
+
 import pytest
 
 from repro.gpu.cache import SetAssociativeCache
@@ -98,3 +100,31 @@ class TestPaperGeometries:
                 small.access(addr)
         assert big.stats.hit_rate > 0.6
         assert small.stats.hit_rate < 0.1  # LRU pathological cyclic reuse
+
+
+class TestAccessEach:
+    """``access_each(addr, size)`` is ``size`` one-byte ``access`` calls."""
+
+    @pytest.mark.parametrize("geometry", [(1, 128, 2), (2, 64, 4), (64, 128, 16)])
+    def test_matches_per_byte_loop(self, geometry):
+        rng = random.Random(sum(geometry))
+        run = SetAssociativeCache(*geometry)
+        ref = SetAssociativeCache(*geometry)
+        for _ in range(300):
+            addr = rng.choice((0, 127, 128, rng.randrange(0, 1 << 14)))
+            size = rng.choice((0, 1, 2, 127, 128, 129, 300, rng.randrange(0, 600)))
+            misses0 = ref.stats.misses
+            for i in range(size):
+                ref.access(addr + i)
+            assert run.access_each(addr, size) == ref.stats.misses - misses0
+            assert (run.stats.hits, run.stats.misses) == (ref.stats.hits, ref.stats.misses)
+            assert run._sets == ref._sets  # same LRU order in every set
+
+    def test_invalid_run(self):
+        cache = SetAssociativeCache(64)
+        with pytest.raises(ValueError):
+            cache.access_each(-1, 4)
+        with pytest.raises(ValueError):
+            cache.access_each(0, -1)
+        assert cache.access_each(0, 0) == 0
+        assert cache.stats.accesses == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.context import NullContext
+from repro.context import CountingContext, NullContext
+from repro.ops import Op
 from repro.strlib import AtomClass, classify_atom, looks_numeric, parse_number
 
 
@@ -87,3 +88,34 @@ class TestClassifyAtom:
     def test_nil_like_symbol(self, ctx):
         got, _ = classify_atom("nill", ctx)
         assert got is AtomClass.SYMBOL
+
+
+class TestDigitLoopCharges:
+    """The digit loop tallies its work and charges it once per token; the
+    counts are the per-character ones: PARSE_STEP per sign, dot and digit,
+    IMUL per digit, ALU per mantissa digit, FMUL for a float conversion."""
+
+    @pytest.mark.parametrize(
+        "tok,steps,imul,alu,fmul",
+        [
+            ("42", 2, 2, 2, 0),
+            ("-17", 3, 2, 2, 0),
+            ("2.5", 3, 2, 2, 1),
+            ("1e-3", 2, 2, 1, 3),
+            ("6.02E+23", 6, 5, 3, 6),
+            ("12abc", 2, 2, 2, 0),  # trailing junk: charged, then a symbol
+            ("1e", 1, 1, 1, 0),
+            ("1.2.3", 3, 2, 2, 0),
+            ("+", 1, 0, 0, 0),
+            ("-.", 2, 0, 0, 0),
+        ],
+    )
+    def test_counts(self, tok, steps, imul, alu, fmul):
+        cctx = CountingContext()
+        parse_number(tok, cctx)
+        counts = cctx.counts
+        assert counts.count_of(Op.PARSE_STEP) == steps
+        assert counts.count_of(Op.IMUL) == imul
+        assert counts.count_of(Op.ALU) == alu
+        assert counts.count_of(Op.FMUL) == fmul
+        assert counts.total_count() == steps + imul + alu + fmul
