@@ -102,6 +102,7 @@ def test_checkpoint_overhead_on_the_clean_path(benchmark, capsys):
         checkpoint_bytes=st.checkpoint_bytes,
         checkpoint_transfer_ms=st.checkpoint_transfer_ms,
         overhead=overhead,
+        sessions_checked=server.supervisor.sessions_checked,
     )
     server.close()
     with capsys.disabled():
@@ -155,6 +156,7 @@ def test_recovery_restores_throughput_within_two_rounds(benchmark, capsys):
         requests_replayed=st.requests_replayed,
         rpo_max_rounds=st.rpo_rounds_max,
         failover_restore_ms=st.failover_restore_ms,
+        sessions_checked=server.supervisor.sessions_checked,
     )
     server.close()
     with capsys.disabled():

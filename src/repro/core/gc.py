@@ -207,7 +207,8 @@ def collect_with_accounting(interp: "Interpreter", spec) -> tuple[int, float, in
 
     Runs the policy collector charged to a fresh counting context and
     converts the op counts into modeled milliseconds through the
-    device's cost table. Returns ``(freed, gc_ms, regions_reset,
+    device's cost table (:meth:`~repro.ops.CostTable.cycles` converts
+    the one charged row). Returns ``(freed, gc_ms, regions_reset,
     major_collections, wall_ms)``; the literal policy charges nothing,
     so its ``gc_ms`` is always 0.0 and literal figures are untouched.
     """
@@ -219,7 +220,7 @@ def collect_with_accounting(interp: "Interpreter", spec) -> tuple[int, float, in
     wall0 = stats.gc_wall_ms
     gctx = CountingContext()
     freed = collect_garbage(interp, gctx)
-    gc_cycles = float(spec.costs.vector @ gctx.counts.total())
+    gc_cycles = spec.costs.cycles(gctx.counts)
     return (
         freed,
         spec.cycles_to_ms(gc_cycles),

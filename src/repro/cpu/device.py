@@ -58,12 +58,6 @@ class CPUDevice(BatchDevice):
         self.interp.file_service = InMemoryFileService(self.filesystem)
         self.master_ctx.set_phase(Phase.EVAL)
 
-    # -- accounting ---------------------------------------------------------------
-
-    def master_cycles(self, phase: Phase) -> float:
-        row = np.asarray(self.master_ctx.counts.rows[phase], dtype=np.float64)
-        return float(self.spec.costs.vector @ row)
-
     # -- lifecycle ----------------------------------------------------------------
 
     @property
@@ -107,7 +101,9 @@ class CPUDevice(BatchDevice):
 
         freed, gc_ms, _, _, _ = self._run_gc()
         # Host and device share memory: no transfer time.
-        times = self._master_times(gc_ms)
+        times = self._master_times(
+            self.master_cycles(Phase.PARSE), self.master_cycles(Phase.PRINT), gc_ms
+        )
 
         self.commands_executed += 1
         return CommandStats(
@@ -148,7 +144,7 @@ class CPUDevice(BatchDevice):
         self.engine.begin_command()
         jobs_before = self.engine.jobs
         rounds_before = self.engine.round_count
-        jit0 = interp.jit_stats.as_dict()
+        jit0 = self._jit_counts()
         # One nursery region for the whole batch; collection runs once
         # per batch wave-set, never per request.
         interp.begin_command_region()
@@ -220,12 +216,12 @@ class CPUDevice(BatchDevice):
             gc_ms=gc[1],  # ONE collection per batch
             worker_ms=to_ms(wall_cycles),
         )
-        own_times = [
-            PhaseBreakdown(
-                parse_ms=to_ms(pc[Phase.PARSE]),
-                eval_ms=to_ms(pc[Phase.EVAL]),
-                print_ms=to_ms(pc[Phase.PRINT]),
-                worker_ms=to_ms(cycles),
+        own_ms = [
+            (
+                to_ms(pc[Phase.PARSE]),
+                to_ms(pc[Phase.EVAL]),
+                to_ms(pc[Phase.PRINT]),
+                to_ms(cycles),
             )
             for pc, cycles in zip(phase_cycles, job_cycles)
         ]
@@ -234,7 +230,7 @@ class CPUDevice(BatchDevice):
             texts,
             outputs,
             errors,
-            own_times,
+            own_ms,
             batch_times,
             gc,
             jit0,

@@ -84,7 +84,6 @@ class CPUParallelEngine:
         spec = dev.spec
         n = len(rows)
         self.jobs += n
-        cost_vec = spec.costs.vector
 
         # ---- main thread: enqueue every job ---------------------------------
         c0 = dev.master_cycles(Phase.EVAL)
@@ -123,7 +122,7 @@ class CPUParallelEngine:
             wctx.charge(Op.NODE_ALLOC)
             result = interp.eval_node(exprs[rep], local, wctx, 0)
             wctx.charge(Op.ATOMIC_RMW)  # completion count
-            cycles = float(cost_vec @ wctx.counts.total())
+            cycles = spec.costs.cycles(wctx.counts)
             job_cycles[rep] = cycles
             results[rep] = result
             for idx in indices[1:]:

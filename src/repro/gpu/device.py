@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from ..context import CountingContext
-from ..core.interpreter import CommandPlan, Interpreter, InterpreterOptions
+from ..core.interpreter import Interpreter, InterpreterOptions
 from ..core.nodes import NODE_BYTES
 from ..core.printer import Printer
 from ..errors import HostProtocolError
@@ -41,7 +39,7 @@ from ..gpu.specs import GPUSpec
 from ..ops import Op, Phase
 from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
 from ..runtime.fidelity import Fidelity
-from ..timing import CommandStats, PhaseBreakdown
+from ..timing import CommandStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.environment import Environment
@@ -118,10 +116,6 @@ class GPUDevice(BatchDevice):
         self.master_ctx.set_phase(Phase.EVAL)
 
     # -- cycle accounting helpers ----------------------------------------------
-
-    def master_cycles(self, phase: Phase) -> float:
-        row = np.asarray(self.master_ctx.counts.rows[phase], dtype=np.float64)
-        return float(self.spec.costs.vector @ row) + self.master_ctx.extra_cycles[phase]
 
     def _shutdown_cycles(self) -> float:
         """Graceful stop: the master clears every block's active flag and
@@ -206,6 +200,8 @@ class GPUDevice(BatchDevice):
 
         freed, gc_ms, _, _, _ = self._run_gc()
         times = self._master_times(
+            self.master_cycles(Phase.PARSE),
+            self.master_cycles(Phase.PRINT),
             gc_ms,
             transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
             cache_hits=self.cache.stats.hits - cache_hits0,
@@ -287,7 +283,7 @@ class GPUDevice(BatchDevice):
         cache_hits0 = self.cache.stats.hits
         cache_miss0 = self.cache.stats.misses
         self.cmdbuf.device_read()  # master wakes once for the whole batch
-        jit0 = interp.jit_stats.as_dict()
+        jit0 = self._jit_counts()
         # One nursery region serves the whole batch transaction: every
         # tenant's temporaries land in it, escapes are promoted by the
         # write barriers, and collection runs once per service round —
@@ -310,7 +306,7 @@ class GPUDevice(BatchDevice):
                     base=self.output_region.base, capacity=self.cmdbuf.capacity
                 )
                 env = req.env if req.env is not None else interp.global_env
-                job = ServiceJob(CommandPlan([]), env, out)
+                job = ServiceJob(None, env, out)
                 jobs.append(job)
                 if i in pre_errors:
                     job.error = pre_errors[i]
@@ -320,29 +316,32 @@ class GPUDevice(BatchDevice):
                 source = SourceBuffer(
                     text, base=self.input_region.base + base_offsets[i]
                 )
-                plan, job.error = run_contained(
+                job.plan, job.error = run_contained(
                     interp, master, lambda: interp.prepare_command(source, master)
                 )
-                if job.error is None:
-                    job.plan = plan
                 c1 = self.master_cycles(Phase.PARSE)
                 parse_cycles[i] = c1 - c0
                 c0 = c1
+            # The phase's closing reading: nothing charges PARSE after it.
+            parse_total = c0
 
             # ---- shared service rounds: workers evaluate tenants (EVAL) ----
             master.set_phase(Phase.EVAL)
-            runnable = [job for job in jobs if job.error is None]
-            per_job_cycles = dict(
-                zip(map(id, runnable), self.engine.run_service_batch(interp, runnable))
-            )
+            runnable = [i for i, job in enumerate(jobs) if job.error is None]
+            eval_cycles = [0.0] * n
+            for i, cycles in zip(
+                runnable,
+                self.engine.run_service_batch(interp, [jobs[i] for i in runnable]),
+            ):
+                eval_cycles[i] = cycles
 
             # ---- master: print each request's results (PRINT) -------------
             master.set_phase(Phase.PRINT)
             c0 = self.master_cycles(Phase.PRINT)
+            printer = Printer(master)
             for i, job in enumerate(jobs):
                 if job.error is None and job.results is not None:
                     job.out.bind(master)
-                    printer = Printer(master)
                     for j, result in enumerate(job.results):
                         if j:
                             job.out.append(" ")
@@ -353,6 +352,7 @@ class GPUDevice(BatchDevice):
                 c1 = self.master_cycles(Phase.PRINT)
                 print_cycles[i] = c1 - c0
                 c0 = c1
+            print_total = c0
             master.set_phase(Phase.OTHER)
         except Exception:
             self._abort_transaction()
@@ -364,29 +364,26 @@ class GPUDevice(BatchDevice):
 
         gc = self._run_gc()
         batch_times = self._master_times(
+            parse_total,
+            print_total,
             gc_ms=gc[1],  # ONE collection per batch transaction
             transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
             cache_hits=self.cache.stats.hits - cache_hits0,
             cache_misses=self.cache.stats.misses - cache_miss0,
         )
         to_ms = self.spec.cycles_to_ms
-        own_times = []
-        for i, job in enumerate(jobs):
-            own_eval_ms = to_ms(per_job_cycles.get(id(job), 0.0))
-            own_times.append(
-                PhaseBreakdown(
-                    parse_ms=to_ms(parse_cycles[i]),
-                    eval_ms=own_eval_ms,
-                    print_ms=to_ms(print_cycles[i]),
-                    worker_ms=own_eval_ms,
-                )
+        own_ms = []
+        for i in range(n):
+            eval_ms = to_ms(eval_cycles[i])
+            own_ms.append(
+                (to_ms(parse_cycles[i]), eval_ms, to_ms(print_cycles[i]), eval_ms)
             )
         return self._batch_result(
             requests,
             texts,
             outputs,
             [job.error for job in jobs],
-            own_times,
+            own_ms,
             batch_times,
             gc,
             jit0,

@@ -32,7 +32,7 @@ from ..context import CountingContext, ExecContext, NullContext
 from ..core.interpreter import sequential_engine
 from ..core.nodes import Node, NodeType
 from ..errors import LivelockError
-from ..ops import Op, Phase
+from ..ops import Op, Phase, RowCycles
 from ..runtime.batch import run_contained
 from ..runtime.fidelity import Fidelity, group_rows, task_signature
 
@@ -43,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GPUParallelEngine", "RoundReport", "ServiceJob"]
 
+#: A service worker's one-each entry charges (Alg. 1 lines 5-7).
+_WORKER_ENTRY_OPS = (Op.BARRIER, Op.FENCE, Op.POSTBOX_READ)
+
 
 class ServiceJob:
     """One tenant request distributed as a worker job (serving layer).
@@ -50,7 +53,8 @@ class ServiceJob:
     ``plan`` is the request's prepared :class:`~repro.core.interpreter.
     CommandPlan` — materialized top-level forms for the tree-walker,
     and/or compiled trace steps when the JIT tier promoted the request
-    text — ``env`` the tenant's persistent environment, ``out`` the
+    text; None when the request failed before it had one — ``env`` the
+    tenant's persistent environment, ``out`` the
     request's private output buffer (``princ`` during worker evaluation
     lands there).
     """
@@ -84,6 +88,10 @@ class GPUParallelEngine:
         self.device = device
         self.nested_fallbacks = 0
         self._active = False
+        self._layouts: dict[int, tuple[list, list[int], int]] = {}
+        #: Service lanes of one tenant's repeated command charge the
+        #: same row: convert it once (``RowCycles``).
+        self._lane_rows = RowCycles(device.spec.costs)
         self.begin_command()
 
     # -- per-command accumulators -------------------------------------------------
@@ -233,7 +241,6 @@ class GPUParallelEngine:
         grid = dev.grid
         spec = dev.spec
         k = len(round_rows)
-        cost_vec = spec.costs.vector
         lane_cycles = np.zeros(k, dtype=np.float64)
 
         if dev.fidelity is Fidelity.WARP:
@@ -250,7 +257,7 @@ class GPUParallelEngine:
             assert expr is not None
             result = self._worker_evaluate(interp, expr, env, wctx)
             box.complete(result, wctx)  # clears work/sync (2 atomic stores)
-            cycles = float(cost_vec @ wctx.counts.total()) + sum(wctx.extra_cycles)
+            cycles = spec.costs.cycles(wctx.counts) + sum(wctx.extra_cycles)
             lane_cycles[indices] = cycles
             results[offset + rep] = result
             for idx in indices[1:]:
@@ -356,7 +363,6 @@ class GPUParallelEngine:
                 "partially filled warps livelock without it (Fig. 13)"
             )
         workers = grid.worker_count
-        n_warps = max(1, workers // spec.warp_size)
 
         per_job_cycles = [0.0] * n
         self._active = True  # a nested ||| inside a request runs sequentially
@@ -368,22 +374,11 @@ class GPUParallelEngine:
                 k = min(workers, n - offset)
                 round_jobs = jobs[offset : offset + k]
                 last_round = offset + k >= n
-                # One job per warp first; wrap to second lanes only when
-                # every warp is occupied.
-                if k <= n_warps * spec.warp_size and n_warps * spec.warp_size <= workers:
-                    slots = [
-                        (j % n_warps) * spec.warp_size + (j // n_warps)
-                        for j in range(k)
-                    ]
-                else:  # tiny/ablation grids: fall back to dense packing
-                    slots = list(range(k))
-                warp_of = [slot // spec.warp_size for slot in slots]
-                warps_touched = len(set(warp_of))
+                boxes, warp_of, warps_touched = self._service_layout(k)
 
                 # ---- master: distribution ---------------------------------
-                for j, job in enumerate(round_jobs):
+                for job, box in zip(round_jobs, boxes):
                     master.charge(Op.NODE_READ)  # fetch request root
-                    box = dev.postboxes[grid.worker_tid(slots[j])]
                     box.assign(job.plan, master)
                 if dev.enable_block_sync_flag:
                     master.charge(Op.ATOMIC_RMW, warps_touched)
@@ -395,15 +390,13 @@ class GPUParallelEngine:
                 self.distribute_cycles += c1 - c0
 
                 # ---- workers: each evaluates one tenant's forms -----------
-                cost_vec = spec.costs.vector
-                lane_cycles = np.zeros(k, dtype=np.float64)
-                for j, job in enumerate(round_jobs):
-                    wctx = self._worker_context(grid.worker_tid(slots[j]))
-                    box = dev.postboxes[grid.worker_tid(slots[j])]
-                    wctx.charge(Op.BARRIER)
-                    wctx.charge(Op.FENCE)
+                lane_cycles = []
+                for job, box in zip(round_jobs, boxes):
+                    wctx = self._worker_context(box.thread_id)
+                    # Barrier, fence, the two flag polls and the postbox
+                    # fetch (Alg. 1) on the worker's fresh counts.
+                    wctx.charge_many(_WORKER_ENTRY_OPS)
                     wctx.charge(Op.ATOMIC_LOAD, 2)
-                    wctx.charge(Op.POSTBOX_READ)
                     # princ during eval is the worker's work (single-command
                     # mode charges the same appends to its one context).
                     job.out.bind(wctx)
@@ -425,27 +418,30 @@ class GPUParallelEngine:
                         interp.pop_output()
                     wctx.charge(Op.BARRIER)
                     box.complete(job.results, wctx)
-                    lane_cycles[j] = float(cost_vec @ wctx.counts.total()) + sum(
-                        wctx.extra_cycles
+                    lane_cycles.append(
+                        spec.costs.cycles(wctx.counts, self._lane_rows)
+                        + sum(wctx.extra_cycles)
                     )
-                    per_job_cycles[offset + j] = float(lane_cycles[j])
+                per_job_cycles[offset : offset + k] = lane_cycles
 
                 # Divergent tenants in one warp serialize; warps run
                 # concurrently.
                 warp_sums: dict[int, float] = {}
-                for j in range(k):
-                    warp_sums[warp_of[j]] = warp_sums.get(warp_of[j], 0.0) + float(
-                        lane_cycles[j]
-                    )
-                wall = max(warp_sums.values()) if warp_sums else 0.0
+                for warp, cycles in zip(warp_of, lane_cycles):
+                    warp_sums[warp] = warp_sums.get(warp, 0.0) + cycles
+                wall = max(warp_sums.values())
                 self.worker_wall_cycles += wall
-                idle_lane_cycles = float(wall * k - lane_cycles.sum())
+                # A numpy sum, as recorded: its pairwise order differs
+                # from a Python sum for eight or more lanes. One lane is
+                # its own sum, with no addition to order.
+                busy = lane_cycles[0] if k == 1 else np.add.reduce(lane_cycles)
+                idle_lane_cycles = float(wall * k - busy)
                 self.spin_cycles += idle_lane_cycles + wall * (workers - k)
 
                 # ---- master: collection -----------------------------------
                 c2 = dev.master_cycles(Phase.EVAL)
-                for j in range(k):
-                    dev.postboxes[grid.worker_tid(slots[j])].collect(master)
+                for box in boxes:
+                    box.collect(master)
                 c3 = dev.master_cycles(Phase.EVAL)
                 self.collect_cycles += c3 - c2
                 c0 = c3
@@ -464,14 +460,35 @@ class GPUParallelEngine:
             self._active = False
         return per_job_cycles
 
+    def _service_layout(self, k: int) -> tuple[list, list[int], int]:
+        """Where a ``k``-job service round runs: each job's postbox and
+        warp, and the number of warps touched.
+
+        One job per warp first; jobs wrap to second lanes only once every
+        warp is occupied. A pure function of ``k`` and the grid, so it is
+        worked out once per round size.
+        """
+        layout = self._layouts.get(k)
+        if layout is None:
+            dev = self.device
+            grid = dev.grid
+            warp = dev.spec.warp_size
+            workers = grid.worker_count
+            n_warps = max(1, workers // warp)
+            if k <= n_warps * warp and n_warps * warp <= workers:
+                slots = [(j % n_warps) * warp + (j // n_warps) for j in range(k)]
+            else:  # tiny/ablation grids: fall back to dense packing
+                slots = list(range(k))
+            warp_of = [slot // warp for slot in slots]
+            boxes = [dev.postboxes[grid.worker_tid(slot)] for slot in slots]
+            layout = self._layouts[k] = (boxes, warp_of, len(set(warp_of)))
+        return layout
+
     def _worker_context(self, tid: int) -> CountingContext:
-        spec = self.device.spec
-        wctx = CountingContext(
-            max_depth=spec.max_recursion_depth,
-            thread_id=tid,
+        """A worker's fresh counts (a context starts in the EVAL phase)."""
+        return CountingContext(
+            max_depth=self.device.spec.max_recursion_depth, thread_id=tid
         )
-        wctx.set_phase(Phase.EVAL)
-        return wctx
 
     def _worker_evaluate(
         self,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["Op", "Phase", "N_OPS", "N_PHASES", "CostTable", "OpCounts"]
+__all__ = ["Op", "Phase", "N_OPS", "N_PHASES", "CostTable", "OpCounts", "RowCycles"]
 
 
 class Op(IntEnum):
@@ -127,9 +128,36 @@ class CostTable:
     def cost_of(self, op: Op) -> float:
         return float(self.vector[op])
 
-    def cycles(self, counts: "OpCounts") -> float:
-        """Total cycles for an op-count vector (all phases summed)."""
-        return float(self.vector @ counts.total())
+    def cycles(
+        self, counts: "OpCounts", row_cost: Optional[Callable] = None
+    ) -> float:
+        """Total cycles for an op-count vector (all phases summed).
+
+        Equals ``float(vector @ counts.total())`` bit for bit. A worker's
+        or a collector's context charges one phase only, and adding
+        all-zero rows to that row is exact, so with one live row only
+        that row is converted, by ``row_cost`` (default :meth:`row_cost`;
+        a :class:`RowCycles` remembers the row it converted last); with
+        none the answer is 0.0, and with more than one the rows are summed
+        first.
+        """
+        live = None
+        for row in counts.rows:
+            if any(row):
+                if live is not None:
+                    return float(self.vector @ counts.total())
+                live = row
+        if live is None:
+            return 0.0
+        return (row_cost or self.row_cost)(live)
+
+    def row_cost(self, row: list[float]) -> float:
+        """Cycles of one op-count row, ``float(vector @ np.asarray(row))``.
+
+        ``ndarray.dot`` runs the same 1-D dot kernel as ``@`` with less
+        dispatch.
+        """
+        return float(self.vector.dot(np.asarray(row, dtype=np.float64)))
 
     def row_cycles(self, rows: list[list[float]]) -> list[float]:
         """Cycles of each op-count row: one numpy conversion, one dot per row.
@@ -149,6 +177,31 @@ class CostTable:
         vec = self.vector * float(factor)
         vec.setflags(write=False)
         return CostTable(vector=vec, label=label or f"{self.label}*{factor:g}")
+
+
+class RowCycles:
+    """:meth:`CostTable.row_cost` for one reader of op-count rows that
+    often meets the row it converted last: a row equal to that one is
+    answered from memory, so only a changed row is converted. An
+    all-zero row reads 0.0 without a conversion (every cost is
+    non-negative, so the dot would sum +0.0 terms to +0.0) and is not
+    kept.
+    """
+
+    __slots__ = ("costs", "_row", "_cycles")
+
+    def __init__(self, costs: CostTable) -> None:
+        self.costs = costs
+        self._row: Optional[list[float]] = None
+        self._cycles = 0.0
+
+    def __call__(self, row: list[float]) -> float:
+        if not any(row):
+            return 0.0
+        if row != self._row:
+            self._row = row[:]
+            self._cycles = self.costs.row_cost(row)
+        return self._cycles
 
 
 @dataclass

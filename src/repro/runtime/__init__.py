@@ -5,7 +5,7 @@ from .fidelity import Fidelity, group_rows, task_signature
 from .devices import available_devices, device_for, DEVICE_NAMES
 from .parse_cache import ParseCache, ParseCacheStats
 from .session import CuLiSession
-from .snapshot import HeapSnapshot, SnapshotNode, restore_env, snapshot_env
+from .snapshot import HeapSnapshot, restore_env, snapshot_env
 
 __all__ = [
     "Fidelity",
@@ -13,7 +13,6 @@ __all__ = [
     "task_signature",
     "CuLiSession",
     "HeapSnapshot",
-    "SnapshotNode",
     "snapshot_env",
     "restore_env",
     "ParseCache",

@@ -29,7 +29,7 @@ from ..errors import (
     LispError,
     is_containable_fault,
 )
-from ..ops import Op, Phase
+from ..ops import Op, Phase, RowCycles
 from ..timing import CommandStats, PhaseBreakdown
 
 __all__ = [
@@ -179,8 +179,8 @@ class BatchDevice:
     lifecycle and device-loss surface, the tenant scopes, the
     end-of-command collection, the abort path and the batch result
     assembly live here once. Subclasses build ``interp``, ``engine`` and
-    ``master_ctx`` and define ``kind``, ``close``, ``master_cycles``,
-    ``base_latency_ms``, ``submit`` and ``submit_batch``.
+    ``master_ctx`` and define ``kind``, ``close``, ``base_latency_ms``,
+    ``submit`` and ``submit_batch``.
     """
 
     #: Host-side work per command (prompt handling, fgets, puts) in ms.
@@ -193,6 +193,8 @@ class BatchDevice:
         self.commands_executed = 0
         self._closed = False
         self._lost_reason: Optional[str] = None
+        #: Row -> cycles readers, one per master phase.
+        self._master_rows = [RowCycles(spec.costs) for _ in Phase]
 
     @property
     def name(self) -> str:
@@ -238,6 +240,19 @@ class BatchDevice:
 
     # -- command accounting --------------------------------------------------------
 
+    def master_cycles(self, phase: Phase) -> float:
+        """The master's cycles in ``phase`` so far this command:
+        ``float(vector @ row) + extra_cycles[phase]``.
+
+        A transaction reads each phase at every step boundary and most
+        readings find the row the phase's last reading converted, so
+        each phase reads through a :class:`~repro.ops.RowCycles` that
+        converts only a changed row. A CPU master has no cache, so its
+        ``extra_cycles`` add an exact 0.0.
+        """
+        row = self.master_ctx.counts.rows[phase]
+        return self._master_rows[phase](row) + self.master_ctx.extra_cycles[phase]
+
     def _run_gc(self) -> tuple[int, float, int, int, float]:
         """End-of-command reclamation charged as modeled device time;
         see :func:`repro.core.gc.collect_with_accounting`."""
@@ -253,6 +268,8 @@ class BatchDevice:
 
     def _master_times(
         self,
+        parse_cycles: float,
+        print_cycles: float,
         gc_ms: float,
         transfer_ms: float = 0.0,
         cache_hits: int = 0,
@@ -260,14 +277,16 @@ class BatchDevice:
     ) -> PhaseBreakdown:
         """Phase split of one transaction the master ran: its own
         parse/eval/print counters plus the engine's distribute, worker
-        and collect cycles, one handshake and one host-loop turn."""
+        and collect cycles, one handshake and one host-loop turn.
+        ``parse_cycles`` and ``print_cycles`` are the caller's closing
+        ``master_cycles`` readings of those phases."""
         to_ms = self.spec.cycles_to_ms
         engine = self.engine
         return PhaseBreakdown(
-            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
+            parse_ms=to_ms(parse_cycles),
             eval_ms=to_ms(self.master_cycles(Phase.EVAL))
             + to_ms(engine.worker_wall_cycles),
-            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
+            print_ms=to_ms(print_cycles),
             other_ms=self.spec.command_overhead_us / 1000.0,
             transfer_ms=transfer_ms,
             host_ms=self._HOST_LOOP_MS,
@@ -286,10 +305,10 @@ class BatchDevice:
         texts: Sequence[str],
         outputs: Sequence[str],
         errors: Sequence[Optional[Exception]],
-        own_times: Sequence[PhaseBreakdown],
+        own_ms: Sequence[tuple[float, float, float, float]],
         batch_times: PhaseBreakdown,
         gc: tuple[int, float, int, int, float],
-        jit0: dict,
+        jit0: tuple[int, int, int],
         *,
         jobs: int,
         rounds: int,
@@ -298,44 +317,43 @@ class BatchDevice:
     ) -> BatchResult:
         """Assemble one batch transaction's result.
 
-        Each item carries its own work (``own_times``) plus a 1/n share
-        of the costs the batch paid once — handshake, transfer,
-        distribute/collect, host loop, collection — so per-request stats
-        stay additive. ``gc`` is the :meth:`_run_gc` tuple, ``jit0`` the
-        JIT counters before the batch; the keyword totals are the
-        device's own (the upload/download split is zero on the CPU).
+        Each item carries its own work — ``own_ms`` holds its parse,
+        eval, print and worker ms — plus a 1/n share of the costs the
+        batch paid once: handshake, transfer, distribute/collect, host
+        loop, collection. So per-request stats stay additive. ``gc`` is
+        the :meth:`_run_gc` tuple, ``jit0`` the JIT counters before the
+        batch; the keyword totals are the device's own (the
+        upload/download split is zero on the CPU).
+
+        An item's times are its own ms plus the share, field by field; a
+        field only one side carries would add an exact 0.0, so it is
+        taken as is.
         """
         n = len(requests)
-        share = PhaseBreakdown(
-            other_ms=batch_times.other_ms,
-            transfer_ms=batch_times.transfer_ms,
-            host_ms=batch_times.host_ms,
-            gc_ms=batch_times.gc_ms,
-            distribute_ms=batch_times.distribute_ms,
-            collect_ms=batch_times.collect_ms,
-            eval_ms=batch_times.distribute_ms + batch_times.collect_ms,
-            spin_cycles=batch_times.spin_cycles,
-        ).scaled(1.0 / n)
-        items = [
-            BatchItem(
-                request=req,
-                stats=CommandStats(
-                    output=output,
-                    times=own.merged_with(share),
-                    input_chars=len(text),
-                    output_chars=len(output),
-                    jobs=int(error is None),
-                    rounds=int(error is None),
-                ),
-                error=error,
+        f = 1.0 / n
+        t = batch_times
+        shared_eval = (t.distribute_ms + t.collect_ms) * f
+        other_ms = t.other_ms * f
+        transfer_ms = t.transfer_ms * f
+        host_ms = t.host_ms * f
+        gc_ms = t.gc_ms * f
+        distribute_ms = t.distribute_ms * f
+        collect_ms = t.collect_ms * f
+        spin_cycles = t.spin_cycles * f
+        items = []
+        for req, text, output, error, (parse_ms, eval_ms, print_ms, worker_ms) in zip(
+            requests, texts, outputs, errors, own_ms
+        ):
+            times = PhaseBreakdown(
+                parse_ms, eval_ms + shared_eval, print_ms, other_ms, transfer_ms,
+                host_ms, gc_ms, distribute_ms, worker_ms, collect_ms, spin_cycles,
             )
-            for req, text, output, error, own in zip(
-                requests, texts, outputs, errors, own_times
-            )
-        ]
+            ran = int(error is None)
+            stats = CommandStats(output, times, len(text), len(output), ran, ran)
+            items.append(BatchItem(req, stats, error))
         self.commands_executed += n
         freed, _, regions_reset, majors, gc_wall_ms = gc
-        jit1 = self.interp.jit_stats.as_dict()
+        jit = self.interp.jit_stats
         return BatchResult(
             items=items,
             times=batch_times,
@@ -343,11 +361,16 @@ class BatchDevice:
             regions_reset=regions_reset,
             major_collections=majors,
             gc_wall_ms=gc_wall_ms,
-            traces_compiled=jit1["traces_compiled"] - jit0["traces_compiled"],
-            trace_hits=jit1["trace_hits"] - jit0["trace_hits"],
-            guard_bails=jit1["guard_bails"] - jit0["guard_bails"],
+            traces_compiled=jit.traces_compiled - jit0[0],
+            trace_hits=jit.trace_hits - jit0[1],
+            guard_bails=jit.guard_bails - jit0[2],
             jobs=jobs,
             rounds=rounds,
             upload_ms=upload_ms,
             download_ms=download_ms,
         )
+
+    def _jit_counts(self) -> tuple[int, int, int]:
+        """The JIT counters a batch result reports the growth of."""
+        jit = self.interp.jit_stats
+        return jit.traces_compiled, jit.trace_hits, jit.guard_bails

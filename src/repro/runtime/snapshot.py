@@ -27,6 +27,14 @@ Format rules (what makes the snapshot relocatable):
   would have dangled restores as nil (the ``last`` builtin then answers
   nil rather than reading recycled memory).
 
+Records are the wire rows themselves: one ten-field list per node,
+``[ntype, ival, fval, sval, fn_name, first, last, nxt, params, flags]``
+(``flags`` packs the sealed, linked and interned bits; the interned
+bit says the source carried a sym_id, so restore re-interns). A
+checkpoint store keeps one snapshot per session, so no per-node object
+is built. :meth:`HeapSnapshot.digest` hashes a binary encoding of the
+rows.
+
 Cost accounting (see DESIGN.md deviation #9): serializing and restoring
 are *host-side* work and charge no modeled device ops; the serving
 layer charges the snapshot's wire size (``HeapSnapshot.nbytes``) as
@@ -38,6 +46,7 @@ barriers would have promoted it.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -49,7 +58,7 @@ from ..errors import SnapshotError
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.interpreter import Interpreter
 
-__all__ = ["SnapshotNode", "HeapSnapshot", "snapshot_env", "restore_env"]
+__all__ = ["HeapSnapshot", "snapshot_env", "restore_env"]
 
 #: "No node" reference inside a snapshot (None pointer on restore).
 NO_REF = -1
@@ -60,49 +69,24 @@ SNAPSHOT_VERSION = 1
 _FLAG_SEALED = 1
 _FLAG_LINKED = 2
 _FLAG_INTERNED = 4
+_FLAG_MASK = _FLAG_SEALED | _FLAG_LINKED | _FLAG_INTERNED
+
+#: The one NaN a digest encodes: JSON prints every NaN as ``NaN``.
+_NAN = float("nan")
+
+#: Fields per wire row (module docs).
+_ROW_FIELDS = 10
 
 
-@dataclass
-class SnapshotNode:
-    """One relocatable node record (references are snapshot indices)."""
-
-    ntype: int
-    ival: int = 0
-    fval: float = 0.0
-    sval: str = ""
-    fn_name: Optional[str] = None  #: builtin name; re-resolved on restore
-    first: int = NO_REF
-    last: int = NO_REF
-    nxt: int = NO_REF
-    params: int = NO_REF
-    sealed: bool = True
-    linked: bool = False
-    interned: bool = False  #: source carried a sym_id; re-intern on restore
-
-    def to_row(self) -> list:
-        flags = (
-            (_FLAG_SEALED if self.sealed else 0)
-            | (_FLAG_LINKED if self.linked else 0)
-            | (_FLAG_INTERNED if self.interned else 0)
-        )
-        return [
-            int(self.ntype), self.ival, self.fval, self.sval, self.fn_name,
-            self.first, self.last, self.nxt, self.params, flags,
-        ]
-
-    @classmethod
-    def from_row(cls, row: list) -> "SnapshotNode":
-        if len(row) != 10:
-            raise SnapshotError(f"malformed snapshot node record: {row!r}")
-        ntype, ival, fval, sval, fn_name, first, last, nxt, params, flags = row
-        return cls(
-            ntype=int(ntype), ival=int(ival), fval=float(fval), sval=str(sval),
-            fn_name=fn_name, first=int(first), last=int(last), nxt=int(nxt),
-            params=int(params),
-            sealed=bool(flags & _FLAG_SEALED),
-            linked=bool(flags & _FLAG_LINKED),
-            interned=bool(flags & _FLAG_INTERNED),
-        )
+def _checked_row(row: list) -> list:
+    """A wire row read from outside, with every field's type fixed."""
+    if len(row) != _ROW_FIELDS:
+        raise SnapshotError(f"malformed snapshot node record: {row!r}")
+    ntype, ival, fval, sval, fn_name, first, last, nxt, params, flags = row
+    return [
+        int(ntype), int(ival), float(fval), str(sval), fn_name,
+        int(first), int(last), int(nxt), int(params), int(flags) & _FLAG_MASK,
+    ]
 
 
 @dataclass
@@ -110,7 +94,8 @@ class HeapSnapshot:
     """A tenant's reachable persistent heap in relocatable form."""
 
     label: str
-    nodes: list[SnapshotNode] = field(default_factory=list)
+    #: One wire row per node (module docs); references index this list.
+    rows: list[list] = field(default_factory=list)
     #: (spelling, node ref, interned) triples in *definition order* —
     #: replaying ``define`` over this list reproduces the source scope's
     #: entry chain (and shadowing) exactly.
@@ -118,16 +103,16 @@ class HeapSnapshot:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.rows)
 
     @property
     def nbytes(self) -> int:
         """Wire size of the snapshot: one node struct per record plus
         the symbol spellings and binding names carried out-of-line
         (spellings travel because sym_ids are per-device)."""
-        text = sum(len(rec.sval.encode()) + 1 for rec in self.nodes if rec.sval)
+        text = sum(len(row[3].encode()) + 1 for row in self.rows if row[3])
         text += sum(len(spelling.encode()) + 1 for spelling, _, _ in self.bindings)
-        return len(self.nodes) * NODE_BYTES + text
+        return len(self.rows) * NODE_BYTES + text
 
     def digest(self) -> str:
         """A stable content fingerprint of the snapshot.
@@ -139,19 +124,24 @@ class HeapSnapshot:
         pure reads — and skip shipping (and charging) a byte-identical
         snapshot it already holds. Host-side work, uncharged like
         serialization itself.
-        """
-        import hashlib
-        import json
 
-        payload = json.dumps(
-            [
-                self.label,
-                [rec.to_row() for rec in self.nodes],
-                [list(b) for b in self.bindings],
-            ],
-            separators=(",", ":"),
-        )
-        return hashlib.sha1(payload.encode()).hexdigest()
+        The hash covers a binary encoding of the rows (``marshal``
+        version 2: values only, no object sharing, floats as their IEEE
+        bits), so two snapshots digest equal exactly when their JSON
+        encodings (:meth:`to_dict`) are equal. JSON prints every NaN as
+        ``NaN``, so NaNs are hashed as one canonical NaN; ``-0.0``,
+        ``0.0`` and the two infinities stay apart in both encodings.
+        """
+        import hashlib  # on first use: importing it costs a server's set-up ms
+
+        rows = self.rows
+        if any(row[2] != row[2] for row in rows):
+            rows = [
+                row if row[2] == row[2] else [*row[:2], _NAN, *row[3:]]
+                for row in rows
+            ]
+        payload = (self.label, rows, [list(b) for b in self.bindings])
+        return hashlib.sha1(marshal.dumps(payload, 2)).hexdigest()
 
     # -- persistence (CuLiServer.save/restore) -----------------------------------
 
@@ -160,7 +150,7 @@ class HeapSnapshot:
         return {
             "version": SNAPSHOT_VERSION,
             "label": self.label,
-            "nodes": [rec.to_row() for rec in self.nodes],
+            "nodes": [list(row) for row in self.rows],
             "bindings": [list(b) for b in self.bindings],
         }
 
@@ -174,15 +164,15 @@ class HeapSnapshot:
             )
         snap = cls(
             label=str(data.get("label", "")),
-            nodes=[SnapshotNode.from_row(row) for row in data.get("nodes", [])],
+            rows=[_checked_row(row) for row in data.get("nodes", [])],
             bindings=[
                 (str(s), int(ref), bool(interned))
                 for s, ref, interned in data.get("bindings", [])
             ],
         )
-        n = len(snap.nodes)
-        for rec in snap.nodes:
-            for ref in (rec.first, rec.last, rec.nxt, rec.params):
+        n = len(snap.rows)
+        for row in snap.rows:
+            for ref in row[5:9]:
                 if not (NO_REF <= ref < n):
                     raise SnapshotError(f"dangling node reference {ref} (of {n})")
         for spelling, ref, _ in snap.bindings:
@@ -199,58 +189,52 @@ def snapshot_env(env: Environment, label: Optional[str] = None) -> HeapSnapshot:
     Read-only host-side work: the source heap is walked over the same
     edges the GC mark phase follows (first/nxt/params), sharing is
     preserved via the index map, and nothing on the source is mutated —
-    a failed migration leaves the source session untouched.
+    a failed migration leaves the source session untouched. The walk
+    numbers the nodes; one pass over them then writes the rows.
     """
-    index: dict[int, int] = {}
+    # Nodes hash by identity, so the index maps each node to its number.
+    index: dict[Node, int] = {}
     order: list[Node] = []
-
-    def visit(root: Optional[Node]) -> int:
-        if root is None:
-            return NO_REF
-        stack = [root]
+    entries = env.entries_oldest_first()
+    for entry in entries:
+        stack = [entry.node]
         while stack:
             node = stack.pop()
-            if id(node) in index:
+            if node is None or node in index:
                 continue
-            index[id(node)] = len(order)
+            index[node] = len(order)
             order.append(node)
             # Push in reverse visit preference so first/nxt/params are
             # discovered in a deterministic order (stable snapshots).
-            if node.params is not None:
-                stack.append(node.params)
-            if node.nxt is not None:
-                stack.append(node.nxt)
-            if node.first is not None:
-                stack.append(node.first)
-        return index[id(root)]
+            stack.append(node.params)
+            stack.append(node.nxt)
+            stack.append(node.first)
 
-    bindings: list[tuple] = []
-    for entry in env.entries_oldest_first():
-        bindings.append((entry.symbol, visit(entry.node), entry.sym_id >= 0))
-
-    records: list[SnapshotNode] = []
-    for node in order:
-        records.append(
-            SnapshotNode(
-                ntype=int(node.ntype),
-                ival=node.ival,
-                fval=node.fval,
-                sval=node.sval,
-                fn_name=node.fn.name if node.fn is not None else None,
-                first=index.get(id(node.first), NO_REF) if node.first else NO_REF,
-                # last resolves only through the mark edges (module docs).
-                last=index.get(id(node.last), NO_REF) if node.last else NO_REF,
-                nxt=index.get(id(node.nxt), NO_REF) if node.nxt else NO_REF,
-                params=index.get(id(node.params), NO_REF) if node.params else NO_REF,
-                sealed=node.sealed,
-                linked=node.linked,
-                interned=node.sym_id >= 0,
-            )
-        )
+    # A missing node (None, or a ``last`` off the mark edges: a
+    # truncated chain) is not in the index and restores as nil.
+    ref = index.get
+    rows = [
+        [
+            +node.ntype,  # unary plus: the plain int of the NodeType
+            node.ival,
+            node.fval,
+            node.sval,
+            node.fn.name if node.fn is not None else None,
+            ref(node.first, NO_REF),
+            ref(node.last, NO_REF),
+            ref(node.nxt, NO_REF),
+            ref(node.params, NO_REF),
+            node.sealed | node.linked << 1 | (node.sym_id >= 0) << 2,
+        ]
+        for node in order
+    ]
     return HeapSnapshot(
         label=label if label is not None else env.label,
-        nodes=records,
-        bindings=bindings,
+        rows=rows,
+        bindings=[
+            (entry.symbol, ref(entry.node, NO_REF), entry.sym_id >= 0)
+            for entry in entries
+        ],
     )
 
 
@@ -282,38 +266,39 @@ def restore_env(
     symtab = interp.symtab
 
     materialized: list[Node] = []
-    for rec in snapshot.nodes:
+    for ntype_id, ival, fval, sval, fn_name, _, _, _, _, flags in snapshot.rows:
         try:
-            ntype = NodeType(rec.ntype)
+            ntype = NodeType(ntype_id)
         except ValueError as exc:
-            raise SnapshotError(f"unknown node type {rec.ntype}") from exc
+            raise SnapshotError(f"unknown node type {ntype_id}") from exc
         node = arena.alloc(ntype, ctx)
-        node.ival = rec.ival
-        node.fval = rec.fval
-        node.sval = rec.sval
-        if rec.interned and symtab is not None:
-            node.sym_id = symtab.intern_host(rec.sval)
-        if rec.fn_name is not None:
+        node.ival = ival
+        node.fval = fval
+        node.sval = sval
+        if flags & _FLAG_INTERNED and symtab is not None:
+            node.sym_id = symtab.intern_host(sval)
+        if fn_name is not None:
             try:
-                node.fn = interp.registry.get(rec.fn_name)
+                node.fn = interp.registry.get(fn_name)
             except KeyError as exc:
                 raise SnapshotError(
-                    f"snapshot references unknown builtin {rec.fn_name!r}"
+                    f"snapshot references unknown builtin {fn_name!r}"
                 ) from exc
         # Restored state is persistent by construction: tag it tenured
         # directly (restore normally runs between batch transactions; if
         # a nursery is open this is exactly a write-barrier promotion).
         node.region = REGION_TENURED
-        node.linked = rec.linked
-        node.sealed = rec.sealed
+        node.linked = bool(flags & _FLAG_LINKED)
+        node.sealed = bool(flags & _FLAG_SEALED)
         materialized.append(node)
 
     # Second pass: wire the graph (sharing restored via the index map).
-    for rec, node in zip(snapshot.nodes, materialized):
-        node.first = materialized[rec.first] if rec.first >= 0 else None
-        node.last = materialized[rec.last] if rec.last >= 0 else None
-        node.nxt = materialized[rec.nxt] if rec.nxt >= 0 else None
-        node.params = materialized[rec.params] if rec.params >= 0 else None
+    for row, node in zip(snapshot.rows, materialized):
+        first, last, nxt, params = row[5:9]
+        node.first = materialized[first] if first >= 0 else None
+        node.last = materialized[last] if last >= 0 else None
+        node.nxt = materialized[nxt] if nxt >= 0 else None
+        node.params = materialized[params] if params >= 0 else None
 
     if env is None:
         env = interp.create_session_env(label or snapshot.label or "restored")

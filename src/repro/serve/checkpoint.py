@@ -27,7 +27,17 @@ checkpoint actually shipped. A snapshot whose :meth:`digest
 <repro.runtime.snapshot.HeapSnapshot.digest>` matches the one already
 stored (the session ran only pure reads since) is **not** re-shipped and
 charges nothing; its suffix log still resets, because the stored
-checkpoint already equals the live state.
+checkpoint already equals the live state. The digest is a SHA-1 over a
+binary (``marshal``) encoding of the snapshot's rows, equal exactly when
+their JSON encodings are.
+
+Host cost follows the work: the store indexes a session as *due* on its
+device the moment its suffix log reaches the interval, so a safe point
+visits only that device's due sessions (:meth:`CheckpointStore.due_on`),
+never every resident; a migration moves the entry with its session
+(:meth:`CheckpointStore.move`), and a checkpoint, a recovery or a close
+removes it. A checkpoint costs one walk of the session's heap, one row
+per node and one digest.
 """
 
 from __future__ import annotations
@@ -52,6 +62,11 @@ class CheckpointStore:
         self._snapshots: dict[str, HeapSnapshot] = {}
         self._digests: dict[str, str] = {}
         self._suffix: dict[str, list[str]] = {}
+        #: The due index: device id -> the ids of the sessions on it
+        #: whose suffix log has reached the interval (a dict as an
+        #: ordered set), and each due session's device.
+        self._due: dict[str, dict[str, None]] = {}
+        self._due_device: dict[str, str] = {}
 
     # -- session lifecycle --------------------------------------------------------
 
@@ -66,21 +81,46 @@ class CheckpointStore:
         self._snapshots.pop(session_id, None)
         self._digests.pop(session_id, None)
         self._suffix.pop(session_id, None)
+        self._undue(session_id)
 
     def tracked(self, session_id: str) -> bool:
         return session_id in self._suffix
 
     # -- the round-by-round protocol ----------------------------------------------
 
-    def record_completed(self, session_id: str, text: str) -> None:
+    def record_completed(self, session_id: str, text: str, device_id: str) -> None:
         """Append one completed command to the session's suffix log
         (errored commands too: deterministic replay reproduces their
-        partial state exactly)."""
-        self._suffix.setdefault(session_id, []).append(text)
+        partial state exactly). When the log reaches the interval, the
+        session is indexed as due on ``device_id``, the device it is
+        resident on (:meth:`due_on`)."""
+        suffix = self._suffix.setdefault(session_id, [])
+        suffix.append(text)
+        if len(suffix) >= self.interval:
+            self._index_due(session_id, device_id)
 
-    def due(self, session_id: str) -> bool:
-        """True when the suffix log has reached the checkpoint interval."""
-        return len(self._suffix.get(session_id, ())) >= self.interval
+    def due_on(self, device_id: str) -> list[str]:
+        """The ids of the sessions due on ``device_id``, in the order they
+        fell due. A safe point visits only these: its work follows the
+        due sessions, not the residents."""
+        return list(self._due.get(device_id, ()))
+
+    def move(self, session_id: str, device_id: str) -> None:
+        """A session migrated to ``device_id``: its due entry, if any,
+        moves with it."""
+        if session_id in self._due_device:
+            self._index_due(session_id, device_id)
+
+    def _index_due(self, session_id: str, device_id: str) -> None:
+        if self._due_device.get(session_id) != device_id:
+            self._undue(session_id)
+            self._due.setdefault(device_id, {})[session_id] = None
+            self._due_device[session_id] = device_id
+
+    def _undue(self, session_id: str) -> None:
+        device_id = self._due_device.pop(session_id, None)
+        if device_id is not None:
+            del self._due[device_id][session_id]
 
     def checkpoint(self, session: "TenantSession") -> tuple[HeapSnapshot, bool]:
         """Snapshot the session's heap now; returns ``(snapshot, shipped)``.
@@ -98,6 +138,7 @@ class CheckpointStore:
             self._snapshots[session.session_id] = snap
             self._digests[session.session_id] = digest
         self._suffix[session.session_id] = []
+        self._undue(session.session_id)
         return snap, shipped
 
     # -- recovery -----------------------------------------------------------------
@@ -115,3 +156,4 @@ class CheckpointStore:
         queued will re-record themselves as they complete, so the log
         rebuilds in step with the restored session's actual state."""
         self._suffix[session_id] = []
+        self._undue(session_id)

@@ -307,6 +307,8 @@ class CuLiServer:
         source.device.interp.collect_garbage()
         session.env = new_env
         session.device_id = target.device_id
+        if self.supervisor is not None:
+            self.supervisor.session_moved(session)
         source_ms = link_ms(source, snap.nbytes)
         dest_ms = link_ms(target, snap.nbytes)
         record = MigrationRecord(

@@ -193,6 +193,9 @@ class DeviceSupervisor:
         #: the watchdog waited out before force-resetting).
         self.hang_detect_ms = hang_detect_ms
         self.breakers: dict[str, CircuitBreaker] = {}
+        #: Host work: sessions examined for a checkpoint at safe points
+        #: (a deterministic counter, kept out of ``ServerStats``).
+        self.sessions_checked = 0
         #: Safe-point round counters, one per device: breaker windows
         #: and cooldowns are *per device*, so each device's breaker ages
         #: on its own clock.
@@ -248,7 +251,15 @@ class DeviceSupervisor:
         if not self.store.tracked(ticket.session.session_id):
             return
         if ticket.error is None or isinstance(ticket.error, LispError):
-            self.store.record_completed(ticket.session.session_id, ticket.text)
+            session = ticket.session
+            self.store.record_completed(
+                session.session_id, ticket.text, session.device_id
+            )
+
+    def session_moved(self, session: "TenantSession") -> None:
+        """A live migration moved ``session``: a due checkpoint moves
+        with it, to its new device's safe point."""
+        self.store.move(session.session_id, session.device_id)
 
     # -- the watchdog wrap (called by the scheduler) -------------------------------
 
@@ -534,7 +545,10 @@ class DeviceSupervisor:
         * **checkpoints** — interval checkpoints for the sessions
           *resident on this device* (their heaps are idle between their
           own batches; co-residents of other devices are checkpointed at
-          those devices' safe points).
+          those devices' safe points). The checkpoint store indexes a
+          session as due on its device when its suffix log reaches the
+          interval, so this visits the due sessions only, never every
+          resident.
         """
         device_id = pdev.device_id
         pool = self.server.pool
@@ -567,13 +581,20 @@ class DeviceSupervisor:
             brk.tick()
             if brk.state == BREAKER_HALF_OPEN:
                 self._probe(pdev, brk)
-        for session in pdev.resident_sessions():
-            if not self.store.due(session.session_id):
-                continue
+        # Only the sessions due here, in the session-table (open) order
+        # a resident sweep would meet them.
+        sessions = self.server.sessions
+        due = sorted(
+            (sessions[sid] for sid in self.store.due_on(device_id)),
+            key=lambda session: session.open_order,
+        )
+        self.sessions_checked += len(due)
+        for session in due:
             snap, shipped = self.store.checkpoint(session)
             if shipped:
+                nbytes = snap.nbytes
                 self.stats.record_checkpoint(
-                    device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
+                    device_id, nbytes, link_ms(pdev, nbytes)
                 )
             else:
                 self.stats.record_checkpoint_skipped()

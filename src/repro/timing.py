@@ -63,30 +63,6 @@ class PhaseBreakdown:
             "print": self.print_ms / k,
         }
 
-    def scaled(self, factor: float) -> "PhaseBreakdown":
-        """Every component multiplied by ``factor``.
-
-        The serving layer uses this to attribute shared batch overheads
-        (one handshake, one PCIe transaction) evenly across the batch's
-        requests: each request carries ``batch.scaled(1 / n)``-style
-        shares so per-request stats stay additive.
-        """
-        return PhaseBreakdown(
-            parse_ms=self.parse_ms * factor,
-            eval_ms=self.eval_ms * factor,
-            print_ms=self.print_ms * factor,
-            other_ms=self.other_ms * factor,
-            transfer_ms=self.transfer_ms * factor,
-            host_ms=self.host_ms * factor,
-            gc_ms=self.gc_ms * factor,
-            distribute_ms=self.distribute_ms * factor,
-            worker_ms=self.worker_ms * factor,
-            collect_ms=self.collect_ms * factor,
-            spin_cycles=self.spin_cycles * factor,
-            cache_hits=int(self.cache_hits * factor),
-            cache_misses=int(self.cache_misses * factor),
-        )
-
     def merged_with(self, other: "PhaseBreakdown") -> "PhaseBreakdown":
         return PhaseBreakdown(
             parse_ms=self.parse_ms + other.parse_ms,

@@ -13,7 +13,6 @@ from repro.errors import ArenaExhaustedError, SnapshotError
 from repro.runtime.snapshot import (
     NO_REF,
     HeapSnapshot,
-    SnapshotNode,
     restore_env,
     snapshot_env,
 )
@@ -113,8 +112,11 @@ class TestRelocationRules:
     def test_sym_ids_not_serialized(self, fast_interp):
         env = session_with(fast_interp, ["(setq marker 1)"])
         snap = snapshot_env(env)
-        rows = [SnapshotNode.from_row(r.to_row()) for r in snap.nodes]
-        assert all(not hasattr(r, "sym_id") for r in rows)
+        # A wire row is the ten named fields, none of them a sym_id; the
+        # binding carries the spelling and the interned bit only.
+        rows = HeapSnapshot.from_dict(snap.to_dict()).rows
+        assert rows and all(len(row) == 10 for row in rows)
+        assert snap.bindings == [("marker", 0, True)]
         # but the interned bit survives, so restore re-interns:
         dest = Interpreter(options=InterpreterOptions.fast())
         restored = restore_env(snap, dest)
@@ -150,8 +152,8 @@ class TestRelocationRules:
         view.seal()
         env.define("view", view, ctx)
         snap = snapshot_env(env)
-        rec = snap.nodes[snap.bindings[0][1]]
-        assert rec.last == NO_REF
+        row = snap.rows[snap.bindings[0][1]]
+        assert row[6] == NO_REF  # the ``last`` field
         dest = Interpreter(options=InterpreterOptions.fast())
         restored = restore_env(snap, dest)
         assert restored.lookup("view", ctx).last is None
@@ -180,9 +182,9 @@ class TestFailureModes:
     def test_unknown_builtin_rejected(self, fast_interp):
         env = session_with(fast_interp, ["(setq plus +)"])
         snap = snapshot_env(env)
-        for rec in snap.nodes:
-            if rec.fn_name is not None:
-                rec.fn_name = "no-such-builtin"
+        for row in snap.rows:
+            if row[4] is not None:  # the ``fn_name`` field
+                row[4] = "no-such-builtin"
         dest = Interpreter(options=InterpreterOptions.fast())
         with pytest.raises(SnapshotError):
             restore_env(snap, dest)

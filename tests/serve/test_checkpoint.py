@@ -29,23 +29,42 @@ class TestCheckpointStoreUnit:
         store = CheckpointStore(interval=3)
         store.register("s")
         assert store.suffix("s") == []
-        assert not store.due("s")
-        store.record_completed("s", "(+ 1 1)")
-        store.record_completed("s", "(+ 2 2)")
+        assert store.due_on("d0") == []
+        store.record_completed("s", "(+ 1 1)", "d0")
+        store.record_completed("s", "(+ 2 2)", "d0")
         assert len(store.suffix("s")) == 2
-        assert not store.due("s")
-        store.record_completed("s", "(+ 3 3)")
-        assert store.due("s")
+        assert store.due_on("d0") == []
+        store.record_completed("s", "(+ 3 3)", "d0")
+        assert store.due_on("d0") == ["s"]
         assert store.suffix("s") == ["(+ 1 1)", "(+ 2 2)", "(+ 3 3)"]
 
     def test_drop_forgets_everything(self):
         store = CheckpointStore(interval=1)
         store.register("s")
-        store.record_completed("s", "x")
+        store.record_completed("s", "x", "d0")
         store.drop("s")
         assert not store.tracked("s")
         assert store.get("s") is None
         assert store.suffix("s") == []
+
+    def test_due_index_follows_the_interval_and_the_device(self):
+        """A session is indexed as due on its device when its log
+        reaches the interval; a move carries the entry, and a checkpoint,
+        a recovery or a drop removes it."""
+        store = CheckpointStore(interval=2)
+        for sid in ("s", "t"):
+            store.register(sid)
+            store.record_completed(sid, "(+ 1 1)", "d0")
+        assert store.due_on("d0") == []
+        store.record_completed("t", "(+ 2 2)", "d0")
+        store.record_completed("s", "(+ 2 2)", "d0")
+        assert store.due_on("d0") == ["t", "s"]  # in the order they fell due
+        store.move("s", "d1")
+        store.move("u", "d1")  # not due: nothing to move
+        assert store.due_on("d0") == ["t"] and store.due_on("d1") == ["s"]
+        store.on_recovered("t")
+        store.drop("s")
+        assert store.due_on("d0") == [] and store.due_on("d1") == []
 
     def test_checkpoint_ships_then_skips_when_unchanged(self):
         """Two checkpoints of an unchanged heap: the second digest
@@ -55,27 +74,52 @@ class TestCheckpointStoreUnit:
             session.eval("(setq x (list 1 2 3))")
             store = CheckpointStore(interval=1)
             store.register(session.session_id)
-            store.record_completed(session.session_id, "(setq x (list 1 2 3))")
+            store.record_completed(session.session_id, "(setq x (list 1 2 3))", "d0")
             snap1, shipped1 = store.checkpoint(session)
             assert shipped1 and snap1.nbytes > 0
             assert store.get(session.session_id) is snap1
             assert store.suffix(session.session_id) == []
             # A pure read leaves the persistent heap untouched.
             session.eval("(car x)")
-            store.record_completed(session.session_id, "(car x)")
+            store.record_completed(session.session_id, "(car x)", "d0")
             _, shipped2 = store.checkpoint(session)
             assert not shipped2
             assert store.get(session.session_id) is snap1
             assert store.suffix(session.session_id) == []
             # A write changes the digest: the next checkpoint ships.
             session.eval("(setq x (list 9))")
-            store.record_completed(session.session_id, "(setq x (list 9))")
+            store.record_completed(session.session_id, "(setq x (list 9))", "d0")
             snap3, shipped3 = store.checkpoint(session)
             assert shipped3
             assert store.get(session.session_id) is snap3
 
 
 class TestIntervalCheckpointing:
+    def test_due_checkpoint_moves_with_a_migrated_session(self):
+        """A session that fell due and then migrated is checkpointed at
+        its new device's safe point, on that device's link."""
+        with CuLiServer(
+            devices=[DEVICE, DEVICE], failover=True, checkpoint_interval=2
+        ) as server:
+            store = server.supervisor.store
+            a = server.open_session(device_id="gtx1080#0")
+            a.eval("(setq x (list 1 2))")
+            # The second completed command fills the interval, as its
+            # ticket would have on device #0.
+            store.record_completed(a.session_id, "(car x)", a.device_id)
+            assert store.due_on("gtx1080#0") == [a.session_id]
+            server.migrate_session(a, "gtx1080#1")
+            assert store.due_on("gtx1080#0") == []
+            assert store.due_on("gtx1080#1") == [a.session_id]
+            busy1 = server.stats.per_device["gtx1080#1"].busy_ms
+            # Any batch ends in a sweep of safe points.
+            server.open_session(device_id="gtx1080#0").eval("(+ 1 2)")
+            assert store.due_on("gtx1080#1") == []
+            assert store.suffix(a.session_id) == []
+            assert server.stats.checkpoints_shipped == 1
+            assert server.stats.per_device["gtx1080#1"].busy_ms > busy1
+            assert server.supervisor.sessions_checked == 1
+
     def test_checkpoints_fire_every_interval(self):
         with CuLiServer(
             devices=[DEVICE], failover=True, checkpoint_interval=3
