@@ -63,6 +63,10 @@ class ExecContext:
         """``size`` one-byte :meth:`touch_memory` calls from ``addr``, in
         order, made as one call (a scanned run of characters)."""
 
+    def touch_spans(self, addr: int, sizes: list[int]) -> None:
+        """One :meth:`touch_memory` call per size, for consecutive spans
+        from ``addr`` in order, made as one call (a printed run)."""
+
     # -- phase bookkeeping ---------------------------------------------------
 
     def set_phase(self, phase: Phase) -> None:
@@ -142,6 +146,19 @@ class CountingContext(ExecContext):
         if misses:
             # One add per miss, as the per-byte touches made them: a
             # product could round differently from the repeated adds.
+            extra = self.extra_cycles[self.phase]
+            penalty = self.miss_penalty
+            for _ in range(misses):
+                extra += penalty
+            self.extra_cycles[self.phase] = extra
+
+    def touch_spans(self, addr: int, sizes: list[int]) -> None:
+        cache = self.cache
+        if cache is None:
+            return
+        misses = cache.access_spans(addr, sizes)
+        if misses:
+            # One penalty add per missed span, as touch_memory adds it.
             extra = self.extra_cycles[self.phase]
             penalty = self.miss_penalty
             for _ in range(misses):

@@ -36,6 +36,9 @@ from .nodes import REGION_FREE, REGION_TENURED, Node, NodeType
 
 __all__ = ["NodeArena", "ArenaStats", "GCStats"]
 
+#: A value node's allocation and its one value write, charged together.
+_ALLOC_WRITE = (Op.NODE_ALLOC, Op.NODE_WRITE)
+
 
 class ArenaStats:
     """Lifetime counters for one arena."""
@@ -146,6 +149,17 @@ class NodeArena:
         ctx.charge(Op.NODE_ALLOC)
         if self.atomic_cursor:
             self.cursor.fetch_add_contended(1, ctx, self.contention_width)
+        return self.take(ntype)
+
+    def take(self, ntype: NodeType) -> Node:
+        """The uncharged core of :meth:`alloc`: hand out the next node.
+
+        For builders that charge a run of allocations in one call. The
+        caller owes what :meth:`alloc` charges: one ``NODE_ALLOC`` per
+        take, including a take that raises :class:`ArenaExhaustedError`
+        (``alloc`` charges before it can raise), and under the atomic
+        cursor one contended fetch-add per take, made before it.
+        """
         if self._free:
             # free() cleared every other field when it listed the node.
             node = self._free.pop()
@@ -349,28 +363,46 @@ class NodeArena:
     def new_true(self, ctx: ExecContext) -> Node:
         return self.alloc(NodeType.N_TRUE, ctx).seal()
 
+    def _value_node(self, ntype: NodeType, ctx: ExecContext) -> Node:
+        """A fresh node for one value write: :meth:`alloc`'s charges and
+        the write's ``NODE_WRITE`` in one call, made once the node is
+        taken (a failed take charges the ``NODE_ALLOC`` alone, as
+        ``alloc`` does before it raises)."""
+        if self.atomic_cursor:
+            self.cursor.fetch_add_contended(1, ctx, self.contention_width)
+        try:
+            node = self.take(ntype)
+        except ArenaExhaustedError:
+            ctx.charge(Op.NODE_ALLOC)
+            raise
+        ctx.charge_many(_ALLOC_WRITE)
+        return node
+
     def new_int(self, value: int, ctx: ExecContext) -> Node:
-        node = self.alloc(NodeType.N_INT, ctx)
-        ctx.charge(Op.NODE_WRITE)
-        return node.set_int(value).seal()
+        node = self._value_node(NodeType.N_INT, ctx)
+        node.ival = value
+        node.sealed = True
+        return node
 
     def new_float(self, value: float, ctx: ExecContext) -> Node:
-        node = self.alloc(NodeType.N_FLOAT, ctx)
-        ctx.charge(Op.NODE_WRITE)
-        return node.set_float(value).seal()
+        node = self._value_node(NodeType.N_FLOAT, ctx)
+        node.fval = value
+        node.sealed = True
+        return node
 
     def new_string(self, value: str, ctx: ExecContext) -> Node:
-        node = self.alloc(NodeType.N_STRING, ctx)
-        ctx.charge(Op.NODE_WRITE)
-        return node.set_str(value).seal()
+        node = self._value_node(NodeType.N_STRING, ctx)
+        node.sval = value
+        node.sealed = True
+        return node
 
     def new_symbol(self, name: str, ctx: ExecContext) -> Node:
-        node = self.alloc(NodeType.N_SYMBOL, ctx)
-        ctx.charge(Op.NODE_WRITE)
-        node.set_str(name)
+        node = self._value_node(NodeType.N_SYMBOL, ctx)
+        node.sval = name
         if self.symtab is not None:
             node.sym_id = self.symtab.intern(name, ctx)
-        return node.seal()
+        node.sealed = True
+        return node
 
     def new_bool(self, value: bool, ctx: ExecContext) -> Node:
         return self.new_true(ctx) if value else self.new_nil(ctx)

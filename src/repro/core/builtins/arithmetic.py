@@ -7,6 +7,7 @@ executes per element.
 from __future__ import annotations
 
 import math
+import operator
 
 from ...errors import EvalError
 from ...ops import Op
@@ -23,12 +24,32 @@ def _charge_binop(ctx, a, b, int_op: Op, float_op: Op) -> None:
         ctx.charge(float_op)
 
 
+def _fold(values, who: str, total, step, int_op: Op, float_op: Op, ctx):
+    """``total`` combined with each value by ``step``, left to right.
+
+    Each step costs one ``int_op`` when both operands are ints and one
+    ``float_op`` otherwise (as :func:`_charge_binop`), charged as one
+    run per op for the steps made, also when a value is not a number.
+    """
+    ints = floats = 0
+    try:
+        for node in values:
+            v = as_number(node, who)
+            if isinstance(total, int) and isinstance(v, int):
+                ints += 1
+            else:
+                floats += 1
+            total = step(total, v)
+    finally:
+        if ints:
+            ctx.charge(int_op, ints)
+        if floats:
+            ctx.charge(float_op, floats)
+    return total
+
+
 def _add(interp, env, ctx, values, depth) -> Node:
-    total: int | float = 0
-    for node in values:
-        v = as_number(node, "+")
-        _charge_binop(ctx, total, v, Op.ALU, Op.FADD)
-        total = total + v
+    total = _fold(values, "+", 0, operator.add, Op.ALU, Op.FADD, ctx)
     return interp.arena.new_number(total, ctx)
 
 
@@ -37,20 +58,12 @@ def _sub(interp, env, ctx, values, depth) -> Node:
     if len(values) == 1:
         ctx.charge(Op.ALU)
         return interp.arena.new_number(-first, ctx)
-    total: int | float = first
-    for node in values[1:]:
-        v = as_number(node, "-")
-        _charge_binop(ctx, total, v, Op.ALU, Op.FADD)
-        total = total - v
+    total = _fold(values[1:], "-", first, operator.sub, Op.ALU, Op.FADD, ctx)
     return interp.arena.new_number(total, ctx)
 
 
 def _mul(interp, env, ctx, values, depth) -> Node:
-    total: int | float = 1
-    for node in values:
-        v = as_number(node, "*")
-        _charge_binop(ctx, total, v, Op.IMUL, Op.FMUL)
-        total = total * v
+    total = _fold(values, "*", 1, operator.mul, Op.IMUL, Op.FMUL, ctx)
     return interp.arena.new_number(total, ctx)
 
 

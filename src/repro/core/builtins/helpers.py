@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from ...context import ExecContext
-from ...errors import TypeMismatchError
+from ...errors import ArenaExhaustedError, TypeMismatchError
 from ...ops import Op
 from ..nodes import Node, NodeType
 
@@ -86,11 +86,38 @@ def list_items(node: Node, ctx: ExecContext, who: str = "list") -> list[Node]:
 
 
 def build_list(interp: "Interpreter", values: Iterable[Node], ctx: ExecContext) -> Node:
-    """A fresh N_LIST of ``values`` (copy-on-link applied)."""
-    lst = interp.arena.alloc(NodeType.N_LIST, ctx)
-    for value in values:
-        ctx.charge(Op.NODE_WRITE, 2)
-        lst.append_child(interp.linkable(value, ctx))
+    """A fresh N_LIST of ``values`` (copy-on-link applied), charged as one run.
+
+    Each value costs two ``NODE_WRITE`` (its link). A value already
+    linked into a list is first copied, as :meth:`Interpreter.copy_node`
+    charges it: ``NODE_ALLOC``, ``NODE_READ`` and three ``NODE_WRITE``.
+    Copies are counted as they are made, since a value that appears twice,
+    as in ``(list x x)``, is linked by its first append. If the arena runs
+    out mid-copy, the run charges the work done before it plus the failed
+    allocation, which ``NodeArena.alloc`` charges before it raises.
+    """
+    arena = interp.arena
+    lst = arena.alloc(NodeType.N_LIST, ctx)
+    cursor = arena.cursor if arena.atomic_cursor else None
+    links = copies = 0
+    try:
+        for value in values:
+            links += 1
+            if value.linked:
+                if cursor is not None:
+                    cursor.fetch_add_contended(1, ctx, arena.contention_width)
+                value = arena.take(value.ntype).copy_fields(value)
+                copies += 1
+            lst.append_child(value)
+    except ArenaExhaustedError:
+        ctx.charge(Op.NODE_ALLOC)  # the failed copy's allocation
+        raise
+    finally:
+        if links:
+            ctx.charge(Op.NODE_WRITE, 2 * links + 3 * copies)
+        if copies:
+            ctx.charge(Op.NODE_ALLOC, copies)
+            ctx.charge(Op.NODE_READ, copies)
     return lst.seal()
 
 

@@ -272,15 +272,7 @@ class Interpreter:
         clone = self.arena.alloc(node.ntype, ctx)
         ctx.charge(Op.NODE_READ)
         ctx.charge(Op.NODE_WRITE, 3)
-        clone.ival = node.ival
-        clone.fval = node.fval
-        clone.sval = node.sval
-        clone.sym_id = node.sym_id
-        clone.fn = node.fn
-        clone.first = node.first
-        clone.last = node.last
-        clone.params = node.params
-        return clone.seal()
+        return clone.copy_fields(node)
 
     def linkable(self, node: Node, ctx: ExecContext) -> Node:
         """A node safe to append to a list (copy-on-link)."""

@@ -159,6 +159,22 @@ class Node:
         self.params = params
         return self
 
+    def copy_fields(self, src: "Node") -> "Node":
+        """Make this fresh node a shallow copy of ``src`` and seal it:
+        value fields and child pointers are copied, the child chain
+        itself is shared (immutable). Uncharged; see
+        ``Interpreter.copy_node`` for the charges."""
+        self.ival = src.ival
+        self.fval = src.fval
+        self.sval = src.sval
+        self.sym_id = src.sym_id
+        self.fn = src.fn
+        self.first = src.first
+        self.last = src.last
+        self.params = src.params
+        self.sealed = True
+        return self
+
     def append_child(self, child: "Node") -> "Node":
         """Append ``child`` to this list-like node (updates first/last).
 

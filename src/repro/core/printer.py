@@ -8,7 +8,9 @@ string representation to the output string."
 All characters flow through :class:`~repro.gpu.memory.OutputBuffer`
 (``CHAR_STORE`` + ``PRINT_STEP`` each); numbers are formatted by the
 device-side itoa/ftoa in ``repro.strlib`` (IDIV per digit — expensive on
-Fermi). Like parsing, printing runs serially on the master thread.
+Fermi). Like parsing, printing runs serially on the master thread. A
+list of ints is printed as one run (``OutputBuffer.append_run``) with
+the per-node charges totalled (DESIGN.md, "Host-side charge folding").
 """
 
 from __future__ import annotations
@@ -63,14 +65,48 @@ class Printer:
             elif ntype == NodeType.N_MACRO:
                 out.append(f"#<macro {item.sval or 'macro'}>")
             else:  # N_LIST / N_EXPRESSION
+                children = list(item.children())
+                if all(child.ntype == NodeType.N_INT for child in children) and (
+                    self._print_int_run(children, out)
+                ):
+                    continue
                 out.append("(")
                 stack.append(")")
-                children = list(item.children())
                 ctx.charge(Op.NODE_READ, len(children))
                 for i, child in enumerate(reversed(children)):
                     stack.append(child)
                     if i != len(children) - 1:
                         stack.append(" ")
+
+    def _print_int_run(self, children: list[Node], out: OutputBuffer) -> bool:
+        """Print a list whose children are all ints as one run.
+
+        The charges are the per-node path's, totalled: a ``NODE_READ``
+        per link and per child, and ``format_int``'s ``IDIV`` + ``ALU``
+        per digit plus an ``ALU`` per negative. Returns False, having
+        charged nothing, if the list does not fit in ``out``: the
+        per-node path then overflows at the same piece.
+        """
+        texts = [str(child.ival) for child in children]
+        chars = sum(map(len, texts))
+        pieces = ["("]
+        for text in texts:
+            pieces.append(text)
+            pieces.append(" ")
+        if texts:
+            pieces[-1] = ")"
+        else:
+            pieces.append(")")
+        if len(out) + chars + len(pieces) - len(texts) > out.capacity:
+            return False
+        if texts:
+            ctx = self.ctx
+            negatives = sum(1 for child in children if child.ival < 0)
+            ctx.charge(Op.NODE_READ, 2 * len(texts))
+            ctx.charge(Op.IDIV, chars - negatives)
+            ctx.charge(Op.ALU, chars)
+        out.append_run(pieces)
+        return True
 
     def to_string(self, node: Node, readable: bool = True) -> str:
         """Print into a scratch buffer and return the string."""

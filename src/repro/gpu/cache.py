@@ -112,6 +112,38 @@ class SetAssociativeCache:
         stats.hits += size - (last - first + 1)
         return stats.misses - misses0
 
+    def access_spans(self, addr: int, sizes: list[int]) -> int:
+        """``access(addr, size)`` for each size, over consecutive spans
+        from ``addr``, in order, made as one call. Returns the number of
+        spans that missed a line.
+
+        A line touched again straight after its last touch is its set's
+        most recently used way: the touch hits and leaves the set as it
+        was, so it is counted without the set lookup.
+        """
+        line_bytes = self.line_bytes
+        touch = self._touch_line
+        recent = -1
+        repeat_hits = 0
+        missed_spans = 0
+        try:
+            for size in sizes:
+                if addr < 0 or size <= 0:
+                    raise ValueError("invalid access")
+                all_hit = True
+                for line in range(addr // line_bytes, (addr + size - 1) // line_bytes + 1):
+                    if line == recent:
+                        repeat_hits += 1
+                    elif not touch(line):
+                        all_hit = False
+                    recent = line
+                if not all_hit:
+                    missed_spans += 1
+                addr += size
+        finally:
+            self.stats.hits += repeat_hits
+        return missed_spans
+
     def flush(self) -> None:
         self._sets = [[] for _ in range(self.n_sets)]
 

@@ -167,6 +167,42 @@ class OutputBuffer:
         self._parts.append(text)
         self._len += n
 
+    def append_run(self, pieces: list[str]) -> None:
+        """``append(piece)`` for each piece in order, charged as one run.
+
+        One ``CHAR_STORE`` + ``PRINT_STEP`` charge covers every character,
+        and each non-empty piece makes its own cache access at its own
+        address, adding the miss penalty once per missed piece as
+        :meth:`append` does (DESIGN.md, "Known modeled defect"). If the
+        run overflows the buffer, the pieces before the first one that
+        does not fit are stored and charged, then the overflow raises, as
+        the appends would.
+        """
+        room = self.capacity - self._len
+        sizes = []
+        total = 0
+        overflow = None
+        for piece in pieces:
+            n = len(piece)
+            if not n:
+                continue
+            if total + n > room:
+                overflow = self._len + total + n
+                break
+            sizes.append(n)
+            total += n
+        if total:
+            ctx = self._ctx
+            if ctx is not None:
+                ctx.charge_many(_PRINT_OPS, total)
+                ctx.touch_spans(self.base + self._len, sizes)
+            self._parts.append("".join(pieces)[:total])
+            self._len += total
+        if overflow is not None:
+            raise MemoryFaultError(
+                f"output buffer overflow ({overflow} > {self.capacity} B)"
+            )
+
     def getvalue(self) -> str:
         return "".join(self._parts)
 

@@ -78,7 +78,7 @@ def compile_form(template: TemplateNode, interp: "Interpreter") -> Optional[Trac
         return None
     compiler = _Compiler(interp)
     try:
-        result = compiler.expr(template)
+        result = compiler.expr((template,))
     except CompileBail:
         return None
     compiler.emit(Instr(TOp.RET, src=result))
@@ -115,24 +115,28 @@ class _Compiler:
 
     # -- expression compilation ---------------------------------------------------
 
-    def expr(self, t: TemplateNode, tail: tuple = ()) -> int:
-        """Compile one expression; returns the register holding its value.
+    def expr(self, sibs: tuple, index: int = 0) -> int:
+        """Compile the expression ``sibs[index]``; returns the register
+        holding its value.
 
-        ``tail`` is the tuple of ``t``'s following-sibling templates in
-        its parent form. The tree-walker evaluates a literal or unbound
-        symbol to the materialized tree node *itself*, whose ``nxt``
-        chain runs through those siblings — so if the value is retained,
-        the siblings are retained too. CONST/LOAD carry the tail so the
-        executor can reproduce that exact reachable shape.
+        ``sibs`` is the argument tuple of the expression's parent form
+        (a one-tuple for a top-level form or a quoted datum). The
+        tree-walker evaluates a literal or unbound symbol to the
+        materialized tree node *itself*, whose ``nxt`` chain runs through
+        the following siblings — so if the value is retained, the
+        siblings are retained too. CONST/LOAD carry the shared tuple and
+        the index so the executor can reproduce that exact reachable
+        shape.
         """
+        t = sibs[index]
         if t.ntype in _SELF_EVALUATING:
             dst = self.reg()
-            self.emit(Instr(TOp.CONST, dst=dst, template=t, tail=tail))
+            self.emit(Instr(TOp.CONST, dst=dst, template=t, sibs=sibs, index=index))
             return dst
         if t.ntype == NodeType.N_SYMBOL:
             dst = self.reg()
             self.emit(Instr(TOp.LOAD, dst=dst, name=t.sval, sym_id=t.sym_id,
-                            template=t, tail=tail))
+                            template=t, sibs=sibs, index=index))
             return dst
         if t.ntype == NodeType.N_LIST:
             return self._list(t)
@@ -149,7 +153,7 @@ class _Compiler:
         if head.ntype != NodeType.N_SYMBOL:
             raise CompileBail("non-symbol head")
         name = head.sval
-        args = children[1:]
+        args = tuple(children[1:])
         if name in SPECIALS:
             return self._special(name, head, args)
         try:
@@ -167,24 +171,21 @@ class _Compiler:
             ):
                 raise CompileBail("static arity violation")
         slot = self.head_slot(name, head.sym_id, HEAD_CALL)
-        arg_regs = tuple(
-            self.expr(arg, tuple(args[i + 1:])) for i, arg in enumerate(args)
-        )
+        arg_regs = tuple(self.expr(args, i) for i in range(len(args)))
         dst = self.reg()
         self.emit(Instr(TOp.APPLY, dst=dst, head=slot, args=arg_regs))
         return dst
 
     # -- special forms --------------------------------------------------------------
 
-    def _special(self, name: str, head: TemplateNode,
-                 args: list[TemplateNode]) -> int:
+    def _special(self, name: str, head: TemplateNode, args: tuple) -> int:
         slot = self.head_slot(name, head.sym_id, HEAD_SPECIAL, expect=name)
         self.emit(Instr(TOp.GUARD, head=slot))
         if name == "quote":
             if len(args) != 1:
                 raise CompileBail("quote arity")
             dst = self.reg()
-            self.emit(Instr(TOp.CONST, dst=dst, template=args[0]))
+            self.emit(Instr(TOp.CONST, dst=dst, template=args[0], sibs=args))
             return dst
         if name == "if":
             return self._if(args)
@@ -197,35 +198,35 @@ class _Compiler:
         assert name == "or"
         return self._or(args)
 
-    def _if(self, args: list[TemplateNode]) -> int:
+    def _if(self, args: tuple) -> int:
         if not 2 <= len(args) <= 3:
             raise CompileBail("if arity")
-        cond = self.expr(args[0], tuple(args[1:]))
+        cond = self.expr(args, 0)
         dst = self.reg()
         jf = self.emit(Instr(TOp.JUMPF, src=cond))
-        then = self.expr(args[1], tuple(args[2:]))
+        then = self.expr(args, 1)
         self.emit(Instr(TOp.MOV, dst=dst, src=then))
         jend = self.emit(Instr(TOp.JUMP))
         self.instrs[jf].target = len(self.instrs)
         if len(args) == 3:
-            alt = self.expr(args[2])
+            alt = self.expr(args, 2)
             self.emit(Instr(TOp.MOV, dst=dst, src=alt))
         else:
             self.emit(Instr(TOp.PUSHNIL, dst=dst))
         self.instrs[jend].target = len(self.instrs)
         return dst
 
-    def _progn(self, args: list[TemplateNode]) -> int:
+    def _progn(self, args: tuple) -> int:
         if not args:
             dst = self.reg()
             self.emit(Instr(TOp.PUSHNIL, dst=dst))
             return dst
         dst = -1
-        for i, arg in enumerate(args):
-            dst = self.expr(arg, tuple(args[i + 1:]))
+        for i in range(len(args)):
+            dst = self.expr(args, i)
         return dst
 
-    def _setq(self, args: list[TemplateNode]) -> int:
+    def _setq(self, args: tuple) -> int:
         if not args or len(args) % 2:
             raise CompileBail("setq shape")
         dst = -1
@@ -233,20 +234,20 @@ class _Compiler:
             target = args[i]
             if target.ntype != NodeType.N_SYMBOL:
                 raise CompileBail("setq target")
-            value = self.expr(args[i + 1], tuple(args[i + 2:]))
+            value = self.expr(args, i + 1)
             dst = self.reg()
             self.emit(Instr(TOp.SETQ, dst=dst, src=value, name=target.sval,
                             sym_id=target.sym_id))
         return dst
 
-    def _and(self, args: list[TemplateNode]) -> int:
+    def _and(self, args: tuple) -> int:
         dst = self.reg()
         if not args:
             self.emit(Instr(TOp.PUSHTRUE, dst=dst))
             return dst
         false_jumps = []
-        for i, arg in enumerate(args):
-            value = self.expr(arg, tuple(args[i + 1:]))
+        for i in range(len(args)):
+            value = self.expr(args, i)
             self.emit(Instr(TOp.MOV, dst=dst, src=value))
             false_jumps.append(self.emit(Instr(TOp.JUMPF, src=dst)))
         jend = self.emit(Instr(TOp.JUMP))
@@ -257,14 +258,14 @@ class _Compiler:
         self.instrs[jend].target = len(self.instrs)
         return dst
 
-    def _or(self, args: list[TemplateNode]) -> int:
+    def _or(self, args: tuple) -> int:
         dst = self.reg()
         if not args:
             self.emit(Instr(TOp.PUSHNIL, dst=dst))
             return dst
         true_jumps = []
-        for i, arg in enumerate(args):
-            value = self.expr(arg, tuple(args[i + 1:]))
+        for i in range(len(args)):
+            value = self.expr(args, i)
             self.emit(Instr(TOp.MOV, dst=dst, src=value))
             true_jumps.append(self.emit(Instr(TOp.JUMPT, src=dst)))
         self.emit(Instr(TOp.PUSHNIL, dst=dst))

@@ -8,7 +8,13 @@ loop over the instruction list.
 
 Charging: every instruction costs one ``Op.TRACE_STEP``; preflight,
 guard, and apply sites cost one ``Op.GUARD_CHECK`` each (plus the same
-charged ``env.lookup`` the tree-walker would pay). Everything a trace
+charged ``env.lookup`` the tree-walker would pay). Past the preflight,
+the executor tallies these fixed ops (and a builtin call's CALL +
+BRANCH, a conditional jump's BRANCH) in locals and charges each as one
+run when the trace ends, normally or not. That is exact: counts are
+integers, the phase does not change inside eval, and the tallies are
+charged before a user-form call, the one place a trace can reach code
+that reads the cycle counters (a nested ``|||``). Everything a trace
 *does* to the heap — materializing literals, calling builtin bodies,
 applying user forms — goes through exactly the charged primitives the
 tree-walker uses, which is what makes results and retained heaps
@@ -31,10 +37,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..core.nodes import REGION_TENURED, Node, NodeType, promote_subgraph
+from ..core.nodes import Node, NodeType
 from ..errors import EvalError
 from ..ops import Op
-from .trace import HEAD_SPECIAL, HeadSlot, Instr, TOp, Trace
+from .trace import HEAD_SPECIAL, HeadSlot, TOp, Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..context import ExecContext
@@ -67,38 +73,6 @@ def _slot_valid(slot: HeadSlot, target: Optional[Node]) -> bool:
     return target.ntype == NodeType.N_FORM
 
 
-def _materialize_value(cache, ins: Instr, arena, ctx, memo: dict) -> Node:
-    """Materialize a CONST/LOAD-miss template *with its sibling chain*.
-
-    The tree-walker evaluates a literal to the materialized tree node
-    itself, which is a linked child of its parent form and still carries
-    its ``nxt`` chain — so retaining the value retains the following
-    siblings too. Rebuilding that chain here (with the same write
-    barrier ``append_child`` applies), memoized per execution so every
-    tree position materializes at most once, keeps retained-heap
-    snapshots byte-identical between the tiers. The walk stops at the
-    first link already wired, so a form with n literal arguments costs
-    O(n) in total rather than O(n) per literal.
-    """
-    node = cache.materialize_one(ins.template, arena, ctx, memo)
-    node.linked = True
-    prev = node
-    for sibling in ins.tail:
-        sib = cache.materialize_one(sibling, arena, ctx, memo)
-        sib.linked = True
-        if prev.nxt is sib:
-            # An earlier instruction wired this link, and with it the rest
-            # of the chain: its walk ran to the end, and the remaining
-            # siblings would only be uncharged memo hits.
-            break
-        barrier_source = prev.region
-        prev.nxt = sib
-        if barrier_source == REGION_TENURED and sib.region > REGION_TENURED:
-            promote_subgraph(sib)  # pragma: no cover - fresh nodes are nursery
-        prev = sib
-    return node
-
-
 def execute_trace(
     trace: Trace,
     interp: "Interpreter",
@@ -119,82 +93,109 @@ def execute_trace(
     cache = interp.parse_cache
     assert cache is not None  # the jit option requires the parse cache
     arena = interp.arena
-    memo: dict = {}  # template id -> node, shared across this execution
+    memo: dict = {}  # template -> node, shared across this execution
     instrs = trace.instrs
     heads = trace.heads
     regs: list[Optional[Node]] = [None] * trace.n_regs
     env_dirty = False
+    # Fixed tallies, charged as one run each when the trace ends (or
+    # before a user-form call, whose body may read the cycle counters).
+    steps = guards = calls = branches = 0
     pc = 0
-    while True:
-        ins = instrs[pc]
-        ctx.charge(Op.TRACE_STEP)
-        op = ins.op
-        if op == TOp.APPLY:
-            ctx.charge(Op.GUARD_CHECK)
-            target = targets[ins.head]
-            if env_dirty:
-                slot = heads[ins.head]
-                if env.lookup(slot.name, ctx, slot.sym_id) is not target:
-                    raise TraceInvalidatedError(
-                        f"trace head {slot.name!r} was rebound mid-trace "
-                        "(after side effects); re-run the request"
+    try:
+        while True:
+            ins = instrs[pc]
+            steps += 1
+            op = ins.op
+            if op == TOp.APPLY:
+                guards += 1
+                target = targets[ins.head]
+                if env_dirty:
+                    slot = heads[ins.head]
+                    if env.lookup(slot.name, ctx, slot.sym_id) is not target:
+                        raise TraceInvalidatedError(
+                            f"trace head {slot.name!r} was rebound mid-trace "
+                            "(after side effects); re-run the request"
+                        )
+                values = [regs[r] for r in ins.args]
+                if target.ntype == NodeType.N_FUNCTION:
+                    builtin = target.fn
+                    builtin.check_arity(len(values))
+                    calls += 1  # CALL + BRANCH
+                    regs[ins.dst] = builtin.values_fn(interp, env, ctx, values, depth + 1)
+                else:  # N_FORM: a user defun; its body may rebind anything.
+                    _charge_tallies(ctx, steps, guards, calls, branches)
+                    steps = guards = calls = branches = 0
+                    regs[ins.dst] = interp.evaluator.apply_form_prevaluated(
+                        target, values, env, ctx, depth + 1
                     )
-            values = [regs[r] for r in ins.args]
-            if target.ntype == NodeType.N_FUNCTION:
-                builtin = target.fn
-                builtin.check_arity(len(values))
-                ctx.charge(Op.CALL)
-                ctx.charge(Op.BRANCH)
-                regs[ins.dst] = builtin.values_fn(interp, env, ctx, values, depth + 1)
-            else:  # N_FORM: a user defun; its body may rebind anything.
-                regs[ins.dst] = interp.evaluator.apply_form_prevaluated(
-                    target, values, env, ctx, depth + 1
-                )
-                env_dirty = True
-        elif op == TOp.CONST:
-            # Parity with the tree-walker, where a returned literal is a
-            # linked *child* of the program tree and keeps its sibling
-            # chain: storing it must copy-on-link and retain exactly as
-            # the materialized tree would.
-            regs[ins.dst] = _materialize_value(cache, ins, arena, ctx, memo)
-        elif op == TOp.LOAD:
-            value = env.lookup(ins.name, ctx, ins.sym_id)
-            if value is None:
-                # Late binding: an unbound symbol evaluates to itself.
-                value = _materialize_value(cache, ins, arena, ctx, memo)
-            regs[ins.dst] = value
-        elif op == TOp.MOV:
-            regs[ins.dst] = regs[ins.src]
-        elif op == TOp.PUSHNIL:
-            regs[ins.dst] = interp.nil
-        elif op == TOp.PUSHTRUE:
-            regs[ins.dst] = interp.true
-        elif op == TOp.SETQ:
-            value = regs[ins.src]
-            env.set_nearest(ins.name, value, ctx, sym_id=ins.sym_id)
-            regs[ins.dst] = value
-        elif op == TOp.GUARD:
-            ctx.charge(Op.GUARD_CHECK)
-            if env_dirty:
-                slot = heads[ins.head]
-                if env.lookup(slot.name, ctx, slot.sym_id) is not targets[ins.head]:
-                    raise TraceInvalidatedError(
-                        f"special form {slot.name!r} was rebound mid-trace "
-                        "(after side effects); re-run the request"
-                    )
-        elif op == TOp.JUMP:
-            pc = ins.target
-            continue
-        elif op == TOp.JUMPF:
-            ctx.charge(Op.BRANCH)
-            if not interp.truthy(regs[ins.src], ctx):
+                    env_dirty = True
+            elif op == TOp.CONST:
+                # Parity with the tree-walker, where a returned literal is
+                # a linked *child* of the program tree and keeps its
+                # sibling chain: storing it must copy-on-link and retain
+                # exactly as the materialized tree would. A literal an
+                # earlier chain already built is wired already.
+                node = memo.get(ins.template)
+                if node is None:
+                    node = cache.materialize_chain(ins.sibs, ins.index, arena, ctx, memo)
+                regs[ins.dst] = node
+            elif op == TOp.LOAD:
+                value = env.lookup(ins.name, ctx, ins.sym_id)
+                if value is None:
+                    # Late binding: an unbound symbol evaluates to itself.
+                    value = memo.get(ins.template)
+                    if value is None:
+                        value = cache.materialize_chain(ins.sibs, ins.index, arena, ctx, memo)
+                regs[ins.dst] = value
+            elif op == TOp.MOV:
+                regs[ins.dst] = regs[ins.src]
+            elif op == TOp.PUSHNIL:
+                regs[ins.dst] = interp.nil
+            elif op == TOp.PUSHTRUE:
+                regs[ins.dst] = interp.true
+            elif op == TOp.SETQ:
+                value = regs[ins.src]
+                env.set_nearest(ins.name, value, ctx, sym_id=ins.sym_id)
+                regs[ins.dst] = value
+            elif op == TOp.GUARD:
+                guards += 1
+                if env_dirty:
+                    slot = heads[ins.head]
+                    if env.lookup(slot.name, ctx, slot.sym_id) is not targets[ins.head]:
+                        raise TraceInvalidatedError(
+                            f"special form {slot.name!r} was rebound mid-trace "
+                            "(after side effects); re-run the request"
+                        )
+            elif op == TOp.JUMP:
                 pc = ins.target
                 continue
-        elif op == TOp.JUMPT:
-            ctx.charge(Op.BRANCH)
-            if interp.truthy(regs[ins.src], ctx):
-                pc = ins.target
-                continue
-        else:  # TOp.RET
-            return regs[ins.src]
-        pc += 1
+            elif op == TOp.JUMPF:
+                branches += 1
+                if not interp.truthy(regs[ins.src], ctx):
+                    pc = ins.target
+                    continue
+            elif op == TOp.JUMPT:
+                branches += 1
+                if interp.truthy(regs[ins.src], ctx):
+                    pc = ins.target
+                    continue
+            else:  # TOp.RET
+                return regs[ins.src]
+            pc += 1
+    finally:
+        _charge_tallies(ctx, steps, guards, calls, branches)
+
+
+def _charge_tallies(ctx: "ExecContext", steps: int, guards: int, calls: int,
+                    branches: int) -> None:
+    """Charge a trace's fixed tallies: a builtin call is CALL + BRANCH,
+    a conditional jump one more BRANCH."""
+    if steps:
+        ctx.charge(Op.TRACE_STEP, steps)
+    if guards:
+        ctx.charge(Op.GUARD_CHECK, guards)
+    if calls:
+        ctx.charge(Op.CALL, calls)
+    if calls or branches:
+        ctx.charge(Op.BRANCH, calls + branches)

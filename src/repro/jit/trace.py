@@ -9,7 +9,8 @@ recursive ``eval`` — a warp-divergence machine — becomes straight-line
 work, which is exactly the C-lisp/IR argument from PAPERS.md.
 
 Every executed instruction charges one ``Op.TRACE_STEP``; guard and
-apply sites additionally charge ``Op.GUARD_CHECK``. All *node* work a
+apply sites additionally charge ``Op.GUARD_CHECK`` (the executor tallies
+these and charges them as one run per execution). All *node* work a
 trace still performs (materializing literals, environment lookups,
 builtin bodies) goes through the same charged arena/environment
 primitives the tree-walker uses — a trace is cheaper because it skips
@@ -78,7 +79,7 @@ class Instr:
     """One flat trace instruction (a plain struct; fields per opcode)."""
 
     __slots__ = ("op", "dst", "src", "name", "sym_id", "template", "head",
-                 "args", "target", "tail")
+                 "args", "target", "sibs", "index")
 
     def __init__(
         self,
@@ -91,7 +92,8 @@ class Instr:
         head: int = -1,
         args: Optional[tuple] = None,
         target: int = -1,
-        tail: tuple = (),
+        sibs: tuple = (),
+        index: int = 0,
     ) -> None:
         self.op = op
         self.dst = dst
@@ -102,12 +104,16 @@ class Instr:
         self.head = head
         self.args = args
         self.target = target
-        #: CONST/LOAD only: the templates of the node's *following
-        #: siblings* in its parent form. The tree-walker evaluates a
-        #: literal to the tree node itself, which still carries its
-        #: ``nxt`` chain — retaining the value retains the tail — so the
-        #: executor must materialize and link the same chain.
-        self.tail = tail
+        #: CONST/LOAD only: the argument tuple of the node's parent form,
+        #: shared by every instruction of that form, and the node's index
+        #: in it (``sibs[index] is template``). The tree-walker evaluates
+        #: a literal to the tree node itself, which still carries its
+        #: ``nxt`` chain through ``sibs[index + 1:]`` — retaining the
+        #: value retains them — so the executor must materialize and
+        #: link the same chain. Sharing the tuple keeps an n-literal
+        #: form's trace O(n) in size.
+        self.sibs = sibs
+        self.index = index
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Instr {self.op.name} dst={self.dst}>"

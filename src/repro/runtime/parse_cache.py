@@ -27,11 +27,12 @@ Two fidelity rules shape the implementation:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..context import ExecContext
 from ..core.arena import NodeArena
-from ..core.nodes import Node, NodeType
+from ..core.nodes import REGION_TENURED, Node, NodeType, promote_subgraph
+from ..errors import ArenaExhaustedError
 from ..ops import Op
 
 __all__ = ["TemplateNode", "ParseCacheStats", "CacheEntry", "ParseCache"]
@@ -220,51 +221,147 @@ class ParseCache:
         produced — so downstream evaluation, GC, and copy-on-link behave
         identically on both paths.
         """
-        return [self._materialize_one(t, arena, ctx) for t in templates]
+        return self._build(templates, 0, arena, ctx, None, False)
 
     def materialize_one(
+        self, template: TemplateNode, arena: NodeArena, ctx: ExecContext
+    ) -> Node:
+        """Deep-copy one template: an untraceable form of a traced entry,
+        or the form a guard bail falls back to."""
+        return self._build((template,), 0, arena, ctx, None, False)[0]
+
+    def materialize_chain(
         self,
-        template: TemplateNode,
+        sibs: Sequence[TemplateNode],
+        index: int,
         arena: NodeArena,
         ctx: ExecContext,
-        memo: Optional[dict] = None,
+        memo: dict,
     ) -> Node:
-        """Deep-copy one template (or sub-template) into fresh arena
-        nodes — the single-node entry point the JIT trace executor uses
-        for literals, quoted structure, and guard-bail fallback.
+        """Build ``sibs[index]`` and the unbuilt rest of its sibling chain;
+        returns the node of ``sibs[index]``.
 
-        ``memo`` (template id -> materialized node) makes repeated calls
-        within one trace execution share nodes exactly the way a single
-        whole-tree materialization would: a sub-template already built —
-        say, as part of another literal's sibling chain — is returned,
-        not re-copied, so the traced heap has one node per tree position
-        just like the tree-walker's.
+        The JIT executor's literals: the tree-walker evaluates a literal
+        to the tree node itself, a linked child of its parent form whose
+        ``nxt`` chain runs through the following siblings, so retaining
+        the value retains them. ``memo`` (template -> node, one per trace
+        execution) gives every tree position at most one node, as
+        one whole-tree materialization would. The walk stops at the first
+        link an earlier chain already wired, so a form with n literal
+        arguments builds O(n) nodes in total.
         """
-        return self._materialize_one(template, arena, ctx, memo)
+        return self._build(sibs, index, arena, ctx, memo, True)[0]
 
-    def _materialize_one(
+    def _build(
         self,
-        template: TemplateNode,
+        templates: Sequence[TemplateNode],
+        start: int,
         arena: NodeArena,
         ctx: ExecContext,
-        memo: Optional[dict] = None,
+        memo: Optional[dict],
+        chain: bool,
+    ) -> list[Node]:
+        """The one materializer: deep-copy ``templates[start:]``, charged
+        as one run.
+
+        A node is one ``NODE_ALLOC``, one ``NODE_READ`` (the template
+        fetch) and two ``NODE_WRITE`` (value and link fields), charged
+        for all nodes built in one call each; nodes are allocated in
+        preorder, a node before its children. If the arena runs out, the
+        run charges the nodes built before it plus the failed
+        allocation, which ``NodeArena.alloc`` charges before it raises.
+        ``chain`` links the copies as a sibling chain (with the write
+        barrier ``Node.append_child`` applies) and stops at a link
+        already wired.
+        """
+        take = arena.take
+        cursor = arena.cursor if arena.atomic_cursor else None
+        allocs0 = arena.stats.allocs
+        roots: list[Node] = []
+        prev: Optional[Node] = None
+        try:
+            for i in range(start, len(templates)):
+                template = templates[i]
+                node = None if memo is None else memo.get(template)
+                if node is None:
+                    if template.children:
+                        node = self._copy_list(template, arena, ctx, memo)
+                    else:
+                        if cursor is not None:
+                            cursor.fetch_add_contended(1, ctx, arena.contention_width)
+                        node = take(template.ntype)
+                        node.ival = template.ival
+                        node.fval = template.fval
+                        node.sval = template.sval
+                        node.sym_id = template.sym_id
+                        node.sealed = True
+                        if memo is not None:
+                            memo[template] = node
+                if chain:
+                    node.linked = True
+                    if prev is not None:
+                        if prev.nxt is node:
+                            # An earlier chain wired this link, and the
+                            # rest of the chain with it.
+                            break
+                        barrier_source = prev.region
+                        prev.nxt = node
+                        if barrier_source == REGION_TENURED and node.region > REGION_TENURED:
+                            promote_subgraph(node)  # pragma: no cover - fresh nodes are nursery
+                    prev = node
+                roots.append(node)
+        except ArenaExhaustedError:
+            ctx.charge(Op.NODE_ALLOC)  # the failed allocation
+            raise
+        finally:
+            built = arena.stats.allocs - allocs0
+            if built:
+                ctx.charge(Op.NODE_ALLOC, built)
+                ctx.charge(Op.NODE_READ, built)
+                ctx.charge(Op.NODE_WRITE, 2 * built)
+                self.stats.nodes_materialized += built
+        return roots
+
+    @staticmethod
+    def _copy_list(
+        template: TemplateNode, arena: NodeArena, ctx: ExecContext,
+        memo: Optional[dict],
     ) -> Node:
-        if memo is not None:
-            done = memo.get(id(template))
-            if done is not None:
-                return done
-        node = arena.alloc(template.ntype, ctx)  # charges NODE_ALLOC
-        ctx.charge(Op.NODE_READ)      # fetch the template node
-        ctx.charge(Op.NODE_WRITE, 2)  # store value + link fields
-        node.ival = template.ival
-        node.fval = template.fval
-        node.sval = template.sval
-        node.sym_id = template.sym_id
-        self.stats.nodes_materialized += 1
-        if memo is not None:
-            memo[id(template)] = node
-        for child_template in template.children:
-            node.append_child(
-                self._materialize_one(child_template, arena, ctx, memo)
-            )
-        return node.seal()
+        """Uncharged preorder deep copy of a template with children (the
+        caller, :meth:`_build`, charges every node taken). A child joins
+        its parent once its own subtree is complete, as in a recursive
+        copy, and each list is sealed once its children are in."""
+        cursor = arena.cursor if arena.atomic_cursor else None
+
+        def fresh(t: TemplateNode) -> Node:
+            if cursor is not None:
+                cursor.fetch_add_contended(1, ctx, arena.contention_width)
+            node = arena.take(t.ntype)
+            node.ival = t.ival
+            node.fval = t.fval
+            node.sval = t.sval
+            node.sym_id = t.sym_id
+            if memo is not None:
+                memo[t] = node
+            return node
+
+        root = fresh(template)
+        frames = [(root, iter(template.children))]
+        while frames:
+            parent, children = frames[-1]
+            child_template = next(children, None)
+            if child_template is None:
+                parent.sealed = True
+                frames.pop()
+                if frames:
+                    frames[-1][0].append_child(parent)
+                continue
+            child = None if memo is None else memo.get(child_template)
+            if child is None:
+                child = fresh(child_template)
+                if child_template.children:
+                    frames.append((child, iter(child_template.children)))
+                    continue
+                child.sealed = True
+            parent.append_child(child)
+        return root

@@ -9,12 +9,15 @@ context subclass: the hot path carries no counter of its own.
   its input is.
 * A whole request (parse, eval, print) stays at or below the number of
   charge calls recorded when the folded tallies landed.
+* A traced request over n literals makes as many charge and cache-touch
+  calls at n=400 as at n=100: its literals are built, copied and printed
+  as one charged run each.
 """
 
 from __future__ import annotations
 
 from repro.context import CountingContext
-from repro.core.interpreter import Interpreter
+from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.core.reader import Parser
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory import OutputBuffer, SourceBuffer
@@ -38,10 +41,12 @@ CORPUS = (
 )
 
 #: Charge calls (``charge`` + ``charge_many``) over all of CORPUS, recorded
-#: when the tallies were folded: 272.0 per request. The per-character scan
-#: with per-digit and per-link charges made 4,069 (339.1 per request).
-#: Lower is fine; higher fails.
-CHARGE_CALLS_CEILING = 3264
+#: when value nodes, list copies, int-list prints and arithmetic folds
+#: became runs: 254.5 per request. The folded tallies alone made 3,264
+#: (272.0 per request); the per-character scan with per-digit and
+#: per-link charges made 4,069 (339.1 per request). Lower is fine;
+#: higher fails.
+CHARGE_CALLS_CEILING = 3054
 
 
 class TallyContext(CountingContext):
@@ -69,6 +74,10 @@ class TallyContext(CountingContext):
         self.calls["touch"] += 1
         super().touch_each(addr, size)
 
+    def touch_spans(self, addr, sizes):
+        self.calls["touch"] += 1
+        super().touch_spans(addr, sizes)
+
 
 def _tally() -> TallyContext:
     ctx = TallyContext(cache=SetAssociativeCache(64), miss_penalty=1.0)
@@ -94,3 +103,35 @@ def test_charge_calls_per_request_at_or_below_ceiling():
         interp.process(SourceBuffer(text), ctx, OutputBuffer())
     calls = ctx.calls["charge"] + ctx.calls["charge_many"]
     assert calls <= CHARGE_CALLS_CEILING, f"{calls / len(CORPUS):.1f} per request"
+
+
+def _traced_request_calls(head: str, n: int) -> tuple[int, int]:
+    """Charge calls and cache-touch calls of one traced ``(head 1 ... n)``."""
+    interp = Interpreter(InterpreterOptions.fast(jit=True))
+    text = f"({head} " + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    for _ in range(interp.options.jit_threshold - 1):
+        interp.process(text, _tally())
+        interp.collect_garbage()
+    ctx = _tally()
+    interp.process(SourceBuffer(text), ctx, OutputBuffer())
+    assert interp.jit_stats.trace_hits == 1
+    return ctx.calls["charge"] + ctx.calls["charge_many"], ctx.calls["touch"]
+
+
+def test_traced_literal_runs_make_calls_independent_of_width():
+    """Charge and touch calls of a traced request do not grow with its
+    literal count. Before literal runs, the per-literal calls were:
+
+    ==========  ======  ======  =====  =====
+    request     charge  charge  touch  touch
+                n=100   n=400   n=100  n=400
+    ==========  ======  ======  =====  =====
+    ``list``    1,311   5,211   201    801
+    ``+``       513     2,013   1      1
+    ==========  ======  ======  =====  =====
+    """
+    for head in ("list", "+"):
+        narrow = _traced_request_calls(head, 100)
+        wide = _traced_request_calls(head, 400)
+        assert wide[0] <= narrow[0], head
+        assert wide[1] <= narrow[1], head

@@ -312,27 +312,28 @@ class TestParseCacheTraceOwnership:
 
 class TestLiteralMaterialization:
     @staticmethod
-    def hot_materializations(n: int) -> int:
-        """``materialize_one`` calls made by one traced execution of a
-        form with ``n`` literal arguments."""
+    def hot_materializations(n: int) -> tuple[int, int]:
+        """Nodes built and builder calls made by one traced execution of
+        a form with ``n`` literal arguments."""
         interp = jit_interp(threshold=1)
         cache = interp.parse_cache
         calls = 0
-        materialize = cache.materialize_one
+        build = cache._build
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return materialize(*args, **kwargs)
+            return build(*args, **kwargs)
 
-        cache.materialize_one = counted
+        cache._build = counted
         text = "(+ " + " ".join(["1"] * n) + ")"
         ctx = NullContext(max_depth=256)
         assert interp.process(text, ctx) == str(n)  # compiles the trace
         calls = 0
+        built0 = cache.stats.nodes_materialized
         assert interp.process(text, ctx) == str(n)  # runs it
         assert interp.jit_stats.trace_hits == 1
-        return calls
+        return cache.stats.nodes_materialized - built0, calls
 
     def test_sibling_tail_walk_is_linear_in_literals(self):
         """Each literal rebuilds its sibling chain only up to the first
@@ -341,6 +342,7 @@ class TestLiteralMaterialization:
         small, mid, large = (
             self.hot_materializations(n) for n in (1000, 2000, 4000)
         )
-        assert small >= 1000
-        assert mid <= 2.2 * small
-        assert large <= 2.2 * mid
+        assert small[0] >= 1000
+        for fewer, more in ((small, mid), (mid, large)):
+            assert more[0] <= 2.2 * fewer[0]  # nodes built
+            assert more[1] <= 2.2 * fewer[1]  # builder calls
