@@ -15,8 +15,6 @@ Run with::
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro import CuLiServer, CuLiSession
@@ -50,15 +48,11 @@ def run_sequential(n_tenants: int = TENANTS) -> tuple[float, int]:
     return total_ms, commands
 
 
-def run_batched(
-    n_tenants: int = TENANTS, fast_path: bool = True
-) -> tuple[float, int, "CuLiServer"]:
+def run_batched(n_tenants: int = TENANTS) -> tuple[float, int, "CuLiServer"]:
     """N tenants multiplexed onto one shared device via the server.
 
-    ``fast_path=False`` is PR 1's baseline: the paper-literal interpreter
-    (strcmp lookups, no root index, every request re-parsed).
     Returns (simulated makespan ms, commands executed, server)."""
-    server = CuLiServer(devices=[DEVICE], max_batch=n_tenants, fast_path=fast_path)
+    server = CuLiServer(devices=[DEVICE], max_batch=n_tenants)
     tenants = [server.open_session() for _ in range(n_tenants)]
     for i, tenant in enumerate(tenants):
         for command in tenant_commands(i):
@@ -151,53 +145,6 @@ def test_pool_scales_makespan(benchmark, n_devices):
         benchmark, devices=n_devices, tenants=TENANTS, makespan_ms=makespan
     )
     assert makespan > 0
-
-
-def test_fast_path_beats_baseline(benchmark, capsys):
-    """The PR 2 acceptance claim: interned symbols + indexed session
-    roots + the serving parse cache yield more jobs/sec than PR 1's
-    literal-mode serving on the *same* workload — in modeled device
-    cycles and in host wall-clock."""
-
-    def compare():
-        w0 = time.perf_counter()
-        base_ms, base_jobs, _ = run_batched(fast_path=False)
-        base_wall = time.perf_counter() - w0
-        w0 = time.perf_counter()
-        fast_ms, fast_jobs, _ = run_batched(fast_path=True)
-        fast_wall = time.perf_counter() - w0
-        return base_ms, base_jobs, base_wall, fast_ms, fast_jobs, fast_wall
-
-    base_ms, base_jobs, base_wall, fast_ms, fast_jobs, fast_wall = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
-    base_rps = base_jobs / (base_ms / 1000.0)
-    fast_rps = fast_jobs / (fast_ms / 1000.0)
-    record_point(
-        benchmark,
-        tenants=TENANTS,
-        baseline_simulated_ms=base_ms,
-        fastpath_simulated_ms=fast_ms,
-        baseline_jobs_per_sec=base_rps,
-        fastpath_jobs_per_sec=fast_rps,
-        baseline_host_wall_s=base_wall,
-        fastpath_host_wall_s=fast_wall,
-        modeled_speedup=fast_rps / base_rps,
-        host_speedup=base_wall / fast_wall,
-    )
-    with capsys.disabled():
-        print(
-            f"\nfast path on {DEVICE} ({TENANTS} tenants x 3 commands): "
-            f"literal {base_rps:,.0f} jobs/s -> fast {fast_rps:,.0f} jobs/s "
-            f"({fast_rps / base_rps:.2f}x modeled); host wall "
-            f"{base_wall * 1e3:.0f} ms -> {fast_wall * 1e3:.0f} ms "
-            f"({base_wall / fast_wall:.2f}x)"
-        )
-    assert fast_jobs == base_jobs == TENANTS * 3
-    assert fast_rps > base_rps, (
-        f"fast path ({fast_rps:.0f} jobs/s) must beat the literal serving "
-        f"baseline ({base_rps:.0f} jobs/s)"
-    )
 
 
 def test_generational_gc_beats_full_sweep(benchmark, capsys):
@@ -302,7 +249,7 @@ def test_parse_cache_hit_rate(benchmark):
     the master's serial parse scans (the paper's stated bottleneck)."""
 
     def run():
-        _, _, server = run_batched(fast_path=True)
+        _, _, server = run_batched()
         caches = [
             pdev.device.interp.parse_cache for pdev in server.pool.devices.values()
         ]

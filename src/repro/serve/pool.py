@@ -23,7 +23,8 @@ breaks ties, so an empty fleet fills fastest-first).
 
 Each device's queue is a :class:`DeviceQueue`: per-session FIFOs behind
 an EDF index of session heads, so batch formation and rebalancing touch
-only the heads they consider instead of rescanning every queued ticket.
+only the heads they consider instead of rescanning every queued ticket
+(the queue is not iterable: no cross-session order is kept to walk).
 Each device also indexes its resident sessions, so per-device sweeps
 never scan the whole session table.
 """
@@ -31,8 +32,7 @@ never scan the whole session table.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Collection, Optional, Sequence, Union
 
 from ..core.nodes import NODE_BYTES
 from ..cpu.device import CPUDevice, CPUDeviceConfig
@@ -77,10 +77,10 @@ class DeviceQueue:
 
     Every ticket carries a queue position: :meth:`append` takes the next
     position at the back, :meth:`appendleft` (quarantine retries) the
-    next one at the front. Iteration yields tickets in position order —
-    exactly the order a single deque holding the same operations would
-    have — and each session's tickets form an intrusive FIFO in that same
-    order, so nothing per session outlives its last queued ticket.
+    next one at the front. Each session's tickets form an intrusive FIFO
+    in position order, so nothing per session outlives its last queued
+    ticket. The queue is not iterable: only positions order tickets
+    across sessions.
 
     Two indexes sit on the session heads:
 
@@ -101,8 +101,6 @@ class DeviceQueue:
     __slots__ = (
         "depth",
         "_fifos",
-        "_front",
-        "_back",
         "_lo",
         "_hi",
         "_ready",
@@ -116,11 +114,8 @@ class DeviceQueue:
         #: Queued tickets (``len()``, readable without a method call).
         self.depth = 0
         self._fifos: dict["TenantSession", _Fifo] = {}
-        # Position order: appended tickets in _back (insertion order is
-        # position order), appendleft'ed ones in _front (newest, i.e.
-        # lowest position, last).
-        self._front: dict["Ticket", None] = {}
-        self._back: dict["Ticket", None] = {}
+        # Next positions: appendleft counts down from _lo, append up
+        # from _hi (pick_session breaks ties on them).
         self._lo = 0
         self._hi = 0
         self._ready: list = []   # (deadline, arrival, seq, ticket)
@@ -132,12 +127,6 @@ class DeviceQueue:
     def __len__(self) -> int:
         return self.depth
 
-    def __bool__(self) -> bool:
-        return self.depth > 0
-
-    def __iter__(self) -> Iterator["Ticket"]:
-        return chain(reversed(self._front), self._back)
-
     def count(self, session: "TenantSession") -> int:
         """Queued tickets of ``session`` on this device."""
         fifo = self._fifos.get(session)
@@ -148,7 +137,6 @@ class DeviceQueue:
     def append(self, ticket: "Ticket") -> None:
         ticket._pos = self._hi
         self._hi += 1
-        self._back[ticket] = None
         self.depth += 1
         ticket._next = None
         fifo = self._fifos.get(ticket.session)
@@ -170,7 +158,6 @@ class DeviceQueue:
         """Queue ``ticket`` ahead of everything (a quarantine retry)."""
         self._lo -= 1
         ticket._pos = self._lo
-        self._front[ticket] = None
         self.depth += 1
         fifo = self._fifos.get(ticket.session)
         if fifo is None:
@@ -217,22 +204,15 @@ class DeviceQueue:
         return out
 
     def clear(self) -> list["Ticket"]:
-        """Empty the queue; returns what it held, in position order."""
-        out = list(self)
-        for ticket in out:
-            ticket._next = ticket._entry = None
-        self.depth = 0
-        self._fifos.clear()
-        self._front.clear()
-        self._back.clear()
+        """Empty the queue; returns what it held, each session's in FIFO order."""
+        out = []
+        for session in list(self._fifos):
+            out += self.remove_session(session)
         self._ready.clear()
         self._future.clear()
-        self._sizes.clear()
-        self._buckets.clear()
         return out
 
     def _unlink(self, ticket: "Ticket") -> None:
-        del (self._front if ticket._pos < 0 else self._back)[ticket]
         self.depth -= 1
         ticket._entry = None
 

@@ -50,7 +50,6 @@ class CuLiServer:
         max_batch: int = 32,
         gpu_config: Optional[GPUDeviceConfig] = None,
         cpu_config: Optional[CPUDeviceConfig] = None,
-        fast_path: bool = True,
         gc_policy: Optional[str] = None,
         jit: Optional[bool] = None,
         rebalance: bool = False,
@@ -75,52 +74,32 @@ class CuLiServer:
             raise ValueError(
                 f"unknown placement {placement!r}: only 'cost' is supported"
             )
-        # The serving layer defaults to the fast-path ablation (interned
-        # symbols, indexed session roots, parse cache, generational
-        # region GC): serving is our infrastructure on top of the paper,
-        # so — like the arena's private-cursor default — it ships the
-        # fast mode while ``fast_path=False`` keeps the paper-literal
-        # interpreter (uncharged full mark-sweep included) for baseline
-        # comparisons. ``gc_policy`` overrides just the reclamation
-        # policy of the fast path ("generational" default, "full" for
-        # the charged mark-sweep baseline — see DESIGN.md deviation #7).
-        # An explicitly passed device config always wins over both flags.
-        # ``jit`` adds the trace tier on top of the fast path (the third
-        # rung of the tier ladder): cache-hot request texts compile to
-        # flat register traces instead of re-walking the tree. Serving
-        # defaults it ON; ``jit=False`` keeps fast-path serving on the
-        # tree-walker for ablations. It needs the parse cache, so it is
-        # meaningless (and rejected) under the literal paper mode.
-        self.fast_path = fast_path
-        if gc_policy is not None and not fast_path:
-            raise ValueError(
-                "gc_policy only configures fast-path serving; "
-                "fast_path=False always runs the literal collector "
-                "(pass an explicit device config to mix modes)"
+        # Serving runs the fast path (interned symbols, indexed session
+        # roots, parse cache, generational region GC) plus the JIT trace
+        # tier on every device whose config is not passed in: serving is
+        # our infrastructure on top of the paper, so — like the arena's
+        # private-cursor default — it ships the fast mode. ``gc_policy``
+        # overrides just the reclamation policy ("full" for the charged
+        # mark-sweep baseline — DESIGN.md deviation #7); ``jit=False``
+        # keeps serving on the tree-walker. An explicit device config
+        # always wins: ``GPUDeviceConfig()`` / ``CPUDeviceConfig()``
+        # serve the paper-literal interpreter.
+        fast_overrides = {} if gc_policy is None else {"gc_policy": gc_policy}
+        if jit is None:
+            # Default ON, but let the environment force the tree-walk
+            # ablation fleet-wide (CI's tier matrix re-runs the serving
+            # suites with REPRO_SERVE_JIT=0). An explicit ``jit=``
+            # argument always wins over the environment.
+            jit = os.environ.get("REPRO_SERVE_JIT", "1") != "0"
+        fast_overrides["jit"] = jit
+        if gpu_config is None:
+            gpu_config = GPUDeviceConfig(
+                interpreter=InterpreterOptions.fast(**fast_overrides)
             )
-        if jit and not fast_path:
-            raise ValueError(
-                "the jit trace tier requires fast-path serving (the "
-                "parse cache defines hotness); pass an explicit device "
-                "config to mix modes"
+        if cpu_config is None:
+            cpu_config = CPUDeviceConfig(
+                interpreter=InterpreterOptions.fast(**fast_overrides)
             )
-        if fast_path:
-            fast_overrides = {} if gc_policy is None else {"gc_policy": gc_policy}
-            if jit is None:
-                # Default ON, but let the environment force the tree-walk
-                # ablation fleet-wide (CI's tier matrix re-runs the serving
-                # suites with REPRO_SERVE_JIT=0). An explicit ``jit=``
-                # argument always wins over the environment.
-                jit = os.environ.get("REPRO_SERVE_JIT", "1") != "0"
-            fast_overrides["jit"] = jit
-            if gpu_config is None:
-                gpu_config = GPUDeviceConfig(
-                    interpreter=InterpreterOptions.fast(**fast_overrides)
-                )
-            if cpu_config is None:
-                cpu_config = CPUDeviceConfig(
-                    interpreter=InterpreterOptions.fast(**fast_overrides)
-                )
         # ``device_configs`` gives individual devices their own config —
         # a mixed fleet rarely wants one arena size everywhere.
         self.pool = DevicePool(

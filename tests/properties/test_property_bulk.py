@@ -19,6 +19,8 @@ import os
 
 import pytest
 
+from repro.cpu.device import CPUDeviceConfig
+from repro.gpu.device import GPUDeviceConfig
 from repro.serve import CuLiServer
 from repro.runtime.snapshot import snapshot_env
 
@@ -64,7 +66,8 @@ def test_gpu_map_matches_mapcar_across_gc_policies(gc_policy):
     kwargs = (
         {"gc_policy": gc_policy}
         if gc_policy != "literal"
-        else {"fast_path": False, "jit": False}
+        # Default device configs serve the paper-literal interpreter.
+        else {"gpu_config": GPUDeviceConfig(), "cpu_config": CPUDeviceConfig()}
     )
     want = mapcar_oracle(**kwargs)
     assert gpu_map_single(**kwargs) == want

@@ -199,19 +199,16 @@ class TestIntervalCheckpointing:
 
 def _atomicity_server(gc_policy: str) -> CuLiServer:
     """Two devices with cramped arenas; ``gc_policy='literal'`` builds
-    the paper-literal interpreter (fast_path=False + explicit configs)."""
+    the paper-literal interpreter (explicit default options)."""
     capacity = 700
     if gc_policy == "literal":
         opts = InterpreterOptions(arena_capacity=capacity)
-        fast_path = False
     else:
         opts = InterpreterOptions.fast(
             gc_policy=gc_policy, arena_capacity=capacity
         )
-        fast_path = True
     return CuLiServer(
         devices=[DEVICE, DEVICE],
-        fast_path=fast_path,
         gpu_config=GPUDeviceConfig(interpreter=opts),
         cpu_config=CPUDeviceConfig(interpreter=opts),
         failover=True,

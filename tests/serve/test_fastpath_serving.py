@@ -10,7 +10,7 @@ from repro.gpu.device import GPUDeviceConfig
 
 @pytest.fixture()
 def fast_server():
-    with CuLiServer(devices=["gtx1080"], fast_path=True) as server:
+    with CuLiServer(devices=["gtx1080"]) as server:
         yield server
 
 
@@ -22,8 +22,10 @@ class TestFastPathConfiguration:
         assert opts.parse_cache_capacity > 0
         assert pdev.device.interp.parse_cache is not None
 
-    def test_fast_path_false_keeps_literal_mode(self):
-        with CuLiServer(devices=["gtx1080"], fast_path=False) as server:
+    def test_explicit_default_configs_serve_literal_mode(self):
+        with CuLiServer(
+            devices=["gtx1080"], gpu_config=GPUDeviceConfig()
+        ) as server:
             pdev = next(iter(server.pool.devices.values()))
             opts = pdev.device.interp.options
             assert not opts.intern_symbols and not opts.indexed_roots
@@ -122,9 +124,9 @@ class TestParseCacheAcrossTenants:
             "(* total total)",
         ]
 
-        def run(fast_path):
-            with CuLiServer(devices=["gtx1080"], fast_path=fast_path) as server:
+        def run(**config):
+            with CuLiServer(devices=["gtx1080"], **config) as server:
                 session = server.open_session()
                 return [session.eval(command) for command in program]
 
-        assert run(True) == run(False)
+        assert run() == run(gpu_config=GPUDeviceConfig())

@@ -85,7 +85,9 @@ class TestServerStatsGC:
             assert "nodes freed" in server.stats.render()
 
     def test_literal_serving_reports_majors_not_resets(self):
-        with CuLiServer(devices=["gtx1080"], fast_path=False) as server:
+        with CuLiServer(
+            devices=["gtx1080"], gpu_config=GPUDeviceConfig()
+        ) as server:
             tenant = server.open_session()
             tenant.submit("(+ 1 2)")
             server.flush()
@@ -102,10 +104,6 @@ class TestServerStatsGC:
             assert server.stats.gc_major_collections >= 1
             assert server.stats.gc_regions_reset == 0
             assert server.stats.phase_totals.gc_ms > 0.0  # charged
-
-    def test_gc_policy_conflicts_with_literal_serving(self):
-        with pytest.raises(ValueError, match="fast_path"):
-            CuLiServer(devices=["gtx1080"], fast_path=False, gc_policy="full")
 
     def test_tenant_state_survives_batched_region_resets(self):
         """Isolation + persistence under the generational default: many

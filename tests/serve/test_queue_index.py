@@ -6,7 +6,8 @@ for every batch. The reference functions below are the deque-based
 were before the index existed, kept verbatim apart from taking the
 deque explicitly. Randomized
 operation sequences drive both representations side by side and assert
-identical batches, identical picks and identical queue order.
+identical batches, identical picks, identical per-session FIFOs, and
+queue positions that sort into the deque's order.
 """
 
 from __future__ import annotations
@@ -111,12 +112,36 @@ class _Device:
         self.ref = deque()
 
     def check(self) -> None:
-        assert list(self.queue) == list(self.ref)
-        assert len(self.queue) == len(self.ref)
-        for session in {t.session for t in self.ref}:
-            assert self.queue.count(session) == sum(
-                1 for t in self.ref if t.session is session
-            )
+        ref = list(self.ref)
+        sessions = {t.session for t in ref}
+        assert set(self.queue._fifos) == sessions
+        for session in sessions:
+            want = [t for t in ref if t.session is session]
+            assert _fifo(self.queue, session) == want
+            assert self.queue.count(session) == len(want)
+        # The per-count tie-break reads positions, so they must still
+        # encode the deque's order across sessions.
+        queued = [t for s in sessions for t in _fifo(self.queue, s)]
+        assert sorted(queued, key=lambda t: t._pos) == ref
+        assert len(self.queue) == len(ref)
+
+
+def _fifo(queue: DeviceQueue, session) -> list:
+    """``session``'s queued tickets, walked head to tail."""
+    out = []
+    fifo = queue._fifos.get(session)
+    ticket = fifo.head if fifo is not None else None
+    while ticket is not None:
+        out.append(ticket)
+        ticket = ticket._next
+    return out
+
+
+def _by_session(tickets) -> dict:
+    out: dict = {}
+    for ticket in tickets:
+        out.setdefault(ticket.session, []).append(ticket)
+    return out
 
 
 def _text(rng: random.Random) -> str:
@@ -204,7 +229,10 @@ def _run(seed: int, steps: int = 300) -> None:
             other = devices[1 - devices.index(dev)]
             queued = list(dev.ref)
             dev.ref.clear()
-            assert dev.queue.clear() == queued
+            cleared = dev.queue.clear()
+            # Every ticket once, each session's in FIFO order.
+            assert sorted(map(id, cleared)) == sorted(map(id, queued))
+            assert _by_session(cleared) == _by_session(queued)
             assert not dev.queue
             for session in {t.session for t in queued}:
                 home[session] = other

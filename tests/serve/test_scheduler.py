@@ -50,8 +50,9 @@ class TestBatchFormation:
         pdev = server.pool[a.device_id]
         batch = server.scheduler.form_batch_async(pdev)
         assert [t.text for t in batch] == ["1", "4"]
-        # a's remaining commands still in submission order at the front
-        assert [t.text for t in pdev.queue] == ["2", "3"]
+        # a's remaining commands still queued, in submission order
+        assert pdev.queue_depth == 2
+        assert [t.text for t in pdev.queue.remove_session(a)] == ["2", "3"]
 
     def test_fairness_flooding_session_gets_one_slot(self, server):
         flooder = server.open_session()
