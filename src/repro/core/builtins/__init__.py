@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["BuiltinFunction", "BuiltinRegistry", "install_all"]
 
 #: Charged on every builtin call: the call itself and the dispatch branch.
-_CALL_OPS = (Op.CALL, Op.BRANCH)
+CALL_OPS = (Op.CALL, Op.BRANCH)
 
 #: fn(interp, env, ctx, args, depth) -> Node, args unevaluated.
 BuiltinImpl = Callable[..., "Node"]
@@ -79,7 +79,7 @@ class BuiltinFunction:
         args: list["Node"],
         depth: int,
     ) -> "Node":
-        ctx.charge_many(_CALL_OPS)
+        ctx.charge_many(CALL_OPS)
         return self.fn(interp, env, ctx, args, depth)
 
 

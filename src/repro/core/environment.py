@@ -230,12 +230,38 @@ class Environment:
         symbol comparison (strcmp, or one ``SYM_CMP`` when interned).
         """
         env: Optional[Environment] = self
-        while env is not None:
-            entry = env._find_here(symbol, ctx, sym_id)
-            if entry is not None:
-                return entry.node
-            env = env.parent
-        return None
+        # _find_here per scope, inlined: its fixed charges are tallied
+        # and charged once; str_cmp charges its own SYM_CHAR_CMP.
+        probes = steps = compares = 0
+        try:
+            while env is not None:
+                index = env._index
+                if index is not None:
+                    probes += 1
+                    entry = index.get(symbol)
+                    if entry is not None:
+                        return entry.node
+                else:
+                    entry = env.head
+                    while entry is not None:
+                        steps += 1
+                        eid = entry.sym_id
+                        if sym_id >= 0 and eid >= 0:
+                            compares += 1
+                            if eid == sym_id:
+                                return entry.node
+                        elif str_cmp(entry.symbol, symbol, ctx) == 0:
+                            return entry.node
+                        entry = entry.nxt
+                env = env.parent
+            return None
+        finally:
+            if probes:
+                ctx.charge(Op.HASH_PROBE, probes)
+            if steps:
+                ctx.charge(Op.ENV_STEP, steps)
+            if compares:
+                ctx.charge(Op.SYM_CMP, compares)
 
     def lookup_local(
         self, symbol: str, ctx: ExecContext, sym_id: int = -1

@@ -21,6 +21,11 @@ Dispatch rules, following the paper exactly:
   that environment is the *call-site* environment (dynamic scope — see
   DESIGN.md).
 * primitives — returned unchanged.
+
+A builtin that is ``work(eval_args(args))`` (it has a ``values_fn``) is
+called from the list's own frame: its arguments are evaluated there,
+exactly as its node-level function would evaluate them, and the charges
+are the same (DESIGN.md, "Host-side charge folding").
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import TYPE_CHECKING
 from ..context import ExecContext
 from ..errors import ArityError, EvalError, RecursionDepthError
 from ..ops import Op
+from .builtins import CALL_OPS
 from .environment import Environment
 from .nodes import Node, NodeType
 
@@ -42,6 +48,8 @@ __all__ = ["Evaluator"]
 _ENTRY_OPS = (Op.CALL, Op.NODE_READ, Op.BRANCH, Op.BRANCH)
 #: ... and at a list's entry, with the load of its head node.
 _LIST_ENTRY_OPS = _ENTRY_OPS + (Op.NODE_READ,)
+#: ... and at a symbol head's entry, with the branch on its value.
+_HEAD_OPS = _ENTRY_OPS + (Op.BRANCH,)
 
 
 class Evaluator:
@@ -83,9 +91,17 @@ class Evaluator:
             # The empty list evaluates to nil (a false condition).
             return interp.nil
 
-        # Evaluate the first element to find out what this list is.
-        head_value = self.eval(head, env, ctx, depth + 1)
-        ctx.charge(Op.BRANCH)
+        # Evaluate the first element to find out what this list is. A
+        # symbol head is looked up in this frame, with eval's entry work
+        # and the branch on its value charged in one call.
+        if head.ntype == NodeType.N_SYMBOL and depth < ctx.max_depth:
+            ctx.charge_many(_HEAD_OPS)
+            head_value = env.lookup(head.sval, ctx, head.sym_id)
+            if head_value is None:
+                head_value = head
+        else:
+            head_value = self.eval(head, env, ctx, depth + 1)
+            ctx.charge(Op.BRANCH)
         head_type = head_value.ntype
 
         if head_type == NodeType.N_FUNCTION:
@@ -95,7 +111,35 @@ class Evaluator:
             fn = head_value.fn
             assert fn is not None
             fn.check_arity(len(args))
-            return fn.call(interp, env, ctx, args, depth + 1)
+            depth += 1
+            values_fn = fn.values_fn
+            if values_fn is None:
+                return fn.call(interp, env, ctx, args, depth)
+            # fn.call's work, fused: evaluate the arguments in this frame
+            # as eval would (a list argument recurses), then call the
+            # values half. Atom entries are tallied and charged once. The
+            # head's eval at this depth passed eval's depth check, so no
+            # argument's eval would raise RecursionDepthError here.
+            ctx.charge_many(CALL_OPS)
+            values = []
+            entries = 0
+            try:
+                for arg in args:
+                    ntype = arg.ntype
+                    if ntype == NodeType.N_LIST or ntype == NodeType.N_EXPRESSION:
+                        ctx.charge_many(_LIST_ENTRY_OPS)
+                        values.append(self._eval_list(arg, env, ctx, depth))
+                        continue
+                    entries += 1
+                    if ntype == NodeType.N_SYMBOL:
+                        found = env.lookup(arg.sval, ctx, arg.sym_id)
+                        if found is not None:
+                            arg = found
+                    values.append(arg)
+            finally:
+                if entries:
+                    ctx.charge_many(_ENTRY_OPS, entries)
+            return values_fn(interp, env, ctx, values, depth)
 
         if head_type == NodeType.N_FORM:
             args = self._collect_args(head, ctx)

@@ -1,14 +1,18 @@
 """Differential pin: the run-charging parser against a per-character scan.
 
 The parser charges its character loads as one run per parse
-(:meth:`~repro.gpu.memory.SourceBuffer.load_run`). The reference below is
-the literal per-character scanner: a cursor that loads one character per
-step, charging ``CHAR_LOAD`` + ``PARSE_STEP`` and touching the cache at
-that character's address. Both run the same seeded corpus on twin
-interpreters and twin caches, and must agree exactly on op counts, cache
-hits and misses, miss-penalty cycles, the parse tree, and every error
-(type, message and position). The caches are every registry GPU spec's
-L2, a tiny 2-way cache that thrashes, and none.
+(:meth:`~repro.gpu.memory.SourceBuffer.load_run`) and builds its common
+atoms inline, charging their tallies beside that run. The reference below
+is the literal per-character recursive-descent parser: a cursor that
+loads one character per step, charging ``CHAR_LOAD`` + ``PARSE_STEP`` and
+touching the cache at that character's address, and a per-node builder
+that allocates every node through ``NodeArena.alloc`` and the arena's
+value constructors after ``classify_atom``. Both run the same seeded
+corpus on twin interpreters and twin caches, and must agree exactly on op
+counts, cache hits and misses, miss-penalty cycles, the parse tree with
+every node's fields and arena index (so allocation order too), and every
+error (type, message and position). The caches are every registry GPU
+spec's L2, a tiny 2-way cache that thrashes, and none.
 """
 
 from __future__ import annotations
@@ -26,16 +30,18 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory import SourceBuffer
 from repro.gpu.specs import ALL_GPUS, FUTURE_GPUS
 from repro.ops import Op, Phase
+from repro.strlib import AtomClass, classify_atom
 
 _SCAN_OPS = (Op.CHAR_LOAD, Op.PARSE_STEP)
 
 
-class CharScanParser(Parser):
-    """The per-character scanner: one charged load per cursor step.
+class CharScanParser:
+    """The per-character scanner: one charged load per cursor step, and
+    one charged allocation per node."""
 
-    Node building (``_make_atom``) is shared with :class:`Parser`; the
-    scan, and so every character charge and cache touch, is per character.
-    """
+    def __init__(self, interp, ctx):
+        self.interp = interp
+        self.ctx = ctx
 
     def parse(self, source, base_addr=0):
         if isinstance(source, str):
@@ -148,6 +154,22 @@ class CharScanParser(Parser):
             raise ParseError("empty atom", position=start)
         return self._make_atom(token, start)
 
+    def _make_atom(self, token, position):
+        ctx = self.ctx
+        arena = self.interp.arena
+        cls, value = classify_atom(token, ctx)
+        if cls is AtomClass.STRING:
+            return arena.new_string(str(value), ctx)
+        if cls is AtomClass.NIL:
+            return arena.new_nil(ctx)
+        if cls is AtomClass.TRUE:
+            return arena.new_true(ctx)
+        if cls is AtomClass.INT:
+            return arena.new_int(int(value), ctx)
+        if cls is AtomClass.FLOAT:
+            return arena.new_float(float(value), ctx)
+        return arena.new_symbol(token, ctx)
+
 
 # -- corpus ---------------------------------------------------------------------
 
@@ -155,6 +177,7 @@ _ATOMS = (
     "0", "7", "42", "-17", "+5", "2.5", "-0.25", ".5", "5.", "2E3", "1e-3",
     "6.02E+23", "1e", "1.2.3", "+", "-", ".", "E", "12abc", "nil", "T", "t",
     "x", "foo-bar", "car", "setq", "|||", "a\0b", "\"\"", "\"a b (c) ; d\"",
+    "-0", "007", "9" * 30, "E5", "1.", "NIL", "\u0661\u0662\u0663", "\u00b2", "a\"b",
 )
 _SPACE = (" ", "  ", "\t", "\n", "\r\n", "\v", "\f", " ; note\n", ";\n", "\n;;x\n ")
 
@@ -197,6 +220,10 @@ def _corpus() -> list[str]:
         '"' + "s" * 300 + '"',
         "(a) (b) (c)",
         "(list 1 2.5 \"s\" nil T 'q)",
+        "'x",
+        "+ - +5 -0 007 " + "1" * 30,
+        "E E5 .5 1. nil T t NIL \u0661\u0662\u0663 \u00b2 a\"b",
+        "(" + "1234567890" * 70 + ")",
     ]
     for _ in range(60):
         text = " ".join(_form(rng, 0) for _ in range(rng.randint(1, 3)))
@@ -220,12 +247,15 @@ def _caches():
 
 def _shape(node):
     return (
+        node.idx,
         node.ntype,
         node.ival,
         node.fval,
         node.sval,
         node.sym_id,
         node.sealed,
+        node.linked,
+        node.region,
         tuple(_shape(child) for child in node.children()),
     )
 
@@ -283,8 +313,9 @@ def test_run_parser_matches_per_char_scan(name, geometry):
     [
         InterpreterOptions(quote_sugar=False),
         InterpreterOptions(intern_symbols=True, indexed_roots=True),
+        InterpreterOptions(atomic_arena_cursor=True),
     ],
-    ids=["no-quote-sugar", "interned"],
+    ids=["no-quote-sugar", "interned", "atomic-cursor"],
 )
 def test_run_parser_matches_under_options(options):
     _run_differential((1, 128, 2), options, CORPUS, seed=2)
