@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from repro import CuLiServer
 from repro.serve import generate_trace, replay_trace
+from repro.serve.traces import solo_transcripts
 
 from conftest import record_point
-from traces import solo_transcripts
 
 DEVICE = "gtx1080"
 N_DEVICES = 4

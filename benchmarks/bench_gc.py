@@ -1,13 +1,13 @@
-"""GC cost — generational region reclamation vs full mark-sweep.
+"""GC cost — generational region reclamation on a growing retained heap.
 
 The generational claim (DESIGN.md deviation #7): between-command
 reclamation cost must scale with the *garbage a command produces*, not
-with the data the server retains. The full-sweep accounting baseline
-(``gc_policy="full"``) rescans every tenant's retained heap on every
-batch, so its GC cost grows with tenants x retained defuns; the
-generational policy resets the request's nursery region — O(survivors),
-O(1) when nothing escapes — so its per-command cost stays flat as the
-retained tenured heap grows 16x.
+with the data the server retains. The generational policy resets the
+request's nursery region — O(survivors), O(1) when nothing escapes — so
+its per-command cost stays flat as the retained tenured heap grows 16x,
+and its per-batch cost stays flat as the tenant count grows 4x. The
+literal policy's uncharged full mark-sweep is the oracle for how much
+garbage there is: both policies must free the same nodes.
 
 Run with::
 
@@ -17,6 +17,8 @@ Run with::
 from __future__ import annotations
 
 from repro import CuLiServer
+from repro.core.interpreter import InterpreterOptions
+from repro.gpu.device import GPUDeviceConfig
 
 from conftest import record_point
 
@@ -24,9 +26,12 @@ DEVICE = "gtx1080"
 
 
 def build_server(gc_policy: str, n_tenants: int) -> tuple:
-    """A one-device server whose fast-path interpreter uses ``gc_policy``."""
+    """A one-device fast-path, JIT-on server reclaiming with ``gc_policy``."""
+    options = InterpreterOptions.fast(gc_policy=gc_policy, jit=True)
     server = CuLiServer(
-        devices=[DEVICE], max_batch=n_tenants, gc_policy=gc_policy
+        devices=[DEVICE],
+        max_batch=n_tenants,
+        gpu_config=GPUDeviceConfig(interpreter=options),
     )
     tenants = [server.open_session() for _ in range(n_tenants)]
     return server, tenants
@@ -47,24 +52,23 @@ def warm_retained_heap(server, tenants, retained: int) -> None:
 
 def serve_phase(server, tenants, retained: int, commands: int = 3) -> dict:
     """Run ``commands`` no-escape commands per tenant; returns the
-    serving phase's own makespan/GC deltas (warmup excluded)."""
-    makespan0 = server.stats.simulated_makespan_ms
-    gc_ms0 = server.stats.phase_totals.gc_ms
-    freed0 = server.stats.gc_nodes_freed
-    done0 = server.stats.requests_completed
+    serving phase's own GC deltas (warmup excluded)."""
+    stats = server.stats
+    gc_ms0 = stats.phase_totals.gc_ms
+    freed0 = stats.gc_nodes_freed
+    done0 = stats.requests_completed
+    batches0 = stats.batches
     for k, tenant in enumerate(tenants):
         for c in range(commands):
             tenant.submit(f"(helper-{(k + c) % retained} {k})")
     server.flush()
-    n = server.stats.requests_completed - done0
+    gc_ms = stats.phase_totals.gc_ms - gc_ms0
     return {
-        "commands": n,
-        "makespan_ms": server.stats.simulated_makespan_ms - makespan0,
-        "gc_ms": server.stats.phase_totals.gc_ms - gc_ms0,
-        "gc_ms_per_command": (server.stats.phase_totals.gc_ms - gc_ms0) / n,
-        "nodes_freed": server.stats.gc_nodes_freed - freed0,
-        "regions_reset": server.stats.gc_regions_reset,
-        "major_collections": server.stats.gc_major_collections,
+        "gc_ms_per_command": gc_ms / (stats.requests_completed - done0),
+        "gc_ms_per_batch": gc_ms / (stats.batches - batches0),
+        "nodes_freed": stats.gc_nodes_freed - freed0,
+        "regions_reset": stats.gc_regions_reset,
+        "major_collections": stats.gc_major_collections,
     }
 
 
@@ -78,99 +82,79 @@ def measure(gc_policy: str, n_tenants: int, retained: int) -> dict:
 
 
 def test_gc_cost_flat_vs_retained_heap(benchmark, capsys):
-    """The acceptance claim: per-command GC cost stays flat (within 10%)
-    as the retained tenured heap grows 16x under the generational
-    policy, while the full-sweep baseline's cost grows with the heap."""
+    """Per-command GC cost stays flat (within 10%) as the retained
+    tenured heap grows 16x under the generational policy."""
     N_TENANTS = 16
     SMALL, BIG = 8, 128  # 16x growth in retained defuns per tenant
 
     def run():
         return {
-            ("generational", SMALL): measure("generational", N_TENANTS, SMALL),
-            ("generational", BIG): measure("generational", N_TENANTS, BIG),
-            ("full", SMALL): measure("full", N_TENANTS, SMALL),
-            ("full", BIG): measure("full", N_TENANTS, BIG),
+            retained: measure("generational", N_TENANTS, retained)
+            for retained in (SMALL, BIG)
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    gen_small = results[("generational", SMALL)]["gc_ms_per_command"]
-    gen_big = results[("generational", BIG)]["gc_ms_per_command"]
-    full_small = results[("full", SMALL)]["gc_ms_per_command"]
-    full_big = results[("full", BIG)]["gc_ms_per_command"]
+    small = results[SMALL]["gc_ms_per_command"]
+    big = results[BIG]["gc_ms_per_command"]
     record_point(
         benchmark,
         tenants=N_TENANTS,
         retained_small=SMALL,
         retained_big=BIG,
-        generational_gc_ms_per_cmd_small=gen_small,
-        generational_gc_ms_per_cmd_big=gen_big,
-        full_gc_ms_per_cmd_small=full_small,
-        full_gc_ms_per_cmd_big=full_big,
-        generational_growth=gen_big / gen_small if gen_small else 1.0,
-        full_growth=full_big / full_small if full_small else 1.0,
+        generational_gc_ms_per_cmd_small=small,
+        generational_gc_ms_per_cmd_big=big,
+        generational_growth=big / small,
     )
     with capsys.disabled():
         print(
-            f"\nGC cost/command on {DEVICE} ({N_TENANTS} tenants, retained "
-            f"{SMALL}->{BIG} defuns): generational {gen_small * 1e6:.2f} -> "
-            f"{gen_big * 1e6:.2f} ns, full sweep {full_small * 1e6:.0f} -> "
-            f"{full_big * 1e6:.0f} ns"
+            f"\ngenerational GC cost/command on {DEVICE} ({N_TENANTS} tenants, "
+            f"retained {SMALL}->{BIG} defuns): {small:.3g} -> {big:.3g} ms"
         )
-    # Generational: flat within 10% while the retained heap grows 16x.
-    assert gen_big <= gen_small * 1.10, (
-        f"generational GC cost must stay flat: {gen_small} -> {gen_big}"
-    )
-    # Full sweep: cost tracks the retained heap (x16 data, expect big growth).
-    assert full_big > full_small * 4, (
-        f"full-sweep GC cost should grow with the heap: {full_small} -> {full_big}"
+    assert big <= small * 1.10, (
+        f"generational GC cost must stay flat: {small} -> {big}"
     )
 
 
 def test_gc_cost_vs_tenant_count(benchmark, capsys):
-    """Per-batch GC cost: the full sweep rescans every tenant's heap on
-    every batch (cost grows with tenant count); the generational policy
-    resets one region per batch regardless of how many tenants retain
-    state."""
+    """Per-batch GC cost stays flat (within 10%) from 4 to 16 tenants:
+    one region reset per batch, however many tenants retain state. The
+    literal full sweep frees exactly the same garbage."""
     RETAINED = 64
-    counts = (4, 16)
+    FEW, MANY = 4, 16
 
     def run():
         return {
             (policy, n): measure(policy, n, RETAINED)
-            for policy in ("generational", "full")
-            for n in counts
+            for policy, n in (
+                ("generational", FEW),
+                ("generational", MANY),
+                ("literal", MANY),
+            )
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    point = {}
-    for (policy, n), r in results.items():
-        point[f"{policy}_{n}t_gc_ms"] = r["gc_ms"]
-        point[f"{policy}_{n}t_gc_share"] = (
-            r["gc_ms"] / (r["makespan_ms"]) if r["makespan_ms"] else 0.0
-        )
-    record_point(benchmark, retained=RETAINED, **point)
+    few = results[("generational", FEW)]["gc_ms_per_batch"]
+    many = results[("generational", MANY)]["gc_ms_per_batch"]
+    freed = results[("generational", MANY)]["nodes_freed"]
+    oracle_freed = results[("literal", MANY)]["nodes_freed"]
+    record_point(
+        benchmark,
+        retained=RETAINED,
+        generational_gc_ms_per_batch_few=few,
+        generational_gc_ms_per_batch_many=many,
+        generational_nodes_freed=freed,
+        literal_nodes_freed=oracle_freed,
+    )
     with capsys.disabled():
         print(
-            f"\nserving-phase GC totals on {DEVICE} (retained {RETAINED}): "
-            + ", ".join(
-                f"{policy}/{n}t {results[(policy, n)]['gc_ms']:.4f} ms"
-                for policy in ("generational", "full")
-                for n in counts
-            )
+            f"\ngenerational GC/batch on {DEVICE} (retained {RETAINED}): "
+            f"{FEW}t {few:.3g} ms, {MANY}t {many:.3g} ms; nodes freed at "
+            f"{MANY}t: generational {freed}, literal {oracle_freed}"
         )
-    # At 16 tenants the generational policy's GC bill is a small
-    # fraction of the full sweep's.
-    gen16 = results[("generational", 16)]["gc_ms"]
-    full16 = results[("full", 16)]["gc_ms"]
-    assert gen16 < full16 * 0.2, (
-        f"generational GC ({gen16:.4f} ms) should be <20% of the full "
-        f"sweep's ({full16:.4f} ms) at 16 tenants"
+    assert many <= few * 1.10, (
+        f"generational GC cost per batch must stay flat: {few} -> {many}"
     )
-    # And both policies reclaim the same garbage.
-    assert (
-        results[("generational", 16)]["nodes_freed"]
-        == results[("full", 16)]["nodes_freed"]
-    )
+    assert freed == oracle_freed
 
 
 def test_generational_collections_are_region_resets(benchmark):
@@ -181,6 +165,6 @@ def test_generational_collections_are_region_resets(benchmark):
         return measure("generational", 8, 16)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_point(benchmark, **{k: v for k, v in result.items()})
+    record_point(benchmark, **result)
     assert result["major_collections"] == 0
     assert result["regions_reset"] > 0

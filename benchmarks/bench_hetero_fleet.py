@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from repro import CuLiServer
 from repro.serve import generate_trace, replay_trace
+from repro.serve.traces import solo_transcripts
 
 from conftest import record_point
-from traces import solo_transcripts
 
 FLEET = ["gtx1080", "gtx1080", "tesla-v100", "intel-e5-2620"]
 TENANTS = 10_000

@@ -147,68 +147,6 @@ def test_pool_scales_makespan(benchmark, n_devices):
     assert makespan > 0
 
 
-def test_generational_gc_beats_full_sweep(benchmark, capsys):
-    """The PR 3 acceptance claim: once reclamation is charged as modeled
-    device work, the generational region collector beats the full
-    mark-sweep accounting by >= 1.3x jobs/s on a serving workload whose
-    tenants retain state (16 tenants x 3 commands over 32 retained
-    defuns each) — because the sweep rescans every tenant's heap per
-    batch while the region reset only touches the request's nursery."""
-    RETAINED = 32
-
-    def run_policy(gc_policy: str) -> tuple[float, int, float]:
-        server = CuLiServer(
-            devices=[DEVICE], max_batch=TENANTS, gc_policy=gc_policy
-        )
-        tenants = [server.open_session() for _ in range(TENANTS)]
-        for tenant in tenants:
-            for i in range(RETAINED):
-                tenant.submit(f"(defun helper-{i} (x) (+ x {i}))")
-        server.flush()
-        makespan0 = server.stats.simulated_makespan_ms
-        done0 = server.stats.requests_completed
-        gc0 = server.stats.phase_totals.gc_ms
-        for k, tenant in enumerate(tenants):
-            for c in range(3):
-                tenant.submit(f"(helper-{(k + c) % RETAINED} {k})")
-        server.flush()
-        makespan = server.stats.simulated_makespan_ms - makespan0
-        jobs = server.stats.requests_completed - done0
-        gc_ms = server.stats.phase_totals.gc_ms - gc0
-        server.close()
-        return jobs / (makespan / 1000.0), jobs, gc_ms
-
-    def compare():
-        return run_policy("full"), run_policy("generational")
-
-    (full_rps, full_jobs, full_gc), (gen_rps, gen_jobs, gen_gc) = (
-        benchmark.pedantic(compare, rounds=1, iterations=1)
-    )
-    speedup = gen_rps / full_rps
-    record_point(
-        benchmark,
-        tenants=TENANTS,
-        retained_defuns=RETAINED,
-        full_sweep_jobs_per_sec=full_rps,
-        generational_jobs_per_sec=gen_rps,
-        full_sweep_gc_ms=full_gc,
-        generational_gc_ms=gen_gc,
-        speedup=speedup,
-    )
-    with capsys.disabled():
-        print(
-            f"\ngenerational GC on {DEVICE} ({TENANTS} tenants x 3 cmds, "
-            f"{RETAINED} retained defuns each): full sweep {full_rps:,.0f} "
-            f"jobs/s -> generational {gen_rps:,.0f} jobs/s ({speedup:.2f}x); "
-            f"GC time {full_gc:.3f} ms -> {gen_gc:.3f} ms"
-        )
-    assert gen_jobs == full_jobs == TENANTS * 3
-    assert speedup >= 1.3, (
-        f"generational GC ({gen_rps:.0f} jobs/s) must be >= 1.3x the "
-        f"charged full-sweep baseline ({full_rps:.0f} jobs/s)"
-    )
-
-
 #: The clean-path fast-path figure measured when fault containment
 #: landed (matches PR 2/3's ~45.5k jobs/s): the perf-smoke floor below
 #: asserts the containment machinery never costs the clean path >2%.

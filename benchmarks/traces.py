@@ -1,9 +1,9 @@
 """Seeded arrival-trace generator — benchmark-facing entry point.
 
 The implementation lives in :mod:`repro.serve.traces` so the property
-tests and the serving layer share one generator; this module re-exports
-it for the benchmark harness, adds the solo transcript oracle the replay
-benches check against, and doubles as a CLI preview::
+tests, the benchmarks and the serving layer share one generator and one
+solo transcript oracle; this module re-exports the generator for the
+benchmark harness and doubles as a CLI preview::
 
     PYTHONPATH=src python benchmarks/traces.py --seed 7 --tenants 16
 
@@ -13,25 +13,9 @@ when tuning a workload before committing a baseline.
 
 from __future__ import annotations
 
-from repro.serve import CuLiServer
 from repro.serve.traces import TraceRequest, generate_trace, replay_trace
 
-__all__ = ["TraceRequest", "generate_trace", "replay_trace", "solo_transcripts"]
-
-
-def solo_transcripts(trace, tenants=None, device="gtx1080") -> dict[int, list[str]]:
-    """The oracle: each tenant's commands alone, in order, on a fresh
-    single-device server. ``tenants`` limits it to a subset."""
-    commands: dict[int, list[str]] = {}
-    for req in trace:
-        if tenants is None or req.tenant in tenants:
-            commands.setdefault(req.tenant, []).append(req.text)
-    out = {}
-    for tenant, texts in sorted(commands.items()):
-        with CuLiServer(devices=[device]) as server:
-            session = server.open_session()
-            out[tenant] = [session.eval(text) for text in texts]
-    return out
+__all__ = ["TraceRequest", "generate_trace", "replay_trace"]
 
 
 def _main() -> None:

@@ -56,10 +56,6 @@ class FigureResult:
     data: dict = field(default_factory=dict)
     claims: list[ClaimResult] = field(default_factory=list)
 
-    @property
-    def all_claims_pass(self) -> bool:
-        return all(c.passed for c in self.claims)
-
     def render(self) -> str:
         lines = [f"== {self.figure}: {self.title} ==", "", self.text, ""]
         for claim in self.claims:

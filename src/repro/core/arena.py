@@ -227,25 +227,6 @@ class NodeArena:
         list by comparing int tags, never hashing node objects."""
         return [node for node in self._nodes if node.region != REGION_FREE]
 
-    def free_tree(self, node: Node) -> int:
-        """Mark a whole sub-tree free; returns the number of nodes freed.
-
-        Only the tree's own structure is walked (children + siblings
-        below ``node``); nodes referenced as params/fn are shared and are
-        not freed.
-        """
-        freed = 0
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            child = cur.first
-            while child is not None:
-                stack.append(child)
-                child = child.nxt
-            self.free(cur)
-            freed += 1
-        return freed
-
     # -- generational regions (deviation #7) -----------------------------------
 
     @property

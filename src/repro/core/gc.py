@@ -7,23 +7,22 @@ their sub-trees — must survive; everything else (the command's parse
 tree, evaluation temporaries, the printed result) is garbage once the
 output string has left the device.
 
-Three reclamation policies (``InterpreterOptions.gc_policy``):
+Two reclamation policies (``InterpreterOptions.gc_policy``):
 
 * ``"literal"`` (default) — the PR 1/2 behaviour, byte for byte: an
   uncharged stop-the-world mark-sweep between commands, rooted at the
   global environment, the interpreter singletons, and every registered
-  tenant session environment (DESIGN.md deviation #4).
-* ``"full"`` — the same full mark-sweep, but *charged* as modeled device
-  work (``PhaseBreakdown.gc_ms``, outside the paper's three kernel
-  phases): the honest-accounting baseline whose cost scales with the
-  total live heap × tenants.
+  tenant session environment (DESIGN.md deviation #4). It is also the
+  property-test oracle for the generational policy.
 * ``"generational"`` — region-aware generational collection (DESIGN.md
   deviation #7): the arena carves a per-request nursery region, the
   environment write barriers promote escaping subgraphs to the tenured
   generation, and end-of-command collection is a region reset whose
   modeled cost is O(survivors) — O(1) when nothing escaped — instead of
-  O(total live heap). The full mark-sweep is kept as the tenure-pressure
-  fallback and as the property-test oracle.
+  O(total live heap). Its time is charged as modeled device work
+  (``PhaseBreakdown.gc_ms``, outside the paper's three kernel phases).
+  The full mark-sweep, charged, is kept as the tenure-pressure fallback
+  and for explicit between-command collections.
 
 Marking is epoch-stamped: each pass bumps the arena's epoch and writes
 it into ``Node.gc_epoch``, and sweeps walk the arena's slab list
@@ -44,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import Interpreter
 
 __all__ = [
-    "mark_reachable",
     "gather_roots",
     "mark_epoch",
     "collect_major",
@@ -54,32 +52,6 @@ __all__ = [
 
 #: Shared do-nothing context for the uncharged (literal) policy.
 _NULL_CTX = NullContext()
-
-
-def mark_reachable(roots: list[Node]) -> set[Node]:
-    """Every node reachable from ``roots`` through list structure
-    (first/nxt chains), parameter lists, and form bodies.
-
-    Set-based; kept as the slow oracle for tests. The collector itself
-    uses :func:`mark_epoch`.
-    """
-    marked: set[Node] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node in marked:
-            continue
-        marked.add(node)
-        if node.first is not None:
-            stack.append(node.first)
-        if node.nxt is not None:
-            stack.append(node.nxt)
-        if node.params is not None:
-            stack.append(node.params)
-        # node.last is always on the first/nxt chain — no separate visit,
-        # except for structure-shared views whose chain was truncated
-        # (cdr views share a chain that continues past their own last).
-    return marked
 
 
 def gather_roots(interp: "Interpreter") -> list[Node]:
@@ -109,11 +81,14 @@ def gather_roots(interp: "Interpreter") -> list[Node]:
 
 
 def mark_epoch(roots: list[Node], epoch: int, ctx: ExecContext) -> int:
-    """Stamp ``epoch`` into every node reachable from ``roots``.
+    """Stamp ``epoch`` into every node reachable from ``roots`` through
+    list structure (first/nxt chains), parameter lists and form bodies;
+    returns the number of nodes visited.
 
-    Replaces set-based marking with an int compare/store per node; one
+    One int compare/store per node, never a hash of a node object; one
     ``NODE_READ`` is charged per node visited (the device fetches its
-    link fields once).
+    link fields once). ``node.last`` is on the first/nxt chain, so it
+    needs no visit of its own.
     """
     visited = 0
     stack = list(roots)
@@ -134,8 +109,8 @@ def mark_epoch(roots: list[Node], epoch: int, ctx: ExecContext) -> int:
 
 
 def collect_major(interp: "Interpreter", ctx: Optional[ExecContext] = None) -> int:
-    """Full stop-the-world mark-sweep from every root (the fallback and
-    oracle collector; the literal policy's only collector).
+    """Full stop-the-world mark-sweep from every root (the generational
+    policy's fallback; the literal policy's only collector).
 
     Marks with epoch stamps, then sweeps the arena slab in creation
     order, freeing every live node whose stamp is stale. Charges one
@@ -167,14 +142,13 @@ def collect_garbage(interp: "Interpreter", ctx: Optional[ExecContext] = None) ->
     """Between-command reclamation under the interpreter's GC policy.
 
     Returns the number of nodes freed. ``ctx`` receives the modeled
-    device cost of collection for the charged policies; the literal
-    policy always runs uncharged (PR 1/2 behaviour, byte for byte).
+    device cost of generational collection; the literal policy always
+    runs uncharged (PR 1/2 behaviour, byte for byte).
     """
     arena = interp.arena
-    policy = interp.options.gc_policy
     t0 = perf_counter()
     try:
-        if policy == "generational":
+        if interp.options.gc_policy == "generational":
             if ctx is None:
                 ctx = _NULL_CTX
             if not arena.region_active:
@@ -194,8 +168,6 @@ def collect_garbage(interp: "Interpreter", ctx: Optional[ExecContext] = None) ->
             if arena.used > watermark * arena.capacity:
                 freed += collect_major(interp, ctx)
             return freed
-        if policy == "full":
-            return collect_major(interp, ctx)
         # literal: uncharged full mark-sweep (deviation #4, unchanged)
         return collect_major(interp, None)
     finally:

@@ -79,10 +79,9 @@ class InterpreterOptions:
     parse_cache_capacity: int = 0       #: fast path: memoized parse trees (0 = off)
     #: Reclamation policy (DESIGN.md deviations #4/#7): "literal" = the
     #: uncharged between-command full mark-sweep, byte-identical to the
-    #: paper-mode baseline; "full" = the same sweep charged as modeled
-    #: device time (honest-accounting baseline); "generational" =
-    #: per-request nursery regions + promotion write barriers, with the
-    #: full sweep kept as tenure-pressure fallback.
+    #: paper-mode baseline; "generational" = per-request nursery regions
+    #: + promotion write barriers, charged as modeled device time, with
+    #: the full sweep (charged) kept as tenure-pressure fallback.
     gc_policy: str = "literal"
     #: Tenured-heap fraction of arena capacity that triggers a major
     #: collection after a minor one (generational policy only).
@@ -101,7 +100,14 @@ class InterpreterOptions:
     #: forms are compiled. 3 means the third sighting runs traced.
     jit_threshold: int = 3
 
-    GC_POLICIES = ("literal", "full", "generational")
+    GC_POLICIES = ("literal", "generational")
+
+    def __post_init__(self) -> None:
+        if self.gc_policy not in self.GC_POLICIES:
+            raise ValueError(
+                f"unknown gc_policy {self.gc_policy!r}; "
+                f"expected one of {self.GC_POLICIES}"
+            )
 
     @classmethod
     def fast(cls, **overrides) -> "InterpreterOptions":
@@ -154,11 +160,6 @@ class Interpreter:
         setup_ctx: Optional[ExecContext] = None,
     ) -> None:
         self.options = options or InterpreterOptions()
-        if self.options.gc_policy not in InterpreterOptions.GC_POLICIES:
-            raise ValueError(
-                f"unknown gc_policy {self.options.gc_policy!r}; "
-                f"expected one of {InterpreterOptions.GC_POLICIES}"
-            )
         self.arena = NodeArena(
             capacity=self.options.arena_capacity,
             atomic_cursor=self.options.atomic_arena_cursor,
@@ -495,14 +496,14 @@ class Interpreter:
         """Reclaim unreachable nodes under the configured GC policy.
 
         ``ctx``, when given, receives the modeled device cost of the
-        collection (charged policies only; the literal policy always
+        collection (generational policy only; the literal policy always
         runs uncharged)."""
         from .gc import collect_garbage
 
         return collect_garbage(self, ctx)
 
     def collect_major(self, ctx: Optional[ExecContext] = None) -> int:
-        """Force a full mark-sweep (the fallback/oracle collector),
+        """Force a full mark-sweep (the generational fallback collector),
         regardless of policy. Only safe between commands."""
         from .gc import collect_major
 

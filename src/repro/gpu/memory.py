@@ -81,10 +81,6 @@ class GlobalMemory:
     def region(self, name: str) -> Region:
         return self._regions[name]
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._cursor
-
 
 class SourceBuffer:
     """The uploaded input string, read char-by-char by the parser.

@@ -10,12 +10,6 @@ default for ``CuLiServer``.
 """
 
 from .compiler import SPECIALS, compile_form
-from .differential import (
-    RunRecord,
-    assert_equivalent,
-    differential_check,
-    run_sequence,
-)
 from .executor import TraceBail, TraceInvalidatedError, execute_trace
 from .trace import HeadSlot, Instr, JitStats, TOp, Trace
 
@@ -30,8 +24,4 @@ __all__ = [
     "Instr",
     "HeadSlot",
     "JitStats",
-    "RunRecord",
-    "run_sequence",
-    "assert_equivalent",
-    "differential_check",
 ]

@@ -50,7 +50,6 @@ class CuLiServer:
         max_batch: int = 32,
         gpu_config: Optional[GPUDeviceConfig] = None,
         cpu_config: Optional[CPUDeviceConfig] = None,
-        gc_policy: Optional[str] = None,
         jit: Optional[bool] = None,
         rebalance: bool = False,
         failover: bool = False,
@@ -78,27 +77,23 @@ class CuLiServer:
         # roots, parse cache, generational region GC) plus the JIT trace
         # tier on every device whose config is not passed in: serving is
         # our infrastructure on top of the paper, so — like the arena's
-        # private-cursor default — it ships the fast mode. ``gc_policy``
-        # overrides just the reclamation policy ("full" for the charged
-        # mark-sweep baseline — DESIGN.md deviation #7); ``jit=False``
+        # private-cursor default — it ships the fast mode. ``jit=False``
         # keeps serving on the tree-walker. An explicit device config
         # always wins: ``GPUDeviceConfig()`` / ``CPUDeviceConfig()``
         # serve the paper-literal interpreter.
-        fast_overrides = {} if gc_policy is None else {"gc_policy": gc_policy}
         if jit is None:
             # Default ON, but let the environment force the tree-walk
             # ablation fleet-wide (CI's tier matrix re-runs the serving
             # suites with REPRO_SERVE_JIT=0). An explicit ``jit=``
             # argument always wins over the environment.
             jit = os.environ.get("REPRO_SERVE_JIT", "1") != "0"
-        fast_overrides["jit"] = jit
         if gpu_config is None:
             gpu_config = GPUDeviceConfig(
-                interpreter=InterpreterOptions.fast(**fast_overrides)
+                interpreter=InterpreterOptions.fast(jit=jit)
             )
         if cpu_config is None:
             cpu_config = CPUDeviceConfig(
-                interpreter=InterpreterOptions.fast(**fast_overrides)
+                interpreter=InterpreterOptions.fast(jit=jit)
             )
         # ``device_configs`` gives individual devices their own config —
         # a mixed fleet rarely wants one arena size everywhere.

@@ -22,7 +22,11 @@ from one seeded PRNG, so every consumer replays the *same* workload:
 Every request text is a *pure* Lisp form over literals, so replaying a
 trace on any scheduler/gc/jit configuration yields byte-identical
 per-tenant transcripts — which is exactly what the differential
-property tests pin.
+property tests pin against the solo oracle (:func:`solo_outputs`,
+:func:`solo_transcripts`): each tenant's commands alone, in order, on a
+fresh single-device server with no co-tenants, batching partners,
+migration or failover. Batching, EDF reordering, placement, rebalancing
+and device loss may change *when* a command runs, never what it prints.
 """
 
 from __future__ import annotations
@@ -31,7 +35,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["TraceRequest", "generate_trace", "replay_trace"]
+from .server import CuLiServer
+
+__all__ = [
+    "TraceRequest",
+    "generate_trace",
+    "replay_trace",
+    "solo_outputs",
+    "solo_transcripts",
+]
+
+#: The solo oracle's device when the caller names none.
+SOLO_DEVICE = "gtx1080"
 
 
 @dataclass(frozen=True)
@@ -286,3 +301,24 @@ def replay_trace(server, trace: list[TraceRequest], prefix: str = "trace"):
         for req in trace
     ]
     return sessions, tickets
+
+
+def solo_outputs(commands, **server_kwargs) -> list[str]:
+    """The commands run in order on a private single-device server."""
+    server_kwargs.setdefault("devices", [SOLO_DEVICE])
+    with CuLiServer(**server_kwargs) as server:
+        session = server.open_session()
+        return [session.eval(command) for command in commands]
+
+
+def solo_transcripts(trace, tenants=None, **server_kwargs) -> dict[int, list[str]]:
+    """Each tenant's solo transcript of ``trace``; ``tenants`` limits it
+    to a subset."""
+    commands: dict[int, list[str]] = {}
+    for req in trace:
+        if tenants is None or req.tenant in tenants:
+            commands.setdefault(req.tenant, []).append(req.text)
+    return {
+        tenant: solo_outputs(texts, **server_kwargs)
+        for tenant, texts in commands.items()
+    }

@@ -98,16 +98,6 @@ class TestRecycling:
         assert arena.stats.peak_used == 5
         assert arena.used == 3
 
-    def test_free_tree_counts_subtree(self, ctx):
-        arena = NodeArena(capacity=16)
-        lst = arena.alloc(NodeType.N_LIST, ctx)
-        inner = arena.alloc(NodeType.N_LIST, ctx)
-        inner.append_child(arena.alloc(NodeType.N_INT, ctx).seal())
-        lst.append_child(inner.seal())
-        lst.append_child(arena.alloc(NodeType.N_INT, ctx).seal())
-        assert arena.free_tree(lst.seal()) == 4
-        assert arena.used == 0
-
 
 class TestConstructors:
     def test_new_number_dispatches_on_type(self, ctx):

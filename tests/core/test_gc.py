@@ -3,7 +3,7 @@
 import pytest
 
 from repro.context import NullContext
-from repro.core.gc import collect_garbage, mark_reachable
+from repro.core.gc import collect_garbage, mark_epoch
 from repro.core.interpreter import Interpreter
 from repro.core.reader import Parser
 
@@ -60,13 +60,15 @@ class TestMarkReachable:
     def test_marks_child_chain(self, fresh):
         ctx = NullContext()
         (lst,) = Parser(fresh, ctx).parse("(1 (2 3) 4)")
-        marked = mark_reachable([lst])
+        epoch = fresh.arena.next_epoch()
         # outer list, its 3 elements (1, inner, 4), inner's 2 elements
-        assert len(marked) == 6
+        assert mark_epoch([lst], epoch, ctx) == 6
+        assert mark_epoch([lst], epoch, ctx) == 0  # already stamped
 
     def test_marks_form_params_and_body(self, fresh):
         run(fresh, "(defun f (a b) (+ a b))")
         form = fresh.global_env.lookup("f", NullContext())
-        marked = mark_reachable([form])
-        assert form.params in marked
-        assert form.first in marked
+        epoch = fresh.arena.next_epoch()
+        mark_epoch([form], epoch, NullContext())
+        assert form.params.gc_epoch == epoch
+        assert form.first.gc_epoch == epoch

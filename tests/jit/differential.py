@@ -21,7 +21,8 @@ mix is allowed to differ — that difference *is* the modeled speedup,
 and DESIGN.md deviation #10 carries the fidelity argument.
 
 Used by ``tests/properties/test_property_jit.py`` (hypothesis-random
-programs) and importable from ad-hoc scripts for bug repros.
+programs) and importable as ``tests.jit.differential`` from the repo
+root for bug repros.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..context import CountingContext
-from ..core.interpreter import Interpreter, InterpreterOptions
-from ..errors import LispError
-from ..ops import N_OPS, Op, Phase
-from ..runtime.snapshot import snapshot_env
+from repro.context import CountingContext
+from repro.core.interpreter import Interpreter, InterpreterOptions
+from repro.errors import LispError
+from repro.ops import N_OPS, Op, Phase
+from repro.runtime.snapshot import snapshot_env
 
 __all__ = ["RunRecord", "run_sequence", "assert_equivalent", "differential_check"]
 

@@ -1,6 +1,6 @@
 """Property: every tenant's transcript equals its solo run.
 
-The oracle (:mod:`tests.oracle`) runs each tenant's commands alone and
+The oracle (:mod:`repro.serve.traces`) runs each tenant's commands alone and
 in order on a fresh single-device server. Continuous batching is allowed
 to reorder work *across* sessions (that is where its makespan and tail
 latency wins come from) but never to change what any tenant observes:
@@ -22,8 +22,11 @@ import os
 
 import pytest
 
+from repro.core.interpreter import InterpreterOptions
+from repro.cpu.device import CPUDeviceConfig
+from repro.gpu.device import GPUDeviceConfig
 from repro.serve import ChaosMonkey, CuLiServer, generate_trace, replay_trace
-from tests.oracle import solo_outputs, solo_trace_transcripts
+from repro.serve.traces import solo_outputs, solo_transcripts
 
 # REPRO_TEST_FLEET overrides the default pool with a comma-separated
 # device list, so CI's mixed-fleet matrix leg re-runs this whole module
@@ -37,7 +40,7 @@ MIXED_FLEET = ["gtx1080", "tesla-v100", "intel-e5-2620"]
 TENANTS = 12
 ROUNDS = 5
 
-GC_POLICIES = ["generational", "full", "literal"]
+GC_POLICIES = ["generational", "literal"]
 
 
 def tenant_script(i: int) -> list[str]:
@@ -97,6 +100,16 @@ def solo_scripted(**server_kwargs) -> list[list[str]]:
     ]
 
 
+def fast_path_configs(gc_policy: str) -> dict:
+    """Server kwargs for a fast-path, JIT-on fleet reclaiming with
+    ``gc_policy``."""
+    opts = InterpreterOptions.fast(gc_policy=gc_policy, jit=True)
+    return {
+        "gpu_config": GPUDeviceConfig(interpreter=opts),
+        "cpu_config": CPUDeviceConfig(interpreter=opts),
+    }
+
+
 def assert_balanced(accounting: dict) -> None:
     assert accounting["pending"] == 0
     assert accounting["enqueued"] == (
@@ -106,8 +119,8 @@ def assert_balanced(accounting: dict) -> None:
 
 @pytest.mark.parametrize("gc_policy", GC_POLICIES)
 def test_transcripts_match_solo_across_gc_policies(gc_policy):
-    shared, acct = run_scripted(gc_policy=gc_policy)
-    assert shared == solo_scripted(gc_policy=gc_policy)
+    shared, acct = run_scripted(**fast_path_configs(gc_policy))
+    assert shared == solo_scripted(**fast_path_configs(gc_policy))
     assert_balanced(acct)
 
 
@@ -162,7 +175,7 @@ def test_trace_replay_transcripts_are_schedule_invariant(trace_seed):
             tenant: [s.output for s in session.history]
             for tenant, session in sessions.items()
         }
-    assert shared == solo_trace_transcripts(trace)
+    assert shared == solo_transcripts(trace)
 
 
 def test_transcripts_match_solo_on_a_heterogeneous_fleet():

@@ -31,7 +31,7 @@ DEVICES = (
 )
 MIXED_FLEET = ["gtx1080", "tesla-v100", "intel-e5-2620"]
 
-GC_POLICIES = ["generational", "full", "literal"]
+GC_POLICIES = ["generational", "literal"]
 
 FN = "(lambda (x) (+ (* x x) 3))"
 DATA = list(range(40))
@@ -64,7 +64,7 @@ def gpu_map_sharded(**server_kwargs) -> str:
 @pytest.mark.parametrize("gc_policy", GC_POLICIES)
 def test_gpu_map_matches_mapcar_across_gc_policies(gc_policy):
     kwargs = (
-        {"gc_policy": gc_policy}
+        {}  # serving reclaims with the generational policy
         if gc_policy != "literal"
         # Default device configs serve the paper-literal interpreter.
         else {"gpu_config": GPUDeviceConfig(), "cpu_config": CPUDeviceConfig()}
@@ -101,17 +101,17 @@ def test_full_matrix_single_value():
     assert len(outputs) == 1, outputs
 
 
-@pytest.mark.parametrize("gc_policy", ["generational", "full"])
+@pytest.mark.parametrize("gc_policy", ["generational"])
 def test_retained_heap_is_identical(gc_policy):
     """Binding a gpu-map result retains exactly the heap a mapcar
     result retains: snapshot digests (canonical serialization of the
     reachable subgraph) and node counts match."""
 
     def retained(form: str):
-        with CuLiServer(
-            devices=list(DEVICES), gc_policy=gc_policy
-        ) as server:
+        with CuLiServer(devices=list(DEVICES)) as server:
             session = server.open_session(name="probe")
+            device = server.pool[session.device_id].device
+            assert device.interp.options.gc_policy == gc_policy
             session.eval(f"(setq r ({form} {FN} ({BODY})))")
             snap = snapshot_env(session.env, label="probe")
             return snap.node_count, snap.digest()

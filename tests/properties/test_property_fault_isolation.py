@@ -4,8 +4,8 @@ For random batches containing injected ``ArenaExhaustedError`` /
 ``LivelockError`` / parse-error requests interleaved with healthy
 compute requests, every healthy tenant's output must be **byte-identical**
 to its solo-run baseline (a batch of one on a fresh device), and its
-own-work modeled phase timings must be equal too — under both
-``gc_policy="generational"`` and ``"full"``.
+own-work modeled phase timings must be equal too — under the fast
+path's generational GC.
 
 Which phases are "own work" differs by back-end: on the CPU every phase
 (parse/eval/print/worker) is charged to the request's private context,
@@ -33,12 +33,9 @@ from repro.runtime.batch import BatchRequest
 #: Parse cache off: a healthy text repeated across a batch would hit the
 #: cache and (correctly) charge less than its solo-run parse — a timing
 #: difference that has nothing to do with fault containment.
-def _options(gc_policy: str) -> InterpreterOptions:
-    return InterpreterOptions.fast(
-        gc_policy=gc_policy,
-        parse_cache_capacity=0,
-        enable_fault_injection=True,
-    )
+OPTIONS = InterpreterOptions.fast(
+    parse_cache_capacity=0, enable_fault_injection=True
+)
 
 
 FAULTS = (
@@ -90,8 +87,8 @@ def faulty_batches(draw):
     return texts
 
 
-def _run_gpu(texts: list, gc_policy: str):
-    device = GPUDevice(GTX1080, config=GPUDeviceConfig(interpreter=_options(gc_policy)))
+def _run_gpu(texts: list):
+    device = GPUDevice(GTX1080, config=GPUDeviceConfig(interpreter=OPTIONS))
     envs = [device.create_session_env(f"tenant-{i}") for i in range(len(texts))]
     result = device.submit_batch(
         [BatchRequest(t, env=e) for t, e in zip(texts, envs)]
@@ -100,10 +97,8 @@ def _run_gpu(texts: list, gc_policy: str):
     return result
 
 
-def _run_cpu(texts: list, gc_policy: str):
-    device = CPUDevice(
-        INTEL_E5_2620, config=CPUDeviceConfig(interpreter=_options(gc_policy))
-    )
+def _run_cpu(texts: list):
+    device = CPUDevice(INTEL_E5_2620, config=CPUDeviceConfig(interpreter=OPTIONS))
     envs = [device.create_session_env(f"tenant-{i}") for i in range(len(texts))]
     result = device.submit_batch(
         [BatchRequest(t, env=e) for t, e in zip(texts, envs)]
@@ -113,16 +108,16 @@ def _run_cpu(texts: list, gc_policy: str):
 
 
 @settings(max_examples=15, deadline=None)
-@given(faulty_batches(), st.sampled_from(["generational", "full"]))
-def test_gpu_healthy_tenants_match_solo_baseline(texts, gc_policy):
-    batch = _run_gpu(texts, gc_policy)
+@given(faulty_batches())
+def test_gpu_healthy_tenants_match_solo_baseline(texts):
+    batch = _run_gpu(texts)
     assert batch.size == len(texts)
     for i, text in enumerate(texts):
         item = batch.items[i]
         if text in FAULTS:
             assert item.error is not None
             continue
-        solo = _run_gpu([text], gc_policy).items[0]
+        solo = _run_gpu([text]).items[0]
         # A healthy-grammar request may still hit a Lisp-level error
         # (e.g. a type mismatch): the property is that whatever happened
         # solo happens identically inside the faulty batch.
@@ -133,15 +128,15 @@ def test_gpu_healthy_tenants_match_solo_baseline(texts, gc_policy):
 
 
 @settings(max_examples=15, deadline=None)
-@given(faulty_batches(), st.sampled_from(["generational", "full"]))
-def test_cpu_healthy_tenants_match_solo_baseline(texts, gc_policy):
-    batch = _run_cpu(texts, gc_policy)
+@given(faulty_batches())
+def test_cpu_healthy_tenants_match_solo_baseline(texts):
+    batch = _run_cpu(texts)
     for i, text in enumerate(texts):
         item = batch.items[i]
         if text in FAULTS:
             assert item.error is not None
             continue
-        solo = _run_cpu([text], gc_policy).items[0]
+        solo = _run_cpu([text]).items[0]
         assert type(item.error) is type(solo.error)
         assert str(item.error) == str(solo.error)
         assert item.stats.output == solo.stats.output
@@ -156,9 +151,7 @@ def test_cpu_healthy_tenants_match_solo_baseline(texts, gc_policy):
 def test_device_faults_classified_and_device_survives(texts):
     """Injected device faults surface as contained DeviceErrors (parse
     errors as LispErrors), and the device serves a follow-up command."""
-    device = GPUDevice(
-        GTX1080, config=GPUDeviceConfig(interpreter=_options("generational"))
-    )
+    device = GPUDevice(GTX1080, config=GPUDeviceConfig(interpreter=OPTIONS))
     result = device.submit_batch([BatchRequest(t) for t in texts])
     for text, item in zip(texts, result.items):
         if text.startswith("(inject-fault"):

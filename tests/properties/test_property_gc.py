@@ -3,9 +3,10 @@ identical to the full mark-sweep oracle.
 
 On randomized programs (defuns, setqs, lets, nested arithmetic, repeated
 commands) the generational policy must print the same results as the
-full-sweep policy *and* leave a bit-identical reachable heap after every
-between-command collection — same structure, same values, same sharing.
-Literal mode must never touch the region machinery at all.
+literal policy — the paper's uncharged full mark-sweep, the oracle — *and*
+leave a bit-identical reachable heap after every between-command
+collection: same structure, same values, same sharing. Literal mode must
+never touch the region machinery at all.
 """
 
 from __future__ import annotations
@@ -126,9 +127,7 @@ def run_collected(commands: list, options: InterpreterOptions):
 @settings(max_examples=50, deadline=None)
 @given(programs())
 def test_generational_matches_full_sweep(commands):
-    full_out, full_heaps, _ = run_collected(
-        commands, InterpreterOptions(gc_policy="full")
-    )
+    full_out, full_heaps, _ = run_collected(commands, InterpreterOptions())
     gen_out, gen_heaps, gen = run_collected(
         commands, InterpreterOptions(gc_policy="generational")
     )
@@ -147,7 +146,7 @@ def test_minor_collection_leaves_no_live_nursery_nodes(commands):
     next reset). Tenure garbage (e.g. a rebound setq's old value) may
     float until the major fallback — after it runs, the generational
     heap is *exactly* the eagerly-swept heap, node for node."""
-    _, _, full = run_collected(commands, InterpreterOptions(gc_policy="full"))
+    _, _, full = run_collected(commands, InterpreterOptions())
     _, _, gen = run_collected(commands, InterpreterOptions(gc_policy="generational"))
     assert all(node.region == REGION_TENURED for node in gen.arena.live_nodes())
     gen.collect_major()

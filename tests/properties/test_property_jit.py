@@ -3,7 +3,7 @@ tree-walking — the differential pin that lets the trace executor exist.
 
 Randomized programs cover the surface the ISSUE names: defines,
 recursion, macros, higher-order functions, and strings. Every program
-runs through :func:`repro.jit.differential.differential_check`, which
+runs through :func:`tests.jit.differential.differential_check`, which
 demands
 
 * byte-identical outputs *and* retained-heap snapshots when traces run
@@ -11,7 +11,7 @@ demands
 * a byte-identical op-charge matrix when the JIT is enabled but cold,
 * zero ``TRACE_STEP``/``GUARD_CHECK`` charges from the tree-walker,
 
-across all three ``gc_policy`` modes. Macro calls and node-level heads
+under both ``gc_policy`` modes. Macro calls and node-level heads
 (``mapcar``, ``funcall``) compile-bail or guard-bail by design; the pin
 holds regardless of which tier actually ran a given form.
 """
@@ -25,15 +25,15 @@ from hypothesis import strategies as st
 from repro.context import CountingContext
 from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.errors import LispError
-from repro.jit.differential import differential_check, run_sequence
 from repro.ops import Op
+from tests.jit.differential import differential_check, run_sequence
 
 NAMES = ("alpha", "beta", "gamma-value", "delta", "accumulator-total")
 FNAMES = ("combine", "triangle-step", "mix-values")
 MNAMES = ("twice-of", "pick-larger")
 OPS = ("+", "-", "*", "max", "min")
 STRINGS = ("spam", "ham and eggs", "", "Norwegian Blue")
-GC_POLICIES = ("literal", "full", "generational")
+GC_POLICIES = ("literal", "generational")
 
 ints = st.integers(min_value=-50, max_value=50)
 

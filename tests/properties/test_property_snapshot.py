@@ -3,7 +3,7 @@
 On randomized programs (defuns, setqs, lets, structure-shared cons/cdr
 chains, repeated commands) a session that is snapshotted mid-history and
 restored into a *fresh* interpreter must produce byte-identical outputs
-for every subsequent command, under all three ``gc_policy`` modes — the
+for every subsequent command, under both ``gc_policy`` modes — the
 migration layer's core correctness claim. The snapshot itself must also
 be stable (snapshot -> restore -> snapshot reproduces the same wire
 form) and must land entirely in the destination's tenured generation.
@@ -24,12 +24,11 @@ from repro.runtime.snapshot import HeapSnapshot, restore_env, snapshot_env
 
 from tests.properties.test_property_gc import programs
 
-#: The three reclamation modes a serving device can run; generational
+#: The two reclamation modes a serving device can run; generational
 #: uses the full fast path so restore also exercises re-interning and
 #: indexed session roots.
 POLICIES = {
     "literal": lambda: InterpreterOptions(),
-    "full": lambda: InterpreterOptions(gc_policy="full"),
     "generational": lambda: InterpreterOptions.fast(),
 }
 

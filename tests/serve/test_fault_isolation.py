@@ -60,7 +60,7 @@ class TestAcceptanceScenario:
     other ticket with correct output, drain() completes with zero
     pending tickets, and the device serves subsequent batches."""
 
-    @pytest.mark.parametrize("gc_policy", ["generational", "full"])
+    @pytest.mark.parametrize("gc_policy", ["generational"])
     def test_sixteen_tenants_two_faults(self, gc_policy):
         with fault_server(gc_policy=gc_policy) as server:
             tenants = [server.open_session() for _ in range(16)]

