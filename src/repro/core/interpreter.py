@@ -71,7 +71,6 @@ class InterpreterOptions:
 
     arena_capacity: int = NodeArena.DEFAULT_CAPACITY
     atomic_arena_cursor: bool = False   #: ablation: shared-cursor allocation
-    quote_sugar: bool = True            #: 'x reader shorthand (extension)
     max_loop_iterations: int = 1_000_000
     gc_after_command: bool = True       #: reclaim unreachable nodes between commands
     intern_symbols: bool = False        #: fast path: id compares over strcmp chains
@@ -329,54 +328,37 @@ class Interpreter:
     def printer_for(self, ctx: ExecContext) -> Printer:
         return Printer(ctx)
 
-    # -- parsing (with the serving parse cache, when enabled) ---------------------------
-
-    def parse_source(self, source: str | SourceBuffer, ctx: ExecContext) -> list[Node]:
-        """Parse one command's top-level forms, through the parse cache.
-
-        Without a cache this is exactly the paper's serial char-by-char
-        scan. With one (fast path), a repeated source text skips the scan
-        entirely: the memoized template tree is deep-copied into the
-        arena as fresh nodes — modeled as node allocs/copies, which are
-        far cheaper than a ``CHAR_LOAD`` + ``PARSE_STEP`` per character —
-        so every request still evaluates a private tree (no structure is
-        ever shared between requests).
-        """
-        cache = self.parse_cache
-        if cache is None:
-            return Parser(self, ctx).parse(source)
-        text = source.text if isinstance(source, SourceBuffer) else source
-        template = cache.get(text, ctx)
-        if template is not None:
-            return cache.materialize(template, self.arena, ctx)
-        forms = Parser(self, ctx).parse(source)
-        cache.put(text, forms)
-        return forms
-
-    # -- the JIT trace tier (DESIGN.md deviation #10) -----------------------------------
+    # -- parsing, the parse cache and the JIT trace tier (DESIGN.md deviation #10) -----
 
     def prepare_command(self, source: str | SourceBuffer, ctx: ExecContext) -> CommandPlan:
         """Parse one command into an executable :class:`CommandPlan`.
 
-        With the JIT off this is exactly :meth:`parse_source` (same
-        charges, tree-walk steps). With it on, a cache entry whose use
-        count has crossed ``jit_threshold`` is compiled once (uncharged
-        host work, like cache population) and its traceable forms become
-        trace steps — which skip the charged per-node materialization
-        entirely; untraceable forms in the same entry still materialize
-        and tree-walk.
+        Without a parse cache this is exactly the paper's serial
+        char-by-char scan. With one (fast path), a repeated source text
+        skips the scan entirely: the memoized template tree is
+        deep-copied into the arena as fresh nodes — modeled as node
+        allocs/copies, which are far cheaper than a ``CHAR_LOAD`` +
+        ``PARSE_STEP`` per character — so every request still evaluates
+        a private tree (no structure is ever shared between requests).
+
+        With the JIT on, a cache entry whose use count has crossed
+        ``jit_threshold`` is compiled once (uncharged host work, like
+        cache population) and its traceable forms become trace steps —
+        which skip the charged per-node materialization entirely;
+        untraceable forms in the same entry still materialize and
+        tree-walk.
         """
-        if not self.options.jit:
-            return CommandPlan([PlanStep(form=f) for f in self.parse_source(source, ctx)])
         cache = self.parse_cache
-        assert cache is not None  # enforced at construction
+        if cache is None:
+            return CommandPlan([PlanStep(form=f) for f in Parser(self, ctx).parse(source)])
         text = source.text if isinstance(source, SourceBuffer) else source
         entry = cache.get_entry(text, ctx)
         if entry is None:
             forms = Parser(self, ctx).parse(source)
             cache.put(text, forms)
             return CommandPlan([PlanStep(form=f) for f in forms])
-        if entry.uses >= self.options.jit_threshold and not entry.trace_failed:
+        options = self.options
+        if options.jit and entry.uses >= options.jit_threshold and not entry.trace_failed:
             if entry.traces is None:
                 from ..jit.compiler import compile_form
 

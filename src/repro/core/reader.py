@@ -96,7 +96,6 @@ class Parser:
         take = arena.take
         cursor = arena.cursor if arena.atomic_cursor else None
         symtab = arena.symtab
-        quote_sugar = interp.options.quote_sugar
         # One frame per open list, (node, position of its '('), and per
         # pending quote, (None, position after the quote character). The
         # stack height is the nesting depth.
@@ -139,7 +138,7 @@ class Parser:
                         continue
                     if ch == ")":
                         raise ParseError("unexpected ')'", position=pos)
-                    if ch == _QUOTE_SUGAR and quote_sugar:
+                    if ch == _QUOTE_SUGAR:
                         pos += 1  # consume the quote character
                         stack.append((None, pos))
                         continue

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from ..context import ExecContext
 from ..core.arena import NodeArena
-from ..core.nodes import REGION_TENURED, Node, NodeType, promote_subgraph
+from ..core.nodes import REGION_TENURED, Node, promote_subgraph
 from ..errors import ArenaExhaustedError
 from ..ops import Op
 
@@ -63,14 +63,13 @@ class TemplateNode:
 class ParseCacheStats:
     """Lifetime counters for one parse cache."""
 
-    __slots__ = ("hits", "misses", "evictions", "nodes_materialized", "uncacheable")
+    __slots__ = ("hits", "misses", "evictions", "nodes_materialized")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.nodes_materialized = 0
-        self.uncacheable = 0
 
     @property
     def hit_rate(self) -> float:
@@ -83,22 +82,8 @@ class ParseCacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "nodes_materialized": self.nodes_materialized,
-            "uncacheable": self.uncacheable,
             "hit_rate": self.hit_rate,
         }
-
-
-_SNAPSHOTTABLE = frozenset(
-    {
-        NodeType.N_NIL,
-        NodeType.N_TRUE,
-        NodeType.N_INT,
-        NodeType.N_FLOAT,
-        NodeType.N_STRING,
-        NodeType.N_SYMBOL,
-        NodeType.N_LIST,
-    }
-)
 
 
 class CacheEntry:
@@ -140,19 +125,13 @@ class ParseCache:
 
     # -- lookup -----------------------------------------------------------------
 
-    def get(self, text: str, ctx: ExecContext) -> Optional[list[TemplateNode]]:
-        """The memoized templates for ``text``, or None on a miss.
+    def get_entry(self, text: str, ctx: ExecContext) -> Optional["CacheEntry"]:
+        """The memoized :class:`CacheEntry` for ``text``, or None on a miss.
 
         The probe itself is host-side bookkeeping (the host decides what
         to upload), so a miss charges nothing — the caller falls through
         to the charged parse.
         """
-        entry = self.get_entry(text, ctx)
-        return None if entry is None else entry.templates
-
-    def get_entry(self, text: str, ctx: ExecContext) -> Optional["CacheEntry"]:
-        """Like :meth:`get`, but returns the whole :class:`CacheEntry`
-        (the JIT tier needs the use counter and the trace slots)."""
         entry = self._entries.get(text)
         if entry is None:
             self.stats.misses += 1
@@ -164,43 +143,31 @@ class ParseCache:
 
     # -- population ---------------------------------------------------------------
 
-    def put(self, text: str, forms: list[Node]) -> bool:
+    def put(self, text: str, forms: list[Node]) -> None:
         """Snapshot freshly parsed ``forms`` under ``text``.
 
         Snapshotting is uncharged host work (the tree was just built and
-        is still hot). Returns False if any form holds node kinds the
-        parser cannot have produced (defensive: such trees are simply
-        not cached).
+        is still hot).
         """
-        templates: list[TemplateNode] = []
-        for form in forms:
-            template = self._snapshot(form)
-            if template is None:
-                self.stats.uncacheable += 1
-                return False
-            templates.append(template)
         # A fresh CacheEntry on every put: re-putting an existing key
         # (or later evicting it) drops any compiled traces along with
         # the old templates.
-        entry = CacheEntry(templates)
+        entry = CacheEntry([self._snapshot(form) for form in forms])
         entry.uses = 1
         self._entries[text] = entry
         self._entries.move_to_end(text)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        return True
 
     @staticmethod
-    def _snapshot(node: Node) -> Optional[TemplateNode]:
-        """Copy one parsed tree into templates, or None if any node in it
-        is not snapshottable. Iterative, so the host stack stays flat."""
+    def _snapshot(node: Node) -> TemplateNode:
+        """Copy one parsed tree into templates. Iterative, so the host
+        stack stays flat."""
         root = TemplateNode(node)
         stack = [(node, root)]
         while stack:
             src, template = stack.pop()
-            if src.ntype not in _SNAPSHOTTABLE or src.fn is not None or src.params is not None:
-                return None
             child = src.first
             while child is not None:
                 sub = TemplateNode(child)

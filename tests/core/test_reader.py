@@ -3,7 +3,6 @@
 import pytest
 
 from repro.context import CountingContext
-from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.core.nodes import NodeType
 from repro.core.reader import Parser
 from repro.errors import ParseError
@@ -120,11 +119,6 @@ class TestQuoteSugar:
         children = list(lst.children())
         assert children[0].sval == "quote"
         assert children[1].sval == "x"
-
-    def test_quote_sugar_can_be_disabled(self, ctx):
-        interp = Interpreter(options=InterpreterOptions(quote_sugar=False))
-        (node,) = Parser(interp, ctx).parse("'x")
-        assert node.ntype == NodeType.N_SYMBOL and node.sval == "'x"
 
 
 class TestErrors:

@@ -44,7 +44,7 @@ class TestInterpreterInterning:
     def test_parser_interns_symbols(self):
         interp = Interpreter(options=InterpreterOptions(intern_symbols=True))
         ctx = NullContext()
-        (form,) = interp.parse_source("(alpha beta alpha)", ctx)
+        form = interp.prepare_command("(alpha beta alpha)", ctx).steps[0].form
         kids = list(form.children())
         assert kids[0].sym_id >= 0
         assert kids[0].sym_id == kids[2].sym_id
@@ -61,7 +61,7 @@ class TestInterpreterInterning:
     def test_literal_nodes_stay_uninterned(self):
         interp = Interpreter(options=InterpreterOptions())
         ctx = NullContext()
-        (form,) = interp.parse_source("(alpha beta)", ctx)
+        form = interp.prepare_command("(alpha beta)", ctx).steps[0].form
         assert all(kid.sym_id == -1 for kid in form.children())
 
     def test_copy_node_preserves_sym_id(self):

@@ -3,7 +3,7 @@ tree-walking — the differential pin that lets the trace executor exist.
 
 Randomized programs cover the surface the ISSUE names: defines,
 recursion, macros, higher-order functions, and strings. Every program
-runs through :func:`tests.jit.differential.differential_check`, which
+runs through :func:`tests.spec.runner.differential_check`, which
 demands
 
 * byte-identical outputs *and* retained-heap snapshots when traces run
@@ -26,7 +26,7 @@ from repro.context import CountingContext
 from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.errors import LispError
 from repro.ops import Op
-from tests.jit.differential import differential_check, run_sequence
+from tests.spec.runner import differential_check, run_program
 
 NAMES = ("alpha", "beta", "gamma-value", "delta", "accumulator-total")
 FNAMES = ("combine", "triangle-step", "mix-values")
@@ -209,7 +209,7 @@ def test_error_outputs_are_pinned_too():
 
 def test_run_sequence_jit_counters_off_mode():
     """jit=False runs report all-zero counters (the RunRecord contract)."""
-    record = run_sequence(
+    record = run_program(
         ["(+ 1 2)"],
         InterpreterOptions(parse_cache_capacity=64),
         repeats=2,

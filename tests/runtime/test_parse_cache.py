@@ -5,7 +5,6 @@ import pytest
 
 from repro.context import CountingContext, NullContext
 from repro.core.interpreter import Interpreter, InterpreterOptions
-from repro.core.nodes import NodeType
 from repro.ops import Op, Phase
 from repro.runtime.parse_cache import ParseCache
 
@@ -24,19 +23,19 @@ class TestCacheMechanics:
     def test_hit_after_miss(self):
         interp = make_interp()
         ctx = NullContext()
-        interp.parse_source("(+ 1 2)", ctx)
+        interp.prepare_command("(+ 1 2)", ctx)
         assert interp.parse_cache.stats.misses == 1
-        interp.parse_source("(+ 1 2)", ctx)
+        interp.prepare_command("(+ 1 2)", ctx)
         assert interp.parse_cache.stats.hits == 1
         assert interp.parse_cache.stats.hit_rate == 0.5
 
     def test_lru_eviction(self):
         interp = make_interp(capacity=2)
         ctx = NullContext()
-        interp.parse_source("(+ 1 1)", ctx)
-        interp.parse_source("(+ 2 2)", ctx)
-        interp.parse_source("(+ 1 1)", ctx)  # refresh the first entry
-        interp.parse_source("(+ 3 3)", ctx)  # evicts (+ 2 2)
+        interp.prepare_command("(+ 1 1)", ctx)
+        interp.prepare_command("(+ 2 2)", ctx)
+        interp.prepare_command("(+ 1 1)", ctx)  # refresh the first entry
+        interp.prepare_command("(+ 3 3)", ctx)  # evicts (+ 2 2)
         cache = interp.parse_cache
         assert "(+ 1 1)" in cache and "(+ 3 3)" in cache
         assert "(+ 2 2)" not in cache
@@ -45,8 +44,9 @@ class TestCacheMechanics:
     def test_materialized_tree_matches_fresh_parse(self):
         interp = make_interp()
         ctx = NullContext()
-        (first,) = interp.parse_source("(alpha (1 2.5) \"s\" nil T)", ctx)
-        (second,) = interp.parse_source("(alpha (1 2.5) \"s\" nil T)", ctx)
+        text = "(alpha (1 2.5) \"s\" nil T)"
+        first = interp.prepare_command(text, ctx).steps[0].form
+        second = interp.prepare_command(text, ctx).steps[0].form
         assert first is not second  # a private copy, never the template
 
         def shape(node):
@@ -81,11 +81,11 @@ class TestCacheMechanics:
 
         miss_ctx = CountingContext()
         miss_ctx.set_phase(Phase.PARSE)
-        interp.parse_source(text, miss_ctx)
+        interp.prepare_command(text, miss_ctx)
 
         hit_ctx = CountingContext()
         hit_ctx.set_phase(Phase.PARSE)
-        interp.parse_source(text, hit_ctx)
+        interp.prepare_command(text, hit_ctx)
 
         assert miss_ctx.counts.count_of(Op.CHAR_LOAD) > len(text) - 1
         assert hit_ctx.counts.count_of(Op.CHAR_LOAD) == 0
@@ -128,12 +128,3 @@ class TestNoLeakBetweenRequests:
         assert interp.process("x", ctx) == "x"  # unbound: late binding
         interp.process("(setq x 5)", ctx)
         assert interp.process("x", ctx) == "5"  # same text, new meaning
-
-    def test_uncacheable_trees_are_skipped(self):
-        cache = ParseCache(4)
-        interp = Interpreter()
-        ctx = NullContext()
-        form = interp.arena.alloc(NodeType.N_FORM, ctx).seal()
-        assert cache.put("(weird)", [form]) is False
-        assert "(weird)" not in cache
-        assert cache.stats.uncacheable == 1

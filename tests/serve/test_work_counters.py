@@ -107,6 +107,7 @@ def test_sessions_checked_are_the_due_sessions():
 # -- doubling: gpu-map elements, save() payload size, defines per session ---------
 
 _SRC = os.path.dirname(repro.__file__)
+_BULK = os.path.join(_SRC, "serve", "bulk.py")
 
 
 def _ops(ctx: CountingContext) -> float:
@@ -116,12 +117,15 @@ def _ops(ctx: CountingContext) -> float:
 class _Work:
     """Deterministic work done inside the ``with`` block, counted from
     outside the program: ``calls`` — Python and builtin calls made from
-    ``repro`` frames; ``ops`` — modeled ops charged to ``server``'s
+    ``repro`` frames; ``bulk_calls`` — those made from frames in
+    ``serve/bulk.py`` alone, so host-side chunk formatting is not lost in
+    the device work; ``ops`` — modeled ops charged to ``server``'s
     device master contexts and to every counting context made in the
     block (a reset tallies what it clears)."""
 
     def __init__(self, server: CuLiServer) -> None:
         self.calls = 0
+        self.bulk_calls = 0
         self.ops = 0.0
         self._contexts = [p.device.master_ctx for p in server.pool.devices.values()]
 
@@ -140,8 +144,12 @@ class _Work:
             reset(ctx)
 
         def profile(frame, event, arg):
-            if event in ("call", "c_call") and frame.f_code.co_filename.startswith(_SRC):
-                self.calls += 1
+            if event in ("call", "c_call"):
+                filename = frame.f_code.co_filename
+                if filename.startswith(_SRC):
+                    self.calls += 1
+                    if filename == _BULK:
+                        self.bulk_calls += 1
 
         CountingContext.__init__ = tracked_init
         CountingContext.reset = tallied_reset
@@ -171,6 +179,7 @@ def _gpu_map_counters(n: int) -> dict:
         snap = server.stats.snapshot()
     return {
         "sharded_calls": sharded.calls,
+        "sharded_bulk_calls": sharded.bulk_calls,
         "sharded_ops": sharded.ops,
         "builtin_calls": builtin.calls,
         "builtin_ops": builtin.ops,
