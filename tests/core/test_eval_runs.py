@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.interpreter import InterpreterOptions
 from tests.spec.corpus import EVAL, nesting_sweep
-from tests.spec.runner import check_spec
+from tests.spec.runner import check_spec, outcomes
 
 OPTIONS = {
     "literal": InterpreterOptions(),
@@ -23,6 +23,14 @@ OPTIONS = {
 @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
 def test_fused_calls_match_per_node_evaluator(options):
     check_spec(EVAL, options, max_depth=512)
+
+
+def test_corpus_covers_every_outcome():
+    # Guard the corpus itself: it must reach each eval error and succeed,
+    # here on a thrashing cache with a penalty that is not dyadic.
+    record = check_spec(EVAL, InterpreterOptions.fast(), cache=(1, 128, 2),
+                        penalty=0.1 * 3.7, max_depth=512)
+    assert {"ok", "ArityError", "TypeMismatchError", "RecursionDepthError"} <= outcomes(record.outputs)
 
 
 @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))

@@ -14,7 +14,7 @@ import pytest
 from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.gpu.specs import ALL_GPUS, FUTURE_GPUS
 from tests.spec.corpus import EXHAUSTION_TEXTS, READER
-from tests.spec.runner import check_spec
+from tests.spec.runner import check_spec, outcomes
 
 #: Source bases that start a text at, inside and across line boundaries.
 BASES = (0, 1, 127, 128, 40_961)
@@ -47,6 +47,20 @@ def test_run_parser_matches_per_char_scan(cache):
 )
 def test_run_parser_matches_under_options(options):
     _check(options)
+
+
+def test_corpus_covers_every_outcome():
+    # Guard the corpus itself: it must reach each parse error and succeed.
+    reached = outcomes(_check(InterpreterOptions.fast()).outputs)
+    assert {
+        "ok",
+        "empty input",
+        "unterminated string",
+        "unexpected ')'",
+        "dangling quote",
+        "missing ')'",
+        "nesting too deep for the device parser stack",
+    } <= reached
 
 
 def test_arena_exhaustion_mid_parse_charges_the_same():

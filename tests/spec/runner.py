@@ -191,6 +191,20 @@ def check_spec(commands: Sequence[str], options: InterpreterOptions, **run) -> R
     return production
 
 
+def outcomes(outputs: Sequence[str]) -> set:
+    """The outcome kinds a run reached: ``"ok"`` for every success, the
+    message of a parse error, the type of any other error."""
+    kinds = set()
+    for out in outputs:
+        if out.startswith("error: ParseError: "):
+            kinds.add(out[len("error: ParseError: "):].split(" @")[0])
+        elif out.startswith("error: "):
+            kinds.add(out.split(":")[1].strip())
+        else:
+            kinds.add("ok")
+    return kinds
+
+
 def differential_check(commands: Sequence[str], repeats: int = 4,
                        **common_options) -> RunRecord:
     """The trace tier's three-way contract for one command sequence.
