@@ -16,6 +16,8 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
+import sys
+
 from .context import CountingContext, ExecContext, NullContext
 from .core import Interpreter, InterpreterOptions
 from .errors import (
@@ -58,6 +60,11 @@ from .runtime.workloads import (
 from .timing import CommandStats, PhaseBreakdown
 
 __version__ = "1.0.0"
+
+# Deep Lisp recursion nests several Python frames per level. Raised once,
+# on import, so building an interpreter never changes process state.
+if sys.getrecursionlimit() < 100_000:
+    sys.setrecursionlimit(100_000)
 
 __all__ = [
     "__version__",

@@ -32,7 +32,7 @@ from ..context import ExecContext
 from ..errors import ArenaExhaustedError
 from ..gpu.atomics import AtomicCounter
 from ..ops import Op
-from .nodes import REGION_FREE, REGION_TENURED, Node, NodeType
+from .nodes import REGION_FREE, REGION_TENURED, Node, NodeType, TemplateNode
 
 __all__ = ["NodeArena", "ArenaStats", "GCStats"]
 
@@ -181,6 +181,23 @@ class NodeArena:
         self.stats.allocs += 1
         if self._used > self.stats.peak_used:
             self.stats.peak_used = self._used
+        return node
+
+    def instantiate(self, template: TemplateNode, ctx: ExecContext) -> Node:
+        """Take a node carrying ``template``'s type and four value fields.
+
+        The one node initializer of the reader and the parse cache.
+        Uncharged like :meth:`take`, whose ``NODE_ALLOC`` the caller
+        owes, also when this raises; under the atomic cursor it makes
+        the take's contended fetch-add itself.
+        """
+        if self.atomic_cursor:
+            self.cursor.fetch_add_contended(1, ctx, self.contention_width)
+        node = self.take(template.ntype)
+        node.ival = template.ival
+        node.fval = template.fval
+        node.sval = template.sval
+        node.sym_id = template.sym_id
         return node
 
     @staticmethod

@@ -9,7 +9,6 @@ default, replaced by the device back-ends.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -204,9 +203,6 @@ class Interpreter:
         # Their bindings must survive between-command collection exactly
         # like the global environment's do.
         self.extra_roots: list[Environment] = []
-        # Deep Lisp recursion nests several Python frames per level.
-        if sys.getrecursionlimit() < 100_000:
-            sys.setrecursionlimit(100_000)
         ctx = setup_ctx if setup_ctx is not None else NullContext()
         self.nil = self.arena.new_nil(ctx)
         self.true = self.arena.new_true(ctx)
@@ -354,8 +350,8 @@ class Interpreter:
         text = source.text if isinstance(source, SourceBuffer) else source
         entry = cache.get_entry(text, ctx)
         if entry is None:
-            forms = Parser(self, ctx).parse(source)
-            cache.put(text, forms)
+            forms, templates = Parser(self, ctx).read(source)
+            cache.put(text, templates)
             return CommandPlan([PlanStep(form=f) for f in forms])
         options = self.options
         if options.jit and entry.uses >= options.jit_threshold and not entry.trace_failed:

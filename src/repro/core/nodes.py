@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "NodeType",
     "Node",
+    "TemplateNode",
     "NODE_BYTES",
     "REGION_FREE",
     "REGION_TENURED",
@@ -267,6 +268,28 @@ class Node:
         elif self.ntype in (NodeType.N_FORM, NodeType.N_MACRO, NodeType.N_FUNCTION):
             detail = f"={self.sval or '<anon>'}"
         return f"<Node#{self.idx} {self.ntype.name}{detail}>"
+
+
+class TemplateNode:
+    """A detached parse-tree node: what the reader records beside each
+    node it takes, and what the parse cache keeps and copies on a hit.
+
+    A plain host-side object, invisible to the arena and the GC, holding
+    only what the parser can produce (primitives and lists, never a
+    function pointer or a parameter list), so a template can never
+    capture evaluator-created state. The defaults are :class:`Node`'s.
+    """
+
+    __slots__ = ("ntype", "ival", "fval", "sval", "sym_id", "children")
+
+    def __init__(self, ntype: NodeType, ival: int = 0, fval: float = 0.0,
+                 sval: str = "", sym_id: int = -1) -> None:
+        self.ntype = ntype
+        self.ival = ival
+        self.fval = fval
+        self.sval = sval
+        self.sym_id = sym_id
+        self.children: list["TemplateNode"] = []
 
 
 def promote_subgraph(node: Node) -> int:

@@ -22,15 +22,19 @@ counts, and the same cache addresses in the same order, as one load per
 character, since no other cache access happens inside a parse.
 
 The parse itself is one loop over an explicit stack, not a recursive
-descent: an open list is a frame holding its node and the position of its
-``(``, a pending ``'`` quote is a frame too, and the stack height is the
-nesting depth. Unsigned decimal ints, plain symbols and a lone ``+``/``-``
-are built inline with :meth:`~repro.core.arena.NodeArena.take`; every
-other atom goes through ``classify_atom``. The inline builders tally
-their ``PARSE_STEP``, digit, ``NODE_ALLOC``, ``NODE_WRITE`` and intern-hit
-``HASH_PROBE`` charges and add them beside the scan run, so a parse makes
-the same few charge calls however long its input is. The counts are the
-ones a per-node builder charges; only the number of calls differs.
+descent: an open list is a frame holding its node, its template and the
+position of its ``(``, a pending ``'`` quote is a frame too, and the
+stack height is the nesting depth. Every node the parse takes is made
+from a :class:`~repro.core.nodes.TemplateNode` built in the same step
+(:meth:`~repro.core.arena.NodeArena.instantiate`), and a child joins its
+parent node and its parent template together, so one scan yields both
+the arena tree and the detached copy the parse cache keeps. Unsigned
+decimal ints, plain symbols and a lone ``+``/``-`` skip
+``classify_atom``. The parse tallies its ``PARSE_STEP``, digit,
+``NODE_ALLOC``, ``NODE_WRITE`` and intern-hit ``HASH_PROBE`` charges and
+adds them beside the scan run, so a parse makes the same few charge
+calls however long its input is. The counts are the ones a per-node
+builder charges; only the number of calls differs.
 
 Note on environments: the paper creates an environment per list at parse
 time; we charge that allocation here but materialize environments lazily
@@ -47,7 +51,7 @@ from ..errors import ParseError
 from ..gpu.memory import SourceBuffer
 from ..ops import Op
 from ..strlib import AtomClass, classify_atom
-from .nodes import Node, NodeType
+from .nodes import Node, NodeType, TemplateNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import Interpreter
@@ -69,11 +73,23 @@ _CLASSIFY_START = frozenset("0123456789+-.E\"")
 _SIGNS = ("+", "-")
 #: Atoms ``classify_atom`` maps to nil and T.
 _RESERVED = ("nil", "T", "t")
-#: Digits an int atom may have to be built inline: Python's ``int()``
+#: Digits an int atom may have to skip ``classify_atom``: Python's ``int()``
 #: refuses strings past its configured digit limit, which is at least 640.
 _FAST_INT_DIGITS = 640
 #: Per digit of an int atom, beside its PARSE_STEP.
 _DIGIT_OPS = (Op.IMUL, Op.ALU)
+_LIST, _SYMBOL, _INT, _TRUE = (
+    NodeType.N_LIST, NodeType.N_SYMBOL, NodeType.N_INT, NodeType.N_TRUE)
+#: Per ``classify_atom`` class: the node type, and the field its value
+#: fills (nil and T carry none, so their node is a bare allocation).
+_ATOM_FIELDS = {
+    AtomClass.STRING: (NodeType.N_STRING, "sval"),
+    AtomClass.NIL: (NodeType.N_NIL, None),
+    AtomClass.TRUE: (_TRUE, None),
+    AtomClass.INT: (_INT, "ival"),
+    AtomClass.FLOAT: (NodeType.N_FLOAT, "fval"),
+    AtomClass.SYMBOL: (_SYMBOL, "sval"),
+}
 
 
 class Parser:
@@ -85,24 +101,30 @@ class Parser:
 
     def parse(self, source: SourceBuffer | str, base_addr: int = 0) -> list[Node]:
         """Parse the whole input; returns the top-level forms in order."""
+        return self.read(source, base_addr)[0]
+
+    def read(
+        self, source: SourceBuffer | str, base_addr: int = 0
+    ) -> tuple[list[Node], list[TemplateNode]]:
+        """Parse the whole input; returns the top-level forms in order and
+        their templates."""
         if isinstance(source, str):
             source = SourceBuffer(source, base=base_addr)
         ctx = self.ctx
         source.bind(ctx)
         text = source.text
         n = len(text)
-        interp = self.interp
-        arena = interp.arena
-        take = arena.take
-        cursor = arena.cursor if arena.atomic_cursor else None
+        arena = self.interp.arena
+        instantiate = arena.instantiate
         symtab = arena.symtab
-        # One frame per open list, (node, position of its '('), and per
-        # pending quote, (None, position after the quote character). The
-        # stack height is the nesting depth.
+        # One frame per open list, (node, template, position of its '('),
+        # and per pending quote, (None, None, position after the quote
+        # character). The stack height is the nesting depth.
         stack: list[tuple] = []
         top: list[Node] = []
+        templates: list[TemplateNode] = []
         pos = 0
-        # Tallies of the inline builders, charged once on every way out.
+        # The parse's node charges, tallied and charged once on every way out.
         steps = digits = allocs = writes = probes = 0
         try:
             while True:
@@ -113,12 +135,12 @@ class Parser:
                         break
                     if stack[-1][0] is None:
                         raise ParseError("dangling quote", position=pos)
-                    raise ParseError("missing ')'", position=stack[-1][1])
+                    raise ParseError("missing ')'", position=stack[-1][2])
                 ch = text[pos]
                 if ch == ")" and stack and stack[-1][0] is not None:
                     pos += 1  # consume ')'
                     writes += 1  # close the list: store its last pointer
-                    node = stack.pop()[0]
+                    node, template, _ = stack.pop()
                     node.sealed = True
                 else:
                     if len(stack) > _MAX_NESTING:
@@ -128,9 +150,8 @@ class Parser:
                     if ch == "(":
                         pos += 1  # consume '(' before the node is taken
                         allocs += 1
-                        if cursor is not None:
-                            cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                        stack.append((take(NodeType.N_LIST), pos - 1))
+                        template = TemplateNode(_LIST)
+                        stack.append((instantiate(template, ctx), template, pos - 1))
                         # The paper allocates a fresh environment per parsed
                         # list; we charge that cost here (materialized
                         # lazily at eval time).
@@ -140,7 +161,7 @@ class Parser:
                         raise ParseError("unexpected ')'", position=pos)
                     if ch == _QUOTE_SUGAR:
                         pos += 1  # consume the quote character
-                        stack.append((None, pos))
+                        stack.append((None, None, pos))
                         continue
                     start = pos
                     if ch == '"':
@@ -150,57 +171,62 @@ class Parser:
                             pos = n
                             raise ParseError("unterminated string", position=start)
                         pos = close + 1  # consume the closing quote
-                        node = self._make_atom(text[start:pos], start)
                     else:
                         # An atom runs up to the next marker.
                         pos = _ATOM.match(text, start).end()
-                        token = text[start:pos]
-                        if token.isdigit() and token.isascii() and len(token) <= _FAST_INT_DIGITS:
-                            # classify_atom's dispatch step, then one
-                            # PARSE_STEP + IMUL + ALU per digit.
-                            steps += 1 + len(token)
-                            digits += len(token)
-                            allocs += 1
-                            if cursor is not None:
-                                cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                            node = take(NodeType.N_INT)
-                            writes += 1
-                            node.ival = int(token)
-                            node.sealed = True
-                        elif ch in _CLASSIFY_START and token not in _SIGNS or token in _RESERVED:
-                            node = self._make_atom(token, start)
+                    token = text[start:pos]
+                    if token.isdigit() and token.isascii() and len(token) <= _FAST_INT_DIGITS:
+                        # classify_atom's dispatch step, then one
+                        # PARSE_STEP + IMUL + ALU per digit.
+                        steps += 1 + len(token)
+                        digits += len(token)
+                        template = TemplateNode(_INT, int(token))
+                    elif ch in _CLASSIFY_START and token not in _SIGNS or token in _RESERVED:
+                        cls, value = classify_atom(token, ctx)
+                        ntype, field = _ATOM_FIELDS[cls]
+                        template = TemplateNode(ntype)
+                        if field is not None:
+                            setattr(template, field, value)
+                    else:
+                        # A symbol: the dispatch step, plus the sign
+                        # step of a lone sign's failed number parse.
+                        steps += 2 if ch in _SIGNS else 1
+                        template = TemplateNode(_SYMBOL, sval=token)
+                    allocs += 1
+                    node = instantiate(template, ctx)
+                    node.sealed = True
+                    if template.ntype > _TRUE:
+                        writes += 1  # the value, once the take succeeded
+                    if template.ntype == _SYMBOL and symtab is not None:
+                        sym_id = symtab.id_of(token)
+                        if sym_id is None:
+                            sym_id = symtab.intern(token, ctx)
                         else:
-                            # A symbol: the dispatch step, plus the sign
-                            # step of a lone sign's failed number parse.
-                            steps += 2 if ch in _SIGNS else 1
-                            allocs += 1
-                            if cursor is not None:
-                                cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                            node = take(NodeType.N_SYMBOL)
-                            writes += 1
-                            node.sval = token
-                            if symtab is not None:
-                                sym_id = symtab.id_of(token)
-                                if sym_id is None:
-                                    sym_id = symtab.intern(token, ctx)
-                                else:
-                                    probes += 1
-                                node.sym_id = sym_id
-                            node.sealed = True
+                            probes += 1
+                        node.sym_id = template.sym_id = sym_id
                 # Hand the finished node to its frame: wrap it for each
                 # pending quote, then link it into the open list.
                 while stack:
-                    parent = stack[-1][0]
+                    parent, parent_template, _ = stack[-1]
                     if parent is None:
                         # Reader sugar: 'x -> (quote x). An extension over
                         # the paper.
                         stack.pop()
-                        quoted = arena.alloc(NodeType.N_LIST, ctx)
-                        quote_sym = arena.new_symbol("quote", ctx)
-                        writes += 4
+                        allocs += 1
+                        wrapper = TemplateNode(_LIST)
+                        quoted = instantiate(wrapper, ctx)
+                        allocs += 1
+                        quote = TemplateNode(_SYMBOL, sval="quote")
+                        quote_sym = instantiate(quote, ctx)
+                        quote_sym.sealed = True
+                        writes += 5  # the symbol's value and four link writes
+                        if symtab is not None:
+                            quote_sym.sym_id = quote.sym_id = symtab.intern("quote", ctx)
                         quoted.append_child(quote_sym)
                         quoted.append_child(node)
+                        wrapper.children = [quote, template]
                         node = quoted.seal()
+                        template = wrapper
                         continue
                     # Two writes per linked child (first/last chain). The
                     # nodes of one parse share a region, so no write
@@ -212,17 +238,19 @@ class Parser:
                         parent.last.nxt = node
                     parent.last = node
                     node.linked = True
+                    parent_template.children.append(template)
                     break
                 else:
                     top.append(node)
+                    templates.append(template)
             if not top:
                 raise ParseError("empty input", position=0)
-            return top
+            return top, templates
         finally:
             # Every character the cursor reached, the terminator at n
             # included, was loaded exactly once: charge them as one run,
             # also when the parse stops early on an error, beside the
-            # builders' tallies.
+            # node tallies.
             source.load_run(0, min(pos, n) + 1)
             if steps:
                 ctx.charge(Op.PARSE_STEP, steps)
@@ -234,19 +262,3 @@ class Parser:
                 ctx.charge(Op.NODE_WRITE, writes)
             if probes:
                 ctx.charge(Op.HASH_PROBE, probes)
-
-    def _make_atom(self, token: str, position: int) -> Node:
-        ctx = self.ctx
-        arena = self.interp.arena
-        cls, value = classify_atom(token, ctx)
-        if cls is AtomClass.STRING:
-            return arena.new_string(str(value), ctx)
-        if cls is AtomClass.NIL:
-            return arena.new_nil(ctx)
-        if cls is AtomClass.TRUE:
-            return arena.new_true(ctx)
-        if cls is AtomClass.INT:
-            return arena.new_int(int(value), ctx)  # type: ignore[arg-type]
-        if cls is AtomClass.FLOAT:
-            return arena.new_float(float(value), ctx)  # type: ignore[arg-type]
-        return arena.new_symbol(token, ctx)

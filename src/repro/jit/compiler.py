@@ -1,7 +1,7 @@
 """The trace compiler: cache-hot form templates -> flat register traces.
 
 Compilation is *static* and *conservative*. It runs over the parse
-cache's detached :class:`~repro.runtime.parse_cache.TemplateNode` trees
+cache's detached :class:`~repro.core.nodes.TemplateNode` trees
 (host-side objects, so compiling — like caching — is uncharged host
 work), and it refuses anything whose evaluation order or binding
 discipline it cannot flatten exactly:
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..core.nodes import NodeType
-from ..runtime.parse_cache import TemplateNode
+from ..core.nodes import NodeType, TemplateNode
 from .trace import HEAD_CALL, HEAD_SPECIAL, HeadSlot, Instr, TOp, Trace
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Optional
 
-from ..runtime.parse_cache import TemplateNode
+from ..core.nodes import TemplateNode
 
 __all__ = ["TOp", "Instr", "HeadSlot", "Trace", "JitStats",
            "HEAD_SPECIAL", "HEAD_CALL"]

@@ -13,10 +13,11 @@ Two fidelity rules shape the implementation:
 * **Never share structure between requests.** Parse trees flow into the
   evaluator, which links them into result lists, closes defun bodies
   over them, and relies on arena GC for reclamation. The cache
-  therefore keeps *detached template copies* (plain host-side objects,
-  invisible to the arena and the GC) and deep-copies a template into
-  fresh arena nodes for every hit. A mutated tree can never leak into a
-  later request.
+  therefore keeps *detached templates* (plain host-side
+  :class:`~repro.core.nodes.TemplateNode` objects, invisible to the
+  arena and the GC), which the reader builds beside the arena tree in
+  the same scan, and deep-copies a template into fresh arena nodes for
+  every hit. A mutated tree can never leak into a later request.
 * **Charge the copy, not the scan.** Materializing a cached tree is
   modeled as node traffic — one ``NODE_READ`` (template fetch), one
   ``NODE_ALLOC`` and two ``NODE_WRITE`` per node — which is orders of
@@ -31,33 +32,11 @@ from typing import Optional, Sequence
 
 from ..context import ExecContext
 from ..core.arena import NodeArena
-from ..core.nodes import REGION_TENURED, Node, promote_subgraph
+from ..core.nodes import REGION_TENURED, Node, TemplateNode, promote_subgraph
 from ..errors import ArenaExhaustedError
 from ..ops import Op
 
-__all__ = ["TemplateNode", "ParseCacheStats", "CacheEntry", "ParseCache"]
-
-
-class TemplateNode:
-    """A detached, immutable snapshot of one parsed node.
-
-    Holds only what the parser can produce (primitives and lists — parse
-    output never carries function pointers or parameter lists), so a
-    template can never capture evaluator-created state.
-    """
-
-    __slots__ = ("ntype", "ival", "fval", "sval", "sym_id", "children")
-
-    def __init__(self, node: Node) -> None:
-        self.ntype = node.ntype
-        self.ival = node.ival
-        self.fval = node.fval
-        self.sval = node.sval
-        self.sym_id = node.sym_id
-        self.children: list["TemplateNode"] = []
-
-    def count(self) -> int:
-        return 1 + sum(child.count() for child in self.children)
+__all__ = ["ParseCacheStats", "CacheEntry", "ParseCache"]
 
 
 class ParseCacheStats:
@@ -143,38 +122,23 @@ class ParseCache:
 
     # -- population ---------------------------------------------------------------
 
-    def put(self, text: str, forms: list[Node]) -> None:
-        """Snapshot freshly parsed ``forms`` under ``text``.
+    def put(self, text: str, templates: list[TemplateNode]) -> None:
+        """Keep the reader's ``templates`` of a fresh parse under ``text``.
 
-        Snapshotting is uncharged host work (the tree was just built and
-        is still hot).
+        The reader built them beside the arena tree in the same scan
+        (:meth:`~repro.core.reader.Parser.read`), so storing them is
+        uncharged host work.
         """
         # A fresh CacheEntry on every put: re-putting an existing key
         # (or later evicting it) drops any compiled traces along with
         # the old templates.
-        entry = CacheEntry([self._snapshot(form) for form in forms])
+        entry = CacheEntry(templates)
         entry.uses = 1
         self._entries[text] = entry
         self._entries.move_to_end(text)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    @staticmethod
-    def _snapshot(node: Node) -> TemplateNode:
-        """Copy one parsed tree into templates. Iterative, so the host
-        stack stays flat."""
-        root = TemplateNode(node)
-        stack = [(node, root)]
-        while stack:
-            src, template = stack.pop()
-            child = src.first
-            while child is not None:
-                sub = TemplateNode(child)
-                template.children.append(sub)
-                stack.append((child, sub))
-                child = child.nxt
-        return root
 
     # -- materialization -----------------------------------------------------------
 
@@ -241,8 +205,6 @@ class ParseCache:
         barrier ``Node.append_child`` applies) and stops at a link
         already wired.
         """
-        take = arena.take
-        cursor = arena.cursor if arena.atomic_cursor else None
         allocs0 = arena.stats.allocs
         roots: list[Node] = []
         prev: Optional[Node] = None
@@ -254,13 +216,7 @@ class ParseCache:
                     if template.children:
                         node = self._copy_list(template, arena, ctx, memo)
                     else:
-                        if cursor is not None:
-                            cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                        node = take(template.ntype)
-                        node.ival = template.ival
-                        node.fval = template.fval
-                        node.sval = template.sval
-                        node.sym_id = template.sym_id
+                        node = arena.instantiate(template, ctx)
                         node.sealed = True
                         if memo is not None:
                             memo[template] = node
@@ -298,21 +254,10 @@ class ParseCache:
         caller, :meth:`_build`, charges every node taken). A child joins
         its parent once its own subtree is complete, as in a recursive
         copy, and each list is sealed once its children are in."""
-        cursor = arena.cursor if arena.atomic_cursor else None
-
-        def fresh(t: TemplateNode) -> Node:
-            if cursor is not None:
-                cursor.fetch_add_contended(1, ctx, arena.contention_width)
-            node = arena.take(t.ntype)
-            node.ival = t.ival
-            node.fval = t.fval
-            node.sval = t.sval
-            node.sym_id = t.sym_id
-            if memo is not None:
-                memo[t] = node
-            return node
-
-        root = fresh(template)
+        instantiate = arena.instantiate
+        root = instantiate(template, ctx)
+        if memo is not None:
+            memo[template] = root
         frames = [(root, iter(template.children))]
         while frames:
             parent, children = frames[-1]
@@ -325,7 +270,9 @@ class ParseCache:
                 continue
             child = None if memo is None else memo.get(child_template)
             if child is None:
-                child = fresh(child_template)
+                child = instantiate(child_template, ctx)
+                if memo is not None:
+                    memo[child_template] = child
                 if child_template.children:
                     frames.append((child, iter(child_template.children)))
                     continue

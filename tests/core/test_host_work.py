@@ -13,10 +13,16 @@ context subclass: the hot path carries no counter of its own.
 * A traced request over n literals makes as many charge and cache-touch
   calls at n=400 as at n=100: its literals are built, copied and printed
   as one charged run each.
+* A cold fast-path parse makes at most a fixed number of builtin calls
+  per node: the reader's templates are the parse cache's, not a copy.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+import repro
 from repro.context import CountingContext
 from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.core.reader import Parser
@@ -151,3 +157,40 @@ def test_traced_literal_runs_make_calls_independent_of_width():
         wide = _traced_request_calls(head, 400)
         assert wide[0] <= narrow[0], head
         assert wide[1] <= narrow[1], head
+
+
+_SRC = os.path.dirname(repro.__file__)
+
+#: Builtin calls per int node of a cold fast-path ``prepare_command``,
+#: recorded when the reader made the cache's templates as it built. While
+#: the cache copied every fresh tree into templates in a second pass, an
+#: int node made 14 (and an element ``(g 1 x)`` of a list 43, now 35).
+#: Lower is fine; higher fails.
+COLD_PARSE_CALLS_PER_NODE = 12
+
+
+def _cold_prepare_builtin_calls(n: int) -> int:
+    """Builtin calls made from ``repro`` frames by one cold fast-path
+    ``prepare_command`` of an n-int list: the parse and the cache put."""
+    interp = Interpreter(InterpreterOptions.fast())
+    source = SourceBuffer("(" + " ".join(["12345"] * n) + ")")
+    ctx = CountingContext()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and frame.f_code.co_filename.startswith(_SRC):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        interp.prepare_command(source, ctx)
+    finally:
+        sys.setprofile(None)
+    assert interp.parse_cache.stats.misses == 1
+    return calls
+
+
+def test_cold_parse_builtin_calls_per_node_at_or_below_ceiling():
+    per_node = (_cold_prepare_builtin_calls(400) - _cold_prepare_builtin_calls(100)) / 300
+    assert per_node <= COLD_PARSE_CALLS_PER_NODE, per_node

@@ -1,5 +1,7 @@
 """The Interpreter facade: process(), node utilities, output plumbing."""
 
+import sys
+
 import pytest
 
 from repro.context import CountingContext, NullContext
@@ -86,3 +88,14 @@ class TestOptions:
 
     def test_registry_size(self, interp):
         assert len(interp.registry) >= 95
+
+    def test_building_an_interpreter_keeps_the_recursion_limit(self):
+        """The package raises the limit once, on import; an interpreter
+        never changes process state."""
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(5_000)
+        try:
+            Interpreter()
+            assert sys.getrecursionlimit() == 5_000
+        finally:
+            sys.setrecursionlimit(saved)

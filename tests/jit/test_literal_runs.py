@@ -154,7 +154,7 @@ def _template_args(text: str):
     """The argument templates of ``text``'s one form, as a trace holds them."""
     interp = Interpreter(InterpreterOptions.fast())
     cache = interp.parse_cache
-    cache.put(text, Parser(interp, NullContext()).parse(text))
+    cache.put(text, Parser(interp, NullContext()).read(text)[1])
     return cache, tuple(cache.get_entry(text, NullContext()).templates[0].children[1:])
 
 
@@ -268,7 +268,7 @@ def _compile_counters(n: int) -> dict:
     interp = Interpreter(InterpreterOptions.fast(jit=True))
     text = "(+ " + " ".join(str(i) for i in range(n)) + ")"
     cache = interp.parse_cache
-    cache.put(text, Parser(interp, NullContext()).parse(text))
+    cache.put(text, Parser(interp, NullContext()).read(text)[1])
     template = cache.get_entry(text, NullContext()).templates[0]
     calls = 0
 

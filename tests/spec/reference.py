@@ -24,7 +24,7 @@ from repro.core import reader
 from repro.core.arena import NodeArena
 from repro.core.builtins import arithmetic, fileio, higher_order, lists, strings
 from repro.core.evaluator import _ENTRY_OPS, _LIST_ENTRY_OPS, Evaluator
-from repro.core.nodes import REGION_TENURED, NodeType, promote_subgraph
+from repro.core.nodes import REGION_TENURED, NodeType, TemplateNode, promote_subgraph
 from repro.core.printer import Printer
 from repro.core.reader import _MAX_NESTING, _QUOTE_SUGAR, _WHITESPACE
 from repro.errors import ParseError, RecursionDepthError
@@ -40,16 +40,22 @@ _DIGITS = "0123456789"
 
 
 class CharScanParser:
-    """Stands for ``Parser.parse``: its one scan run
-    (``SourceBuffer.load_run``) and its inline builders' tallies.
+    """Stands for ``Parser.read``: its one scan run
+    (``SourceBuffer.load_run``), its builders' tallies and the templates
+    it makes beside each node it takes.
 
     The per-character recursive-descent scanner: one charged,
     cache-modelled load per cursor step, and every node built through
-    the arena's charged constructors after ``classify_atom``."""
+    the arena's charged constructors after ``classify_atom``. Its
+    templates are copied from the finished tree, node by node."""
 
     def __init__(self, interp, ctx):
         self.interp = interp
         self.ctx = ctx
+
+    def read(self, source, base_addr=0):
+        forms = self.parse(source, base_addr)
+        return forms, [_template_of(form) for form in forms]
 
     def parse(self, source, base_addr=0):
         if isinstance(source, str):
@@ -170,6 +176,16 @@ class CharScanParser:
         if cls is AtomClass.FLOAT:
             return arena.new_float(float(value), ctx)
         return arena.new_symbol(token, ctx)
+
+
+def _template_of(node):
+    """The detached copy of one parsed tree, one template per node."""
+    template = TemplateNode(node.ntype, node.ival, node.fval, node.sval, node.sym_id)
+    child = node.first
+    while child is not None:
+        template.children.append(_template_of(child))
+        child = child.nxt
+    return template
 
 
 def parse_number(token, ctx):

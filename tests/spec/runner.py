@@ -32,14 +32,16 @@ PENALTY = 250.0 * GTX1080.core_clock_ghz
 @dataclass
 class RunRecord:
     """Everything observable about one run. Per command: its text, output
-    (or error), prepared forms and a trail entry of op rows,
-    ``extra_cycles``, cache hits and misses and arena counters. At the
-    end: every trail row in cycles, the retained heap (``snapshot_env``)
-    and the JIT and parse-cache counters."""
+    (or error), prepared forms, the templates a parse-cache miss stored
+    and a trail entry of op rows, ``extra_cycles``, cache hits and misses
+    and arena counters. At the end: every trail row in cycles, the
+    retained heap (``snapshot_env``) and the JIT and parse-cache
+    counters."""
 
     commands: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     forms: list = field(default_factory=list)
+    templates: list = field(default_factory=list)
     trail: list = field(default_factory=list)
     cycles: list = field(default_factory=list)
     heap: Optional[dict] = None
@@ -92,6 +94,18 @@ def _shape(form) -> list:
     return shape
 
 
+def _template_shape(template) -> list:
+    """Every template of ``template`` in preorder: type, values, interned
+    id and number of children."""
+    shape = []
+    stack = [template]
+    while stack:
+        t = stack.pop()
+        shape.append((t.ntype, t.ival, t.fval, t.sval, t.sym_id, len(t.children)))
+        stack.extend(reversed(t.children))
+    return shape
+
+
 def run_program(
     commands: Sequence[str],
     options: InterpreterOptions,
@@ -126,9 +140,18 @@ def run_program(
         return plan
 
     interp.prepare_command = prepare_and_record
+    if interp.parse_cache is not None:
+        put = interp.parse_cache.put
+
+        def put_and_record(text, templates):
+            record.templates[-1] = [_template_shape(t) for t in templates]
+            put(text, templates)
+
+        interp.parse_cache.put = put_and_record
     for n, command in enumerate(list(commands) * repeats):
         record.commands.append(command)
         record.forms.append(None)
+        record.templates.append(None)
         out = OutputBuffer(base=1 << 20, capacity=out_capacity)
         try:
             output = interp.process(SourceBuffer(command, base=bases[n % len(bases)]),
@@ -159,7 +182,7 @@ def run_program(
     return record
 
 
-_FIELDS = ("outputs", "forms", "trail", "cycles", "heap", "jit", "parse_cache")
+_FIELDS = ("outputs", "templates", "forms", "trail", "cycles", "heap", "jit", "parse_cache")
 
 
 def assert_same(a: RunRecord, b: RunRecord, labels: str = "a/b",
@@ -171,7 +194,7 @@ def assert_same(a: RunRecord, b: RunRecord, labels: str = "a/b",
         if left == right:
             continue
         where = ""
-        if name in ("outputs", "forms", "trail"):
+        if name in ("outputs", "forms", "templates", "trail"):
             i = next((i for i, pair in enumerate(zip(left, right)) if pair[0] != pair[1]),
                      min(len(left), len(right)))
             where = f" at command {i} {a.commands[min(i, len(a.commands) - 1)][:60]!r}"
