@@ -141,51 +141,54 @@ class CPUDevice(BatchDevice):
         texts = [sanitize_input(r.text) for r in requests]
         interp = self.interp
 
-        self.engine.begin_command()
-        jobs_before = self.engine.jobs
-        rounds_before = self.engine.round_count
+        engine = self.engine
+        engine.begin_command()
+        jobs_before = engine.jobs
+        rounds_before = engine.round_count
         jit0 = self._jit_counts()
         # One nursery region for the whole batch; collection runs once
         # per batch wave-set, never per request.
         interp.begin_command_region()
 
-        job_cycles = np.zeros(n, dtype=np.float64)
-        phase_cycles = [
-            {Phase.PARSE: 0.0, Phase.EVAL: 0.0, Phase.PRINT: 0.0} for _ in range(n)
-        ]
         outputs = [""] * n
         errors: list[Optional[Exception]] = [None] * n
-        costs = self.spec.costs
+        rows: list[list[float]] = []  # each request's parse, eval, print rows
+        nested_walls = [0.0] * n
+        process = interp.process
+        global_env = interp.global_env
+        max_depth = self.spec.max_recursion_depth
 
         try:
             for i, (req, text) in enumerate(zip(requests, texts)):
-                rctx = CountingContext(
-                    max_depth=self.spec.max_recursion_depth, thread_id=i
-                )
-                rctx.set_phase(Phase.EVAL)
-                out = OutputBuffer(capacity=1 << 20)
-                env = req.env if req.env is not None else interp.global_env
-                nested_wall0 = self.engine.worker_wall_cycles
+                rctx = CountingContext(max_depth, i)
+                env = req.env if req.env is not None else global_env
+                nested_wall0 = engine.worker_wall_cycles
                 if parens_balanced(text):
-                    outputs[i], errors[i] = run_contained(
-                        interp,
-                        rctx,
-                        lambda: interp.process(SourceBuffer(text), rctx, out, env=env),
+                    # process() reads the text through a SourceBuffer and
+                    # prints into an OutputBuffer of its own.
+                    output, error = run_contained(
+                        interp, rctx, process, text, rctx, None, env
                     )
                 else:
-                    errors[i] = unbalanced_error(text)
-                if errors[i] is not None:
-                    outputs[i] = f"error: {errors[i]}"
-                nested_wall = self.engine.worker_wall_cycles - nested_wall0
-                parse_c, eval_c, print_c = costs.row_cycles(rctx.counts.rows[:3])
-                pc = phase_cycles[i]
-                pc[Phase.PARSE] = parse_c
-                pc[Phase.EVAL] = eval_c + nested_wall
-                pc[Phase.PRINT] = print_c
-                job_cycles[i] = sum(pc.values())
+                    output, error = None, unbalanced_error(text)
+                if error is not None:
+                    output = f"error: {error}"
+                    errors[i] = error
+                outputs[i] = output
+                nested_walls[i] = engine.worker_wall_cycles - nested_wall0
+                rows += rctx.counts.rows[:3]
         except Exception:
             self._abort_transaction()
             raise
+
+        # Every request's rows in one conversion, one dot per row.
+        cycles = self.spec.costs.row_cycles(rows)
+        phase_cycles = [
+            (cycles[k], cycles[k + 1] + nested, cycles[k + 2])
+            for k, nested in zip(range(0, 3 * n, 3), nested_walls)
+        ]
+        # sum(), not a + b + c: from Python 3.12 it sums floats compensated.
+        job_cycles = np.array([sum(pc) for pc in phase_cycles])
 
         # Greedy wave schedule: hw_threads requests run concurrently; each
         # wave lasts as long as its slowest request.
@@ -203,27 +206,19 @@ class CPUDevice(BatchDevice):
         gc = self._run_gc()
 
         to_ms = self.spec.cycles_to_ms
-        sum_phase = {
-            phase: sum(pc[phase] for pc in phase_cycles)
-            for phase in (Phase.PARSE, Phase.EVAL, Phase.PRINT)
-        }
+        parse_sum, eval_sum, print_sum = (sum(column) for column in zip(*phase_cycles))
         batch_times = PhaseBreakdown(
-            parse_ms=to_ms(sum_phase[Phase.PARSE] * shrink),
-            eval_ms=to_ms(sum_phase[Phase.EVAL] * shrink),
-            print_ms=to_ms(sum_phase[Phase.PRINT] * shrink),
+            parse_ms=to_ms(parse_sum * shrink),
+            eval_ms=to_ms(eval_sum * shrink),
+            print_ms=to_ms(print_sum * shrink),
             other_ms=self.spec.command_overhead_us / 1000.0,  # ONE wake
             host_ms=self._HOST_LOOP_MS,
             gc_ms=gc[1],  # ONE collection per batch
             worker_ms=to_ms(wall_cycles),
         )
         own_ms = [
-            (
-                to_ms(pc[Phase.PARSE]),
-                to_ms(pc[Phase.EVAL]),
-                to_ms(pc[Phase.PRINT]),
-                to_ms(cycles),
-            )
-            for pc, cycles in zip(phase_cycles, job_cycles)
+            (to_ms(p), to_ms(e), to_ms(r), to_ms(cycles))
+            for (p, e, r), cycles in zip(phase_cycles, job_cycles)
         ]
         return self._batch_result(
             requests,

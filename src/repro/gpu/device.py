@@ -317,7 +317,7 @@ class GPUDevice(BatchDevice):
                     text, base=self.input_region.base + base_offsets[i]
                 )
                 job.plan, job.error = run_contained(
-                    interp, master, lambda: interp.prepare_command(source, master)
+                    interp, master, interp.prepare_command, source, master
                 )
                 c1 = self.master_cycles(Phase.PARSE)
                 parse_cycles[i] = c1 - c0

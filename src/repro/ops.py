@@ -162,12 +162,14 @@ class CostTable:
     def row_cycles(self, rows: list[list[float]]) -> list[float]:
         """Cycles of each op-count row: one numpy conversion, one dot per row.
 
-        Each value equals ``float(vector @ np.asarray(row))`` bit for bit.
-        A matrix-vector product would not: BLAS gemv sums in another
-        order and can differ in the last bit.
+        Each value equals ``float(vector @ np.asarray(row))`` bit for bit
+        (``ndarray.dot`` is the same 1-D dot, as in :meth:`row_cost`). A
+        matrix-vector product would not: BLAS gemv sums in another order
+        and can differ in the last bit. A CPU batch converts all of its
+        requests' rows in one call.
         """
-        vec = self.vector
-        return [float(vec @ row) for row in np.asarray(rows, dtype=np.float64)]
+        dot = self.vector.dot
+        return [float(dot(row)) for row in np.asarray(rows, dtype=np.float64)]
 
     def cycles_by_phase(self, counts: "OpCounts") -> np.ndarray:
         """Cycles per phase, shape ``(N_PHASES,)``, one dot per row."""

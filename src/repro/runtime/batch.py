@@ -24,6 +24,7 @@ from ..context import ExecContext
 from ..core.environment import Environment
 from ..core.gc import collect_with_accounting
 from ..errors import (
+    DeviceError,
     DeviceLostError,
     DeviceShutdownError,
     LispError,
@@ -76,8 +77,6 @@ class BatchItem:
     def faulted(self) -> bool:
         """True when this request was killed by a contained device fault
         (as opposed to an ordinary Lisp-level error)."""
-        from ..errors import DeviceError
-
         return isinstance(self.error, DeviceError)
 
 
@@ -140,9 +139,10 @@ class BatchResult:
 
 
 def run_contained(
-    interp, ctx: ExecContext, work: Callable[[], T]
+    interp, ctx: ExecContext, work: Callable[..., T], *args: Any
 ) -> tuple[Optional[T], Optional[Exception]]:
-    """Run one batched job's parse or eval with failure containment.
+    """Run one batched job's parse or eval, ``work(*args)``, with failure
+    containment.
 
     Returns ``(value, None)``, or ``(None, error)`` when the job died on
     a Lisp error or a containable device fault (arena exhaustion, a
@@ -160,7 +160,7 @@ def run_contained(
     """
     checkpoint = interp.arena.region_watermark()
     try:
-        return work(), None
+        return work(*args), None
     except LispError as exc:
         return None, exc
     except Exception as exc:

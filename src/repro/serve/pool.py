@@ -15,11 +15,12 @@ Heterogeneous fleets: devices in one pool need not be equal (a Volta
 card can shard with a Fermi card and a Xeon), so load is accounted in
 **modeled time**, not counts. Every :class:`PooledDevice` carries a
 calibrated capability figure (:mod:`repro.serve.capability` — modeled
-ms per probe request) and exposes :attr:`~PooledDevice.backlog_ms`, the
+ms per probe request). :meth:`~PooledDevice.placement_key` leads with the
 expected drain time of everything standing against the device: resident
-sessions' service demand, queued work, and the wire-weight of its
-retained heap. ``place_session`` picks the lowest backlog (capability
-breaks ties, so an empty fleet fills fastest-first).
+sessions' service demand, queued work, and the restore weight of its
+retained session heap and of an arriving snapshot. ``place_session``
+picks the lowest key (capability breaks ties, so an empty fleet fills
+fastest-first).
 
 Each device's queue is a :class:`DeviceQueue`: per-session FIFOs behind
 an EDF index of session heads, so batch formation and rebalancing touch
@@ -438,32 +439,39 @@ class PooledDevice:
         (free on CPUs — shared memory, like ``link_ms``)."""
         return nbytes * self._restore_ms_per_byte
 
-    @property
-    def backlog_ms(self) -> float:
-        """Everything standing against this device, in modeled ms:
-        resident sessions' service demand + queued work + the wire
-        weight of the session heap already retained here."""
-        return (
-            self.resident_demand_ms
-            + self.queue_backlog_ms
-            + self.restore_cost_ms(self.session_retained_nodes * NODE_BYTES)
-        )
-
     def placement_key(self, incoming_nbytes: int = 0) -> tuple:
-        """The placement key: normalized backlog (plus the incoming
-        restore's wire weight, when the session arrives with a
-        snapshot), capability as the empty-fleet tie-break (fastest
+        """The placement key: the modeled backlog standing against this
+        device, then capability as the empty-fleet tie-break (fastest
         first), then session count, retained heap and queue depth for
-        full determinism. The retained-heap term matters for restores:
-        a migrated or server-restored session arrives *with* its
-        tenured subgraph, so ties between equally-subscribed devices
-        break toward the emptiest arena."""
+        full determinism.
+
+        The backlog is, in this float order: the resident sessions'
+        demand (:attr:`resident_demand_ms`), the queued work
+        (:attr:`queue_backlog_ms`), the restore weight of the session
+        heap already retained here (:attr:`session_retained_nodes`) and
+        that of the arriving session's snapshot, ``incoming_nbytes``
+        (restores and failovers land *with* their tenured subgraph, so
+        ties between equally-subscribed devices break toward the
+        emptiest arena). It reads the plain attributes those properties
+        read, once each: placement runs on every session open.
+        """
+        probe = self.probe_ms
+        per_byte = self._restore_ms_per_byte
+        sessions = len(self.residents)
+        depth = self.queue.depth
+        retained = self.device.interp.arena.tenured_count
+        extra = retained - self._baseline_retained
+        if extra < 0:
+            extra = 0
         return (
-            self.backlog_ms + self.restore_cost_ms(incoming_nbytes),
-            self.probe_ms,
-            self.session_count,
-            self.retained_nodes,
-            self.queue_depth,
+            sessions * probe
+            + depth * probe
+            + extra * NODE_BYTES * per_byte
+            + incoming_nbytes * per_byte,
+            probe,
+            sessions,
+            retained,
+            depth,
         )
 
 
@@ -569,7 +577,14 @@ class DevicePool:
             candidates = [
                 d for d in self.devices.values() if d.device_id not in exclude
             ] or list(self.devices.values())
-        return min(candidates, key=lambda d: d.placement_key(incoming_nbytes))
+        # The first strict minimum, as min() keeps it.
+        best = candidates[0]
+        best_key = best.placement_key(incoming_nbytes)
+        for pdev in candidates[1:]:
+            key = pdev.placement_key(incoming_nbytes)
+            if key < best_key:
+                best, best_key = pdev, key
+        return best
 
     # -- queues -------------------------------------------------------------------
 

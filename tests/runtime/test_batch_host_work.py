@@ -14,6 +14,10 @@ batches below: 13 for a 1-request GPU batch (eleven ``master_cycles``
 readings, the worker lane and the collector), 34 for an 8-request GPU
 batch, 4 for a 1-request CPU batch and 25 for an 8-request CPU batch.
 Lower is fine; higher than a ceiling fails.
+
+A CPU batch also converts its requests' phase rows in one
+``CostTable.row_cycles`` call, whatever its size: one ``asarray`` per
+batch, not one per request (8 calls for 8 requests before).
 """
 
 from __future__ import annotations
@@ -148,3 +152,25 @@ def test_unchanged_rows_are_not_converted_again():
     charges may differ."""
     counts = _conversions("gpu", 1)
     assert counts[-1] <= 3, counts
+
+
+@pytest.mark.parametrize("size", [1, 8])
+def test_cpu_batch_converts_its_rows_in_one_call(size, monkeypatch):
+    device = _device("cpu")
+    env = device.create_session_env("t")
+    for text in SETUP:
+        device.submit_batch([BatchRequest(text, env)])
+    row_cycles = CostTable.row_cycles
+    calls = []
+
+    def counted(table, rows):
+        calls.append(len(rows))
+        return row_cycles(table, rows)
+
+    monkeypatch.setattr(CostTable, "row_cycles", counted)
+    for _ in range(3):
+        calls.clear()
+        result = device.submit_batch([BatchRequest(t, env) for t in TEXTS[:size]])
+        assert not result.errors
+        assert calls == [3 * size]
+    device.close()

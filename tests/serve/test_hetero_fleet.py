@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.interpreter import InterpreterOptions
+from repro.core.nodes import NODE_BYTES
 from repro.cpu.device import CPUDeviceConfig
 from repro.gpu.device import GPUDeviceConfig
 from repro.serve import (
@@ -121,6 +122,107 @@ class TestCostPlacement:
             restored = target.restore(saved)
             assert restored["mover"].device_id.startswith("intel")
             assert restored["mover"].eval("(length keep)") == "3"
+
+
+def _chain_key(pdev, incoming_nbytes=0):
+    """The placement key spelled through the pool's load properties, in
+    the float order ``placement_key`` must keep: resident demand, queued
+    work, retained session heap, then the arriving snapshot."""
+    backlog = (
+        pdev.resident_demand_ms
+        + pdev.queue_backlog_ms
+        + pdev.restore_cost_ms(pdev.session_retained_nodes * NODE_BYTES)
+    )
+    return (
+        backlog + pdev.restore_cost_ms(incoming_nbytes),
+        pdev.probe_ms,
+        pdev.session_count,
+        pdev.retained_nodes,
+        pdev.queue_depth,
+    )
+
+
+def _chain_place(pool, exclude=(), incoming_nbytes=0):
+    """``place_session`` as ``min`` over the chained keys, with the same
+    candidate fallbacks."""
+    devices = list(pool.devices.values())
+    candidates = (
+        [d for d in devices if not d.draining and d.device_id not in exclude]
+        or [d for d in devices if d.device_id not in exclude]
+        or devices
+    )
+    return min(candidates, key=lambda d: _chain_key(d, incoming_nbytes))
+
+
+class TestPlacementKeyPin:
+    """``placement_key`` reads plain attributes once each; the pin is
+    the same key built from the properties the rebalancer reads, equal
+    to the bit, on a loaded mixed fleet."""
+
+    NBYTES = (0, 1, 4096, 1 << 20, 12_345_677)
+
+    def _loaded(self, server):
+        """Residents everywhere, a retained defun and queued tickets."""
+        pinned = [server.open_session(device_id=d) for d in server.pool.devices]
+        placed = [server.open_session() for _ in range(9)]
+        for session in pinned:
+            session.eval("(defun poly (x) (+ (* x x) (* 3 x) 7))")
+        for k, session in enumerate(pinned + placed):
+            for j in range(1 + k % 3):
+                session.submit(f"(+ {k} {j})")
+        return server.pool
+
+    def _assert_keys_match(self, pool):
+        for pdev in pool.devices.values():
+            for nbytes in self.NBYTES:
+                assert pdev.placement_key(nbytes) == _chain_key(pdev, nbytes)
+
+    def test_key_equals_the_property_chain(self):
+        with CuLiServer(devices=MIXED) as server:
+            pool = self._loaded(server)
+            devices = list(pool.devices.values())
+            assert all(d.session_count and d.queue_depth for d in devices)
+            assert any(d.session_retained_nodes for d in devices)
+            self._assert_keys_match(pool)
+            # Many (sessions, depth) pairs, so a term summed in another
+            # order rounds differently somewhere.
+            sessions = list(server.sessions.values())
+            for k in range(120):
+                if k % 3 == 0:
+                    sessions.append(server.open_session())
+                sessions[k % len(sessions)].submit(f"(+ {k} 1)")
+                self._assert_keys_match(pool)
+            server.flush()
+
+    def test_place_session_picks_the_same_winners(self):
+        with CuLiServer(devices=MIXED) as server:
+            pool = self._loaded(server)
+            ids = list(pool.devices)
+            excludes = [(), *([i] for i in ids), ids[:2], ids[1:], ids]
+            winners = set()
+            for draining in [(), *([i] for i in ids), ids]:
+                for device_id in ids:
+                    pool[device_id].draining = device_id in draining
+                for exclude in excludes:
+                    for nbytes in self.NBYTES:
+                        got = pool.place_session(exclude, nbytes)
+                        assert got is _chain_place(pool, exclude, nbytes)
+                        winners.add(got.device_id)
+            for device_id in ids:
+                pool[device_id].draining = False
+            assert winners == set(ids)
+            server.flush()
+
+    def test_equal_keys_keep_the_first_device(self):
+        pool = DevicePool(["gtx1080", "gtx1080", *MIXED])
+        try:
+            first, twin, *_ = pool.devices.values()
+            assert first.placement_key(64) == twin.placement_key(64)
+            others = [d.device_id for d in pool.devices.values() if d.name != "gtx1080"]
+            assert pool.place_session(others, 64) is first
+            assert pool.place_session([first.device_id, *others], 64) is twin
+        finally:
+            pool.close()
 
 
 class TestPerDeviceConfigs:

@@ -10,7 +10,8 @@ rescan shows up as a counter jump rather than as wall-time noise.
 
 The ``gpu-map``, ``save()`` and defines-per-session axes add two
 test-side tallies (:class:`_Work`) to those: calls made from ``repro``
-frames, and modeled ops charged to the devices' counting contexts.
+frames, and modeled ops charged to the devices' counting contexts. The
+same call tally holds one ``open_session`` under a ceiling.
 """
 
 from __future__ import annotations
@@ -239,3 +240,27 @@ def test_axis_work_grows_at_most_2_2x_per_doubling(counters, n):
         for key, value in current.items():
             assert value <= 2.2 * previous[key], (key, size, previous[key], value)
         previous = current
+
+
+# -- placement: calls per open_session --------------------------------------------
+
+#: The perfbench ``zipf-fleet`` pool.
+ZIPF_FLEET = ["gtx1080", "gtx1080", "tesla-v100", "intel-e5-2620"]
+
+#: Calls plus builtin calls one named ``open_session`` with an SLO (as
+#: perfbench opens its tenants) makes on ``ZIPF_FLEET``, measured on
+#: CPython 3.11. Each placement key costs three: the method, ``len`` and
+#: the arena's ``tenured_count``. When each key went through the pool's
+#: chain of load properties, one ``open_session`` made 94 calls.
+OPEN_SESSION_CALLS = 29
+
+
+def test_open_session_calls_at_or_below_ceiling():
+    with CuLiServer(devices=ZIPF_FLEET) as server:
+        counts = []
+        for k in range(8):
+            with _Work(server) as work:
+                session = server.open_session(name=f"t{k}", slo_ms=50.0)
+            counts.append(work.calls)
+            session.submit(f"(+ {k} 1)")  # a queued ticket for the next key
+    assert max(counts) <= OPEN_SESSION_CALLS, counts
