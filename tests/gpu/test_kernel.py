@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import LivelockError
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
+from repro.runtime.batch import BatchRequest
 from repro.runtime.fidelity import Fidelity
 from tests.conftest import make_tiny_gpu_spec
 
@@ -169,3 +170,127 @@ class TestNestedParallel:
         stats = tiny_gpu.submit("(||| 2 inner (0 0))")
         assert stats.output == "(3 3)"
         assert tiny_gpu.engine.nested_fallbacks >= 1
+
+
+# -- exact figures --------------------------------------------------------------
+#
+# Every accumulator a command leaves on the engine, pinned with ==. The
+# tiny spec's costs are whole cycles and no warp mixes more than two task
+# signatures, so no figure depends on how a Python version sums floats.
+
+#: The forms, each with its output, (distribute, worker wall, collect,
+#: spin) cycles, and its rounds as (jobs, warps touched, wall cycles).
+ENGINE_PINS = {
+    "multi-round |||": (
+        "(||| 200 fib (" + " ".join(["5"] * 200) + "))",
+        "(" + " ".join(["5"] * 200) + ")",
+        (103680.0, 352929.0, 12000.0, 10352584.0),
+        [(96, 3, 117643.0), (96, 3, 117643.0), (8, 1, 117643.0)],
+    ),
+    "two signatures in a warp": (
+        "(||| 8 fib (6 1 1 1 1 1 1 1))",
+        "(8 1 1 1 1 1 1 1)",
+        (4332.0, 206434.0, 480.0, 19576064.0),
+        [(8, 1, 206434.0)],
+    ),
+    "gpu-map": (
+        "(gpu-map (lambda (x) (* x x)) (1 2 3 4 5 6 7 8 9 10))",
+        "(1 4 9 16 25 36 49 64 81 100)",
+        (5360.0, 31010.0, 600.0, 2945950.0),
+        [(10, 1, 31010.0)],
+    ),
+    "preduce": (
+        "(preduce + (1 2 3 4 5 6 7 8 9 10 11))",
+        "66",
+        (6740.0, 14030.0, 600.0, 1332850.0),
+        [(5, 1, 7015.0), (3, 1, 4209.0), (1, 1, 1403.0), (1, 1, 1403.0)],
+    ),
+}
+
+#: Task groups per round under WARP fidelity (FULL runs one per job).
+WARP_GROUPS = {
+    "multi-round |||": [1, 1, 1],
+    "two signatures in a warp": [2],
+    "gpu-map": [10],
+    "preduce": [5, 3, 1, 1],
+}
+
+
+def engine_figures(device):
+    engine = device.engine
+    return (
+        (
+            engine.distribute_cycles,
+            engine.worker_wall_cycles,
+            engine.collect_cycles,
+            engine.spin_cycles,
+        ),
+        engine.jobs,
+        [(r.jobs, r.warps_touched, r.wall_cycles, r.groups) for r in engine.rounds],
+    )
+
+
+@pytest.mark.parametrize("fidelity", [Fidelity.WARP, Fidelity.FULL])
+@pytest.mark.parametrize("case", sorted(ENGINE_PINS))
+def test_engine_figures_pinned(case, fidelity, tiny_gpu_spec):
+    form, output, cycles, rounds = ENGINE_PINS[case]
+    device = GPUDevice(tiny_gpu_spec, config=GPUDeviceConfig(fidelity=fidelity))
+    device.submit(FIB)
+    stats = device.submit(form)
+    if fidelity is Fidelity.WARP:
+        groups = WARP_GROUPS[case]
+    else:
+        groups = [jobs for jobs, _, _ in rounds]
+    assert stats.output == output
+    assert engine_figures(device) == (
+        cycles,
+        sum(jobs for jobs, _, _ in rounds),
+        [round_ + (g,) for round_, g in zip(rounds, groups)],
+    )
+    device.close()
+
+
+#: Lane cycles of each served request text, for the service pin below.
+SERVICE_LANE_CYCLES = {
+    "(+ k 1)": 2257.0,
+    "(fib 0)": 5915.0,
+    "(fib 1)": 5915.0,
+    "(fib 2)": 21205.0,
+    "(fib 3)": 36927.0,
+    "(fib 4)": 68803.0,
+    "(fib 5)": 117697.0,
+    "(fib 6)": 200627.0,
+}
+
+
+def test_service_batch_figures_pinned(tiny_gpu, monkeypatch):
+    """100 tenant requests on 96 workers: a full round spread one job
+    per warp, then a 4-job round spread over all three warps."""
+    env = tiny_gpu.create_session_env("t")
+    tiny_gpu.submit_batch([BatchRequest(FIB, env)])
+    texts = [f"(fib {k % 7})" if k % 3 else f"(+ {k} 1)" for k in range(100)]
+    engine = tiny_gpu.engine
+    lanes = []
+    run = type(engine).run_service_batch
+
+    def recorded(self, interp, jobs):
+        lanes.extend(run(self, interp, jobs))
+        return lanes
+
+    monkeypatch.setattr(type(engine), "run_service_batch", recorded)
+    result = tiny_gpu.submit_batch([BatchRequest(t, env) for t in texts])
+    assert result.outputs == [
+        str(_fib(k % 7)) if k % 3 else str(k + 1) for k in range(100)
+    ]
+    assert lanes == [
+        SERVICE_LANE_CYCLES[t if t.startswith("(fib") else "(+ k 1)"] for t in texts
+    ]
+    assert engine_figures(tiny_gpu) == (
+        (27660.0, 2242603.0, 6000.0, 211018716.0),
+        100,
+        [(96, 3, 2041976.0, 96), (4, 3, 200627.0, 4)],
+    )
+
+
+def _fib(n):
+    return n if n < 2 else _fib(n - 1) + _fib(n - 2)

@@ -18,15 +18,22 @@ Lower is fine; higher than a ceiling fails.
 A CPU batch also converts its requests' phase rows in one
 ``CostTable.row_cycles`` call, whatever its size: one ``asarray`` per
 batch, not one per request (8 calls for 8 requests before).
+
+A GPU batch's host calls are gated too: Python calls plus builtin calls
+made from ``repro`` frames, counted with ``sys.setprofile``, so a call
+the round loop adds per round or per job fails the gate.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.interpreter import InterpreterOptions
 from repro.cpu.device import CPUDevice, CPUDeviceConfig
 from repro.cpu.specs import INTEL_E5_2620
@@ -174,3 +181,47 @@ def test_cpu_batch_converts_its_rows_in_one_call(size, monkeypatch):
         assert not result.errors
         assert calls == [3 * size]
     device.close()
+
+
+#: Batch size -> the most Python calls plus builtin calls, made from
+#: ``repro`` frames, that one GPU ``submit_batch`` may make over the six
+#: batches ``_conversions`` runs, measured on CPython 3.11 before
+#: ``|||`` and service rounds shared one round loop. The first batch of
+#: each sequence is the largest: its texts still miss the parse cache and
+#: the JIT.
+GPU_BATCH_CALLS = {1: 436, 8: 2370}
+
+_SRC = os.path.dirname(repro.__file__)
+
+
+def _gpu_batch_calls(size: int) -> list[int]:
+    opts = InterpreterOptions.fast(jit=True)
+    device = GPUDevice(GTX1080, GPUDeviceConfig(interpreter=opts))
+    env = device.create_session_env("t")
+    for text in SETUP:
+        device.submit_batch([BatchRequest(text, env)])
+    counts = []
+    for _ in range(6):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += frame.f_code.co_filename.startswith(_SRC)
+
+        requests = [BatchRequest(t, env) for t in TEXTS[:size]]
+        sys.setprofile(profile)
+        try:
+            result = device.submit_batch(requests)
+        finally:
+            sys.setprofile(None)
+        counts.append(calls)
+        assert not result.errors
+    device.close()
+    return counts
+
+
+@pytest.mark.parametrize("size", sorted(GPU_BATCH_CALLS))
+def test_gpu_batch_calls_at_or_below_ceiling(size):
+    counts = _gpu_batch_calls(size)
+    assert max(counts) <= GPU_BATCH_CALLS[size], counts
