@@ -128,10 +128,6 @@ class NodeArena:
         return self._used
 
     @property
-    def free_count(self) -> int:
-        return self.capacity - self._used
-
-    @property
     def tenured_count(self) -> int:
         """Live nodes in the tenured generation — the retained heap a
         migration restore would land next to. O(1) between commands
@@ -239,20 +235,11 @@ class NodeArena:
         """Live nodes (a copy — callers may free while iterating)."""
         return {node for node in self._nodes if node.region != REGION_FREE}
 
-    def live_nodes(self) -> list[Node]:
-        """Live nodes in slab (creation) order — the sweep path; builds a
-        list by comparing int tags, never hashing node objects."""
-        return [node for node in self._nodes if node.region != REGION_FREE]
-
     # -- generational regions (deviation #7) -----------------------------------
 
     @property
     def region_active(self) -> bool:
         return self._current_region > REGION_TENURED
-
-    @property
-    def current_region(self) -> int:
-        return self._current_region
 
     def begin_region(self) -> int:
         """Open a nursery region; subsequent allocations are tagged with

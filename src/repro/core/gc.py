@@ -184,8 +184,6 @@ def collect_with_accounting(interp: "Interpreter", spec) -> tuple[int, float, in
     major_collections, wall_ms)``; the literal policy charges nothing,
     so its ``gc_ms`` is always 0.0 and literal figures are untouched.
     """
-    if not interp.options.gc_after_command:
-        return 0, 0.0, 0, 0, 0.0
     stats = interp.arena.gc_stats
     minors0 = stats.minor_collections
     majors0 = stats.major_collections

@@ -34,6 +34,7 @@ __all__ = [
     "CommandPlan",
     "PlanStep",
     "sequential_engine",
+    "worker_expression",
 ]
 
 #: engine(interp, fn_node, rows, env, ctx, depth) -> list of result nodes
@@ -57,6 +58,20 @@ def sequential_engine(interp: "Interpreter", fn: Node, rows: list[list[Node]],
     return results
 
 
+def worker_expression(interp: "Interpreter", fn: Node, row: list[Node],
+                      master: ExecContext) -> Node:
+    """The expression a device engine hands one worker, e.g. (+ 1 4) for
+    (||| 3 + (1 2 3) ...): a fresh list linking the function and the
+    job's argument nodes, built and charged by the master."""
+    expr = interp.arena.alloc(NodeType.N_LIST, master)
+    master.charge(Op.NODE_WRITE, 2)
+    expr.append_child(interp.linkable(fn, master))
+    for arg in row:
+        master.charge(Op.NODE_WRITE, 2)
+        expr.append_child(interp.linkable(arg, master))
+    return expr.seal()
+
+
 @dataclass
 class InterpreterOptions:
     """Tunables; defaults follow the paper where it specifies behaviour.
@@ -71,7 +86,6 @@ class InterpreterOptions:
     arena_capacity: int = NodeArena.DEFAULT_CAPACITY
     atomic_arena_cursor: bool = False   #: ablation: shared-cursor allocation
     max_loop_iterations: int = 1_000_000
-    gc_after_command: bool = True       #: reclaim unreachable nodes between commands
     intern_symbols: bool = False        #: fast path: id compares over strcmp chains
     indexed_roots: bool = False         #: fast path: hash index on root scopes
     parse_cache_capacity: int = 0       #: fast path: memoized parse trees (0 = off)
@@ -455,15 +469,10 @@ class Interpreter:
     def abort_command(self) -> None:
         """Clean up after a command or batch transaction died on a
         device-fatal error: reclaim the aborted work's partial trees and
-        — crucially — close the open nursery region even when
-        ``gc_after_command`` is off. Leaving the region open would make
+        close the open nursery region. Leaving the region open would make
         the next command silently join the aborted transaction's region,
-        accumulating its garbage until some later reset (the leak this
-        method exists to fix)."""
-        if self.options.gc_after_command:
-            self.collect_garbage()
-        elif self.arena.region_active:
-            self.arena.reset_region()
+        accumulating its garbage until some later reset."""
+        self.collect_garbage()
 
     @property
     def gc_stats(self):

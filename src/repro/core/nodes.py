@@ -58,18 +58,6 @@ class NodeType(IntEnum):
     N_MACRO = 10      #: user-defined macro (defmacro)
 
 
-_PRIMITIVE_TYPES = frozenset(
-    {
-        NodeType.N_NIL,
-        NodeType.N_TRUE,
-        NodeType.N_INT,
-        NodeType.N_FLOAT,
-        NodeType.N_STRING,
-        NodeType.N_SYMBOL,
-        NodeType.N_FUNCTION,
-    }
-)
-
 _LIST_TYPES = frozenset({NodeType.N_LIST, NodeType.N_EXPRESSION})
 
 
@@ -140,11 +128,6 @@ class Node:
         self.ival = value
         return self
 
-    def set_float(self, value: float) -> "Node":
-        self._guard()
-        self.fval = value
-        return self
-
     def set_str(self, value: str) -> "Node":
         self._guard()
         self.sval = value
@@ -208,10 +191,6 @@ class Node:
     # -- inspection -----------------------------------------------------------
 
     @property
-    def is_primitive(self) -> bool:
-        return self.ntype in _PRIMITIVE_TYPES
-
-    @property
     def is_list_like(self) -> bool:
         return self.ntype in _LIST_TYPES
 
@@ -240,9 +219,6 @@ class Node:
         while child is not None:
             yield child
             child = child.nxt
-
-    def child_count(self) -> int:
-        return sum(1 for _ in self.children())
 
     @property
     def addr(self) -> int:

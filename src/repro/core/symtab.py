@@ -65,9 +65,6 @@ class SymbolTable:
         """The id for ``spelling`` if already interned (uncharged peek)."""
         return self._ids.get(spelling)
 
-    def spelling_of(self, sym_id: int) -> str:
-        return self._spellings[sym_id]
-
     def __len__(self) -> int:
         return len(self._spellings)
 

@@ -24,7 +24,7 @@ from ..ops import Phase
 from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
 from ..runtime.fidelity import Fidelity
 from ..timing import CommandStats, PhaseBreakdown
-from .pool import CPUParallelEngine
+from .pool import CPUParallelEngine, wave_schedule
 from .specs import CPUSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -190,14 +190,7 @@ class CPUDevice(BatchDevice):
         # sum(), not a + b + c: from Python 3.12 it sums floats compensated.
         job_cycles = np.array([sum(pc) for pc in phase_cycles])
 
-        # Greedy wave schedule: hw_threads requests run concurrently; each
-        # wave lasts as long as its slowest request.
-        width = self.spec.hw_threads
-        wall_cycles = 0.0
-        waves = 0
-        for start in range(0, n, width):
-            wall_cycles += float(job_cycles[start : start + width].max())
-            waves += 1
+        wall_cycles, waves = wave_schedule(job_cycles, self.spec.hw_threads)
         total_cycles = float(job_cycles.sum())
         # The batch's kernel wall time keeps each phase's share of the
         # summed work (phases interleave across concurrent threads).

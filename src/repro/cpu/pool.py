@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..context import CountingContext, ExecContext
-from ..core.interpreter import sequential_engine
-from ..core.nodes import Node, NodeType
+from ..context import CountingContext, ExecContext, NullContext
+from ..core.interpreter import sequential_engine, worker_expression
+from ..core.nodes import Node
 from ..ops import Op, Phase
 from ..runtime.fidelity import Fidelity, group_rows
 
@@ -29,7 +29,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.interpreter import Interpreter
     from .device import CPUDevice
 
-__all__ = ["CPUParallelEngine"]
+__all__ = ["CPUParallelEngine", "wave_schedule"]
+
+
+def wave_schedule(job_cycles: np.ndarray, width: int) -> tuple[float, int]:
+    """Greedy wave schedule: ``width`` jobs run concurrently, and each
+    wave lasts as long as its slowest job. Returns the wall cycles and
+    the number of waves."""
+    wall = 0.0
+    n = len(job_cycles)
+    for start in range(0, n, width):
+        wall += float(job_cycles[start : start + width].max())
+    return wall, -(-n // width)
 
 
 class CPUParallelEngine:
@@ -89,13 +100,7 @@ class CPUParallelEngine:
         c0 = dev.master_cycles(Phase.EVAL)
         exprs = []
         for row in rows:
-            expr = interp.arena.alloc(NodeType.N_LIST, master)
-            master.charge(Op.NODE_WRITE, 2)
-            expr.append_child(interp.linkable(fn, master))
-            for arg in row:
-                master.charge(Op.NODE_WRITE, 2)
-                expr.append_child(interp.linkable(arg, master))
-            exprs.append(expr.seal())
+            exprs.append(worker_expression(interp, fn, row, master))
             master.charge(Op.ATOMIC_RMW)   # queue mutex
             master.charge(Op.POSTBOX_WRITE)  # queue slot store
         c1 = dev.master_cycles(Phase.EVAL)
@@ -109,8 +114,6 @@ class CPUParallelEngine:
             groups = group_rows(fn, rows)
         else:
             groups = {("job", i): [i] for i in range(n)}
-
-        from ..context import NullContext
 
         null = NullContext()
         for indices in groups.values():
@@ -131,14 +134,9 @@ class CPUParallelEngine:
                 job_cycles[idx] = cycles
                 results[idx] = interp.copy_node(result, null)
 
-        # Greedy wave schedule: hw_threads jobs run concurrently; each wave
-        # lasts as long as its slowest job.
-        width = spec.hw_threads
-        wall = 0.0
-        for start in range(0, n, width):
-            wall += float(job_cycles[start : start + width].max())
-            self.waves += 1
+        wall, waves = wave_schedule(job_cycles, spec.hw_threads)
         self.worker_wall_cycles += wall
+        self.waves += waves
 
         # ---- main thread: join / gather ----------------------------------------
         c2 = dev.master_cycles(Phase.EVAL)

@@ -38,20 +38,6 @@ class AtomicCell:
         self.rmw_count += 1
         self.value = value
 
-    def exchange(self, value: int, ctx: ExecContext) -> int:
-        ctx.charge(Op.ATOMIC_RMW)
-        self.rmw_count += 1
-        old, self.value = self.value, value
-        return old
-
-    def compare_and_swap(self, expected: int, new: int, ctx: ExecContext) -> int:
-        ctx.charge(Op.ATOMIC_RMW)
-        self.rmw_count += 1
-        old = self.value
-        if old == expected:
-            self.value = new
-        return old
-
 
 class AtomicCounter:
     """A fetch-and-add counter (e.g. a shared arena cursor).

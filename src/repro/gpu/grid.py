@@ -59,12 +59,6 @@ class GridConfig:
             return self.block_size + worker_index  # skip block 0 entirely
         return worker_index + 1  # skip only the master thread
 
-    def block_of(self, tid: int) -> int:
-        return tid // self.block_size
-
-    def lane_of(self, tid: int) -> int:
-        return tid % self.block_size
-
     def warps_for_jobs(self, n_jobs: int) -> int:
         """Warps (== blocks here) touched by a round of ``n_jobs`` jobs."""
         return -(-n_jobs // self.block_size)

@@ -106,11 +106,6 @@ class GPUSpec:
         return self.sm_count * self.cores_per_sm
 
     @property
-    def mem_bandwidth_gbps(self) -> float:
-        """Peak DRAM bandwidth in GB/s (bus width x effective rate)."""
-        return self.bus_width_bits / 8 * self.mem_clock_eff_gtps
-
-    @property
     def resident_blocks(self) -> int:
         """Blocks a persistent kernel may launch (all must be resident)."""
         return self.sm_count * self.max_blocks_per_sm

@@ -171,10 +171,6 @@ class CostTable:
         dot = self.vector.dot
         return [float(dot(row)) for row in np.asarray(rows, dtype=np.float64)]
 
-    def cycles_by_phase(self, counts: "OpCounts") -> np.ndarray:
-        """Cycles per phase, shape ``(N_PHASES,)``, one dot per row."""
-        return np.array(self.row_cycles(counts.rows))
-
     def scaled(self, factor: float, label: str | None = None) -> "CostTable":
         vec = self.vector * float(factor)
         vec.setflags(write=False)

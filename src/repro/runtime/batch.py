@@ -260,10 +260,8 @@ class BatchDevice:
 
     def _abort_transaction(self) -> None:
         """Device-fatal failure of a command or batch: reclaim its
-        partial trees. ``abort_command`` also closes the open nursery
-        region when ``gc_after_command`` is off — otherwise the next
-        transaction would silently join the aborted one's region and
-        inherit its garbage."""
+        partial trees and close the open nursery region
+        (``Interpreter.abort_command``)."""
         self.interp.abort_command()
 
     def _master_times(

@@ -41,10 +41,6 @@ class Workload:
     command: str
     jobs: int
 
-    @property
-    def command_chars(self) -> int:
-        return len(self.command)
-
 
 def fibonacci_workload(n_threads: int, fib_n: int = 5) -> Workload:
     """The paper's workload: ``n_threads`` workers, each computing

@@ -55,12 +55,6 @@ class PipelineSlot:
     kernel_end_ms: float
     download_end_ms: float   #: when the batch's results reach the host
 
-    @property
-    def stall_ms(self) -> float:
-        """Engine idle time between the previous kernel and this one
-        (upload not fully hidden, or no work had arrived yet)."""
-        return self.kernel_start_ms - max(self.floor_ms, 0.0)
-
 
 @dataclass
 class DevicePipeline:

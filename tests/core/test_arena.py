@@ -29,10 +29,14 @@ class TestCapacity:
         arena.alloc(NodeType.N_SYMBOL, ctx)  # must not raise
 
     def test_free_count(self, ctx):
+        """Capacity minus the nodes in use is what still fits."""
         arena = NodeArena(capacity=10)
         arena.alloc(NodeType.N_INT, ctx)
         assert arena.used == 1
-        assert arena.free_count == 9
+        for _ in range(9):
+            arena.alloc(NodeType.N_INT, ctx)
+        with pytest.raises(ArenaExhaustedError):
+            arena.alloc(NodeType.N_INT, ctx)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

@@ -202,7 +202,6 @@ class TestGenerationalInterpreter:
         interp.collect_garbage()
         assert not interp.arena.region_active
         assert interp.gc_stats.minor_collections == 0
-        assert interp.arena.current_region == REGION_TENURED
 
     def test_literal_collection_is_uncharged(self):
         interp = Interpreter()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.context import NullContext
+from repro.core.arena import NodeArena
 from repro.core.nodes import NODE_BYTES, Node, NodeType
 from repro.errors import ImmutabilityError
 
@@ -27,7 +29,6 @@ class TestSealing:
         node = make(NodeType.N_FORM).seal()
         for call in (
             lambda: node.set_int(1),
-            lambda: node.set_float(1.0),
             lambda: node.set_str("x"),
             lambda: node.set_params(make(NodeType.N_LIST, 9)),
         ):
@@ -59,20 +60,13 @@ class TestListStructure:
 
     def test_child_count(self):
         lst = make(NodeType.N_LIST)
-        assert lst.child_count() == 0
+        assert list(lst.children()) == []
         lst.append_child(make(NodeType.N_INT, 1))
         lst.append_child(make(NodeType.N_INT, 2))
-        assert lst.child_count() == 2
+        assert len(list(lst.children())) == 2
 
 
 class TestClassification:
-    def test_primitive_types(self):
-        for t in (NodeType.N_NIL, NodeType.N_TRUE, NodeType.N_INT, NodeType.N_FLOAT,
-                  NodeType.N_STRING, NodeType.N_SYMBOL, NodeType.N_FUNCTION):
-            assert make(t).is_primitive
-        for t in (NodeType.N_LIST, NodeType.N_EXPRESSION, NodeType.N_FORM):
-            assert not make(t).is_primitive
-
     def test_list_like(self):
         assert make(NodeType.N_LIST).is_list_like
         assert make(NodeType.N_EXPRESSION).is_list_like
@@ -92,7 +86,7 @@ class TestClassification:
 class TestValues:
     def test_number_property(self):
         assert make(NodeType.N_INT).set_int(42).number == 42
-        assert make(NodeType.N_FLOAT).set_float(2.5).number == 2.5
+        assert NodeArena(capacity=1).new_float(2.5, NullContext()).number == 2.5
         with pytest.raises(TypeError):
             make(NodeType.N_SYMBOL).number
 

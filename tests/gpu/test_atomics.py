@@ -15,20 +15,6 @@ class TestAtomicCell:
         assert cell.rmw_count == 1
         assert cell.load_count == 2
 
-    def test_exchange(self):
-        ctx = CountingContext()
-        cell = AtomicCell(1)
-        assert cell.exchange(2, ctx) == 1
-        assert cell.value == 2
-
-    def test_cas_success_and_failure(self):
-        ctx = CountingContext()
-        cell = AtomicCell(5)
-        assert cell.compare_and_swap(5, 9, ctx) == 5
-        assert cell.value == 9
-        assert cell.compare_and_swap(5, 11, ctx) == 9  # expected mismatch
-        assert cell.value == 9
-
     def test_charging(self):
         ctx = CountingContext()
         cell = AtomicCell()

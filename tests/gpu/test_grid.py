@@ -41,11 +41,11 @@ class TestWorkerMapping:
             grid.worker_tid(grid.worker_count)
 
     def test_block_and_lane(self):
+        """Worker slots skip block 0: worker 0 is lane 0 of block 1 and
+        worker 33 lane 1 of block 2."""
         grid = GridConfig.for_spec(GTX480)
-        assert grid.block_of(0) == 0
-        assert grid.block_of(33) == 1
-        assert grid.lane_of(33) == 1
-        assert grid.lane_of(64) == 0
+        assert divmod(grid.worker_tid(0), grid.block_size) == (1, 0)
+        assert divmod(grid.worker_tid(33), grid.block_size) == (2, 1)
 
 
 class TestWarpsForJobs:

@@ -49,10 +49,6 @@ class TestDerived:
         assert GTX1080.cuda_cores == 2560
         assert TESLA_K20.cuda_cores == 2496
 
-    def test_bandwidth(self):
-        # 384 bit x 3.7 GT/s = 177.6 GB/s for the GTX 480.
-        assert GTX480.mem_bandwidth_gbps == pytest.approx(177.6)
-
     def test_resident_blocks_and_workers(self):
         assert GTX480.resident_blocks == 15 * 8
         assert GTX480.worker_threads == (GTX480.resident_blocks - 1) * 32

@@ -100,5 +100,5 @@ def test_restored_heap_is_fully_tenured(commands, policy):
     restore_env(snap, dest)
     assert dest.arena.used == before + snap.node_count
     assert all(
-        node.region == REGION_TENURED for node in dest.arena.live_nodes()
+        node.region == REGION_TENURED for node in dest.arena.allocated_nodes()
     )

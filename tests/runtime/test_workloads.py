@@ -20,7 +20,7 @@ class TestFibWorkload:
 
     def test_paper_size_envelope(self):
         """17..8207 characters per transfer (paper §IV)."""
-        sizes = [fibonacci_workload(n).command_chars for n in THREAD_SWEEP]
+        sizes = [len(fibonacci_workload(n).command) for n in THREAD_SWEEP]
         assert sizes[0] <= 20
         assert 8000 <= sizes[-1] <= 8400
         assert sizes == sorted(sizes)

@@ -260,14 +260,12 @@ class TestQuarantine:
 
 
 class TestAbortRegionLeak:
-    """Regression: the abort path must close the open nursery region
-    even when gc_after_command is off — otherwise the next transaction
-    silently joins the aborted batch's region."""
+    """Regression: the abort path must close the open nursery region —
+    otherwise the next transaction silently joins the aborted batch's
+    region."""
 
     def _options(self):
-        return InterpreterOptions.fast(
-            enable_fault_injection=True, gc_after_command=False
-        )
+        return InterpreterOptions.fast(enable_fault_injection=True)
 
     def test_gpu_batch_abort_closes_region(self):
         device = GPUDevice(

@@ -161,8 +161,7 @@ def run_program(
             output = f"error: {type(exc).__name__}: {exc} @{position} | {out.getvalue()}"
             interp.abort_command()
         else:
-            if options.gc_after_command:
-                interp.collect_garbage()
+            interp.collect_garbage()
         record.outputs.append(output)
         record.trail.append((
             [list(row) for row in ctx.counts.rows],

@@ -43,7 +43,7 @@ class TestCostTable:
         counts = OpCounts()
         counts.add(Phase.EVAL, Op.ALU, 5)
         counts.add(Phase.PRINT, Op.ALU, 1)
-        by_phase = table.cycles_by_phase(counts)
+        by_phase = table.row_cycles(counts.rows)
         assert by_phase[Phase.EVAL] == 10
         assert by_phase[Phase.PRINT] == 2
         assert by_phase[Phase.PARSE] == 0
