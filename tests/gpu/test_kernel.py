@@ -263,6 +263,10 @@ SERVICE_LANE_CYCLES = {
 }
 
 
+def _fib(n):
+    return n if n < 2 else _fib(n - 1) + _fib(n - 2)
+
+
 def test_service_batch_figures_pinned(tiny_gpu, monkeypatch):
     """100 tenant requests on 96 workers: a full round spread one job
     per warp, then a 4-job round spread over all three warps."""
@@ -290,7 +294,3 @@ def test_service_batch_figures_pinned(tiny_gpu, monkeypatch):
         100,
         [(96, 3, 2041976.0, 96), (4, 3, 200627.0, 4)],
     )
-
-
-def _fib(n):
-    return n if n < 2 else _fib(n - 1) + _fib(n - 2)
