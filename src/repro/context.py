@@ -166,6 +166,7 @@ class CountingContext(ExecContext):
             self.extra_cycles[self.phase] = extra
 
     def reset(self) -> None:
+        """Zero the counts (in place, no new rows) and the extra cycles."""
         self.counts.reset()
         self._row = self.counts.rows[self.phase]
         self.extra_cycles = [0.0, 0.0, 0.0, 0.0]

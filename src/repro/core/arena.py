@@ -231,10 +231,6 @@ class NodeArena:
         self.stats.frees += 1
         self._free.append(node)
 
-    def allocated_nodes(self) -> set[Node]:
-        """Live nodes (a copy — callers may free while iterating)."""
-        return {node for node in self._nodes if node.region != REGION_FREE}
-
     # -- generational regions (deviation #7) -----------------------------------
 
     @property

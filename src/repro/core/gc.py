@@ -174,26 +174,26 @@ def collect_garbage(interp: "Interpreter", ctx: Optional[ExecContext] = None) ->
         arena.gc_stats.gc_wall_ms += (perf_counter() - t0) * 1000.0
 
 
-def collect_with_accounting(interp: "Interpreter", spec) -> tuple[int, float, int, int, float]:
-    """Device-side end-of-command collection with cost conversion.
+def collect_with_accounting(
+    interp: "Interpreter", ctx: CountingContext
+) -> tuple[int, int, int, float]:
+    """Device-side end-of-command collection, charged to ``ctx``.
 
-    Runs the policy collector charged to a fresh counting context and
-    converts the op counts into modeled milliseconds through the
-    device's cost table (:meth:`~repro.ops.CostTable.cycles` converts
-    the one charged row). Returns ``(freed, gc_ms, regions_reset,
+    Zeroes ``ctx``, the device's collector context, and runs the policy
+    collector charged to it. The collector never changes phase, so its
+    modeled cost is the cycles of ``ctx``'s EVAL row, which the device
+    converts through its own memo. Returns ``(freed, regions_reset,
     major_collections, wall_ms)``; the literal policy charges nothing,
-    so its ``gc_ms`` is always 0.0 and literal figures are untouched.
+    so its row stays zero and literal figures are untouched.
     """
     stats = interp.arena.gc_stats
     minors0 = stats.minor_collections
     majors0 = stats.major_collections
     wall0 = stats.gc_wall_ms
-    gctx = CountingContext()
-    freed = collect_garbage(interp, gctx)
-    gc_cycles = spec.costs.cycles(gctx.counts)
+    ctx.reset()
+    freed = collect_garbage(interp, ctx)
     return (
         freed,
-        spec.cycles_to_ms(gc_cycles),
         stats.minor_collections - minors0,
         stats.major_collections - majors0,
         stats.gc_wall_ms - wall0,

@@ -49,8 +49,13 @@ class CPUSpec:
     def hw_threads(self) -> int:
         return self.cores * self.threads_per_core
 
+    @property
+    def cycles_per_ms(self) -> float:
+        """Core cycles per millisecond: ``cycles_to_ms`` divides by it."""
+        return self.clock_ghz * 1e6
+
     def cycles_to_ms(self, cycles: float) -> float:
-        return cycles / (self.clock_ghz * 1e6)
+        return cycles / self.cycles_per_ms
 
 
 INTEL_E5_2620 = CPUSpec(

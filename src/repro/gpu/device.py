@@ -28,7 +28,6 @@ from ..gpu.grid import GridConfig
 from ..gpu.hostlink import (
     CommandBuffer,
     parens_balanced,
-    payload_bytes,
     sanitize_input,
     unbalanced_error,
 )
@@ -107,6 +106,8 @@ class GPUDevice(BatchDevice):
         self.master_ctx.set_phase(Phase.OTHER)
         self.interp = Interpreter(options=interp_options, setup_ctx=self.master_ctx)
         self._setup_cycles = self.master_cycles(Phase.OTHER)
+        #: The master prints every batch's results.
+        self._printer = Printer(self.master_ctx)
         self.engine = GPUParallelEngine(self)
         self.interp.parallel_engine = self.engine
         # Device file I/O goes through the host message buffer (§III-D).
@@ -271,13 +272,16 @@ class GPUDevice(BatchDevice):
                 )
 
         # Host packs the batch into one mapped-buffer transaction.
-        payload = " ".join(t for i, t in enumerate(texts) if i not in pre_errors)
+        payload = " ".join(
+            [t for i, t in enumerate(texts) if i not in pre_errors]
+            if pre_errors
+            else texts
+        )
         up_ms = self.cmdbuf.host_upload(payload)
 
         master = self.master_ctx
         interp = self.interp
         master.reset()
-        master.set_phase(Phase.EVAL)
         self.engine.begin_command()
         self.file_link.stats.reset()
         cache_hits0 = self.cache.stats.hits
@@ -299,8 +303,9 @@ class GPUDevice(BatchDevice):
             master.set_phase(Phase.PARSE)
             base_offsets = self._payload_base_offsets(texts, pre_errors)
             # Nothing is charged between two requests, so each request's
-            # closing reading is the next one's opening reading.
-            c0 = self.master_cycles(Phase.PARSE)
+            # closing reading is the next one's opening reading. The
+            # phase opens uncharged, at an exact 0.0.
+            c0 = 0.0
             for i, (req, text) in enumerate(zip(requests, texts)):
                 out = OutputBuffer(
                     base=self.output_region.base, capacity=self.cmdbuf.capacity
@@ -336,9 +341,10 @@ class GPUDevice(BatchDevice):
                 eval_cycles[i] = cycles
 
             # ---- master: print each request's results (PRINT) -------------
+            # Like PARSE, the phase opens uncharged, at an exact 0.0.
             master.set_phase(Phase.PRINT)
-            c0 = self.master_cycles(Phase.PRINT)
-            printer = Printer(master)
+            c0 = 0.0
+            printer = self._printer
             for i, job in enumerate(jobs):
                 if job.error is None and job.results is not None:
                     job.out.bind(master)
@@ -353,7 +359,6 @@ class GPUDevice(BatchDevice):
                 print_cycles[i] = c1 - c0
                 c0 = c1
             print_total = c0
-            master.set_phase(Phase.OTHER)
         except Exception:
             self._abort_transaction()
             raise
@@ -371,12 +376,12 @@ class GPUDevice(BatchDevice):
             cache_hits=self.cache.stats.hits - cache_hits0,
             cache_misses=self.cache.stats.misses - cache_miss0,
         )
-        to_ms = self.spec.cycles_to_ms
+        cpm = self._cycles_per_ms
         own_ms = []
         for i in range(n):
-            eval_ms = to_ms(eval_cycles[i])
+            eval_ms = eval_cycles[i] / cpm
             own_ms.append(
-                (to_ms(parse_cycles[i]), eval_ms, to_ms(print_cycles[i]), eval_ms)
+                (parse_cycles[i] / cpm, eval_ms, print_cycles[i] / cpm, eval_ms)
             )
         return self._batch_result(
             requests,
@@ -412,5 +417,6 @@ class GPUDevice(BatchDevice):
         for i, text in enumerate(texts):
             offsets.append(offset)
             if i not in pre_errors:
-                offset += payload_bytes(text)
+                # ``payload_bytes`` of a text already sanitized.
+                offset += len(text.encode()) + 1
         return offsets

@@ -109,17 +109,17 @@ class CommandBuffer:
             raise HostProtocolError("device still owns the buffer (dev_sync == 1)")
         if not parens_balanced(text):
             raise unbalanced_error(text)
-        data = text.encode()
-        if len(data) > self.capacity:
+        nbytes = len(text.encode())
+        if nbytes > self.capacity:
             raise HostProtocolError(
-                f"input of {len(data)} B exceeds command buffer ({self.capacity} B)"
+                f"input of {nbytes} B exceeds command buffer ({self.capacity} B)"
             )
         self.command_buffer = text
-        self.buffer_length = len(data)
+        self.buffer_length = nbytes
         self.dev_sync = 1
-        ms = self.spec.transfer_ms(len(data))
+        ms = self.spec.transfer_ms(nbytes)
         self.log.uploads += 1
-        self.log.bytes_up += len(data)
+        self.log.bytes_up += nbytes
         self.log.transfer_ms += ms
         return ms
 
@@ -132,13 +132,13 @@ class CommandBuffer:
         """Device deposits the output string and releases the buffer."""
         if not self.dev_sync:
             raise HostProtocolError("device wrote result without owning the buffer")
-        data = text.encode()
-        if len(data) > self.capacity:
+        nbytes = len(text.encode())
+        if nbytes > self.capacity:
             # The device truncates rather than overruns the shared struct.
-            text = data[: self.capacity].decode(errors="ignore")
-            data = text.encode()
+            text = text.encode()[: self.capacity].decode(errors="ignore")
+            nbytes = len(text.encode())
         self.command_buffer = text
-        self.buffer_length = len(data)
+        self.buffer_length = nbytes
         self.dev_sync = 0
 
     def host_download(self) -> tuple[str, float]:

@@ -44,9 +44,9 @@ from ..context import CountingContext, ExecContext, NullContext
 from ..core.interpreter import sequential_engine, worker_expression
 from ..core.nodes import Node
 from ..errors import LivelockError
-from ..ops import Op, Phase, RowCycles
+from ..ops import N_OPS, Op, Phase, RowCycles
 from ..runtime.batch import run_contained
-from ..runtime.fidelity import Fidelity, group_rows, task_signature
+from ..runtime.fidelity import Fidelity, group_signatures, task_signature
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.environment import Environment
@@ -55,8 +55,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GPUParallelEngine", "RoundReport", "ServiceJob"]
 
-#: A worker's one-each entry charges (Alg. 1 lines 5-7).
-_WORKER_ENTRY_OPS = (Op.BARRIER, Op.FENCE, Op.POSTBOX_READ)
+
+def _entry_row(*charges: tuple[Op, int]) -> tuple[float, ...]:
+    """The op-count row a fresh worker context holds after ``charges``."""
+    row = [0.0] * N_OPS
+    for op, n in charges:
+        row[op] += n
+    return tuple(row)
+
+
+#: A worker's Alg. 1 entry charges (lines 5-7): barrier, fence, the two
+#: flag polls and the postbox fetch. A form's worker also allocates the
+#: frame chained to the form's environment.
+_SERVICE_ENTRY = _entry_row(
+    (Op.BARRIER, 1), (Op.FENCE, 1), (Op.POSTBOX_READ, 1), (Op.ATOMIC_LOAD, 2)
+)
+_FORM_ENTRY = _entry_row(
+    (Op.BARRIER, 1), (Op.FENCE, 1), (Op.POSTBOX_READ, 1), (Op.ATOMIC_LOAD, 2),
+    (Op.NODE_ALLOC, 1),
+)
 
 
 class ServiceJob:
@@ -82,7 +99,8 @@ class ServiceJob:
 
 
 class RoundReport:
-    """Bookkeeping for one distribution round (exposed for tests)."""
+    """Bookkeeping for one distribution round (exposed for tests, built
+    on demand from the engine's round log)."""
 
     __slots__ = ("jobs", "warps_touched", "wall_cycles", "groups")
 
@@ -101,8 +119,14 @@ class GPUParallelEngine:
         self.nested_fallbacks = 0
         self._active = False
         self._layouts: dict[tuple[bool, int], tuple[list, list[int], int]] = {}
-        #: Service lanes of one tenant's repeated command charge the
-        #: same row: convert it once (``RowCycles``).
+        #: One worker context serves every lane in turn. A worker never
+        #: changes phase and has no cache, so its EVAL row is all it
+        #: charges: each lane starts by overwriting that row with its
+        #: entry charges, and its cycles are that row's conversion.
+        self._lane_ctx = CountingContext(max_depth=device.spec.max_recursion_depth)
+        self._lane_row = self._lane_ctx.counts.rows[Phase.EVAL]
+        #: Lanes of one tenant's repeated command charge the same row:
+        #: convert it once (``RowCycles``).
         self._lane_rows = RowCycles(device.spec.costs)
         self.begin_command()
 
@@ -114,11 +138,16 @@ class GPUParallelEngine:
         self.collect_cycles = 0.0
         self.spin_cycles = 0.0
         self.jobs = 0
-        self.rounds: list[RoundReport] = []
+        #: ``(jobs, warps_touched, wall_cycles, groups)`` per round.
+        self._round_log: list[tuple[int, int, float, int]] = []
+
+    @property
+    def rounds(self) -> list[RoundReport]:
+        return [RoundReport(*entry) for entry in self._round_log]
 
     @property
     def round_count(self) -> int:
-        return len(self.rounds)
+        return len(self._round_log)
 
     # -- engine entry -----------------------------------------------------------------
 
@@ -185,11 +214,10 @@ class GPUParallelEngine:
         """
         if not jobs:
             return []
-        spec = self.device.spec
         master = self.device.master_ctx
-        costs = spec.costs
+        wctx = self._lane_ctx
+        lane_row = self._lane_row
         lane_rows = self._lane_rows
-        max_depth = spec.max_recursion_depth
         per_job_cycles: list[float] = []
 
         def deposit(round_jobs: list[ServiceJob]) -> list[ServiceJob]:
@@ -201,11 +229,10 @@ class GPUParallelEngine:
             lanes = []
             for box in boxes:
                 job = box.io
-                wctx = CountingContext(max_depth=max_depth, thread_id=box.thread_id)
+                wctx.thread_id = box.thread_id
                 # Barrier, fence, the two flag polls and the postbox
                 # fetch (Alg. 1) on the worker's fresh counts.
-                wctx.charge_many(_WORKER_ENTRY_OPS)
-                wctx.charge(Op.ATOMIC_LOAD, 2)
+                lane_row[:] = _SERVICE_ENTRY
                 # princ during eval is the worker's work (single-command
                 # mode charges the same appends to its one context).
                 job.out.bind(wctx)
@@ -226,9 +253,7 @@ class GPUParallelEngine:
                     interp.pop_output()
                 wctx.charge(Op.BARRIER)
                 box.complete(job.results, wctx)
-                lanes.append(
-                    costs.cycles(wctx.counts, lane_rows) + sum(wctx.extra_cycles)
-                )
+                lanes.append(lane_rows[tuple(lane_row)])
             per_job_cycles += lanes
             # Divergent tenants in one warp serialize, lane by lane;
             # warps run concurrently.
@@ -342,7 +367,7 @@ class GPUParallelEngine:
                 c0 = c3
 
                 self.jobs += k
-                self.rounds.append(RoundReport(k, warps, wall, groups))
+                self._round_log.append((k, warps, wall, groups))
                 offset += k
         finally:
             self._active = False
@@ -386,30 +411,26 @@ class GPUParallelEngine:
         spec = dev.spec
         k = len(round_rows)
         lane_cycles = np.zeros(k, dtype=np.float64)
-
+        sigs = [task_signature(fn, row) for row in round_rows]
         if dev.fidelity is Fidelity.WARP:
-            groups = group_rows(fn, round_rows).values()
+            groups = group_signatures(sigs).values()
         else:
             groups = [[i] for i in range(k)]
 
+        wctx = self._lane_ctx
+        lane_row = self._lane_row
         null = NullContext()
         for indices in groups:
             box = boxes[indices[0]]
-            wctx = CountingContext(
-                max_depth=spec.max_recursion_depth, thread_id=box.thread_id
-            )
+            wctx.thread_id = box.thread_id
             # Alg. 1 lines 5-11 on the worker's fresh counts: barrier,
             # fence, the two flag polls, the postbox fetch, a frame
             # chained to the form's environment, eval, barrier.
-            wctx.charge_many(_WORKER_ENTRY_OPS)
-            wctx.charge(Op.ATOMIC_LOAD, 2)
-            wctx.charge(Op.NODE_ALLOC)
+            lane_row[:] = _FORM_ENTRY
             result = interp.eval_node(box.io, env.child(label="worker"), wctx, 0)
             wctx.charge(Op.BARRIER)
             box.complete(result, wctx)  # clears work/sync (2 atomic stores)
-            lane_cycles[indices] = spec.costs.cycles(wctx.counts) + sum(
-                wctx.extra_cycles
-            )
+            lane_cycles[indices] = self._lane_rows[tuple(lane_row)]
             for idx in indices[1:]:
                 # Lockstep twins (WARP fidelity): same instruction stream,
                 # same time. Each twin produces its own result node (as
@@ -424,7 +445,6 @@ class GPUParallelEngine:
         # together. A warp's time is therefore the SUM over its distinct
         # task signatures of that group's lane time; a uniform warp
         # degenerates to the plain max.
-        sigs = [task_signature(fn, row) for row in round_rows]
         warp_cycles = []
         for w in range(0, k, spec.warp_size):
             per_sig: dict = {}

@@ -32,14 +32,22 @@ class Postbox:
     def assign(self, expr: Any, ctx: ExecContext) -> None:
         """Master side: deposit a job and raise the flags (Fig. 11)."""
         self.io = expr
-        self.work.store(1, ctx)
-        self.sync.store(1, ctx)
+        self._store_flags(1, ctx)
 
     def complete(self, result: Any, ctx: ExecContext) -> None:
         """Worker side: deposit result, clear flags."""
         self.io = result
-        self.work.store(0, ctx)
-        self.sync.store(0, ctx)
+        self._store_flags(0, ctx)
+
+    def _store_flags(self, value: int, ctx: ExecContext) -> None:
+        """Store ``value`` into the work and sync flags: two atomic
+        stores, charged as one ``ATOMIC_RMW`` of count 2 (an exact
+        integer fold, DESIGN.md "Host-side charge folding")."""
+        ctx.charge(Op.ATOMIC_RMW, 2)
+        work, sync = self.work, self.sync
+        work.value = sync.value = value
+        work.rmw_count += 1
+        sync.rmw_count += 1
 
     def collect(self, ctx: ExecContext) -> Any:
         """Master side: read the result back."""

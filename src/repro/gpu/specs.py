@@ -126,8 +126,13 @@ class GPUSpec:
         """
         return self.driver_base_ms + self.vram_map_ms_per_gib * self.vram_gib
 
+    @property
+    def cycles_per_ms(self) -> float:
+        """Core cycles per millisecond: ``cycles_to_ms`` divides by it."""
+        return self.core_clock_ghz * 1e6
+
     def cycles_to_ms(self, cycles: float) -> float:
-        return cycles / (self.core_clock_ghz * 1e6)
+        return cycles / self.cycles_per_ms
 
     def transfer_ms(self, nbytes: int) -> float:
         """PCIe transfer time for one host<->device copy."""

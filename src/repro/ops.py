@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,6 +73,9 @@ class Op(IntEnum):
 
 N_OPS = len(Op)
 
+#: An all-zero op-count row, copied from and never written.
+_ZERO_ROW = (0.0,) * N_OPS
+
 
 class Phase(IntEnum):
     """Execution-flow phases of one REPL command (paper Fig. 5).
@@ -128,18 +130,14 @@ class CostTable:
     def cost_of(self, op: Op) -> float:
         return float(self.vector[op])
 
-    def cycles(
-        self, counts: "OpCounts", row_cost: Optional[Callable] = None
-    ) -> float:
+    def cycles(self, counts: "OpCounts") -> float:
         """Total cycles for an op-count vector (all phases summed).
 
-        Equals ``float(vector @ counts.total())`` bit for bit. A worker's
-        or a collector's context charges one phase only, and adding
-        all-zero rows to that row is exact, so with one live row only
-        that row is converted, by ``row_cost`` (default :meth:`row_cost`;
-        a :class:`RowCycles` remembers the row it converted last); with
-        none the answer is 0.0, and with more than one the rows are summed
-        first.
+        Equals ``float(vector @ counts.total())`` bit for bit. A context
+        that charged one phase only has one live row, and adding all-zero
+        rows to it is exact, so that row alone is converted
+        (:meth:`row_cost`); with none the answer is 0.0, and with more
+        than one the rows are summed first.
         """
         live = None
         for row in counts.rows:
@@ -149,9 +147,9 @@ class CostTable:
                 live = row
         if live is None:
             return 0.0
-        return (row_cost or self.row_cost)(live)
+        return self.row_cost(live)
 
-    def row_cost(self, row: list[float]) -> float:
+    def row_cost(self, row: list[float] | tuple[float, ...]) -> float:
         """Cycles of one op-count row, ``float(vector @ np.asarray(row))``.
 
         ``ndarray.dot`` runs the same 1-D dot kernel as ``@`` with less
@@ -177,29 +175,32 @@ class CostTable:
         return CostTable(vector=vec, label=label or f"{self.label}*{factor:g}")
 
 
-class RowCycles:
+#: Rows a :class:`RowCycles` remembers before it starts over.
+ROW_MEMO_SIZE = 256
+
+
+class RowCycles(dict):
     """:meth:`CostTable.row_cost` for one reader of op-count rows that
-    often meets the row it converted last: a row equal to that one is
-    answered from memory, so only a changed row is converted. An
-    all-zero row reads 0.0 without a conversion (every cost is
-    non-negative, so the dot would sum +0.0 terms to +0.0) and is not
-    kept.
+    meets the same rows again and again (a master phase, the service
+    lanes, the collector), as a memo: ``row_cycles[tuple(row)]`` is the
+    row's cycles. A row met before is answered by the dict lookup alone;
+    a new row is converted once (``__missing__``). A conversion is
+    deterministic, so a remembered answer is the float the conversion
+    would return. After :data:`ROW_MEMO_SIZE` distinct rows it forgets
+    them all, which bounds its memory.
     """
 
-    __slots__ = ("costs", "_row", "_cycles")
+    __slots__ = ("costs",)
 
     def __init__(self, costs: CostTable) -> None:
+        super().__init__()
         self.costs = costs
-        self._row: Optional[list[float]] = None
-        self._cycles = 0.0
 
-    def __call__(self, row: list[float]) -> float:
-        if not any(row):
-            return 0.0
-        if row != self._row:
-            self._row = row[:]
-            self._cycles = self.costs.row_cost(row)
-        return self._cycles
+    def __missing__(self, row: tuple) -> float:
+        if len(self) >= ROW_MEMO_SIZE:
+            self.clear()
+        cycles = self[row] = self.costs.row_cost(row)
+        return cycles
 
 
 @dataclass
@@ -243,7 +244,10 @@ class OpCounts:
         return float(sum(row[op] for row in self.rows))
 
     def reset(self) -> None:
-        self.rows = [[0.0] * N_OPS for _ in range(N_PHASES)]
+        """Zero every row in place: live aliases into ``rows`` (a
+        context's current phase row) keep observing the counts."""
+        for row in self.rows:
+            row[:] = _ZERO_ROW
 
     def copy(self) -> "OpCounts":
         return OpCounts(rows=[row[:] for row in self.rows])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
-from ..context import ExecContext
+from ..context import CountingContext, ExecContext
 from ..core.environment import Environment
 from ..core.gc import collect_with_accounting
 from ..errors import (
@@ -193,8 +193,15 @@ class BatchDevice:
         self.commands_executed = 0
         self._closed = False
         self._lost_reason: Optional[str] = None
+        #: ``cycles_to_ms`` divides by it: a division written in place
+        #: is the same float without the call.
+        self._cycles_per_ms = spec.cycles_per_ms
         #: Row -> cycles readers, one per master phase.
         self._master_rows = [RowCycles(spec.costs) for _ in Phase]
+        #: The end-of-command collector's context, reused by every
+        #: collection, and its row -> cycles reader.
+        self._gc_ctx = CountingContext()
+        self._gc_rows = RowCycles(spec.costs)
 
     @property
     def name(self) -> str:
@@ -244,19 +251,33 @@ class BatchDevice:
         """The master's cycles in ``phase`` so far this command:
         ``float(vector @ row) + extra_cycles[phase]``.
 
-        A transaction reads each phase at every step boundary and most
-        readings find the row the phase's last reading converted, so
-        each phase reads through a :class:`~repro.ops.RowCycles` that
-        converts only a changed row. A CPU master has no cache, so its
-        ``extra_cycles`` add an exact 0.0.
+        A transaction reads a phase at its step boundaries, and most
+        readings meet a row the phase has met before (a service round's
+        deposit and collection charge the same counts whatever the
+        request), so each phase reads through a
+        :class:`~repro.ops.RowCycles`, which converts only a row it has
+        not met. A GPU batch takes one PARSE reading after each request
+        and one PRINT reading after each output, and the round loop one
+        EVAL reading when it opens and three per round (after
+        distribution, before and after collection). A phase that has
+        not been charged reads an exact 0.0, so the batch takes no
+        opening PARSE or PRINT reading. A CPU master has no cache, so
+        its ``extra_cycles`` add an exact 0.0.
         """
-        row = self.master_ctx.counts.rows[phase]
-        return self._master_rows[phase](row) + self.master_ctx.extra_cycles[phase]
+        ctx = self.master_ctx
+        cycles = self._master_rows[phase][tuple(ctx.counts.rows[phase])]
+        return cycles + ctx.extra_cycles[phase]
 
     def _run_gc(self) -> tuple[int, float, int, int, float]:
         """End-of-command reclamation charged as modeled device time;
-        see :func:`repro.core.gc.collect_with_accounting`."""
-        return collect_with_accounting(self.interp, self.spec)
+        see :func:`repro.core.gc.collect_with_accounting`. Returns
+        ``(freed, gc_ms, regions_reset, major_collections, wall_ms)``."""
+        gctx = self._gc_ctx
+        freed, regions_reset, majors, wall_ms = collect_with_accounting(
+            self.interp, gctx
+        )
+        gc_cycles = self._gc_rows[tuple(gctx.counts.rows[Phase.EVAL])]
+        return freed, gc_cycles / self._cycles_per_ms, regions_reset, majors, wall_ms
 
     def _abort_transaction(self) -> None:
         """Device-fatal failure of a command or batch: reclaim its
@@ -278,23 +299,25 @@ class BatchDevice:
         and collect cycles, one handshake and one host-loop turn.
         ``parse_cycles`` and ``print_cycles`` are the caller's closing
         ``master_cycles`` readings of those phases."""
-        to_ms = self.spec.cycles_to_ms
+        cpm = self._cycles_per_ms
         engine = self.engine
+        worker_ms = engine.worker_wall_cycles / cpm
+        # Positional, in field order: once per transaction, and a
+        # dataclass takes positions faster than keywords.
         return PhaseBreakdown(
-            parse_ms=to_ms(parse_cycles),
-            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
-            + to_ms(engine.worker_wall_cycles),
-            print_ms=to_ms(print_cycles),
-            other_ms=self.spec.command_overhead_us / 1000.0,
-            transfer_ms=transfer_ms,
-            host_ms=self._HOST_LOOP_MS,
-            gc_ms=gc_ms,
-            distribute_ms=to_ms(engine.distribute_cycles),
-            worker_ms=to_ms(engine.worker_wall_cycles),
-            collect_ms=to_ms(engine.collect_cycles),
-            spin_cycles=engine.spin_cycles,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            parse_cycles / cpm,  # parse_ms
+            self.master_cycles(Phase.EVAL) / cpm + worker_ms,  # eval_ms
+            print_cycles / cpm,  # print_ms
+            self.spec.command_overhead_us / 1000.0,  # other_ms
+            transfer_ms,
+            self._HOST_LOOP_MS,  # host_ms
+            gc_ms,
+            engine.distribute_cycles / cpm,  # distribute_ms
+            worker_ms,
+            engine.collect_cycles / cpm,  # collect_ms
+            engine.spin_cycles,
+            cache_hits,
+            cache_misses,
         )
 
     def _batch_result(
@@ -325,19 +348,25 @@ class BatchDevice:
 
         An item's times are its own ms plus the share, field by field; a
         field only one side carries would add an exact 0.0, so it is
-        taken as is.
+        taken as is. A 1-request batch's share is the whole cost
+        (``x * 1.0 == x``), so it is taken without the products.
         """
         n = len(requests)
-        f = 1.0 / n
         t = batch_times
-        shared_eval = (t.distribute_ms + t.collect_ms) * f
-        other_ms = t.other_ms * f
-        transfer_ms = t.transfer_ms * f
-        host_ms = t.host_ms * f
-        gc_ms = t.gc_ms * f
-        distribute_ms = t.distribute_ms * f
-        collect_ms = t.collect_ms * f
-        spin_cycles = t.spin_cycles * f
+        shared_eval = t.distribute_ms + t.collect_ms
+        other_ms, transfer_ms, host_ms = t.other_ms, t.transfer_ms, t.host_ms
+        gc_ms, distribute_ms, collect_ms = t.gc_ms, t.distribute_ms, t.collect_ms
+        spin_cycles = t.spin_cycles
+        if n > 1:
+            f = 1.0 / n
+            shared_eval *= f
+            other_ms *= f
+            transfer_ms *= f
+            host_ms *= f
+            gc_ms *= f
+            distribute_ms *= f
+            collect_ms *= f
+            spin_cycles *= f
         items = []
         for req, text, output, error, (parse_ms, eval_ms, print_ms, worker_ms) in zip(
             requests, texts, outputs, errors, own_ms
@@ -352,20 +381,21 @@ class BatchDevice:
         self.commands_executed += n
         freed, _, regions_reset, majors, gc_wall_ms = gc
         jit = self.interp.jit_stats
+        # Positional, in field order, like the item times above.
         return BatchResult(
-            items=items,
-            times=batch_times,
-            nodes_freed=freed,
-            regions_reset=regions_reset,
-            major_collections=majors,
-            gc_wall_ms=gc_wall_ms,
-            traces_compiled=jit.traces_compiled - jit0[0],
-            trace_hits=jit.trace_hits - jit0[1],
-            guard_bails=jit.guard_bails - jit0[2],
-            jobs=jobs,
-            rounds=rounds,
-            upload_ms=upload_ms,
-            download_ms=download_ms,
+            items,
+            batch_times,
+            jobs,
+            rounds,
+            upload_ms,
+            download_ms,
+            freed,  # nodes_freed
+            regions_reset,
+            majors,  # major_collections
+            gc_wall_ms,
+            jit.traces_compiled - jit0[0],
+            jit.trace_hits - jit0[1],
+            jit.guard_bails - jit0[2],
         )
 
     def _jit_counts(self) -> tuple[int, int, int]:

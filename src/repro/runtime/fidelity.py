@@ -19,7 +19,7 @@ from typing import Hashable
 
 from ..core.nodes import Node, NodeType
 
-__all__ = ["Fidelity", "task_signature", "group_rows"]
+__all__ = ["Fidelity", "task_signature", "group_rows", "group_signatures"]
 
 _MAX_SIG_DEPTH = 16
 
@@ -54,7 +54,13 @@ def task_signature(fn: Node, row: list[Node]) -> Hashable:
 
 def group_rows(fn: Node, rows: list[list[Node]]) -> dict[Hashable, list[int]]:
     """Group job indices by task signature (insertion-ordered)."""
+    return group_signatures([task_signature(fn, row) for row in rows])
+
+
+def group_signatures(sigs: list[Hashable]) -> dict[Hashable, list[int]]:
+    """Group job indices by their already computed task signatures
+    (insertion-ordered), for a caller that needs the signatures too."""
     groups: dict[Hashable, list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(task_signature(fn, row), []).append(i)
+    for i, sig in enumerate(sigs):
+        groups.setdefault(sig, []).append(i)
     return groups

@@ -253,11 +253,17 @@ class ServerStats:
         self.requests_cancelled += n
 
     def record_batch(self, device_id: str, result: "BatchResult") -> None:
-        self.batch_size_sum += result.size
-        self.batch_size_max = max(self.batch_size_max, result.size)
-        n_faults = len(result.faults)
+        size = len(result.items)
+        n_errors = n_faults = 0
+        for item in result.items:
+            if item.error is not None:
+                n_errors += 1
+                n_faults += item.faulted
+        self.batch_size_sum += size
+        if size > self.batch_size_max:
+            self.batch_size_max = size
         self.faults_contained += n_faults
-        self.phase_totals = self.phase_totals.merged_with(result.times)
+        self.phase_totals.accumulate(result.times)
         self.gc_nodes_freed += result.nodes_freed
         self.gc_regions_reset += result.regions_reset
         self.gc_major_collections += result.major_collections
@@ -268,8 +274,8 @@ class ServerStats:
         dstats = self.per_device[device_id]
         dstats.busy_ms += result.times.total_ms
         dstats.batches += 1
-        dstats.requests += result.size
-        dstats.errors += len(result.errors)
+        dstats.requests += size
+        dstats.errors += n_errors
         dstats.jobs += result.jobs
         dstats.rounds += result.rounds
         dstats.faults += n_faults
@@ -324,9 +330,7 @@ class ServerStats:
         self.migration_nodes += record.nodes
         self.migration_bytes += record.nbytes
         self.migration_transfer_ms += record.transfer_ms
-        self.phase_totals = self.phase_totals.merged_with(
-            PhaseBreakdown(transfer_ms=record.transfer_ms)
-        )
+        self.phase_totals.transfer_ms += record.transfer_ms
         src = self.per_device[record.source]
         src.busy_ms += source_ms
         src.migrations_out += 1
@@ -372,9 +376,7 @@ class ServerStats:
             dstats.hangs += 1
         dstats.busy_ms += detect_ms
         if detect_ms > 0.0:
-            self.phase_totals = self.phase_totals.merged_with(
-                PhaseBreakdown(other_ms=detect_ms)
-            )
+            self.phase_totals.other_ms += detect_ms
 
     def record_session_recovered(
         self, dest_device_id: str, rpo_rounds: int, replayed: int
@@ -403,9 +405,7 @@ class ServerStats:
         self.checkpoints_shipped += 1
         self.checkpoint_bytes += nbytes
         self.checkpoint_transfer_ms += transfer_ms
-        self.phase_totals = self.phase_totals.merged_with(
-            PhaseBreakdown(transfer_ms=transfer_ms)
-        )
+        self.phase_totals.transfer_ms += transfer_ms
         self.per_device[device_id].busy_ms += transfer_ms
 
     def record_checkpoint_skipped(self) -> None:
@@ -419,9 +419,7 @@ class ServerStats:
         """A checkpoint restored host->device during recovery."""
         self.failover_restore_bytes += nbytes
         self.failover_restore_ms += transfer_ms
-        self.phase_totals = self.phase_totals.merged_with(
-            PhaseBreakdown(transfer_ms=transfer_ms)
-        )
+        self.phase_totals.transfer_ms += transfer_ms
         self.per_device[device_id].busy_ms += transfer_ms
 
     def record_breaker_open(self, device_id: str) -> None:

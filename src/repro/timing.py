@@ -63,22 +63,22 @@ class PhaseBreakdown:
             "print": self.print_ms / k,
         }
 
-    def merged_with(self, other: "PhaseBreakdown") -> "PhaseBreakdown":
-        return PhaseBreakdown(
-            parse_ms=self.parse_ms + other.parse_ms,
-            eval_ms=self.eval_ms + other.eval_ms,
-            print_ms=self.print_ms + other.print_ms,
-            other_ms=self.other_ms + other.other_ms,
-            transfer_ms=self.transfer_ms + other.transfer_ms,
-            host_ms=self.host_ms + other.host_ms,
-            gc_ms=self.gc_ms + other.gc_ms,
-            distribute_ms=self.distribute_ms + other.distribute_ms,
-            worker_ms=self.worker_ms + other.worker_ms,
-            collect_ms=self.collect_ms + other.collect_ms,
-            spin_cycles=self.spin_cycles + other.spin_cycles,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-        )
+    def accumulate(self, other: "PhaseBreakdown") -> None:
+        """Add ``other`` into this breakdown, field by field, in place
+        (a running total such as ``ServerStats.phase_totals``)."""
+        self.parse_ms += other.parse_ms
+        self.eval_ms += other.eval_ms
+        self.print_ms += other.print_ms
+        self.other_ms += other.other_ms
+        self.transfer_ms += other.transfer_ms
+        self.host_ms += other.host_ms
+        self.gc_ms += other.gc_ms
+        self.distribute_ms += other.distribute_ms
+        self.worker_ms += other.worker_ms
+        self.collect_ms += other.collect_ms
+        self.spin_cycles += other.spin_cycles
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
 
 
 @dataclass

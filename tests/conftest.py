@@ -7,7 +7,9 @@ import dataclasses
 import pytest
 
 from repro.context import CountingContext, NullContext
+from repro.core.arena import NodeArena
 from repro.core.interpreter import Interpreter, InterpreterOptions
+from repro.core.nodes import REGION_FREE, Node
 from repro.cpu.device import CPUDevice, CPUDeviceConfig
 from repro.cpu.specs import AMD_6272, INTEL_E5_2620
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
@@ -39,6 +41,12 @@ def run(interp, ctx):
         return interp.process(source, ctx)
 
     return _run
+
+
+def allocated_nodes(arena: NodeArena) -> set[Node]:
+    """The arena's live nodes: every node it made that is not on its free
+    list (a copy, so the caller may free while iterating)."""
+    return {node for node in arena._nodes if node.region != REGION_FREE}
 
 
 def make_tiny_gpu_spec(**overrides) -> GPUSpec:

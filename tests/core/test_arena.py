@@ -7,6 +7,7 @@ from repro.core.arena import NodeArena
 from repro.core.nodes import NodeType
 from repro.errors import ArenaExhaustedError
 from repro.ops import Op
+from tests.conftest import allocated_nodes
 
 
 @pytest.fixture
@@ -158,7 +159,8 @@ class TestCharging:
         arena = NodeArena(capacity=8)
         a = arena.alloc(NodeType.N_INT, ctx)
         b = arena.alloc(NodeType.N_INT, ctx)
-        snap = arena.allocated_nodes()
+        snap = allocated_nodes(arena)
         assert snap == {a, b}
         arena.free(a)
-        assert arena.allocated_nodes() == {b}
+        assert allocated_nodes(arena) == {b}
+        assert snap == {a, b}  # a copy, not a live view

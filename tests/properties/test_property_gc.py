@@ -19,6 +19,7 @@ from repro.core.gc import gather_roots
 from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.core.nodes import REGION_TENURED
 from repro.errors import LispError
+from tests.conftest import allocated_nodes
 
 NAMES = ("alpha", "beta", "gamma-value", "delta")
 FNAMES = ("combine", "triangle-step", "mix-values")
@@ -148,7 +149,7 @@ def test_minor_collection_leaves_no_live_nursery_nodes(commands):
     heap is *exactly* the eagerly-swept heap, node for node."""
     _, _, full = run_collected(commands, InterpreterOptions())
     _, _, gen = run_collected(commands, InterpreterOptions(gc_policy="generational"))
-    assert all(node.region == REGION_TENURED for node in gen.arena.allocated_nodes())
+    assert all(node.region == REGION_TENURED for node in allocated_nodes(gen.arena))
     gen.collect_major()
     assert gen.arena.used == full.arena.used
     assert heap_fingerprint(gen) == heap_fingerprint(full)

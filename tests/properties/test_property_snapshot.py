@@ -22,6 +22,7 @@ from repro.core.nodes import REGION_TENURED
 from repro.errors import LispError
 from repro.runtime.snapshot import HeapSnapshot, restore_env, snapshot_env
 
+from tests.conftest import allocated_nodes
 from tests.properties.test_property_gc import programs
 
 #: The two reclamation modes a serving device can run; generational
@@ -100,5 +101,5 @@ def test_restored_heap_is_fully_tenured(commands, policy):
     restore_env(snap, dest)
     assert dest.arena.used == before + snap.node_count
     assert all(
-        node.region == REGION_TENURED for node in dest.arena.allocated_nodes()
+        node.region == REGION_TENURED for node in allocated_nodes(dest.arena)
     )

@@ -31,15 +31,16 @@ def test_proportions_of_zero_kernel():
     assert pr == {"parse": 0.0, "eval": 0.0, "print": 0.0}
 
 
-def test_merged_with_adds_fields():
+def test_accumulate_adds_fields():
     a = PhaseBreakdown(parse_ms=1.0, eval_ms=2.0, spin_cycles=10, cache_misses=3)
     b = PhaseBreakdown(parse_ms=0.5, print_ms=4.0, spin_cycles=5, cache_misses=1)
-    m = a.merged_with(b)
-    assert m.parse_ms == 1.5
-    assert m.eval_ms == 2.0
-    assert m.print_ms == 4.0
-    assert m.spin_cycles == 15
-    assert m.cache_misses == 4
+    a.accumulate(b)
+    assert a.parse_ms == 1.5
+    assert a.eval_ms == 2.0
+    assert a.print_ms == 4.0
+    assert a.spin_cycles == 15
+    assert a.cache_misses == 4
+    assert b.parse_ms == 0.5  # the addend is left as it was
 
 
 def test_command_stats_defaults():
