@@ -125,8 +125,8 @@ class GPUParallelEngine:
         #: entry charges, and its cycles are that row's conversion.
         self._lane_ctx = CountingContext(max_depth=device.spec.max_recursion_depth)
         self._lane_row = self._lane_ctx.counts.rows[Phase.EVAL]
-        #: Lanes of one tenant's repeated command charge the same row:
-        #: convert it once (``RowCycles``).
+        #: A tenant's repeated command charges its lane the same row:
+        #: convert each row once (``RowCycles``).
         self._lane_rows = RowCycles(device.spec.costs)
         self.begin_command()
 
