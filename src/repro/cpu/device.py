@@ -18,7 +18,7 @@ import numpy as np
 from ..context import CountingContext
 from ..core.interpreter import Interpreter, InterpreterOptions
 from ..gpu.fileio import HostFileSystem, InMemoryFileService
-from ..gpu.hostlink import parens_balanced, sanitize_input, unbalanced_error
+from ..gpu.hostlink import gate_request
 from ..gpu.memory import OutputBuffer, SourceBuffer
 from ..ops import Phase
 from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
@@ -75,16 +75,12 @@ class CPUDevice(BatchDevice):
     # -- command execution -------------------------------------------------------------
 
     def submit(
-        self,
-        text: str,
-        sanitize: bool = True,
-        env: Optional["Environment"] = None,
+        self, text: str, env: Optional["Environment"] = None
     ) -> CommandStats:
         self._check_lost()
-        if sanitize:
-            text = sanitize_input(text)
-        if not parens_balanced(text):
-            raise unbalanced_error(text)
+        text, _, refusal = gate_request(text, None)
+        if refusal is not None:
+            raise refusal
 
         master = self.master_ctx
         master.reset()
@@ -138,7 +134,8 @@ class CPUDevice(BatchDevice):
         n = len(requests)
         if n == 0:
             return BatchResult()
-        texts = [sanitize_input(r.text) for r in requests]
+        # The upload gate with no command buffer: a CPU packs nothing.
+        texts, _, refusals = zip(*[gate_request(r.text, None) for r in requests])
         interp = self.interp
 
         engine = self.engine
@@ -159,18 +156,18 @@ class CPUDevice(BatchDevice):
         max_depth = self.spec.max_recursion_depth
 
         try:
-            for i, (req, text) in enumerate(zip(requests, texts)):
+            for i, (req, text, refusal) in enumerate(zip(requests, texts, refusals)):
                 rctx = CountingContext(max_depth, i)
                 env = req.env if req.env is not None else global_env
                 nested_wall0 = engine.worker_wall_cycles
-                if parens_balanced(text):
+                if refusal is None:
                     # process() reads the text through a SourceBuffer and
                     # prints into an OutputBuffer of its own.
                     output, error = run_contained(
                         interp, rctx, process, text, rctx, None, env
                     )
                 else:
-                    output, error = None, unbalanced_error(text)
+                    output, error = None, refusal
                 if error is not None:
                     output = f"error: {error}"
                     errors[i] = error

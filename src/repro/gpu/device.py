@@ -21,16 +21,10 @@ from ..context import CountingContext
 from ..core.interpreter import Interpreter, InterpreterOptions
 from ..core.nodes import NODE_BYTES
 from ..core.printer import Printer
-from ..errors import HostProtocolError
 from ..gpu.cache import SetAssociativeCache
 from ..gpu.fileio import FileServiceLink, HostFileSystem
 from ..gpu.grid import GridConfig
-from ..gpu.hostlink import (
-    CommandBuffer,
-    parens_balanced,
-    sanitize_input,
-    unbalanced_error,
-)
+from ..gpu.hostlink import CommandBuffer, gate_request
 from ..gpu.kernel import GPUParallelEngine, ServiceJob
 from ..gpu.memory import GlobalMemory, OutputBuffer, SourceBuffer
 from ..gpu.postbox import PostboxArray
@@ -161,10 +155,7 @@ class GPUDevice(BatchDevice):
     # -- command execution ------------------------------------------------------------
 
     def submit(
-        self,
-        text: str,
-        sanitize: bool = True,
-        env: Optional["Environment"] = None,
+        self, text: str, env: Optional["Environment"] = None
     ) -> CommandStats:
         """Run one REPL command through the full host<->device protocol.
 
@@ -173,8 +164,9 @@ class GPUDevice(BatchDevice):
         i.e. classic single-tenant CuLi.
         """
         self._check_lost()
-        if sanitize:
-            text = sanitize_input(text)
+        text, _, refusal = gate_request(text, self.cmdbuf.capacity)
+        if refusal is not None:
+            raise refusal
 
         # Host uploads through the mapped command buffer.
         up_ms = self.cmdbuf.host_upload(text)
@@ -246,38 +238,29 @@ class GPUDevice(BatchDevice):
 
         The batch is one buffer transaction. An unbalanced or singly
         over-capacity request is refused per request and carries no
-        payload; a joined payload over capacity is refused whole by the
-        upload gate (:class:`~repro.errors.HostProtocolError`, raised
-        before any device state changes). Packing batches to capacity is
-        the scheduler's job (:func:`~repro.gpu.hostlink.payload_bytes`).
+        payload; a joined payload over capacity is refused whole by
+        :meth:`~repro.gpu.hostlink.CommandBuffer.host_upload`
+        (:class:`~repro.errors.HostProtocolError`, raised before any
+        device state changes). Packing batches to capacity is the
+        scheduler's job; it sizes each request with the same gate
+        (:func:`~repro.gpu.hostlink.gate_request`).
         """
         self._check_lost()
         requests = list(requests)
         if not requests:
             return BatchResult()
         n = len(requests)
-        texts = [sanitize_input(r.text) for r in requests]
+        capacity = self.cmdbuf.capacity
 
-        # The host's upload gate applies per request: an unbalanced or
-        # oversized command is refused (and reported) without failing
-        # its batch.
-        pre_errors: dict[int, Exception] = {}
-        for i, text in enumerate(texts):
-            if not parens_balanced(text):
-                pre_errors[i] = unbalanced_error(text)
-            elif len(text.encode()) > self.cmdbuf.capacity:
-                pre_errors[i] = HostProtocolError(
-                    f"input of {len(text.encode())} B exceeds command "
-                    f"buffer ({self.cmdbuf.capacity} B)"
-                )
-
-        # Host packs the batch into one mapped-buffer transaction.
-        payload = " ".join(
-            [t for i, t in enumerate(texts) if i not in pre_errors]
-            if pre_errors
-            else texts
+        # The host's upload gate, once per request: a refused command is
+        # reported without failing its batch and carries no payload.
+        texts, sizes, refusals = zip(
+            *[gate_request(r.text, capacity) for r in requests]
         )
-        up_ms = self.cmdbuf.host_upload(payload)
+        # Host packs the accepted requests into one mapped-buffer transaction.
+        up_ms = self.cmdbuf.host_upload(
+            " ".join([t for t, refusal in zip(texts, refusals) if refusal is None])
+        )
 
         master = self.master_ctx
         interp = self.interp
@@ -301,26 +284,27 @@ class GPUDevice(BatchDevice):
         try:
             # ---- master: serial parse scan over every request (PARSE) ----
             master.set_phase(Phase.PARSE)
-            base_offsets = self._payload_base_offsets(texts, pre_errors)
             # Nothing is charged between two requests, so each request's
             # closing reading is the next one's opening reading. The
             # phase opens uncharged, at an exact 0.0.
             c0 = 0.0
-            for i, (req, text) in enumerate(zip(requests, texts)):
-                out = OutputBuffer(
-                    base=self.output_region.base, capacity=self.cmdbuf.capacity
-                )
+            # Each accepted request's text starts where its predecessors'
+            # payload bytes end, separators included.
+            address = self.input_region.base
+            for i, (req, text, size, refusal) in enumerate(
+                zip(requests, texts, sizes, refusals)
+            ):
+                out = OutputBuffer(base=self.output_region.base, capacity=capacity)
                 env = req.env if req.env is not None else interp.global_env
                 job = ServiceJob(None, env, out)
                 jobs.append(job)
-                if i in pre_errors:
-                    job.error = pre_errors[i]
+                if refusal is not None:
+                    job.error = refusal
                     continue
                 # A request whose parse tree alone exhausts the arena is
                 # killed without poisoning its co-tenants.
-                source = SourceBuffer(
-                    text, base=self.input_region.base + base_offsets[i]
-                )
+                source = SourceBuffer(text, base=address)
+                address += size
                 job.plan, job.error = run_contained(
                     interp, master, interp.prepare_command, source, master
                 )
@@ -397,26 +381,3 @@ class GPUDevice(BatchDevice):
             upload_ms=up_ms,
             download_ms=down_ms,
         )
-
-    @staticmethod
-    def _payload_base_offsets(
-        texts: Sequence[str], pre_errors: dict[int, Exception]
-    ) -> list[int]:
-        """Each request's base *byte* offset inside the packed payload.
-
-        The payload joins the accepted requests with one separator byte,
-        so request ``i`` starts at the sum of its predecessors'
-        :func:`~repro.gpu.hostlink.payload_bytes` (refused requests carry
-        no payload and keep their predecessor's offset). Offsets must
-        advance in bytes — the same unit the scheduler packs with — or
-        non-ASCII requests' simulated input addresses drift off their
-        true buffer positions.
-        """
-        offsets: list[int] = []
-        offset = 0
-        for i, text in enumerate(texts):
-            offsets.append(offset)
-            if i not in pre_errors:
-                # ``payload_bytes`` of a text already sanitized.
-                offset += len(text.encode()) + 1
-        return offsets

@@ -16,33 +16,21 @@ uploads/downloads pay latency + size/bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..errors import HostProtocolError, UnbalancedInputError
 from .specs import GPUSpec
 
-__all__ = [
-    "CommandBuffer",
-    "sanitize_input",
-    "parens_balanced",
-    "payload_bytes",
-    "unbalanced_error",
-]
+__all__ = ["CommandBuffer", "gate_request", "sanitize_input", "parens_balanced"]
 
 
 def parens_balanced(text: str) -> bool:
-    """The host's upload gate: equal numbers of '(' and ')'.
+    """The host's balance rule: equal numbers of '(' and ')'.
 
     The paper checks only equality of counts (not nesting), and so do we;
     nesting errors surface later in the device-side parser.
     """
     return text.count("(") == text.count(")")
-
-
-def unbalanced_error(text: str) -> UnbalancedInputError:
-    """The upload gate's refusal, built in one place for every path."""
-    return UnbalancedInputError(
-        f"unbalanced parentheses: {text.count('(')} '(' vs {text.count(')')} ')'"
-    )
 
 
 def sanitize_input(text: str) -> str:
@@ -63,17 +51,32 @@ def sanitize_input(text: str) -> str:
     return "".join(cleaned).strip()
 
 
-def payload_bytes(text: str) -> int:
-    """One request's share of a batch payload, in bytes: the *sanitized*
-    text's UTF-8 length plus one join-separator byte.
+def gate_request(
+    text: str, capacity: Optional[int]
+) -> tuple[str, int, Optional[HostProtocolError]]:
+    """The host's upload gate for one request: ``(text, nbytes, refusal)``.
 
-    Batch formation packs with it, so a formed batch's joined payload
-    fits the command buffer, and the device places each request's
-    simulated input address with it. Sizing the raw text instead would
-    disagree with the device whenever sanitization strips or collapses
-    characters.
+    ``text`` is the sanitized command and ``nbytes`` its share of a batch
+    payload: UTF-8 length plus one join-separator byte. ``refusal`` is
+    None for a request the device accepts, else the exception it reports:
+    :class:`~repro.errors.UnbalancedInputError` when the parenthesis
+    counts differ, or :class:`~repro.errors.HostProtocolError` when the
+    text alone exceeds ``capacity`` (None: a CPU, which has no command
+    buffer). A refused request carries no payload, but the scheduler
+    still packs it by ``nbytes``.
     """
-    return len(sanitize_input(text).encode()) + 1
+    text = sanitize_input(text)
+    size = len(text.encode())
+    refusal: Optional[HostProtocolError] = None
+    if not parens_balanced(text):
+        refusal = UnbalancedInputError(
+            f"unbalanced parentheses: {text.count('(')} '(' vs {text.count(')')} ')'"
+        )
+    elif capacity is not None and size > capacity:
+        refusal = HostProtocolError(
+            f"input of {size} B exceeds command buffer ({capacity} B)"
+        )
+    return text, size + 1, refusal
 
 
 @dataclass
@@ -101,14 +104,13 @@ class CommandBuffer:
         """Host writes the input and raises ``dev_sync``; returns ms spent.
 
         Raises if the protocol is violated (device still busy, kernel
-        stopped, parens unbalanced, input too large).
+        stopped, input too large). The text has passed
+        :func:`gate_request`, so its parentheses are not counted again.
         """
         if not self.dev_active:
             raise HostProtocolError("kernel is not running (dev_active == 0)")
         if self.dev_sync:
             raise HostProtocolError("device still owns the buffer (dev_sync == 1)")
-        if not parens_balanced(text):
-            raise unbalanced_error(text)
         nbytes = len(text.encode())
         if nbytes > self.capacity:
             raise HostProtocolError(

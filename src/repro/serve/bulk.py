@@ -57,7 +57,9 @@ DEFAULT_CHUNK_ELEMS = 256
 def split_list_text(text: str) -> list[str]:
     """Split a printed list ``"(a b (c d) e)"`` into its top-level
     element texts — paren-aware, because mapped functions may return
-    lists themselves. ``"nil"`` and ``"()"`` split to no elements."""
+    lists themselves, and string-aware: a ``"…"`` run is one piece of
+    its element (the printer emits no escapes, so every ``"`` opens or
+    closes one). ``"nil"`` and ``"()"`` split to no elements."""
     text = text.strip()
     if text == "nil" or text == "()":
         return []
@@ -66,9 +68,14 @@ def split_list_text(text: str) -> list[str]:
     body = text[1:-1]
     out: list[str] = []
     depth = 0
+    in_string = False
     start: Optional[int] = None
     for i, ch in enumerate(body):
-        if ch.isspace() and depth == 0:
+        if ch == '"':
+            in_string = not in_string
+        elif in_string:
+            continue
+        elif ch.isspace() and depth == 0:
             if start is not None:
                 out.append(body[start:i])
                 start = None

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.nodes import NODE_BYTES
 from ..errors import CuLiError, DeviceLostError
-from ..gpu.hostlink import payload_bytes
+from ..gpu.hostlink import gate_request
 from ..runtime.batch import BatchRequest, BatchResult
 from ..timing import CommandStats
 from .pool import link_ms
@@ -176,15 +176,16 @@ class Scheduler:
 
         On devices with a bounded command buffer this is the one packer:
         the combined payload stays within capacity, each request sized by
-        :func:`~repro.gpu.hostlink.payload_bytes` (sanitized bytes plus
-        a separator), so one batch's upload never fails on size — the
-        device refuses an over-capacity batch rather than splitting it
-        (a *single* over-capacity command still joins a batch alone and
-        is refused per-request by the device's upload gate). A
-        quarantined ticket (a survivor of a batch-fatal failure) only
-        ever runs alone. With no SLOs and equal arrivals the EDF key
-        degenerates to submission order: one ticket per session, in the
-        order the sessions' heads were queued.
+        the device's upload gate :func:`~repro.gpu.hostlink.gate_request`
+        (sanitized bytes plus a separator), so one batch's upload never
+        fails on size — the device refuses an over-capacity batch rather
+        than splitting it (a *single* over-capacity command still joins a
+        batch alone and is refused per request by the same gate). A CPU
+        has no command buffer, so nothing is sized for it. A quarantined
+        ticket (a survivor of a batch-fatal failure) only ever runs
+        alone. With no SLOs and equal arrivals the EDF key degenerates to
+        submission order: one ticket per session, in the order the
+        sessions' heads were queued.
         """
         queue = pdev.queue
         if not queue:
@@ -210,11 +211,12 @@ class Scheduler:
             if ticket.session.bulk and has_deadline:
                 skipped.append(ticket)  # chunks wait for a deadline-free batch
                 continue
-            size = payload_bytes(ticket.text)
-            if capacity is not None and batch and payload + size > capacity:
-                skipped.append(ticket)
-                break
-            payload += size
+            if capacity is not None:  # a CPU packs nothing by size
+                size = gate_request(ticket.text, capacity)[1]
+                if batch and payload + size > capacity:
+                    skipped.append(ticket)
+                    break
+                payload += size
             batch.append(ticket)
             if ticket.deadline_ms != float("inf"):
                 has_deadline = True

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import HostProtocolError, UnbalancedInputError
-from repro.gpu.hostlink import CommandBuffer, parens_balanced, sanitize_input
+from repro.gpu.hostlink import (
+    CommandBuffer,
+    gate_request,
+    parens_balanced,
+    sanitize_input,
+)
 from repro.gpu.specs import GTX480
 
 
@@ -42,6 +47,31 @@ class TestSanitize:
         assert sanitize_input("(a\tb)") == "(a b)"
 
 
+class TestUploadGate:
+    def test_accepted_text_is_sanitized_and_sized(self):
+        # 11 characters, 12 UTF-8 bytes ("é" takes two), plus a separator.
+        assert gate_request(" (princ\t\"é\")\x00 ", 64) == ('(princ "é")', 13, None)
+
+    def test_over_capacity_refused_with_protocol_message(self):
+        text, nbytes, refusal = gate_request("(" + "x" * 20 + ")", 16)
+        assert nbytes == 23
+        assert type(refusal) is HostProtocolError
+        assert str(refusal) == "input of 22 B exceeds command buffer (16 B)"
+        assert gate_request("(xx)", 4)[2] is None  # exactly at capacity
+
+    def test_unbalanced_checked_before_capacity(self):
+        _, _, refusal = gate_request("(" * 40, 16)
+        assert isinstance(refusal, UnbalancedInputError)
+
+    def test_no_capacity_never_refuses_on_size(self):
+        text = "(" + "x" * 100_000 + ")"
+        assert gate_request(text, None) == (text, len(text) + 1, None)
+
+    def test_refused_request_still_sized(self):
+        # The packer sizes a refused request like any other.
+        assert gate_request("(é", 64)[1] == len("(é".encode()) + 1
+
+
 class TestProtocol:
     def test_upload_sets_sync(self, buf):
         ms = buf.host_upload("(+ 1 2)")
@@ -50,8 +80,11 @@ class TestProtocol:
         assert ms > 0
 
     def test_unbalanced_upload_refused(self, buf):
-        with pytest.raises(UnbalancedInputError):
-            buf.host_upload("(+ 1 2")
+        # The gate refuses unbalanced text; host_upload only ever sees
+        # gated text.
+        _, _, refusal = gate_request("(+ 1 2", buf.capacity)
+        assert isinstance(refusal, UnbalancedInputError)
+        assert str(refusal) == "unbalanced parentheses: 1 '(' vs 0 ')'"
 
     def test_upload_while_device_busy(self, buf):
         buf.host_upload("(a)")

@@ -196,12 +196,14 @@ def test_cpu_batch_converts_its_rows_in_one_call(size, monkeypatch):
 #: builtins called from ``repro`` frames), measured on CPython 3.11. The
 #: first batch of each sequence is the largest: its texts still miss the
 #: parse cache and the JIT. The parent of the lean batch transaction
-#: counted 443 and 2,385 under this rule.
-GPU_BATCH_CALLS = {1: 362, 8: 2139}
+#: counted 443 and 2,385 under this rule, and 362 and 2,139 before each
+#: request passed one upload gate.
+GPU_BATCH_CALLS = {1: 357, 8: 2120}
 
 #: The same for the warm batches that serving repeats, the fourth to
-#: sixth of each sequence (the parent counted 303 and 1,736).
-GPU_BATCH_CALLS_WARM = {1: 221, 8: 1419}
+#: sixth of each sequence (the parent counted 303 and 1,736; 221 and
+#: 1,419 before the one upload gate).
+GPU_BATCH_CALLS_WARM = {1: 216, 8: 1400}
 
 
 @functools.lru_cache(maxsize=None)

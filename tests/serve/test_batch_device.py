@@ -160,7 +160,7 @@ class TestDeviceLevelInvariants:
     def test_over_capacity_batch_refused_whole(self, gpu):
         """Two individually-valid 40 KiB commands exceed the 64 KiB
         buffer together: the device does not split them (the scheduler
-        is the one packer) — the upload gate refuses the batch before
+        is the one packer) — ``host_upload`` refuses the batch before
         any device state changes, and the device serves the next one."""
         big = "(+ " + " ".join(["1"] * 20000) + ")"  # ~40 KiB each
         uploads = gpu.cmdbuf.log.uploads

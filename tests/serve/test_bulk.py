@@ -44,6 +44,15 @@ class TestSplitListText:
         with pytest.raises(EvalError, match="unbalanced"):
             split_list_text("((1 2)")
 
+    def test_strings_stay_whole(self):
+        # Spaces and parentheses inside a string literal split nothing.
+        assert split_list_text('("a b" ("c )" d) "" e)') == [
+            '"a b"',
+            '("c )" d)',
+            '""',
+            "e",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Capability-weighted sharding
@@ -110,6 +119,14 @@ class TestBulkJob:
             )
         with CuLiServer(devices=["gtx1080", "gtx1080", "tesla-m40"]) as fleet:
             got = fleet.gpu_map("(lambda (x) (+ (* x x) 1))", elems)
+        assert got == want
+
+    def test_string_results_match_unsharded_gpu_map(self):
+        with CuLiServer(devices=["gtx1080"]) as solo:
+            want = solo.open_session().eval('(gpu-map (lambda (x) "a b") (1 2 3))')
+        assert want == '("a b" "a b" "a b")'
+        with CuLiServer(devices=["gtx1080", "gtx1080"]) as server:
+            got = server.gpu_map('(lambda (x) "a b")', [1, 2, 3])
         assert got == want
 
     def test_nested_list_results_gather_whole(self):

@@ -24,6 +24,7 @@ from repro.errors import (
     is_containable_fault,
 )
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
+from repro.gpu.hostlink import gate_request
 from repro.gpu.specs import GTX1080
 from repro.runtime.batch import BatchRequest
 from repro.serve import CuLiServer
@@ -303,30 +304,72 @@ class TestAbortRegionLeak:
         device.close()
 
 
+def uploaded_batch(texts: list[str]) -> tuple[bytes, list[int], GPUDevice]:
+    """Run ``texts`` as one GPU batch; return the uploaded payload, the
+    byte offset of each parsed request's source inside it, and the device."""
+    device = GPUDevice(GTX1080)
+    interp = device.interp
+    uploads: list[str] = []
+    offsets: list[int] = []
+    upload, prepare = device.cmdbuf.host_upload, interp.prepare_command
+
+    def record_upload(text):
+        uploads.append(text)
+        return upload(text)
+
+    def record_prepare(source, ctx):
+        offsets.append(source.base - device.input_region.base)
+        return prepare(source, ctx)
+
+    device.cmdbuf.host_upload = record_upload
+    interp.prepare_command = record_prepare
+    device.submit_batch([BatchRequest(t) for t in texts])
+    (payload,) = uploads
+    return payload.encode(), offsets, device
+
+
 class TestMultibytePayloadOffsets:
     """Satellite: payload packing sizes requests in bytes, so base
     offsets must advance in bytes too — not characters."""
 
     def test_offsets_align_with_packed_payload(self):
         texts = ['(princ "héllo")', "(+ 1 2)", '(princ "λμν")', "(* 2 3)"]
-        offsets = GPUDevice._payload_base_offsets(texts, {})
-        payload = " ".join(texts).encode()
+        payload, offsets, device = uploaded_batch(texts)
+        assert payload == " ".join(texts).encode()
+        assert len(offsets) == len(texts)
         for text, off in zip(texts, offsets):
             data = text.encode()
             assert payload[off : off + len(data)] == data
+        device.close()
 
     def test_refused_requests_carry_no_payload(self):
-        texts = ["(+ 1 2)", "(oops", "(* 2 3)"]
-        offsets = GPUDevice._payload_base_offsets(texts, {1: Exception("x")})
-        assert offsets == [0, 8, 8]
+        payload, offsets, device = uploaded_batch(["(+ 1 2)", "(oops", "(* 2 3)"])
+        assert payload == b"(+ 1 2) (* 2 3)"
+        assert offsets == [0, 8]
+        device.close()
 
     def test_multibyte_char_advances_by_encoded_size(self):
-        texts = ["(é)", "(+ 1 2)"]
-        offsets = GPUDevice._payload_base_offsets(texts, {})
+        _, offsets, device = uploaded_batch(["(é)", "(+ 1 2)"])
         # "(é)" is 3 chars but 4 bytes ("é" is 2 bytes in UTF-8), plus
         # the separator: byte offset 5, where the old char-based
         # accounting would misalign the second request at 4.
         assert offsets == [0, 5]
+        device.close()
+
+    def test_upload_is_packer_sizes_less_one_separator(self):
+        """What the scheduler packs is what the device uploads, byte for byte."""
+        texts = [
+            '(princ "héllo")',
+            "(+ 1\n2)\x00\x07",
+            '  (princ "λμν")\t ',
+            "\r\n(* 2 3)   ",
+        ]
+        device = GPUDevice(GTX1080)
+        capacity = device.cmdbuf.capacity
+        packed = sum(gate_request(t, capacity)[1] for t in texts)
+        device.submit_batch([BatchRequest(t) for t in texts])
+        assert device.cmdbuf.log.bytes_up == packed - 1
+        device.close()
 
     def test_multibyte_batch_outputs_correct(self):
         device = GPUDevice(GTX1080)
@@ -348,11 +391,9 @@ class TestSanitizedCapacityAccounting:
     sanitized text — since the scheduler is the only payload packer."""
 
     def test_payload_size_uses_sanitized_bytes(self):
-        from repro.gpu.hostlink import payload_bytes
-
         raw = "(+ 1 2)" + "\x00" * 1000  # dropped by sanitization
-        assert payload_bytes(raw) == len("(+ 1 2)".encode()) + 1
-        assert payload_bytes("(é)") == len("(é)".encode()) + 1
+        assert gate_request(raw, 64)[1] == len("(+ 1 2)".encode()) + 1
+        assert gate_request("(é)", 64)[1] == len("(é)".encode()) + 1
 
     def test_boundary_raw_oversized_sanitized_fits_one_batch(self):
         """Two requests whose *raw* sizes each exceed the command buffer

@@ -4,7 +4,7 @@
 for every batch. The reference functions below are the deque-based
 ``Scheduler.form_batch_async`` and ``Rebalancer._pick_session`` as they
 were before the index existed, kept verbatim apart from taking the
-deque explicitly. Randomized
+deque explicitly and sizing through the upload gate. Randomized
 operation sequences drive both representations side by side and assert
 identical batches, identical picks, identical per-session FIFOs, and
 queue positions that sort into the deque's order.
@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.gpu.hostlink import payload_bytes
+from repro.gpu.hostlink import gate_request
 from repro.serve.pool import DeviceQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.session import Ticket
@@ -56,7 +56,7 @@ def ref_form_batch_async(self, pdev, queue):
             break
         if ticket.session.bulk and has_deadline:
             continue
-        size = payload_bytes(ticket.text)
+        size = gate_request(ticket.text, capacity)[1]
         if capacity is not None and batch and payload + size > capacity:
             break
         payload += size
