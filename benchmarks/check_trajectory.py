@@ -17,6 +17,10 @@ run by the perf-smoke job:
 * ``bulk`` — ``benchmarks/baselines/BENCH_bulk.json``: the data-parallel
   ``gpu-map`` family (fleet sharding vs one device, interactive p99
   under a co-running bulk job).
+* ``core`` — ``benchmarks/baselines/BENCH_core.json``: the interpreter
+  core family (the paper's Figs. 14-18 per-phase figures, a full device
+  command, the JIT and GC benches), which a reader, evaluator or
+  collector change must not move.
 
 Check a fresh run (exit 1 on drift beyond tolerance)::
 
@@ -44,6 +48,11 @@ SERVE_MODULES = ("serve_throughput", "rebalance", "failover", "continuous_batchi
 HETERO_MODULES = ("hetero_fleet",)
 #: Bench modules whose points feed the bulk gpu-map baseline.
 BULK_MODULES = ("gpu_map",)
+#: Bench modules whose points feed the interpreter-core baseline.
+CORE_MODULES = (
+    "fig14_base_latency", "fig15_runtime", "fig16_phases", "fig17_proportions",
+    "fig18_cpu_proportions", "interpreter", "jit", "gc",
+)
 
 _BASELINE_DIR = os.path.join(os.path.dirname(__file__), "baselines")
 
@@ -52,6 +61,7 @@ FAMILIES = {
     "serve": (SERVE_MODULES, os.path.join(_BASELINE_DIR, "BENCH_serve.json")),
     "hetero": (HETERO_MODULES, os.path.join(_BASELINE_DIR, "BENCH_hetero.json")),
     "bulk": (BULK_MODULES, os.path.join(_BASELINE_DIR, "BENCH_bulk.json")),
+    "core": (CORE_MODULES, os.path.join(_BASELINE_DIR, "BENCH_core.json")),
 }
 
 

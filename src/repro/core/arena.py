@@ -22,6 +22,12 @@ everything still carrying the region tag is returned to the free list in
 one sweep of the region's slab (no marking, no hashing). Bookkeeping is
 list/slab-based throughout: sweeps walk ``_nodes`` (creation order) and
 compare int tags, never hash node objects.
+
+Host cost: a node is handed out by one :meth:`NodeArena.take` (the
+reader's one arena call per node), and every reclamation — a nursery
+reset, a fault rollback, the major sweep, a single ``free`` — goes
+through :meth:`NodeArena.release`, which clears the freed nodes' fields
+in one loop and lists them on the free list as a run, in slab order.
 """
 
 from __future__ import annotations
@@ -156,9 +162,10 @@ class NodeArena:
         (``alloc`` charges before it can raise), and under the atomic
         cursor one contended fetch-add per take, made before it.
         """
-        if self._free:
-            # free() cleared every other field when it listed the node.
-            node = self._free.pop()
+        free = self._free
+        if free:
+            # The release that listed the node cleared every other field.
+            node = free.pop()
             node.ntype = ntype
         else:
             if self._used >= self.capacity:
@@ -169,23 +176,22 @@ class NodeArena:
             node = Node(self._next_idx, ntype)
             self._next_idx += 1
             self._nodes.append(node)
-        self._used += 1
-        region = self._current_region
-        node.region = region
+        used = self._used = self._used + 1
+        region = node.region = self._current_region
         if region > REGION_TENURED:
             self._region_nodes.append(node)
-        self.stats.allocs += 1
-        if self._used > self.stats.peak_used:
-            self.stats.peak_used = self._used
+        stats = self.stats
+        stats.allocs += 1
+        if used > stats.peak_used:
+            stats.peak_used = used
         return node
 
     def instantiate(self, template: TemplateNode, ctx: ExecContext) -> Node:
         """Take a node carrying ``template``'s type and four value fields.
 
-        The one node initializer of the reader and the parse cache.
-        Uncharged like :meth:`take`, whose ``NODE_ALLOC`` the caller
-        owes, also when this raises; under the atomic cursor it makes
-        the take's contended fetch-add itself.
+        The parse cache's node initializer. Uncharged like :meth:`take`,
+        whose ``NODE_ALLOC`` the caller owes, also when this raises; under
+        the atomic cursor it makes the take's contended fetch-add itself.
         """
         if self.atomic_cursor:
             self.cursor.fetch_add_contended(1, ctx, self.contention_width)
@@ -196,40 +202,62 @@ class NodeArena:
         node.sym_id = template.sym_id
         return node
 
-    @staticmethod
-    def _clear(node: Node) -> None:
-        node.ntype = NodeType.N_NIL
-        node.ival = 0
-        node.fval = 0.0
-        node.sval = ""
-        node.sym_id = -1
-        node.fn = None
-        node.first = None
-        node.last = None
-        node.nxt = None
-        node.params = None
-        node.sealed = False
-        node.linked = False
-
     def free(self, node: Node) -> None:
-        """Mark one node as free (it may be handed out again).
-
-        The node's value and link fields are cleared *immediately* — a
-        node sitting on the free list must neither pin its former
-        subgraph alive on the host nor leak prior request state (symbol
-        ids, parameter lists) to whoever recycles it.
-        """
+        """Mark one node as free (it may be handed out again): a
+        :meth:`release` of one, checked against a double free."""
         if node.region == REGION_FREE:
             raise ArenaExhaustedError(
                 f"node #{node.idx} already on the free list — double free?"
             )
         if self._used <= 0:
             raise ArenaExhaustedError("free() with no live nodes — double free?")
-        self._clear(node)
-        node.region = REGION_FREE
-        self._used -= 1
-        self.stats.frees += 1
-        self._free.append(node)
+        self.release([node], node.region)
+
+    def release(self, nodes: list[Node], tag: int) -> tuple[int, list[Node]]:
+        """Free every node of ``nodes`` tagged ``tag``, in one pass with
+        one bookkeeping update; returns the freed count and the nodes
+        kept (for a nursery region, those promoted to the tenured
+        generation).
+
+        Each node must be listed once, so a tag match rules out a double
+        free. The freed nodes join the free list in list order, up to the
+        first kept node as one run. Their value and link fields are
+        cleared *immediately*: a node sitting on the free list must
+        neither pin its former subgraph alive on the host nor leak prior
+        request state (symbol ids, parameter lists) to whoever recycles
+        it.
+        """
+        free_list = self._free
+        nil = NodeType.N_NIL
+        kept: list[Node] = []
+        freed = 0
+        for node in nodes:
+            if node.region != tag:
+                if not kept:
+                    free_list.extend(nodes[:freed])
+                kept.append(node)
+                continue
+            node.ntype = nil
+            node.ival = 0
+            node.fval = 0.0
+            node.sval = ""
+            node.sym_id = -1
+            node.fn = None
+            node.first = None
+            node.last = None
+            node.nxt = None
+            node.params = None
+            node.sealed = False
+            node.linked = False
+            node.region = REGION_FREE
+            freed += 1
+            if kept:
+                free_list.append(node)
+        if not kept:
+            free_list.extend(nodes)
+        self._used -= freed
+        self.stats.frees += freed
+        return freed, kept
 
     # -- generational regions (deviation #7) -----------------------------------
 
@@ -261,7 +289,7 @@ class NodeArena:
         region = self._current_region
         if region <= REGION_TENURED:
             return (0, 0)
-        freed, survivors = self._release(self._region_nodes, region)
+        freed, survivors = self.release(self._region_nodes, region)
         promoted = len(survivors)
         self._region_nodes.clear()
         self._current_region = REGION_TENURED
@@ -297,7 +325,7 @@ class NodeArena:
         region = self._current_region
         if region <= REGION_TENURED or watermark >= len(self._region_nodes):
             return (0, 0)
-        freed, survivors = self._release(self._region_nodes[watermark:], region)
+        freed, survivors = self.release(self._region_nodes[watermark:], region)
         # Promoted escapees stay in the slab so the final region reset
         # still counts them in its promotion statistics.
         del self._region_nodes[watermark:]
@@ -305,28 +333,6 @@ class NodeArena:
         self.gc_stats.checkpoint_rollbacks += 1
         self.gc_stats.nodes_freed += freed
         return (freed, len(survivors))
-
-    def _release(self, nodes: list[Node], region: int) -> tuple[int, list[Node]]:
-        """Free every node of ``nodes`` still tagged ``region``, in one
-        pass with one bookkeeping update (what :meth:`free` does per
-        node; a tag match rules out a double free). Returns the freed
-        count and the nodes promoted to the tenured generation."""
-        clear = self._clear
-        free_list = self._free
-        survivors: list[Node] = []
-        freed = 0
-        for node in nodes:
-            tag = node.region
-            if tag == region:
-                clear(node)
-                node.region = REGION_FREE
-                free_list.append(node)
-                freed += 1
-            elif tag == REGION_TENURED:
-                survivors.append(node)
-        self._used -= freed
-        self.stats.frees += freed
-        return freed, survivors
 
     # -- mark epochs ------------------------------------------------------------
 

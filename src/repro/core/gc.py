@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..context import CountingContext, ExecContext, NullContext
 from ..ops import Op
-from .nodes import REGION_FREE, Node
+from .nodes import REGION_FREE, REGION_TENURED, Node
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -86,9 +86,9 @@ def mark_epoch(roots: list[Node], epoch: int, ctx: ExecContext) -> int:
     returns the number of nodes visited.
 
     One int compare/store per node, never a hash of a node object; one
-    ``NODE_READ`` is charged per node visited (the device fetches its
-    link fields once). ``node.last`` is on the first/nxt chain, so it
-    needs no visit of its own.
+    ``NODE_READ`` per node visited (the device fetches its link fields
+    once), charged as one total. ``node.last`` is on the first/nxt chain,
+    so it needs no visit of its own.
     """
     visited = 0
     stack = list(roots)
@@ -97,7 +97,6 @@ def mark_epoch(roots: list[Node], epoch: int, ctx: ExecContext) -> int:
         if node.gc_epoch == epoch:
             continue
         node.gc_epoch = epoch
-        ctx.charge(Op.NODE_READ)
         visited += 1
         if node.first is not None:
             stack.append(node.first)
@@ -105,6 +104,8 @@ def mark_epoch(roots: list[Node], epoch: int, ctx: ExecContext) -> int:
             stack.append(node.nxt)
         if node.params is not None:
             stack.append(node.params)
+    if visited:
+        ctx.charge(Op.NODE_READ, visited)
     return visited
 
 
@@ -113,26 +114,27 @@ def collect_major(interp: "Interpreter", ctx: Optional[ExecContext] = None) -> i
     policy's fallback; the literal policy's only collector).
 
     Marks with epoch stamps, then sweeps the arena slab in creation
-    order, freeing every live node whose stamp is stale. Charges one
-    ``NODE_READ`` per marked node and per swept slot, and one
-    ``NODE_WRITE`` per freed node, to ``ctx`` (pass none to run
-    uncharged). Must only run between commands: evaluation temporaries
-    held on the host stack are not rooted.
+    order and frees every live node whose stamp is stale as one run
+    (:meth:`~repro.core.arena.NodeArena.release`; between commands every
+    live node is tenured). Charges one ``NODE_READ`` per marked node and
+    per swept slot, and one ``NODE_WRITE`` per freed node, to ``ctx``
+    (pass none to run uncharged), as one total per pass each. Must only
+    run between commands: evaluation temporaries held on the host stack
+    are not rooted.
     """
     if ctx is None:
         ctx = _NULL_CTX
     arena = interp.arena
     epoch = arena.next_epoch()
     mark_epoch(gather_roots(interp), epoch, ctx)
-    freed = 0
-    for node in arena._nodes:
-        if node.region == REGION_FREE:
-            continue
-        ctx.charge(Op.NODE_READ)
-        if node.gc_epoch != epoch:
-            arena.free(node)
-            ctx.charge(Op.NODE_WRITE)
-            freed += 1
+    live = [node for node in arena._nodes if node.region != REGION_FREE]
+    freed, _ = arena.release(
+        [node for node in live if node.gc_epoch != epoch], REGION_TENURED
+    )
+    if live:
+        ctx.charge(Op.NODE_READ, len(live))
+    if freed:
+        ctx.charge(Op.NODE_WRITE, freed)
     arena.gc_stats.major_collections += 1
     arena.gc_stats.nodes_freed += freed
     return freed

@@ -7,34 +7,43 @@ sees a whitespace character, or an opening or closing parenthesis. These
 characters are markers for the parser. The substring between the last
 marker and the current marker is the input to generate a new node."
 
-The tokenizer is a single-pass cursor: every character is loaded from
-:class:`~repro.gpu.memory.SourceBuffer` exactly once (one ``CHAR_LOAD`` +
-``PARSE_STEP``, cache-modelled), like the C scanner it stands in for.
-Parsing is therefore a serial, latency-bound scan on the master thread —
-exactly the behaviour the paper identifies as CuLi's bottleneck.
+The modeled tokenizer is a single-pass cursor: every character is loaded
+from :class:`~repro.gpu.memory.SourceBuffer` exactly once (one
+``CHAR_LOAD`` + ``PARSE_STEP``, cache-modelled), like the C scanner it
+stands in for. Parsing is therefore a serial, latency-bound scan on the
+master thread — exactly the behaviour the paper identifies as CuLi's
+bottleneck.
 
-The host pays that scan as one run per parse. The cursor is a plain int
-over the text: whitespace, comments and atoms advance by one regex match,
-strings by one ``str.find``. When the parse ends, normally or on an
-error, :meth:`~repro.gpu.memory.SourceBuffer.load_run` charges positions
-``0 .. min(pos, n)`` (the terminator included). Those are the same op
-counts, and the same cache addresses in the same order, as one load per
-character, since no other cache access happens inside a parse.
+The host pays that scan as one run per parse. It first cuts the text
+into the tokens the scan would read: a text of whitespace and printable
+ASCII without a quote, string or comment mark by spacing out its
+parentheses and splitting it, any other text by one ``findall`` of
+:data:`_TOKEN`. When the parse ends, normally or on an error,
+:meth:`~repro.gpu.memory.SourceBuffer.load_run` charges positions
+``0 .. stop`` (the terminator included at the end of the text), where
+``stop`` is where the cursor would have stopped: the end of the text,
+the start of a token that raised, or the end of the token whose node
+could not be taken. Those are the same op counts, and the same cache
+addresses in the same order, as one load per character, since no other
+cache access happens inside a parse. Positions are worked out only on
+the way out of a stopped parse (:func:`_span`).
 
-The parse itself is one loop over an explicit stack, not a recursive
-descent: an open list is a frame holding its node, its template and the
-position of its ``(``, a pending ``'`` quote is a frame too, and the
-stack height is the nesting depth. Every node the parse takes is made
-from a :class:`~repro.core.nodes.TemplateNode` built in the same step
-(:meth:`~repro.core.arena.NodeArena.instantiate`), and a child joins its
-parent node and its parent template together, so one scan yields both
-the arena tree and the detached copy the parse cache keeps. Unsigned
-decimal ints, plain symbols and a lone ``+``/``-`` skip
-``classify_atom``. The parse tallies its ``PARSE_STEP``, digit,
-``NODE_ALLOC``, ``NODE_WRITE`` and intern-hit ``HASH_PROBE`` charges and
-adds them beside the scan run, so a parse makes the same few charge
-calls however long its input is. The counts are the ones a per-node
-builder charges; only the number of calls differs.
+The parse itself is one loop over the tokens, not a recursive descent:
+the open list, its template and the quotes pending in it are locals, the
+levels around it wait on a stack, and open lists plus pending quotes are
+the nesting depth. Every node is one :meth:`~repro.core.arena.NodeArena.take`
+whose value field the loop writes. :meth:`Parser.read`, whose templates
+the parse cache keeps, also makes each node's
+:class:`~repro.core.nodes.TemplateNode` in the same step, and a child
+joins its parent node and its parent template together, so one scan
+yields both the arena tree and the detached copy; :meth:`Parser.parse`
+makes no template. Unsigned decimal ints, plain symbols and a lone
+``+``/``-`` skip ``classify_atom``. The parse tallies its
+``PARSE_STEP``, digit, ``NODE_ALLOC``, ``NODE_WRITE`` and intern-hit
+``HASH_PROBE`` charges and adds them beside the scan run, so a parse
+makes the same few charge calls however long its input is. The counts
+are the ones a per-node builder charges; only the number of calls
+differs.
 
 Note on environments: the paper creates an environment per list at parse
 time; we charge that allocation here but materialize environments lazily
@@ -44,6 +53,7 @@ during evaluation (see DESIGN.md deviations).
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from ..context import ExecContext
@@ -60,13 +70,19 @@ __all__ = ["Parser"]
 
 _WHITESPACE = " \t\n\r\v\f"
 _QUOTE_SUGAR = "'"
-#: Characters that start a run of whitespace and ';' line comments.
-_SKIP_START = _WHITESPACE + ";"
-#: One run of whitespace and comments; a comment ends before its newline.
-_SKIP = re.compile(f"(?:[{_WHITESPACE}]+|;[^\n]*)*")
-#: An atom runs up to whitespace or a parenthesis.
-_ATOM = re.compile(f"[^{_WHITESPACE}()]*")
+#: One token per match: the whitespace and ';' comments before it, then a
+#: parenthesis or quote, a string (unclosed only at the end of the text),
+#: an atom, or the end of the text as an empty token. A match cannot fail,
+#: so the skip never backtracks.
+_TOKEN = re.compile(
+    f'(?:[{_WHITESPACE}]+|;[^\\n]*)*([()\']|"[^"]*"?|[^{_WHITESPACE}()]+|\\Z)'
+)
+#: A character other than the reader's whitespace and printable ASCII, or
+#: a quote, string or comment mark. A text without one is tokenized by
+#: spacing out its parentheses and splitting it at whitespace.
+_NOT_PLAIN = re.compile(r"[^\t-\r !#-&(-:<-~]")
 _MAX_NESTING = 512
+_DIGITS = frozenset("0123456789")
 #: First characters that send an atom through ``classify_atom`` (numbers,
 #: strings), unless the atom is a lone sign.
 _CLASSIFY_START = frozenset("0123456789+-.E\"")
@@ -78,18 +94,23 @@ _RESERVED = ("nil", "T", "t")
 _FAST_INT_DIGITS = 640
 #: Per digit of an int atom, beside its PARSE_STEP.
 _DIGIT_OPS = (Op.IMUL, Op.ALU)
-_LIST, _SYMBOL, _INT, _TRUE = (
-    NodeType.N_LIST, NodeType.N_SYMBOL, NodeType.N_INT, NodeType.N_TRUE)
-#: Per ``classify_atom`` class: the node type, and the field its value
-#: fills (nil and T carry none, so their node is a bare allocation).
-_ATOM_FIELDS = {
-    AtomClass.STRING: (NodeType.N_STRING, "sval"),
-    AtomClass.NIL: (NodeType.N_NIL, None),
-    AtomClass.TRUE: (_TRUE, None),
-    AtomClass.INT: (_INT, "ival"),
-    AtomClass.FLOAT: (NodeType.N_FLOAT, "fval"),
-    AtomClass.SYMBOL: (_SYMBOL, "sval"),
+_LIST, _SYMBOL, _INT, _FLOAT = (
+    NodeType.N_LIST, NodeType.N_SYMBOL, NodeType.N_INT, NodeType.N_FLOAT)
+#: The node type of each ``classify_atom`` class.
+_ATOM_TYPES = {
+    AtomClass.STRING: NodeType.N_STRING,
+    AtomClass.NIL: NodeType.N_NIL,
+    AtomClass.TRUE: NodeType.N_TRUE,
+    AtomClass.INT: _INT,
+    AtomClass.FLOAT: _FLOAT,
+    AtomClass.SYMBOL: _SYMBOL,
 }
+
+
+def _span(text: str, index: int) -> tuple[int, int]:
+    """Where token ``index`` of ``text`` starts and ends: the cursor
+    positions an error or a failed take stops at."""
+    return next(islice(_TOKEN.finditer(text), index, None)).span(1)
 
 
 class Parser:
@@ -101,148 +122,185 @@ class Parser:
 
     def parse(self, source: SourceBuffer | str, base_addr: int = 0) -> list[Node]:
         """Parse the whole input; returns the top-level forms in order."""
-        return self.read(source, base_addr)[0]
+        return self._read(source, base_addr, False)[0]
 
     def read(
         self, source: SourceBuffer | str, base_addr: int = 0
     ) -> tuple[list[Node], list[TemplateNode]]:
         """Parse the whole input; returns the top-level forms in order and
         their templates."""
+        return self._read(source, base_addr, True)
+
+    def _read(
+        self, source: SourceBuffer | str, base_addr: int, keep: bool
+    ) -> tuple[list[Node], list[TemplateNode]]:
+        """The one reader loop; it builds the templates too if ``keep``."""
         if isinstance(source, str):
             source = SourceBuffer(source, base=base_addr)
         ctx = self.ctx
         source.bind(ctx)
         text = source.text
         n = len(text)
+        if _NOT_PLAIN.search(text) is None:
+            tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+            ascii_text = True
+        else:
+            tokens = _TOKEN.findall(text)
+            del tokens[tokens.index(""):]
+            ascii_text = text.isascii()
         arena = self.interp.arena
-        instantiate = arena.instantiate
+        take = arena.take
+        cursor = arena.cursor if arena.atomic_cursor else None
         symtab = arena.symtab
-        # One frame per open list, (node, template, position of its '('),
-        # and per pending quote, (None, None, position after the quote
-        # character). The stack height is the nesting depth.
+        # The open list, its template, its '(' token and the quotes pending
+        # in it; the levels around it wait on the stack.
+        parent = parent_template = None
+        opened = quotes = 0
         stack: list[tuple] = []
+        # Open lists plus pending quotes: the device parser stack's height.
+        depth = 0
         top: list[Node] = []
         templates: list[TemplateNode] = []
-        pos = 0
+        i = 0
+        # Where the cursor stopped, if not at the end of token i.
+        stop = -1
         # The parse's node charges, tallied and charged once on every way out.
         steps = digits = allocs = writes = probes = 0
         try:
-            while True:
-                if pos < n and text[pos] in _SKIP_START:
-                    pos = _SKIP.match(text, pos).end()
-                if pos >= n:
-                    if not stack:
-                        break
-                    if stack[-1][0] is None:
-                        raise ParseError("dangling quote", position=pos)
-                    raise ParseError("missing ')'", position=stack[-1][2])
-                ch = text[pos]
-                if ch == ")" and stack and stack[-1][0] is not None:
-                    pos += 1  # consume ')'
+            for i, token in enumerate(tokens):
+                ch = token[0]
+                if ch == ")" and parent is not None and not quotes:
                     writes += 1  # close the list: store its last pointer
-                    node, template, _ = stack.pop()
+                    node = parent
                     node.sealed = True
+                    template = parent_template
+                    parent, parent_template, opened, quotes = stack.pop()
+                    depth -= 1
                 else:
-                    if len(stack) > _MAX_NESTING:
+                    if depth > _MAX_NESTING:
+                        stop = _span(text, i)[0]
                         raise ParseError(
-                            "nesting too deep for the device parser stack", position=pos
+                            "nesting too deep for the device parser stack", position=stop
                         )
                     if ch == "(":
-                        pos += 1  # consume '(' before the node is taken
                         allocs += 1
-                        template = TemplateNode(_LIST)
-                        stack.append((instantiate(template, ctx), template, pos - 1))
+                        if cursor is not None:
+                            cursor.fetch_add_contended(1, ctx, arena.contention_width)
+                        node = take(_LIST)
                         # The paper allocates a fresh environment per parsed
                         # list; we charge that cost here (materialized
                         # lazily at eval time).
                         allocs += 1
+                        stack.append((parent, parent_template, opened, quotes))
+                        parent = node
+                        parent_template = TemplateNode(_LIST) if keep else None
+                        opened = i
+                        quotes = 0
+                        depth += 1
                         continue
-                    if ch == ")":
-                        raise ParseError("unexpected ')'", position=pos)
-                    if ch == _QUOTE_SUGAR:
-                        pos += 1  # consume the quote character
-                        stack.append((None, None, pos))
-                        continue
-                    start = pos
-                    if ch == '"':
-                        # No escape sequences (like the paper).
-                        close = text.find('"', start + 1)
-                        if close < 0:
-                            pos = n
-                            raise ParseError("unterminated string", position=start)
-                        pos = close + 1  # consume the closing quote
-                    else:
-                        # An atom runs up to the next marker.
-                        pos = _ATOM.match(text, start).end()
-                    token = text[start:pos]
-                    if token.isdigit() and token.isascii() and len(token) <= _FAST_INT_DIGITS:
+                    if ch in _DIGITS and token.isdigit() and (ascii_text or token.isascii()) \
+                            and (size := len(token)) <= _FAST_INT_DIGITS:
                         # classify_atom's dispatch step, then one
                         # PARSE_STEP + IMUL + ALU per digit.
-                        steps += 1 + len(token)
-                        digits += len(token)
-                        template = TemplateNode(_INT, int(token))
+                        steps += 1 + size
+                        digits += size
+                        ntype = _INT
+                        value = int(token)
+                    elif ch == ")":
+                        stop = _span(text, i)[0]
+                        raise ParseError("unexpected ')'", position=stop)
+                    elif ch == _QUOTE_SUGAR:
+                        quotes += 1
+                        depth += 1
+                        continue
                     elif ch in _CLASSIFY_START and token not in _SIGNS or token in _RESERVED:
+                        if ch == '"' and (len(token) == 1 or token[-1] != '"'):
+                            # No escape sequences (like the paper).
+                            stop = n
+                            raise ParseError("unterminated string", position=_span(text, i)[0])
                         cls, value = classify_atom(token, ctx)
-                        ntype, field = _ATOM_FIELDS[cls]
-                        template = TemplateNode(ntype)
-                        if field is not None:
-                            setattr(template, field, value)
+                        ntype = _ATOM_TYPES[cls]
                     else:
                         # A symbol: the dispatch step, plus the sign
                         # step of a lone sign's failed number parse.
                         steps += 2 if ch in _SIGNS else 1
-                        template = TemplateNode(_SYMBOL, sval=token)
+                        ntype = _SYMBOL
+                        value = token
                     allocs += 1
-                    node = instantiate(template, ctx)
+                    if cursor is not None:
+                        cursor.fetch_add_contended(1, ctx, arena.contention_width)
+                    node = take(ntype)
                     node.sealed = True
-                    if template.ntype > _TRUE:
-                        writes += 1  # the value, once the take succeeded
-                    if template.ntype == _SYMBOL and symtab is not None:
-                        sym_id = symtab.id_of(token)
-                        if sym_id is None:
-                            sym_id = symtab.intern(token, ctx)
+                    # The value, once the take succeeded (nil and T have none).
+                    if ntype == _INT:
+                        writes += 1
+                        node.ival = value
+                    elif ntype > _INT:
+                        writes += 1
+                        if ntype == _FLOAT:
+                            node.fval = value
                         else:
-                            probes += 1
-                        node.sym_id = template.sym_id = sym_id
-                # Hand the finished node to its frame: wrap it for each
+                            node.sval = value
+                            if ntype == _SYMBOL and symtab is not None:
+                                sym_id = symtab.id_of(value)
+                                if sym_id is None:
+                                    sym_id = symtab.intern(value, ctx)
+                                else:
+                                    probes += 1
+                                node.sym_id = sym_id
+                    if keep:
+                        template = TemplateNode(ntype, node.ival, node.fval, node.sval, node.sym_id)
+                # Hand the finished node to its level: wrap it once per
                 # pending quote, then link it into the open list.
-                while stack:
-                    parent, parent_template, _ = stack[-1]
-                    if parent is None:
-                        # Reader sugar: 'x -> (quote x). An extension over
-                        # the paper.
-                        stack.pop()
-                        allocs += 1
+                while quotes:
+                    # Reader sugar: 'x -> (quote x). An extension over the
+                    # paper.
+                    quotes -= 1
+                    depth -= 1
+                    allocs += 1
+                    if cursor is not None:
+                        cursor.fetch_add_contended(1, ctx, arena.contention_width)
+                    quoted = take(_LIST)
+                    allocs += 1
+                    if cursor is not None:
+                        cursor.fetch_add_contended(1, ctx, arena.contention_width)
+                    quote_sym = take(_SYMBOL)
+                    quote_sym.sval = "quote"
+                    quote_sym.sealed = True
+                    writes += 5  # the symbol's value and four link writes
+                    if symtab is not None:
+                        quote_sym.sym_id = symtab.intern("quote", ctx)
+                    quoted.append_child(quote_sym)
+                    quoted.append_child(node)
+                    node = quoted.seal()
+                    if keep:
                         wrapper = TemplateNode(_LIST)
-                        quoted = instantiate(wrapper, ctx)
-                        allocs += 1
-                        quote = TemplateNode(_SYMBOL, sval="quote")
-                        quote_sym = instantiate(quote, ctx)
-                        quote_sym.sealed = True
-                        writes += 5  # the symbol's value and four link writes
-                        if symtab is not None:
-                            quote_sym.sym_id = quote.sym_id = symtab.intern("quote", ctx)
-                        quoted.append_child(quote_sym)
-                        quoted.append_child(node)
-                        wrapper.children = [quote, template]
-                        node = quoted.seal()
+                        wrapper.children = [
+                            TemplateNode(_SYMBOL, sval="quote", sym_id=quote_sym.sym_id), template
+                        ]
                         template = wrapper
-                        continue
-                    # Two writes per linked child (first/last chain). The
-                    # nodes of one parse share a region, so no write
-                    # barrier can fire.
-                    writes += 2
-                    if parent.first is None:
-                        parent.first = node
-                    else:
-                        parent.last.nxt = node
-                    parent.last = node
-                    node.linked = True
-                    parent_template.children.append(template)
-                    break
-                else:
+                if parent is None:
                     top.append(node)
-                    templates.append(template)
+                    if keep:
+                        templates.append(template)
+                    continue
+                # Two writes per linked child (first/last chain). The nodes
+                # of one parse share a region, so no write barrier can fire.
+                writes += 2
+                last = parent.last
+                if last is None:
+                    parent.first = node
+                else:
+                    last.nxt = node
+                parent.last = node
+                node.linked = True
+                if keep:
+                    parent_template.children.append(template)
+            stop = n
+            if quotes:
+                raise ParseError("dangling quote", position=n)
+            if parent is not None:
+                raise ParseError("missing ')'", position=_span(text, opened)[0])
             if not top:
                 raise ParseError("empty input", position=0)
             return top, templates
@@ -251,7 +309,9 @@ class Parser:
             # included, was loaded exactly once: charge them as one run,
             # also when the parse stops early on an error, beside the
             # node tallies.
-            source.load_run(0, min(pos, n) + 1)
+            if stop < 0:
+                stop = _span(text, i)[1]
+            source.load_run(0, stop + 1)
             if steps:
                 ctx.charge(Op.PARSE_STEP, steps)
             if digits:

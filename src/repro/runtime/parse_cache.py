@@ -134,10 +134,12 @@ class ParseCache:
         # the old templates.
         entry = CacheEntry(templates)
         entry.uses = 1
-        self._entries[text] = entry
-        self._entries.move_to_end(text)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if text in entries:
+            entries.move_to_end(text)  # a new key is stored last anyway
+        entries[text] = entry
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.stats.evictions += 1
 
     # -- materialization -----------------------------------------------------------

@@ -15,6 +15,10 @@ context subclass: the hot path carries no counter of its own.
   as one charged run each.
 * A cold fast-path parse makes at most a fixed number of builtin calls
   per node: the reader's templates are the parse cache's, not a copy.
+* A cold fast-path parse and the release of its nursery make at most a
+  fixed number of calls per node (the ``benchmarks/host_calls.py`` rule):
+  one arena take per reader node, and a region freed as one run.
+* A parse without a parse cache builds no templates.
 """
 
 from __future__ import annotations
@@ -24,11 +28,15 @@ import sys
 
 import repro
 from repro.context import CountingContext
+from repro.core import reader
 from repro.core.interpreter import Interpreter, InterpreterOptions
+from repro.core.nodes import TemplateNode
 from repro.core.reader import Parser
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory import OutputBuffer, SourceBuffer
 from repro.ops import Op, Phase
+
+from benchmarks.host_calls import CallCounter
 
 _SCAN_OPS = (Op.CHAR_LOAD, Op.PARSE_STEP)
 
@@ -162,11 +170,13 @@ def test_traced_literal_runs_make_calls_independent_of_width():
 _SRC = os.path.dirname(repro.__file__)
 
 #: Builtin calls per int node of a cold fast-path ``prepare_command``,
-#: recorded when the reader made the cache's templates as it built. While
-#: the cache copied every fresh tree into templates in a second pass, an
-#: int node made 14 (and an element ``(g 1 x)`` of a list 43, now 35).
+#: recorded when the reader took each node with one arena call from a
+#: token list split out of the text. With a regex match per token and
+#: per separator, a template plus ``instantiate`` per node, it made 12;
+#: while the cache copied every fresh tree into templates in a second
+#: pass, 14 (and an element ``(g 1 x)`` of a list 43, then 35, now 14).
 #: Lower is fine; higher fails.
-COLD_PARSE_CALLS_PER_NODE = 12
+COLD_PARSE_CALLS_PER_NODE = 4
 
 
 def _cold_prepare_builtin_calls(n: int) -> int:
@@ -194,3 +204,95 @@ def _cold_prepare_builtin_calls(n: int) -> int:
 def test_cold_parse_builtin_calls_per_node_at_or_below_ceiling():
     per_node = (_cold_prepare_builtin_calls(400) - _cold_prepare_builtin_calls(100)) / 300
     assert per_node <= COLD_PARSE_CALLS_PER_NODE, per_node
+
+
+#: Calls per node (:class:`CallCounter`) of a cold fast-path
+#: ``prepare_command`` in a nursery region on a recycled free list, for an
+#: int list and a list of ``(g 1 x)`` elements (four nodes each),
+#: recorded when each reader node became one arena take. With a template
+#: plus ``instantiate`` and ``take`` per node and a regex match per token
+#: and per separator, they were 16 and 13.25. Lower is fine; higher fails.
+COLD_PARSE_COUNTED_CALLS_PER_NODE = {"12345": 7, "(g 1 x)": 7}
+#: Calls per node of the release of a nursery region, recorded when the
+#: region was freed as one run. With one ``_clear`` and one free-list
+#: append per node it was 2. Lower is fine; higher fails.
+RELEASE_CALLS_PER_NODE = 0
+
+
+def _wide(element: str, n: int) -> str:
+    return "(" + " ".join([element] * n) + ")"
+
+
+def _counted(fn) -> int:
+    """Calls made for ``repro`` while ``fn`` runs (:class:`CallCounter`)."""
+    counter = CallCounter(_SRC)
+    sys.setprofile(counter)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counter.calls
+
+
+def _nursery_parse(element: str, n: int) -> Interpreter:
+    """A fast-path interpreter whose free list holds a released parse of
+    ``n + 1`` elements, with a fresh nursery open."""
+    interp = Interpreter(InterpreterOptions.fast())
+    interp.begin_command_region()
+    interp.prepare_command(_wide(element, n + 1), CountingContext())
+    interp.collect_garbage()
+    interp.begin_command_region()
+    return interp
+
+
+def _cold_prepare_calls(element: str, n: int) -> int:
+    interp = _nursery_parse(element, n)
+    source = SourceBuffer(_wide(element, n))
+    calls = _counted(lambda: interp.prepare_command(source, CountingContext()))
+    assert interp.parse_cache.stats.misses == 2
+    return calls
+
+
+def _release_calls(n: int) -> int:
+    interp = _nursery_parse("12345", n)
+    interp.prepare_command(_wide("12345", n), CountingContext())
+    assert interp.arena.region_active
+    return _counted(interp.arena.reset_region)
+
+
+def test_cold_parse_calls_per_node_at_or_below_ceiling():
+    for element, ceiling in COLD_PARSE_COUNTED_CALLS_PER_NODE.items():
+        nodes = 4 if element.startswith("(") else 1
+        per_node = (_cold_prepare_calls(element, 400) - _cold_prepare_calls(element, 100)) / (
+            300 * nodes
+        )
+        assert per_node <= ceiling, (element, per_node)
+
+
+def test_release_calls_per_node_at_or_below_ceiling():
+    per_node = (_release_calls(400) - _release_calls(100)) / 300
+    assert per_node <= RELEASE_CALLS_PER_NODE, per_node
+
+
+def test_cacheless_parse_builds_no_templates(monkeypatch):
+    """Without a parse cache the forms are all a parse keeps, so the
+    reader makes no template; with one, it makes one per node."""
+    made = []
+
+    class Counted(TemplateNode):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs) -> None:
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(reader, "TemplateNode", Counted)
+    text = "(list 'a \"s\" 1.5 (g 1 x) nil)"
+    for options, expected in ((InterpreterOptions.fast(parse_cache_capacity=0), 0),
+                              (InterpreterOptions.fast(), 12)):
+        made.clear()
+        Interpreter(options).prepare_command(text, CountingContext())
+        assert len(made) == expected, options
+    made.clear()
+    Parser(Interpreter(), CountingContext()).parse(text)
+    assert made == []

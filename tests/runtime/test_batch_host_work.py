@@ -196,14 +196,16 @@ def test_cpu_batch_converts_its_rows_in_one_call(size, monkeypatch):
 #: builtins called from ``repro`` frames), measured on CPython 3.11. The
 #: first batch of each sequence is the largest: its texts still miss the
 #: parse cache and the JIT. The parent of the lean batch transaction
-#: counted 443 and 2,385 under this rule, and 362 and 2,139 before each
-#: request passed one upload gate.
-GPU_BATCH_CALLS = {1: 357, 8: 2120}
+#: counted 443 and 2,385 under this rule, 362 and 2,139 before each
+#: request passed one upload gate, and 357 and 2,120 before the reader
+#: took one arena call per node and a nursery was released as a run.
+GPU_BATCH_CALLS = {1: 308, 8: 1878}
 
 #: The same for the warm batches that serving repeats, the fourth to
 #: sixth of each sequence (the parent counted 303 and 1,736; 221 and
-#: 1,419 before the one upload gate).
-GPU_BATCH_CALLS_WARM = {1: 216, 8: 1400}
+#: 1,419 before the one upload gate; 216 and 1,400 before the run
+#: release).
+GPU_BATCH_CALLS_WARM = {1: 215, 8: 1385}
 
 
 @functools.lru_cache(maxsize=None)

@@ -164,6 +164,16 @@ OVERFLOW_CAPACITIES = range(0, 42, 3)
 #: uses, so the parse runs out part way.
 EXHAUSTION_TEXTS = ["(a (b c) (d e f) (g h i j k))", "(1 2 3)"]
 
+#: Texts whose parse can run out at a quote wrapper's list or symbol, a
+#: string, a float or a list closed under a quote.
+SUGAR_EXHAUSTION_TEXTS = ["'x", "''(a 'b)", '(s "t u" \'v "" 2.5)', "('(1 \"2\") 'c)"]
+#: Run before a parse so its nodes are back on the free list: the parse
+#: takes recycled nodes before fresh ones.
+RECYCLE_COMMAND = "(k 1)"
+#: Run after a parse that ran out: the nodes it takes show the order in
+#: which the abort returned the partial tree to the free list.
+PROBE_COMMAND = "(p 2)"
+
 
 def hot_repl_commands(seed: int = 1) -> list[str]:
     """The hot-repl command set as perfbench draws it: three defuns, ten

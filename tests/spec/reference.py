@@ -6,9 +6,10 @@ unit of work per call: one load per character, one charge per digit, one
 ``alloc`` per node built, copied or chained, one ``eval`` per node with
 every builtin through ``BuiltinFunction.call`` and one ``_find_here`` per
 scope, one charge per arithmetic step, one ``OutputBuffer.append`` per
-printed piece (so the one-miss-penalty-per-append behaviour stays) and
-one dot per cost row. :func:`installed` swaps them all in at once; the
-cost tables, the cache model, the collector and the trace executor are
+printed piece (so the one-miss-penalty-per-append behaviour stays), one
+dot per cost row, and one charge and one free-list append per node the
+collector marks, sweeps or frees. :func:`installed` swaps them all in at
+once; the cost tables, the cache model and the trace executor are
 production code on both sides.
 """
 
@@ -19,12 +20,13 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.core import gc
 from repro.core import interpreter as interpreter_module
 from repro.core import reader
 from repro.core.arena import NodeArena
 from repro.core.builtins import arithmetic, fileio, higher_order, lists, strings
 from repro.core.evaluator import _ENTRY_OPS, _LIST_ENTRY_OPS, Evaluator
-from repro.core.nodes import REGION_TENURED, NodeType, TemplateNode, promote_subgraph
+from repro.core.nodes import REGION_FREE, REGION_TENURED, NodeType, TemplateNode, promote_subgraph
 from repro.core.printer import Printer
 from repro.core.reader import _MAX_NESTING, _QUOTE_SUGAR, _WHITESPACE
 from repro.errors import ParseError, RecursionDepthError
@@ -294,6 +296,56 @@ def ref_build_list(interp, values, ctx):
     return lst.seal()
 
 
+# -- reclamation ------------------------------------------------------------------
+
+
+_RELEASE = NodeArena.release
+
+
+def ref_release(arena, nodes, tag):
+    """Stands for ``NodeArena.release``'s run: one release per node."""
+    kept = []
+    freed = 0
+    for node in nodes:
+        if node.region == tag:
+            freed += _RELEASE(arena, [node], tag)[0]
+        else:
+            kept.append(node)
+    return freed, kept
+
+
+def ref_collect_major(interp, ctx=None):
+    """Stands for ``gc.collect_major``'s folded pass totals: one
+    ``NODE_READ`` per marked node and per swept slot, one ``NODE_WRITE``
+    and one ``free`` per freed node, each charged as it happens."""
+    if ctx is None:
+        ctx = gc._NULL_CTX
+    arena = interp.arena
+    epoch = arena.next_epoch()
+    stack = gc.gather_roots(interp)
+    while stack:
+        node = stack.pop()
+        if node.gc_epoch == epoch:
+            continue
+        node.gc_epoch = epoch
+        ctx.charge(Op.NODE_READ)
+        for link in (node.first, node.nxt, node.params):
+            if link is not None:
+                stack.append(link)
+    freed = 0
+    for node in arena._nodes:
+        if node.region == REGION_FREE:
+            continue
+        ctx.charge(Op.NODE_READ)
+        if node.gc_epoch != epoch:
+            arena.free(node)
+            ctx.charge(Op.NODE_WRITE)
+            freed += 1
+    arena.gc_stats.major_collections += 1
+    arena.gc_stats.nodes_freed += freed
+    return freed
+
+
 # -- eval -------------------------------------------------------------------------
 
 
@@ -417,4 +469,6 @@ def installed():
         patch.setattr(Printer, "_print_int_run", lambda self, children, out: False)
         patch.setattr(OutputBuffer, "append_run", ref_append_run)
         patch.setattr(CostTable, "row_cycles", row_cycles)
+        patch.setattr(NodeArena, "release", ref_release)
+        patch.setattr(gc, "collect_major", ref_collect_major)
         yield

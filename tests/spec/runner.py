@@ -116,6 +116,7 @@ def run_program(
     max_depth: int = 1024,
     out_capacity: int = 1 << 20,
     bases: Sequence[int] = (4096,),
+    charge_gc: bool = False,
 ) -> RunRecord:
     """Run ``commands`` ``repeats`` times in one session of a fresh
     interpreter.
@@ -125,6 +126,8 @@ def run_program(
     ``bases[n % len(bases)]``, its output at 1 MiB in a buffer of
     ``out_capacity`` bytes. A command that raises is recorded as an
     ``error: ...`` output and aborted, as the serving layer does.
+    ``charge_gc`` charges each collection after a command to the run's
+    context, as a device charges its collector's.
     """
     interp = Interpreter(options)
     env = interp.create_session_env("spec")
@@ -161,7 +164,7 @@ def run_program(
             output = f"error: {type(exc).__name__}: {exc} @{position} | {out.getvalue()}"
             interp.abort_command()
         else:
-            interp.collect_garbage()
+            interp.collect_garbage(ctx if charge_gc else None)
         record.outputs.append(output)
         record.trail.append((
             [list(row) for row in ctx.counts.rows],

@@ -25,8 +25,8 @@ def test_small_arenas_match_the_spec(capacity):
     a list copy, traced and tree-walked."""
     texts = READER if capacity == 140 else [
         *EDGE_COMMANDS, *hot_repl_commands(), *perfbench_texts()["hot-repl"][:40]]
-    # Major collections are production code on both sides; a nearly full
-    # arena would run one after every command.
+    # A nearly full arena would run a major collection after every
+    # command (tests/core/test_gc_runs.py runs that case).
     options = InterpreterOptions.fast(jit=True, arena_capacity=capacity, gc_major_watermark=1.0)
     record = check_spec(texts, options, repeats=3)
     assert record.jit["trace_hits"] > 0
