@@ -25,9 +25,9 @@ compare int tags, never hash node objects.
 
 Host cost: a node is handed out by one :meth:`NodeArena.take` (the
 reader's one arena call per node), and every reclamation — a nursery
-reset, a fault rollback, the major sweep, a single ``free`` — goes
-through :meth:`NodeArena.release`, which clears the freed nodes' fields
-in one loop and lists them on the free list as a run, in slab order.
+reset, a fault rollback, the major sweep — goes through
+:meth:`NodeArena.release`, which clears the freed nodes' fields in one
+loop and lists them on the free list as a run, in slab order.
 """
 
 from __future__ import annotations
@@ -204,7 +204,11 @@ class NodeArena:
 
     def free(self, node: Node) -> None:
         """Mark one node as free (it may be handed out again): a
-        :meth:`release` of one, checked against a double free."""
+        :meth:`release` of one, checked against a double free.
+
+        The program reclaims only through :meth:`release`; this checked
+        single free serves the tests and the per-node reference collector
+        of ``tests/spec``."""
         if node.region == REGION_FREE:
             raise ArenaExhaustedError(
                 f"node #{node.idx} already on the free list — double free?"
@@ -216,12 +220,13 @@ class NodeArena:
     def release(self, nodes: list[Node], tag: int) -> tuple[int, list[Node]]:
         """Free every node of ``nodes`` tagged ``tag``, in one pass with
         one bookkeeping update; returns the freed count and the nodes
-        kept (for a nursery region, those promoted to the tenured
-        generation).
+        kept, those tagged otherwise (for a nursery region, the ones
+        promoted to the tenured generation). Nodes already on the free
+        list are skipped.
 
         Each node must be listed once, so a tag match rules out a double
         free. The freed nodes join the free list in list order, up to the
-        first kept node as one run. Their value and link fields are
+        first node not freed as one run. Their value and link fields are
         cleared *immediately*: a node sitting on the free list must
         neither pin its former subgraph alive on the host nor leak prior
         request state (symbol ids, parameter lists) to whoever recycles
@@ -231,11 +236,17 @@ class NodeArena:
         nil = NodeType.N_NIL
         kept: list[Node] = []
         freed = 0
+        # True while every node so far was freed: those are listed as one
+        # run, and each one freed after the run ends is listed as it goes.
+        run = True
         for node in nodes:
-            if node.region != tag:
-                if not kept:
+            region = node.region
+            if region != tag:
+                if run:
+                    run = False
                     free_list.extend(nodes[:freed])
-                kept.append(node)
+                if region != REGION_FREE:
+                    kept.append(node)
                 continue
             node.ntype = nil
             node.ival = 0
@@ -251,9 +262,9 @@ class NodeArena:
             node.linked = False
             node.region = REGION_FREE
             freed += 1
-            if kept:
+            if not run:
                 free_list.append(node)
-        if not kept:
+        if run:
             free_list.extend(nodes)
         self._used -= freed
         self.stats.frees += freed

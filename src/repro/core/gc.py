@@ -115,12 +115,13 @@ def collect_major(interp: "Interpreter", ctx: Optional[ExecContext] = None) -> i
 
     Marks with epoch stamps, then sweeps the arena slab in creation
     order and frees every live node whose stamp is stale as one run
-    (:meth:`~repro.core.arena.NodeArena.release`; between commands every
-    live node is tenured). Charges one ``NODE_READ`` per marked node and
-    per swept slot, and one ``NODE_WRITE`` per freed node, to ``ctx``
-    (pass none to run uncharged), as one total per pass each. Must only
-    run between commands: evaluation temporaries held on the host stack
-    are not rooted.
+    (:meth:`~repro.core.arena.NodeArena.release`). Between commands every
+    live node is tenured; a dead node still in a nursery region raises
+    ``RuntimeError`` and stays where it is. Charges one ``NODE_READ`` per
+    marked node and per swept slot, and one ``NODE_WRITE`` per freed
+    node, to ``ctx`` (pass none to run uncharged), as one total per pass
+    each. Must only run between commands: evaluation temporaries held on
+    the host stack are not rooted.
     """
     if ctx is None:
         ctx = _NULL_CTX
@@ -128,9 +129,14 @@ def collect_major(interp: "Interpreter", ctx: Optional[ExecContext] = None) -> i
     epoch = arena.next_epoch()
     mark_epoch(gather_roots(interp), epoch, ctx)
     live = [node for node in arena._nodes if node.region != REGION_FREE]
-    freed, _ = arena.release(
+    freed, stranded = arena.release(
         [node for node in live if node.gc_epoch != epoch], REGION_TENURED
     )
+    if stranded:
+        raise RuntimeError(
+            f"collect_major ran with {len(stranded)} dead node(s) in an open "
+            f"nursery region (node #{stranded[0].idx}); it must run between commands"
+        )
     if live:
         ctx.charge(Op.NODE_READ, len(live))
     if freed:

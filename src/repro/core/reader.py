@@ -15,10 +15,10 @@ master thread — exactly the behaviour the paper identifies as CuLi's
 bottleneck.
 
 The host pays that scan as one run per parse. It first cuts the text
-into the tokens the scan would read: a text of whitespace and printable
-ASCII without a quote, string or comment mark by spacing out its
-parentheses and splitting it, any other text by one ``findall`` of
-:data:`_TOKEN`. When the parse ends, normally or on an error,
+into the tokens the scan would read (:func:`_tokens`): a text of
+whitespace and printable ASCII without a quote, string or comment mark
+by spacing out its parentheses and splitting it, any other text by one
+``findall`` of :data:`_TOKEN`. When the parse ends, normally or on an error,
 :meth:`~repro.gpu.memory.SourceBuffer.load_run` charges positions
 ``0 .. stop`` (the terminator included at the end of the text), where
 ``stop`` is where the cursor would have stopped: the end of the text,
@@ -107,6 +107,24 @@ _ATOM_TYPES = {
 }
 
 
+def _tokens(text: str) -> tuple[list[str], bool]:
+    """The tokens the character scan reads in ``text``, and whether the
+    text is all ASCII.
+
+    A plain text (no match of :data:`_NOT_PLAIN`) is cut by spacing out
+    its parentheses and splitting it at whitespace: three string calls,
+    where a regex pays one match per token. Any other text takes one
+    ``findall`` of :data:`_TOKEN`. :func:`_span` re-finds a token's
+    position with :data:`_TOKEN`, so on a plain text both cuts must give
+    the same tokens.
+    """
+    if _NOT_PLAIN.search(text) is None:
+        return text.replace("(", " ( ").replace(")", " ) ").split(), True
+    tokens = _TOKEN.findall(text)
+    del tokens[tokens.index(""):]
+    return tokens, text.isascii()
+
+
 def _span(text: str, index: int) -> tuple[int, int]:
     """Where token ``index`` of ``text`` starts and ends: the cursor
     positions an error or a failed take stops at."""
@@ -141,13 +159,7 @@ class Parser:
         source.bind(ctx)
         text = source.text
         n = len(text)
-        if _NOT_PLAIN.search(text) is None:
-            tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-            ascii_text = True
-        else:
-            tokens = _TOKEN.findall(text)
-            del tokens[tokens.index(""):]
-            ascii_text = text.isascii()
+        tokens, ascii_text = _tokens(text)
         arena = self.interp.arena
         take = arena.take
         cursor = arena.cursor if arena.atomic_cursor else None

@@ -59,6 +59,34 @@ class TestRegions:
         assert keep.region == REGION_TENURED
         assert dies.region == REGION_FREE
 
+    def test_reset_skips_a_node_already_freed(self):
+        """A nursery node freed on its own is neither freed again nor
+        counted as promoted by the reset, and the free list holds each
+        node once."""
+        ctx = NullContext()
+        arena = NodeArena(capacity=16)
+        arena.begin_region()
+        nursery = [arena.alloc(NodeType.N_INT, ctx) for _ in range(4)]
+        arena.free(nursery[1])
+        assert arena.reset_region() == (3, 0)
+        assert arena.gc_stats.nodes_promoted == 0
+        assert arena.gc_stats.pure_resets == 1
+        assert arena.used == 0
+        assert arena.stats.frees == 4
+        assert sorted(node.idx for node in arena._free) == [n.idx for n in nursery]
+
+    def test_release_lists_freed_nodes_around_skipped_ones_in_order(self):
+        ctx = NullContext()
+        arena = NodeArena(capacity=16)
+        arena.begin_region()
+        nodes = [arena.alloc(NodeType.N_INT, ctx) for _ in range(6)]
+        promote_subgraph(nodes[3])
+        arena.free(nodes[1])
+        arena._free.clear()
+        freed, kept = arena.release(nodes, nodes[0].region)
+        assert (freed, kept) == (4, [nodes[3]])
+        assert arena._free == [nodes[0], nodes[2], nodes[4], nodes[5]]
+
     def test_promote_subgraph_walks_structure(self):
         ctx = NullContext()
         arena = NodeArena(capacity=16)
@@ -193,6 +221,15 @@ class TestGenerationalInterpreter:
         gen.collect_garbage()
         # The fallback full sweep finds nothing the minor path missed.
         assert collect_major(gen) == 0
+
+    def test_collect_major_refuses_dead_nursery_nodes(self, gen):
+        """Between commands every live node is tenured; a sweep inside an
+        open nursery must not quietly keep (or free) its dead nodes."""
+        gen.arena.begin_region()
+        dead = gen.arena.alloc(NodeType.N_INT, NullContext())
+        with pytest.raises(RuntimeError, match="nursery"):
+            collect_major(gen)
+        assert dead.region > REGION_TENURED
 
     def test_literal_mode_never_opens_a_region(self):
         interp = Interpreter()  # gc_policy="literal"

@@ -1,8 +1,11 @@
 """The char-by-char parser (paper §III-B-b)."""
 
+import random
+
 import pytest
 
 from repro.context import CountingContext
+from repro.core import reader
 from repro.core.nodes import NodeType
 from repro.core.reader import Parser
 from repro.errors import ParseError
@@ -155,3 +158,37 @@ class TestCharging:
         Parser(interp, short).parse("(+ 1 2)")
         Parser(interp, long).parse("(+ " + " ".join(["1"] * 100) + ")")
         assert long.counts.phase_count(long.phase) > short.counts.phase_count(short.phase)
+
+
+def _regex_tokens(text):
+    """The token regex's matches up to the end of the text, which it
+    matches as an empty token."""
+    tokens = reader._TOKEN.findall(text)
+    return tokens[:tokens.index("")]
+
+
+class TestTokens:
+    """A plain text is split at whitespace, any other text is cut by the
+    token regex, and error and exhaustion positions re-find tokens with
+    the regex: on a plain text both cuts must agree token for token."""
+
+    PLAIN = [c for c in map(chr, range(256)) if not reader._NOT_PLAIN.search(c)]
+
+    def test_plain_characters_split_like_the_scan(self):
+        for c in self.PLAIN:
+            assert (c.split() == []) == (c in reader._WHITESPACE), repr(c)
+        assert set("'\";").isdisjoint(self.PLAIN)
+
+    def test_plain_texts_split_into_the_regex_tokens(self):
+        rng = random.Random(0)
+        alphabet = self.PLAIN + ["(", ")", " ", "12", "foo"] * 8
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+            tokens, ascii_text = reader._tokens(text)
+            assert ascii_text
+            assert tokens == _regex_tokens(text), repr(text)
+
+    def test_other_texts_take_the_regex(self):
+        for text in ("'a", '"a b"', "a ; c", "a\x1cb", "\xa0x"):
+            assert reader._NOT_PLAIN.search(text)
+            assert reader._tokens(text)[0] == _regex_tokens(text)

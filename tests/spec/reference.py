@@ -309,7 +309,7 @@ def ref_release(arena, nodes, tag):
     for node in nodes:
         if node.region == tag:
             freed += _RELEASE(arena, [node], tag)[0]
-        else:
+        elif node.region != REGION_FREE:
             kept.append(node)
     return freed, kept
 
