@@ -11,7 +11,8 @@ Design choice (documented in DESIGN.md): by default, allocation charges
 no atomic — the master partitions the arena so workers bump-allocate
 privately. ``atomic_cursor=True`` switches to the literal shared-cursor
 reading of the paper, where every allocation is a contended atomic
-fetch-add; the ablation benchmark compares both.
+fetch-add; the ablation benchmark compares both. That fetch-add is made
+in one place, :meth:`NodeArena.take`, which hands out every node.
 
 Generational regions (DESIGN.md deviation #7): the arena can carve a
 per-request bump *region* (nursery) out of its fixed capacity. While a
@@ -23,11 +24,14 @@ one sweep of the region's slab (no marking, no hashing). Bookkeeping is
 list/slab-based throughout: sweeps walk ``_nodes`` (creation order) and
 compare int tags, never hash node objects.
 
-Host cost: a node is handed out by one :meth:`NodeArena.take` (the
-reader's one arena call per node), and every reclamation — a nursery
-reset, a fault rollback, the major sweep — goes through
-:meth:`NodeArena.release`, which clears the freed nodes' fields in one
-loop and lists them on the free list as a run, in slab order.
+Host cost: a node is one :meth:`NodeArena.take`. :meth:`NodeArena.alloc`
+adds the node's ``NODE_ALLOC`` charge to it; builders that charge a run
+of nodes at once (the reader, the parse cache's materializer,
+``build_list``'s copies) call ``take`` directly, one arena call per node
+they make. Every reclamation — a nursery reset, a fault rollback, the
+major sweep — goes through :meth:`NodeArena.release`, which clears the
+freed nodes' fields in one loop and lists them on the free list as a
+run, in slab order.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from ..context import ExecContext
 from ..errors import ArenaExhaustedError
 from ..gpu.atomics import AtomicCounter
 from ..ops import Op
-from .nodes import REGION_FREE, REGION_TENURED, Node, NodeType, TemplateNode
+from .nodes import REGION_FREE, REGION_TENURED, Node, NodeType
 
 __all__ = ["NodeArena", "ArenaStats", "GCStats"]
 
@@ -99,8 +103,10 @@ class NodeArena:
             raise ValueError("arena capacity must be positive")
         self.capacity = capacity
         self.atomic_cursor = atomic_cursor
-        #: width of simultaneous allocators, set by the parallel engine
-        #: while workers run in atomic-cursor (ablation) mode.
+        #: Allocators each contended fetch-add of the atomic cursor queues
+        #: behind (:meth:`AtomicCounter.fetch_add_contended`). The program
+        #: leaves it at 1; ``benchmarks/bench_ablation_arena.py`` sets it
+        #: to 32 on a device's arena for its shared-cursor runs.
         self.contention_width = 1
         self.cursor = AtomicCounter()
         #: Optional intern table (fast-path ablation): when set by the
@@ -149,19 +155,20 @@ class NodeArena:
 
     def alloc(self, ntype: NodeType, ctx: ExecContext) -> Node:
         ctx.charge(Op.NODE_ALLOC)
+        return self.take(ntype, ctx)
+
+    def take(self, ntype: NodeType, ctx: ExecContext) -> Node:
+        """Hand out the next free node: the one way a node is made.
+
+        Under the atomic cursor this first makes the take's contended
+        fetch-add on ``ctx``, also for a take that raises
+        :class:`ArenaExhaustedError`; it charges nothing else. The caller
+        owes one ``NODE_ALLOC`` per take, failed takes included, and may
+        fold a run of them into one charge (:meth:`alloc` charges it
+        alone, before it can raise).
+        """
         if self.atomic_cursor:
             self.cursor.fetch_add_contended(1, ctx, self.contention_width)
-        return self.take(ntype)
-
-    def take(self, ntype: NodeType) -> Node:
-        """The uncharged core of :meth:`alloc`: hand out the next node.
-
-        For builders that charge a run of allocations in one call. The
-        caller owes what :meth:`alloc` charges: one ``NODE_ALLOC`` per
-        take, including a take that raises :class:`ArenaExhaustedError`
-        (``alloc`` charges before it can raise), and under the atomic
-        cursor one contended fetch-add per take, made before it.
-        """
         free = self._free
         if free:
             # The release that listed the node cleared every other field.
@@ -184,22 +191,6 @@ class NodeArena:
         stats.allocs += 1
         if used > stats.peak_used:
             stats.peak_used = used
-        return node
-
-    def instantiate(self, template: TemplateNode, ctx: ExecContext) -> Node:
-        """Take a node carrying ``template``'s type and four value fields.
-
-        The parse cache's node initializer. Uncharged like :meth:`take`,
-        whose ``NODE_ALLOC`` the caller owes, also when this raises; under
-        the atomic cursor it makes the take's contended fetch-add itself.
-        """
-        if self.atomic_cursor:
-            self.cursor.fetch_add_contended(1, ctx, self.contention_width)
-        node = self.take(template.ntype)
-        node.ival = template.ival
-        node.fval = template.fval
-        node.sval = template.sval
-        node.sym_id = template.sym_id
         return node
 
     def free(self, node: Node) -> None:
@@ -366,10 +357,8 @@ class NodeArena:
         the write's ``NODE_WRITE`` in one call, made once the node is
         taken (a failed take charges the ``NODE_ALLOC`` alone, as
         ``alloc`` does before it raises)."""
-        if self.atomic_cursor:
-            self.cursor.fetch_add_contended(1, ctx, self.contention_width)
         try:
-            node = self.take(ntype)
+            node = self.take(ntype, ctx)
         except ArenaExhaustedError:
             ctx.charge(Op.NODE_ALLOC)
             raise

@@ -47,10 +47,6 @@ class BuiltinFunction:
     already-evaluated register values. Special forms and builtins with
     bespoke evaluation order leave ``values_fn`` as None — the trace
     compiler refuses to inline them and bails to the tree-walker.
-    ``pure`` marks builtins whose values-level call has no observable
-    side effect beyond its charged ops and return value (false for
-    print/princ/terpri and fault injection); the executor uses it to
-    decide whether a guard bail may still safely re-run the whole form.
     """
 
     name: str
@@ -59,7 +55,6 @@ class BuiltinFunction:
     max_args: Optional[int] = None  #: None = variadic
     doc: str = ""
     values_fn: Optional[BuiltinValuesImpl] = None
-    pure: bool = True
 
     def check_arity(self, n: int) -> None:
         if n < self.min_args or (self.max_args is not None and n > self.max_args):
@@ -110,7 +105,6 @@ class BuiltinRegistry:
         min_args: int = 0,
         max_args: Optional[int] = None,
         doc: str = "",
-        pure: bool = True,
     ) -> None:
         """Register a values-level builtin.
 
@@ -134,7 +128,6 @@ class BuiltinRegistry:
             max_args=max_args,
             doc=doc,
             values_fn=values_fn,
-            pure=pure,
         )
 
     def names(self) -> list[str]:

@@ -70,5 +70,4 @@ def register(reg) -> None:
         1,
         1,
         "Raise the named device fault (fault-injection test hook).",
-        pure=False,
     )

@@ -98,15 +98,12 @@ def build_list(interp: "Interpreter", values: Iterable[Node], ctx: ExecContext) 
     """
     arena = interp.arena
     lst = arena.alloc(NodeType.N_LIST, ctx)
-    cursor = arena.cursor if arena.atomic_cursor else None
     links = copies = 0
     try:
         for value in values:
             links += 1
             if value.linked:
-                if cursor is not None:
-                    cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                value = arena.take(value.ntype).copy_fields(value)
+                value = arena.take(value.ntype, ctx).copy_fields(value)
                 copies += 1
             lst.append_child(value)
     except ArenaExhaustedError:

@@ -39,8 +39,6 @@ def _terpri(interp, env, ctx, values, depth) -> Node:
 
 def register(reg) -> None:
     reg.add_values("print", _print, 1, 1,
-                   "Newline + readable representation; returns value.", pure=False)
-    reg.add_values("princ", _princ, 1, 1,
-                   "Raw representation; returns value.", pure=False)
-    reg.add_values("terpri", _terpri, 0, 0,
-                   "Emit a newline; returns nil.", pure=False)
+                   "Newline + readable representation; returns value.")
+    reg.add_values("princ", _princ, 1, 1, "Raw representation; returns value.")
+    reg.add_values("terpri", _terpri, 0, 0, "Emit a newline; returns nil.")

@@ -153,25 +153,16 @@ class Evaluator:
         # Not a call: evaluate every element, return the resulting list.
         result = interp.arena.alloc(NodeType.N_LIST, ctx)
         ctx.charge(Op.NODE_WRITE, 2)
-        result.append_child(self._reference(head_value, ctx))
+        result.append_child(interp.linkable(head_value, ctx))
         child = head.nxt
         ctx.charge(Op.NODE_READ)
         while child is not None:
             value = self.eval(child, env, ctx, depth + 1)
             ctx.charge(Op.NODE_WRITE, 2)
-            result.append_child(self._reference(value, ctx))
+            result.append_child(interp.linkable(value, ctx))
             child = child.nxt
             ctx.charge(Op.NODE_READ)
         return result.seal()
-
-    def _reference(self, node: Node, ctx: ExecContext) -> Node:
-        """Prepare ``node`` for linking into a new list: nodes that are
-        already members of some list are shallow-copied (copy-on-link),
-        because the sibling chain of an immutable node cannot be reused.
-        """
-        if node.linked:
-            return self.interp.copy_node(node, ctx)
-        return node
 
     def _collect_args(self, head: Node, ctx: ExecContext) -> list[Node]:
         """Walk the sibling chain after the head; one load per link."""

@@ -31,9 +31,12 @@ the way out of a stopped parse (:func:`_span`).
 The parse itself is one loop over the tokens, not a recursive descent:
 the open list, its template and the quotes pending in it are locals, the
 levels around it wait on a stack, and open lists plus pending quotes are
-the nesting depth. Every node is one :meth:`~repro.core.arena.NodeArena.take`
-whose value field the loop writes. :meth:`Parser.read`, whose templates
-the parse cache keeps, also makes each node's
+the nesting depth. Every node is one
+:meth:`~repro.core.arena.NodeArena.take` whose value field the loop
+writes; under the atomic arena cursor the take makes its own contended
+fetch-add. A symbol's intern hit is found by one lookup in
+:attr:`~repro.core.symtab.SymbolTable.ids`. :meth:`Parser.read`, whose
+templates the parse cache keeps, also makes each node's
 :class:`~repro.core.nodes.TemplateNode` in the same step, and a child
 joins its parent node and its parent template together, so one scan
 yields both the arena tree and the detached copy; :meth:`Parser.parse`
@@ -162,8 +165,8 @@ class Parser:
         tokens, ascii_text = _tokens(text)
         arena = self.interp.arena
         take = arena.take
-        cursor = arena.cursor if arena.atomic_cursor else None
         symtab = arena.symtab
+        interned = None if symtab is None else symtab.ids
         # The open list, its template, its '(' token and the quotes pending
         # in it; the levels around it wait on the stack.
         parent = parent_template = None
@@ -196,9 +199,7 @@ class Parser:
                         )
                     if ch == "(":
                         allocs += 1
-                        if cursor is not None:
-                            cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                        node = take(_LIST)
+                        node = take(_LIST, ctx)
                         # The paper allocates a fresh environment per parsed
                         # list; we charge that cost here (materialized
                         # lazily at eval time).
@@ -239,9 +240,7 @@ class Parser:
                         ntype = _SYMBOL
                         value = token
                     allocs += 1
-                    if cursor is not None:
-                        cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                    node = take(ntype)
+                    node = take(ntype, ctx)
                     node.sealed = True
                     # The value, once the take succeeded (nil and T have none).
                     if ntype == _INT:
@@ -253,8 +252,8 @@ class Parser:
                             node.fval = value
                         else:
                             node.sval = value
-                            if ntype == _SYMBOL and symtab is not None:
-                                sym_id = symtab.id_of(value)
+                            if ntype == _SYMBOL and interned is not None:
+                                sym_id = interned.get(value)
                                 if sym_id is None:
                                     sym_id = symtab.intern(value, ctx)
                                 else:
@@ -270,13 +269,9 @@ class Parser:
                     quotes -= 1
                     depth -= 1
                     allocs += 1
-                    if cursor is not None:
-                        cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                    quoted = take(_LIST)
+                    quoted = take(_LIST, ctx)
                     allocs += 1
-                    if cursor is not None:
-                        cursor.fetch_add_contended(1, ctx, arena.contention_width)
-                    quote_sym = take(_SYMBOL)
+                    quote_sym = take(_SYMBOL, ctx)
                     quote_sym.sval = "quote"
                     quote_sym.sealed = True
                     writes += 5  # the symbol's value and four link writes

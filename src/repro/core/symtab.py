@@ -18,8 +18,6 @@ paper figures are untouched (see DESIGN.md deviations).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..context import ExecContext, NullContext
 from ..ops import Op
 
@@ -29,10 +27,13 @@ __all__ = ["SymbolTable"]
 class SymbolTable:
     """Interns symbol spellings to dense integer ids."""
 
-    __slots__ = ("_ids", "_spellings")
+    __slots__ = ("ids", "_spellings")
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
+        #: Spelling -> id of every interned symbol. Callers may read it
+        #: (an uncharged peek, as the reader makes before it charges an
+        #: intern hit itself); only :meth:`intern` adds to it.
+        self.ids: dict[str, int] = {}
         self._spellings: list[str] = []
 
     def intern(self, spelling: str, ctx: ExecContext) -> int:
@@ -42,10 +43,10 @@ class SymbolTable:
         spelling (one node-field write for the table slot).
         """
         ctx.charge(Op.HASH_PROBE)
-        sym_id = self._ids.get(spelling)
+        sym_id = self.ids.get(spelling)
         if sym_id is None:
             sym_id = len(self._spellings)
-            self._ids[spelling] = sym_id
+            self.ids[spelling] = sym_id
             self._spellings.append(spelling)
             ctx.charge(Op.NODE_WRITE)
         return sym_id
@@ -61,12 +62,8 @@ class SymbolTable:
         """
         return self.intern(spelling, NullContext())
 
-    def id_of(self, spelling: str) -> Optional[int]:
-        """The id for ``spelling`` if already interned (uncharged peek)."""
-        return self._ids.get(spelling)
-
     def __len__(self) -> int:
         return len(self._spellings)
 
     def __contains__(self, spelling: str) -> bool:
-        return spelling in self._ids
+        return spelling in self.ids

@@ -50,7 +50,6 @@ class BatchRequest:
 
     text: str
     env: Optional[Environment] = None  #: tenant scope; None = device global env
-    tag: Any = None                    #: opaque routing key (e.g. a session id)
 
 
 @dataclass
@@ -65,7 +64,6 @@ class BatchItem:
     Only device-fatal failures abort the whole batch.
     """
 
-    request: BatchRequest
     stats: CommandStats
     error: Optional[Exception] = None
 
@@ -368,8 +366,8 @@ class BatchDevice:
             collect_ms *= f
             spin_cycles *= f
         items = []
-        for req, text, output, error, (parse_ms, eval_ms, print_ms, worker_ms) in zip(
-            requests, texts, outputs, errors, own_ms
+        for text, output, error, (parse_ms, eval_ms, print_ms, worker_ms) in zip(
+            texts, outputs, errors, own_ms
         ):
             times = PhaseBreakdown(
                 parse_ms, eval_ms + shared_eval, print_ms, other_ms, transfer_ms,
@@ -377,7 +375,7 @@ class BatchDevice:
             )
             ran = int(error is None)
             stats = CommandStats(output, times, len(text), len(output), ran, ran)
-            items.append(BatchItem(req, stats, error))
+            items.append(BatchItem(stats, error))
         self.commands_executed += n
         freed, _, regions_reset, majors, gc_wall_ms = gc
         jit = self.interp.jit_stats

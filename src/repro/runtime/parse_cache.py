@@ -208,6 +208,7 @@ class ParseCache:
         already wired.
         """
         allocs0 = arena.stats.allocs
+        take = arena.take
         roots: list[Node] = []
         prev: Optional[Node] = None
         try:
@@ -218,7 +219,10 @@ class ParseCache:
                     if template.children:
                         node = self._copy_list(template, arena, ctx, memo)
                     else:
-                        node = arena.instantiate(template, ctx)
+                        node = take(template.ntype, ctx)
+                        node.ival, node.fval, node.sval, node.sym_id = (
+                            template.ival, template.fval, template.sval, template.sym_id
+                        )
                         node.sealed = True
                         if memo is not None:
                             memo[template] = node
@@ -256,8 +260,11 @@ class ParseCache:
         caller, :meth:`_build`, charges every node taken). A child joins
         its parent once its own subtree is complete, as in a recursive
         copy, and each list is sealed once its children are in."""
-        instantiate = arena.instantiate
-        root = instantiate(template, ctx)
+        take = arena.take
+        root = take(template.ntype, ctx)
+        root.ival, root.fval, root.sval, root.sym_id = (
+            template.ival, template.fval, template.sval, template.sym_id
+        )
         if memo is not None:
             memo[template] = root
         frames = [(root, iter(template.children))]
@@ -272,7 +279,11 @@ class ParseCache:
                 continue
             child = None if memo is None else memo.get(child_template)
             if child is None:
-                child = instantiate(child_template, ctx)
+                child = take(child_template.ntype, ctx)
+                child.ival, child.fval, child.sval, child.sym_id = (
+                    child_template.ival, child_template.fval, child_template.sval,
+                    child_template.sym_id,
+                )
                 if memo is not None:
                     memo[child_template] = child
                 if child_template.children:

@@ -93,10 +93,7 @@ def capability_probe_ms(spec: Union[str, Spec]) -> float:
     device = device_for(spec)
     try:
         result = device.submit_batch(
-            [
-                BatchRequest(text=text, env=None, tag="__capability__")
-                for text in PROBE_FORMS
-            ]
+            [BatchRequest(text=text, env=None) for text in PROBE_FORMS]
         )
         ms = result.times.total_ms / len(PROBE_FORMS)
     finally:

@@ -253,14 +253,7 @@ class Scheduler:
         """
         if not batch:
             return None
-        requests = [
-            BatchRequest(
-                text=ticket.text,
-                env=ticket.session.env,
-                tag=ticket.session.session_id,
-            )
-            for ticket in batch
-        ]
+        requests = [BatchRequest(ticket.text, ticket.session.env) for ticket in batch]
         supervisor = self.supervisor
         try:
             if supervisor is not None:

@@ -610,7 +610,7 @@ class DeviceSupervisor:
         the device returns to service or flaps back open."""
         device_id = pdev.device_id
         self.stats.record_probe(device_id)
-        request = BatchRequest(text=self.PROBE_TEXT, env=None, tag="__probe__")
+        request = BatchRequest(text=self.PROBE_TEXT, env=None)
         ok = False
         try:
             result = self.submit(pdev, [request])

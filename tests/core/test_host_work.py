@@ -18,6 +18,8 @@ context subclass: the hot path carries no counter of its own.
 * A cold fast-path parse and the release of its nursery make at most a
   fixed number of calls per node (the ``benchmarks/host_calls.py`` rule):
   one arena take per reader node, and a region freed as one run.
+* A warm parse-cache hit makes at most a fixed number of calls per node
+  it materializes: one arena take per node.
 * A parse without a parse cache builds no templates.
 """
 
@@ -172,7 +174,7 @@ _SRC = os.path.dirname(repro.__file__)
 #: Builtin calls per int node of a cold fast-path ``prepare_command``,
 #: recorded when the reader took each node with one arena call from a
 #: token list split out of the text. With a regex match per token and
-#: per separator, a template plus ``instantiate`` per node, it made 12;
+#: per separator, a template plus a second arena call per node, it made 12;
 #: while the cache copied every fresh tree into templates in a second
 #: pass, 14 (and an element ``(g 1 x)`` of a list 43, then 35, now 14).
 #: Lower is fine; higher fails.
@@ -209,10 +211,18 @@ def test_cold_parse_builtin_calls_per_node_at_or_below_ceiling():
 #: Calls per node (:class:`CallCounter`) of a cold fast-path
 #: ``prepare_command`` in a nursery region on a recycled free list, for an
 #: int list and a list of ``(g 1 x)`` elements (four nodes each),
-#: recorded when each reader node became one arena take. With a template
-#: plus ``instantiate`` and ``take`` per node and a regex match per token
-#: and per separator, they were 16 and 13.25. Lower is fine; higher fails.
-COLD_PARSE_COUNTED_CALLS_PER_NODE = {"12345": 7, "(g 1 x)": 7}
+#: recorded when the reader peeked at the intern table with one dict
+#: lookup. With a ``SymbolTable`` method around that lookup they were 7
+#: and 7; with a template plus two arena calls per node and a regex match
+#: per token and per separator, 16 and 13.25. Lower is fine; higher fails.
+COLD_PARSE_COUNTED_CALLS_PER_NODE = {"12345": 7, "(g 1 x)": 6.5}
+#: Calls per node (:class:`CallCounter`) of a warm fast-path
+#: ``prepare_command``, a parse-cache hit materializing every node, for
+#: the same two lists, recorded when each materialized node became one
+#: arena take whose template fields are copied in one statement. With a
+#: second arena call per node that wrapped the take they were 7 and 8.
+#: Lower is fine; higher fails.
+WARM_HIT_CALLS_PER_NODE = {"12345": 6, "(g 1 x)": 7}
 #: Calls per node of the release of a nursery region, recorded when the
 #: region was freed as one run. With one ``_clear`` and one free-list
 #: append per node it was 2. Lower is fine; higher fails.
@@ -253,6 +263,17 @@ def _cold_prepare_calls(element: str, n: int) -> int:
     return calls
 
 
+def _warm_prepare_calls(element: str, n: int) -> int:
+    interp = _nursery_parse(element, n)
+    source = _wide(element, n)
+    interp.prepare_command(source, CountingContext())
+    interp.collect_garbage()
+    interp.begin_command_region()
+    calls = _counted(lambda: interp.prepare_command(source, CountingContext()))
+    assert interp.parse_cache.stats.hits == 1
+    return calls
+
+
 def _release_calls(n: int) -> int:
     interp = _nursery_parse("12345", n)
     interp.prepare_command(_wide("12345", n), CountingContext())
@@ -264,6 +285,15 @@ def test_cold_parse_calls_per_node_at_or_below_ceiling():
     for element, ceiling in COLD_PARSE_COUNTED_CALLS_PER_NODE.items():
         nodes = 4 if element.startswith("(") else 1
         per_node = (_cold_prepare_calls(element, 400) - _cold_prepare_calls(element, 100)) / (
+            300 * nodes
+        )
+        assert per_node <= ceiling, (element, per_node)
+
+
+def test_warm_hit_calls_per_node_at_or_below_ceiling():
+    for element, ceiling in WARM_HIT_CALLS_PER_NODE.items():
+        nodes = 4 if element.startswith("(") else 1
+        per_node = (_warm_prepare_calls(element, 400) - _warm_prepare_calls(element, 100)) / (
             300 * nodes
         )
         assert per_node <= ceiling, (element, per_node)

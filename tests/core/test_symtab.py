@@ -20,8 +20,8 @@ class TestSymbolTable:
         tab = SymbolTable()
         ctx = NullContext()
         sym_id = tab.intern("gamma-value", ctx)
-        assert tab.id_of("gamma-value") == sym_id
-        assert tab.id_of("unknown") is None
+        assert tab.ids["gamma-value"] == sym_id
+        assert "unknown" not in tab.ids
         assert "gamma-value" in tab
         assert "unknown" not in tab
 
@@ -55,7 +55,7 @@ class TestInterpreterInterning:
         assert "defun" in interp.symtab
         assert "+" in interp.symtab
         plus = interp.global_env.lookup("+", NullContext())
-        assert plus is not None and plus.sym_id == interp.symtab.id_of("+")
+        assert plus is not None and plus.sym_id == interp.symtab.ids["+"]
 
     def test_literal_nodes_stay_uninterned(self):
         interp = Interpreter(options=InterpreterOptions())

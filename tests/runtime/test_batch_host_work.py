@@ -197,15 +197,16 @@ def test_cpu_batch_converts_its_rows_in_one_call(size, monkeypatch):
 #: first batch of each sequence is the largest: its texts still miss the
 #: parse cache and the JIT. The parent of the lean batch transaction
 #: counted 443 and 2,385 under this rule, 362 and 2,139 before each
-#: request passed one upload gate, and 357 and 2,120 before the reader
-#: took one arena call per node and a nursery was released as a run.
-GPU_BATCH_CALLS = {1: 309, 8: 1886}
+#: request passed one upload gate, 357 and 2,120 before the reader
+#: took one arena call per node and a nursery was released as a run, and
+#: 309 and 1,886 before a parse-cache hit took one arena call per node.
+GPU_BATCH_CALLS = {1: 305, 8: 1867}
 
 #: The same for the warm batches that serving repeats, the fourth to
 #: sixth of each sequence (the parent counted 303 and 1,736; 221 and
 #: 1,419 before the one upload gate; 216 and 1,400 before the run
-#: release).
-GPU_BATCH_CALLS_WARM = {1: 215, 8: 1385}
+#: release; 215 and 1,385 before one arena call per cache-hit node).
+GPU_BATCH_CALLS_WARM = {1: 214, 8: 1369}
 
 
 @functools.lru_cache(maxsize=None)

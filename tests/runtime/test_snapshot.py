@@ -121,7 +121,7 @@ class TestRelocationRules:
         dest = Interpreter(options=InterpreterOptions.fast())
         restored = restore_env(snap, dest)
         entry = next(iter(restored.entries()))
-        assert entry.sym_id == dest.symtab.id_of("marker")
+        assert entry.sym_id == dest.symtab.ids["marker"]
 
     def test_literal_destination_stays_uninterned(self, fast_interp, ctx):
         env = session_with(fast_interp, ["(setq v 7)"])

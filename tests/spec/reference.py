@@ -401,13 +401,13 @@ class ReferenceEvaluator(Evaluator):
             return self.eval(expansion, env, ctx, depth + 1)
         result = interp.arena.alloc(NodeType.N_LIST, ctx)
         ctx.charge(Op.NODE_WRITE, 2)
-        result.append_child(self._reference(head_value, ctx))
+        result.append_child(interp.linkable(head_value, ctx))
         child = head.nxt
         ctx.charge(Op.NODE_READ)
         while child is not None:
             value = self.eval(child, env, ctx, depth + 1)
             ctx.charge(Op.NODE_WRITE, 2)
-            result.append_child(self._reference(value, ctx))
+            result.append_child(interp.linkable(value, ctx))
             child = child.nxt
             ctx.charge(Op.NODE_READ)
         return result.seal()
