@@ -16,7 +16,7 @@ needs: the parallel-execution hook and the maximum recursion depth.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .ops import Op, OpCounts, Phase
 
@@ -72,12 +72,6 @@ class ExecContext:
     def set_phase(self, phase: Phase) -> None:
         self.phase = phase
 
-    # -- convenience ---------------------------------------------------------
-
-    @property
-    def charging_enabled(self) -> bool:
-        return True
-
 
 class NullContext(ExecContext):
     """A context that records nothing. Semantics only."""
@@ -89,10 +83,6 @@ class NullContext(ExecContext):
 
     def charge_many(self, ops: tuple, n: float = 1.0) -> None:
         pass
-
-    @property
-    def charging_enabled(self) -> bool:
-        return False
 
 
 class CountingContext(ExecContext):

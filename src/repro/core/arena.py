@@ -60,9 +60,6 @@ class ArenaStats:
         self.frees = 0
         self.peak_used = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {"allocs": self.allocs, "frees": self.frees, "peak_used": self.peak_used}
-
 
 @dataclass
 class GCStats:
@@ -75,17 +72,6 @@ class GCStats:
     nodes_promoted: int = 0      #: nursery survivors retagged tenured
     checkpoint_rollbacks: int = 0  #: mid-batch rollbacks of faulted jobs
     gc_wall_ms: float = 0.0      #: host wall time spent collecting
-
-    def as_dict(self) -> dict:
-        return {
-            "minor_collections": self.minor_collections,
-            "pure_resets": self.pure_resets,
-            "major_collections": self.major_collections,
-            "nodes_freed": self.nodes_freed,
-            "nodes_promoted": self.nodes_promoted,
-            "checkpoint_rollbacks": self.checkpoint_rollbacks,
-            "gc_wall_ms": self.gc_wall_ms,
-        }
 
 
 class NodeArena:

@@ -18,7 +18,6 @@ __all__ = [
     "as_number",
     "as_int",
     "as_string",
-    "as_symbol_name",
     "require_list",
     "list_items",
     "build_list",
@@ -55,12 +54,6 @@ def as_string(node: Node, who: str) -> str:
     if node.ntype == NodeType.N_STRING:
         return node.sval
     raise TypeMismatchError(f"{who}: expected a string, got {node.ntype.name}")
-
-
-def as_symbol_name(node: Node, who: str) -> str:
-    if node.ntype == NodeType.N_SYMBOL:
-        return node.sval
-    raise TypeMismatchError(f"{who}: expected a symbol, got {node.ntype.name}")
 
 
 def require_list(node: Node, who: str) -> Node:

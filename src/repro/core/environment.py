@@ -98,14 +98,6 @@ class Environment:
 
     # -- structure ------------------------------------------------------------
 
-    @property
-    def is_global(self) -> bool:
-        return self.parent is None
-
-    @property
-    def indexed(self) -> bool:
-        return self._index is not None
-
     def enable_index(self) -> "Environment":
         """Attach a hash index over this scope's bindings (idempotent).
 
@@ -262,13 +254,6 @@ class Environment:
                 ctx.charge(Op.ENV_STEP, steps)
             if compares:
                 ctx.charge(Op.SYM_CMP, compares)
-
-    def lookup_local(
-        self, symbol: str, ctx: ExecContext, sym_id: int = -1
-    ) -> Optional[Node]:
-        """Match in this environment only (no parent walk)."""
-        entry = self._find_here(symbol, ctx, sym_id)
-        return entry.node if entry is not None else None
 
     def set_nearest(
         self, symbol: str, node: Node, ctx: ExecContext, sym_id: int = -1

@@ -14,7 +14,7 @@ mutating a sealed node raises :class:`~repro.errors.ImmutabilityError`.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..errors import ImmutabilityError
 
@@ -123,11 +123,6 @@ class Node:
         self.sealed = True
         return self
 
-    def set_int(self, value: int) -> "Node":
-        self._guard()
-        self.ival = value
-        return self
-
     def set_str(self, value: str) -> "Node":
         self._guard()
         self.sval = value
@@ -201,18 +196,6 @@ class Node:
     @property
     def is_nil(self) -> bool:
         return self.ntype == NodeType.N_NIL
-
-    @property
-    def is_truthy(self) -> bool:
-        """nil is false; everything else (including 0 and ()) is true.
-
-        The paper: "empty lists and false conditions evaluate to nil...
-        Non-empty lists and fulfilled conditions evaluate to true."
-        An empty N_LIST *evaluates* to nil; as a raw datum it is truthy
-        only if it is not nil itself.
-        """
-        return self.ntype != NodeType.N_NIL
-
     def children(self) -> Iterator["Node"]:
         """Iterate the child chain (uncharged; callers charge NODE_READ)."""
         child = self.first

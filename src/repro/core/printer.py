@@ -107,10 +107,3 @@ class Printer:
             ctx.charge(Op.ALU, chars)
         out.append_run(pieces)
         return True
-
-    def to_string(self, node: Node, readable: bool = True) -> str:
-        """Print into a scratch buffer and return the string."""
-        out = OutputBuffer()
-        out.bind(self.ctx)
-        self.print_node(node, out, readable=readable)
-        return out.getvalue()

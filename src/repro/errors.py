@@ -145,13 +145,6 @@ def is_containable_fault(exc: BaseException) -> bool:
     return isinstance(exc, DeviceError) and exc.containable
 
 
-def is_device_loss(exc: BaseException) -> bool:
-    """True when ``exc`` means the device itself is gone (crash or
-    hang): the batch cannot be retried on it and resident sessions must
-    fail over to their last checkpoints (see :class:`DeviceLostError`)."""
-    return isinstance(exc, DeviceLostError)
-
-
 # ---------------------------------------------------------------------------
 # Host / protocol errors
 # ---------------------------------------------------------------------------

@@ -54,13 +54,6 @@ class AtomicCounter:
         self.value = value
         self.rmw_count = 0
 
-    def fetch_add(self, n: int, ctx: ExecContext) -> int:
-        ctx.charge(Op.ATOMIC_RMW)
-        self.rmw_count += 1
-        old = self.value
-        self.value += n
-        return old
-
     def fetch_add_contended(self, n: int, ctx: ExecContext, width: int) -> int:
         if width < 1:
             width = 1

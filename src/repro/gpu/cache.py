@@ -33,11 +33,6 @@ class CacheStats:
         total = self.accesses
         return self.hits / total if total else 0.0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
 class SetAssociativeCache:
     """LRU set-associative cache over a byte-addressed space.
 
@@ -146,6 +141,3 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         self._sets = [[] for _ in range(self.n_sets)]
-
-    def reset_stats(self) -> None:
-        self.stats.reset()

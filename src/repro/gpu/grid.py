@@ -58,7 +58,3 @@ class GridConfig:
         if self.master_block_disabled:
             return self.block_size + worker_index  # skip block 0 entirely
         return worker_index + 1  # skip only the master thread
-
-    def warps_for_jobs(self, n_jobs: int) -> int:
-        """Warps (== blocks here) touched by a round of ``n_jobs`` jobs."""
-        return -(-n_jobs // self.block_size)

@@ -38,13 +38,6 @@ class Region:
     base: int
     size: int
 
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.base <= addr and addr + size <= self.end
-
 
 class GlobalMemory:
     """Byte-addressed device memory with a simple region allocator.
@@ -118,11 +111,6 @@ class SourceBuffer:
         if ctx is not None and count > 0:
             ctx.charge_many(_SCAN_OPS, count)
             ctx.touch_each(self.base + start, count)
-
-    def slice(self, start: int, end: int) -> str:
-        """Uncharged substring extraction (characters were already read)."""
-        return self.text[start:end]
-
 
 class OutputBuffer:
     """The device-side output string under construction.

@@ -67,8 +67,8 @@ class PostboxArray:
     touched is still in its initial state (active, no work, no result),
     so it needs no object: a big grid costs nothing until its workers
     are used. Deactivating the never-touched boxes is charged as one
-    bulk ``ATOMIC_RMW`` of the same count, so op-count rows and
-    ``total_rmw_count`` equal those of an eagerly built array.
+    bulk ``ATOMIC_RMW`` of the same count, so op-count rows and every
+    box's ``rmw_count`` equal those of an eagerly built array.
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -107,10 +107,3 @@ class PostboxArray:
         if untouched:
             ctx.charge(Op.ATOMIC_RMW, float(untouched))
         self._sweeps += 1
-
-    def total_rmw_count(self) -> int:
-        untouched = self.n_threads - len(self._boxes)
-        return untouched * self._sweeps + sum(
-            b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count
-            for b in self._boxes.values()
-        )

@@ -102,19 +102,9 @@ class GPUSpec:
     # -- derived quantities --------------------------------------------------
 
     @property
-    def cuda_cores(self) -> int:
-        return self.sm_count * self.cores_per_sm
-
-    @property
     def resident_blocks(self) -> int:
         """Blocks a persistent kernel may launch (all must be resident)."""
         return self.sm_count * self.max_blocks_per_sm
-
-    @property
-    def worker_threads(self) -> int:
-        """Usable worker threads: every resident block is one warp; block 0
-        hosts the master and its 31 siblings are disabled (paper Fig. 12)."""
-        return (self.resident_blocks - 1) * self.warp_size
 
     @property
     def base_latency_ms(self) -> float:

@@ -143,10 +143,3 @@ class JitStats:
         self.traces_compiled = 0
         self.trace_hits = 0
         self.guard_bails = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "traces_compiled": self.traces_compiled,
-            "trace_hits": self.trace_hits,
-            "guard_bails": self.guard_bails,
-        }

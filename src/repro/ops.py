@@ -235,9 +235,6 @@ class OpCounts:
     def total_count(self) -> float:
         return float(self.matrix().sum())
 
-    def phase_count(self, phase: Phase) -> float:
-        return float(sum(self.rows[phase]))
-
     def count_of(self, op: Op, phase: Phase | None = None) -> float:
         if phase is not None:
             return float(self.rows[phase][op])

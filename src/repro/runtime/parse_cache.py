@@ -50,20 +50,6 @@ class ParseCacheStats:
         self.evictions = 0
         self.nodes_materialized = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "nodes_materialized": self.nodes_materialized,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class CacheEntry:
     """One cached source text: its templates plus JIT promotion state.

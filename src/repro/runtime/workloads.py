@@ -21,7 +21,6 @@ __all__ = [
     "Workload",
     "fibonacci_workload",
     "parallel_sum_workload",
-    "parallel_apply_workload",
 ]
 
 FIB_DEFUN = (
@@ -67,20 +66,5 @@ def parallel_sum_workload(n_threads: int) -> Workload:
         name=f"parsum-x{n_threads}",
         preamble=(),
         command=f"(||| {n_threads} + ({ascending}) ({descending}))",
-        jobs=n_threads,
-    )
-
-
-def parallel_apply_workload(n_threads: int, fn_def: str, fn_name: str,
-                            arg_value: object) -> Workload:
-    """Generic single-argument parallel map: every worker applies
-    ``fn_name`` to ``arg_value``."""
-    if n_threads <= 0:
-        raise ValueError("n_threads must be positive")
-    args = " ".join(str(arg_value) for _ in range(n_threads))
-    return Workload(
-        name=f"{fn_name}-x{n_threads}",
-        preamble=(fn_def,),
-        command=f"(||| {n_threads} {fn_name} ({args}))",
         jobs=n_threads,
     )

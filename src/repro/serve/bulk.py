@@ -19,7 +19,7 @@ serving guarantees for free:
 
 * **coexistence** — bulk sessions carry no SLO, so their tickets take a
   ``+inf`` EDF deadline and admit *behind* every interactive deadline
-  while still aging FIFO among themselves (ROADMAP item 3's policy);
+  while still aging FIFO among themselves, under one EDF scheduler;
 * **fault containment** — a fault inside one chunk resolves that
   chunk's ticket with the error under the PR 4 quarantine rules and
   never touches sibling chunks on other devices;

@@ -20,12 +20,11 @@ of three events per device:
 Everything is driven by one ``random.Random(seed)``: the same seed, the
 same fleet, and the same submission sequence reproduce the same kill
 schedule exactly, which is what lets the chaos property suite shrink a
-failing run and CI pin a seed matrix (``REPRO_CHAOS_SEED``).
+failing run and CI pin a seed matrix.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Optional
 
@@ -61,21 +60,6 @@ class ChaosMonkey:
         self.kills = 0
         self.hangs = 0
         self.idle_kills = 0
-
-    @classmethod
-    def from_env(cls) -> Optional["ChaosMonkey"]:
-        """Build from ``REPRO_CHAOS_SEED`` / ``REPRO_CHAOS_KILL`` /
-        ``REPRO_CHAOS_HANG`` (CI's seeded chaos matrix); None when no
-        seed is set."""
-        seed = os.environ.get("REPRO_CHAOS_SEED")
-        if seed is None:
-            return None
-        return cls(
-            seed=int(seed),
-            kill_rate=float(os.environ.get("REPRO_CHAOS_KILL", "0.05")),
-            hang_rate=float(os.environ.get("REPRO_CHAOS_HANG", "0.03")),
-            idle_kill_rate=float(os.environ.get("REPRO_CHAOS_IDLE", "0.01")),
-        )
 
     @property
     def events(self) -> int:

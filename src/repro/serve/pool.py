@@ -434,11 +434,6 @@ class PooledDevice:
         (each session's next command costs ~one probe request here)."""
         return self.session_count * self.probe_ms
 
-    def restore_cost_ms(self, nbytes: int) -> float:
-        """Bandwidth-weight of landing ``nbytes`` of heap on this device
-        (free on CPUs — shared memory, like ``link_ms``)."""
-        return nbytes * self._restore_ms_per_byte
-
     def placement_key(self, incoming_nbytes: int = 0) -> tuple:
         """The placement key: the modeled backlog standing against this
         device, then capability as the empty-fleet tie-break (fastest

@@ -19,7 +19,6 @@ and a :class:`~repro.serve.stats.ServerStats` surface. Usage::
 
 from __future__ import annotations
 
-import os
 from itertools import count
 from typing import Optional, Sequence
 
@@ -32,7 +31,7 @@ from ..gpu.device import GPUDeviceConfig
 from ..runtime.snapshot import HeapSnapshot, restore_env, snapshot_env
 from .bulk import DEFAULT_CHUNK_ELEMS, BulkJob, shard_bulk_job
 from .chaos import ChaosMonkey
-from .pool import DevicePool, DeviceSpec, PooledDevice, link_ms
+from .pool import DevicePool, DeviceSpec, link_ms
 from .scheduler import Rebalancer, Scheduler
 from .session import TenantSession, Ticket
 from .stats import MigrationRecord, ServerStats
@@ -50,7 +49,7 @@ class CuLiServer:
         max_batch: int = 32,
         gpu_config: Optional[GPUDeviceConfig] = None,
         cpu_config: Optional[CPUDeviceConfig] = None,
-        jit: Optional[bool] = None,
+        jit: bool = True,
         rebalance: bool = False,
         failover: bool = False,
         checkpoint_interval: int = 8,
@@ -81,12 +80,6 @@ class CuLiServer:
         # keeps serving on the tree-walker. An explicit device config
         # always wins: ``GPUDeviceConfig()`` / ``CPUDeviceConfig()``
         # serve the paper-literal interpreter.
-        if jit is None:
-            # Default ON, but let the environment force the tree-walk
-            # ablation fleet-wide (CI's tier matrix re-runs the serving
-            # suites with REPRO_SERVE_JIT=0). An explicit ``jit=``
-            # argument always wins over the environment.
-            jit = os.environ.get("REPRO_SERVE_JIT", "1") != "0"
         if gpu_config is None:
             gpu_config = GPUDeviceConfig(
                 interpreter=InterpreterOptions.fast(jit=jit)

@@ -68,7 +68,12 @@ class LatencyReservoir:
         return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0..100) by nearest-rank over the sample."""
+        """The q-th percentile (0..100) of the sample: the sorted sample
+        at index ``round(q/100 * (n-1))``, clamped to ``0..n-1``.
+
+        Python's ``round`` sends halves to the even index, so n=4, q=50
+        gives index 2 (nearest-rank would give index 1).
+        """
         if not self._samples:
             return 0.0
         ordered = sorted(self._samples)
@@ -490,8 +495,8 @@ class ServerStats:
         The fleet-balance health metric for heterogeneous pools: when
         capability-aware placement is doing its job, busy share stays
         clustered across unequal devices and the spread is small; a
-        count-based placement on a mixed fleet parks equal work on
-        unequal devices and the spread opens up (what
+        placement that ignores capability parks equal work on unequal
+        devices and the spread opens up (what
         ``benchmarks/bench_hetero_fleet.py`` reports).
         """
         util = self.utilization()

@@ -17,7 +17,7 @@ from one seeded PRNG, so every consumer replays the *same* workload:
   durations vary the way real symbolic workloads do.
 * **mixed classes** — ``interactive`` tenants (small bursts, tight SLO)
   share the fleet with ``bulk`` tenants (long request streams, no SLO),
-  the coexistence ROADMAP item 3 demands of one scheduler.
+  the coexistence of interactive and bulk work one scheduler must serve.
 
 Every request text is a *pure* Lisp form over literals, so replaying a
 trace on any scheduler/gc/jit configuration yields byte-identical

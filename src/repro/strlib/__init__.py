@@ -7,17 +7,12 @@ environment lookup all route their character work through these routines,
 so both device back-ends charge identical op mixes.
 """
 
-from .cstring import str_cmp, str_equal, str_len, str_ncmp, str_copy_into
-from .numparse import classify_atom, looks_numeric, parse_number, AtomClass
+from .cstring import str_cmp
+from .numparse import classify_atom, parse_number, AtomClass
 from .numformat import format_float, format_int
 
 __all__ = [
-    "str_len",
     "str_cmp",
-    "str_ncmp",
-    "str_equal",
-    "str_copy_into",
-    "looks_numeric",
     "parse_number",
     "classify_atom",
     "AtomClass",

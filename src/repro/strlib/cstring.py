@@ -1,8 +1,8 @@
-"""C-style string primitives with per-character charging.
+"""C-style string comparison with per-character charging.
 
-Semantics follow the C library functions they stand in for; costs follow
+Semantics follow the C library function it stands in for; costs follow
 what a device thread would actually execute — one character comparison is
-one ``SYM_CHAR_CMP``, one copied character is one ``CHAR_STORE``.
+one ``SYM_CHAR_CMP``.
 """
 
 from __future__ import annotations
@@ -10,13 +10,7 @@ from __future__ import annotations
 from ..context import ExecContext
 from ..ops import Op
 
-__all__ = ["str_len", "str_cmp", "str_ncmp", "str_equal", "str_copy_into"]
-
-
-def str_len(s: str, ctx: ExecContext) -> int:
-    """strlen: walks to the terminator, one load per character."""
-    ctx.charge(Op.CHAR_LOAD, len(s) + 1)
-    return len(s)
+__all__ = ["str_cmp"]
 
 
 def str_cmp(a: str, b: str, ctx: ExecContext) -> int:
@@ -36,20 +30,3 @@ def str_cmp(a: str, b: str, ctx: ExecContext) -> int:
     if len(a) == len(b):
         return 0
     return -1 if len(a) < len(b) else 1
-
-
-def str_ncmp(a: str, b: str, n: int, ctx: ExecContext) -> int:
-    """strncmp over the first ``n`` characters."""
-    return str_cmp(a[:n], b[:n], ctx)
-
-
-def str_equal(a: str, b: str, ctx: ExecContext) -> bool:
-    """Equality via strcmp — the form environment lookup uses."""
-    return str_cmp(a, b, ctx) == 0
-
-
-def str_copy_into(dst: list[str], src: str, ctx: ExecContext) -> None:
-    """strcpy into a device-side character list."""
-    ctx.charge(Op.CHAR_LOAD, len(src))
-    ctx.charge(Op.CHAR_STORE, len(src) + 1)  # + terminator
-    dst.extend(src)

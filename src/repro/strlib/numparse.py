@@ -22,7 +22,7 @@ from enum import Enum
 from ..context import ExecContext
 from ..ops import Op
 
-__all__ = ["AtomClass", "looks_numeric", "parse_number", "classify_atom"]
+__all__ = ["AtomClass", "parse_number", "classify_atom"]
 
 _NUM_START = set("0123456789+-.E")
 _DIGITS = set("0123456789")
@@ -37,11 +37,6 @@ class AtomClass(Enum):
     INT = "int"
     FLOAT = "float"
     SYMBOL = "symbol"
-
-
-def looks_numeric(token: str) -> bool:
-    """The paper's first-character test for the number path."""
-    return bool(token) and token[0] in _NUM_START
 
 
 def parse_number(token: str, ctx: ExecContext) -> int | float | None:
@@ -125,7 +120,7 @@ def classify_atom(token: str, ctx: ExecContext) -> tuple[AtomClass, object]:
     if token in ("T", "t"):
         ctx.charge(Op.SYM_CHAR_CMP, 1)
         return AtomClass.TRUE, None
-    if token[0] in _NUM_START:  # looks_numeric (token is not empty here)
+    if token[0] in _NUM_START:  # the paper's first-character test for the number path
         value = parse_number(token, ctx)
         if value is not None:
             if isinstance(value, float):

@@ -10,9 +10,11 @@ from repro.context import CountingContext, NullContext
 from repro.core.arena import NodeArena
 from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.core.nodes import REGION_FREE, Node
+from repro.core.printer import Printer
 from repro.cpu.device import CPUDevice, CPUDeviceConfig
 from repro.cpu.specs import AMD_6272, INTEL_E5_2620
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
+from repro.gpu.memory import OutputBuffer
 from repro.gpu.specs import GTX480, GPUSpec
 from repro.runtime.fidelity import Fidelity
 
@@ -47,6 +49,19 @@ def allocated_nodes(arena: NodeArena) -> set[Node]:
     """The arena's live nodes: every node it made that is not on its free
     list (a copy, so the caller may free while iterating)."""
     return {node for node in arena._nodes if node.region != REGION_FREE}
+
+
+def print_text(node: Node, ctx, readable: bool = True) -> str:
+    """``node`` as the printer writes it, into a scratch output buffer."""
+    out = OutputBuffer()
+    out.bind(ctx)
+    Printer(ctx).print_node(node, out, readable=readable)
+    return out.getvalue()
+
+
+def counters(stats) -> dict:
+    """A slotted stats object's counters (arena, JIT, parse cache) as a dict."""
+    return {name: getattr(stats, name) for name in stats.__slots__}
 
 
 def make_tiny_gpu_spec(**overrides) -> GPUSpec:

@@ -14,7 +14,9 @@ def ctx():
 
 
 def val(n: int) -> Node:
-    return Node(n, NodeType.N_INT).set_int(n).seal()
+    node = Node(n, NodeType.N_INT)
+    node.ival = n
+    return node.seal()
 
 
 class TestDefineLookup:
@@ -51,8 +53,8 @@ class TestDefineLookup:
         parent = Environment()
         parent.define("x", val(1), ctx)
         child = parent.child()
-        assert child.lookup_local("x", ctx) is None
-        assert parent.lookup_local("x", ctx).ival == 1
+        assert child._find_here("x", ctx) is None
+        assert parent._find_here("x", ctx).node.ival == 1
 
 
 class TestSetNearest:
@@ -82,7 +84,7 @@ class TestSetNearest:
         root = Environment()
         leaf = root.child().child()
         assert leaf.set_nearest("fresh", val(4), ctx) is False
-        assert root.lookup_local("fresh", ctx).ival == 4
+        assert root.lookup("fresh", ctx).ival == 4  # root has no parent
 
 
 class TestStructure:
@@ -90,7 +92,6 @@ class TestStructure:
         root = Environment()
         leaf = root.child().child()
         assert leaf.global_env() is root
-        assert root.is_global and not leaf.is_global
 
     def test_depth(self):
         root = Environment()

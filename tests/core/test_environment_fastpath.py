@@ -100,7 +100,7 @@ class TestIndexedEnvironment:
         ctx = NullContext()
         interp.global_env.define("shared", node(interp, 1), ctx)
         session = interp.create_session_env("tenant")
-        assert session.indexed
+        assert session._index is not None
         assert session.set_nearest("shared", node(interp, 2), ctx) is False
         assert session.lookup("shared", ctx).ival == 2          # shadowed
         assert interp.global_env.lookup("shared", ctx).ival == 1  # untouched

@@ -8,14 +8,14 @@ from repro.core.printer import Printer
 from repro.core.reader import Parser
 from repro.gpu.memory import OutputBuffer
 from repro.ops import Op
+from tests.conftest import print_text
 
 
 @pytest.fixture
 def show(interp, ctx):
     def _show(source, readable=True):
         parsed = Parser(interp, ctx).parse(source)
-        printer = Printer(ctx)
-        return " ".join(printer.to_string(n, readable=readable) for n in parsed)
+        return " ".join(print_text(n, ctx, readable=readable) for n in parsed)
 
     return _show
 
@@ -92,5 +92,5 @@ class TestCharging:
             lst = interp.arena.alloc(NodeType.N_LIST, ctx)
             lst.append_child(node)
             node = lst.seal()
-        text = Printer(ctx).to_string(node)
+        text = print_text(node, ctx)
         assert text == "(" * 10_000 + "1" + ")" * 10_000

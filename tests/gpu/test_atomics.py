@@ -26,11 +26,14 @@ class TestAtomicCell:
 
 class TestAtomicCounter:
     def test_fetch_add(self):
+        """A lone thread's fetch-add returns the old value and costs one RMW."""
         ctx = CountingContext()
         counter = AtomicCounter()
-        assert counter.fetch_add(3, ctx) == 0
-        assert counter.fetch_add(2, ctx) == 3
+        assert counter.fetch_add_contended(3, ctx, width=1) == 0
+        assert counter.fetch_add_contended(2, ctx, width=1) == 3
         assert counter.value == 5
+        assert counter.rmw_count == 2
+        assert ctx.counts.count_of(Op.ATOMIC_RMW) == 2
 
     def test_contended_serialization_cost(self):
         """k simultaneous RMWs serialize: average wait (k+1)/2 slots."""

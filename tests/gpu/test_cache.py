@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import CacheStats, SetAssociativeCache
 
 
 class TestGeometry:
@@ -42,7 +42,7 @@ class TestBehaviour:
         # Touch twice the capacity, then rescan: everything was evicted.
         for i in range(2 * lines):
             cache.access(i * 128)
-        cache.reset_stats()
+        cache.stats = CacheStats()
         for i in range(lines):
             cache.access(i * 128)
         assert cache.stats.misses == lines
@@ -55,7 +55,7 @@ class TestBehaviour:
         cache.access(b)
         cache.access(a)      # a is now MRU
         cache.access(c)      # evicts b (LRU)
-        cache.reset_stats()
+        cache.stats = CacheStats()
         cache.access(a)
         cache.access(c)
         assert cache.stats.misses == 0

@@ -121,4 +121,4 @@ class TestDeviceFleet:
         ]
         for i, a in enumerate(regions):
             for b in regions[i + 1:]:
-                assert a.end <= b.base or b.end <= a.base
+                assert a.base + a.size <= b.base or b.base + b.size <= a.base

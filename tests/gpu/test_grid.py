@@ -50,17 +50,18 @@ class TestWorkerMapping:
 
 class TestWarpsForJobs:
     @pytest.mark.parametrize("jobs,warps", [(1, 1), (31, 1), (32, 1), (33, 2), (96, 3)])
-    def test_ceiling_division(self, jobs, warps):
-        grid = GridConfig.for_spec(GTX480)
-        assert grid.warps_for_jobs(jobs) == warps
+    def test_ceiling_division(self, gpu_device, jobs, warps):
+        """A dense round fills warps in order, so ``jobs`` jobs touch
+        ceil(jobs / 32) warps (the kernel's round layout)."""
+        assert gpu_device.engine._layout(False, jobs)[2] == warps
 
 
 class TestPaperCapacities:
     def test_fermi_resident_workers(self):
         # Fermi: 8 blocks/SM resident; GTX 480 has 15 SMs => 120 blocks,
         # block 0 reserved => 119 * 32 = 3808 workers.
-        assert GTX480.worker_threads == 3808
+        assert GridConfig.for_spec(GTX480).worker_count == 3808
 
     def test_pascal_can_hold_the_full_sweep(self):
         # GTX 1080: 20 SMs x 32 blocks => one round for 4096 jobs.
-        assert GTX1080.worker_threads >= 4096
+        assert GridConfig.for_spec(GTX1080).worker_count >= 4096

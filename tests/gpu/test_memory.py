@@ -14,7 +14,7 @@ class TestRegions:
         mem = GlobalMemory(1 << 20)
         a = mem.allocate_region("a", 100)
         b = mem.allocate_region("b", 200)
-        assert a.end <= b.base
+        assert a.base + a.size <= b.base
         assert b.base % 128 == 0
 
     def test_duplicate_name_rejected(self):
@@ -27,13 +27,6 @@ class TestRegions:
         mem = GlobalMemory(1024)
         with pytest.raises(MemoryFaultError):
             mem.allocate_region("big", 4096)
-
-    def test_contains(self):
-        mem = GlobalMemory(1 << 20)
-        region = mem.allocate_region("r", 256)
-        assert region.contains(region.base)
-        assert region.contains(region.base + 255)
-        assert not region.contains(region.base + 256)
 
     def test_region_lookup(self):
         mem = GlobalMemory(1 << 20)
@@ -90,13 +83,6 @@ class TestSourceBuffer:
         assert cache.stats.hits == 297  # one access per byte
         assert ctx.extra_cycles[ctx.phase] == 300.0
 
-    def test_slice_uncharged(self):
-        ctx = CountingContext()
-        src = SourceBuffer("hello").bind(ctx)
-        assert src.slice(1, 4) == "ell"
-        assert ctx.counts.total_count() == 0
-
-
 class TestOutputBuffer:
     def test_append_and_value(self):
         ctx = CountingContext()
@@ -123,8 +109,8 @@ class TestOutputBuffer:
     @pytest.mark.xfail(
         strict=True,
         reason="modeled defect: an append adds one miss penalty however "
-        "many lines it misses (DESIGN.md; fixed with the ROADMAP item 2 "
-        "re-baseline)",
+        "many lines it misses (DESIGN.md; fixed with the ROADMAP's honest "
+        "calibration re-baseline)",
     )
     def test_append_charges_one_penalty_per_missed_line(self):
         cache = SetAssociativeCache(64)

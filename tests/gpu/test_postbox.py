@@ -70,7 +70,7 @@ class TestPostboxArray:
         boxes = PostboxArray(3)
         boxes[0].assign("x", ctx)
         boxes.deactivate_all(ctx)
-        assert boxes.total_rmw_count() == 2 + 3
+        assert total_rmw_count(boxes) == 2 + 3
 
     def test_requires_threads(self):
         with pytest.raises(ValueError):
@@ -94,11 +94,13 @@ class EagerPostboxArray:
         for box in self.boxes:
             box.deactivate(ctx)
 
-    def total_rmw_count(self) -> int:
-        return sum(
-            b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count
-            for b in self.boxes
-        )
+
+def total_rmw_count(boxes) -> int:
+    """Atomic RMWs over every box's three cells (builds each lazy box)."""
+    return sum(
+        b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count
+        for b in (boxes[i] for i in range(len(boxes)))
+    )
 
 
 def _device_lifetime(spec_name: str) -> dict:
@@ -116,7 +118,7 @@ def _device_lifetime(spec_name: str) -> dict:
     return {
         "outputs": outputs,
         "rows": [list(row) for row in device.master_ctx.counts.rows],
-        "rmw": device.postboxes.total_rmw_count(),
+        "rmw": total_rmw_count(device.postboxes),
         "base_latency_ms": device.base_latency_ms,
     }
 
@@ -135,7 +137,7 @@ class TestLazyPostboxes:
         boxes = PostboxArray(4)
         boxes.deactivate_all(ctx)
         assert boxes[2].active.value == 0
-        assert boxes.total_rmw_count() == 4
+        assert total_rmw_count(boxes) == 4
         assert ctx.counts.count_of(Op.ATOMIC_RMW) == 4
 
     @pytest.mark.parametrize("spec_name", ["gtx1080", "tesla-v100"])

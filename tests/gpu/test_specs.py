@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.gpu.costs import ARCH_COSTS, Arch
+from repro.gpu.grid import GridConfig
 from repro.gpu.specs import (
     ALL_GPUS,
     GPU_BY_NAME,
@@ -45,13 +46,14 @@ class TestCatalog:
 
 class TestDerived:
     def test_cuda_cores(self):
-        assert GTX480.cuda_cores == 480
-        assert GTX1080.cuda_cores == 2560
-        assert TESLA_K20.cuda_cores == 2496
+        assert GTX480.sm_count * GTX480.cores_per_sm == 480
+        assert GTX1080.sm_count * GTX1080.cores_per_sm == 2560
+        assert TESLA_K20.sm_count * TESLA_K20.cores_per_sm == 2496
 
     def test_resident_blocks_and_workers(self):
         assert GTX480.resident_blocks == 15 * 8
-        assert GTX480.worker_threads == (GTX480.resident_blocks - 1) * 32
+        workers = GridConfig.for_spec(GTX480).worker_count
+        assert workers == (GTX480.resident_blocks - 1) * 32
 
     def test_cycles_to_ms(self):
         assert GTX480.cycles_to_ms(1.4e6) == pytest.approx(1.0)

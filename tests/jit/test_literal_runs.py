@@ -29,6 +29,7 @@ from repro.gpu.memory import OutputBuffer
 from repro.jit import compile_form
 from repro.ops import Op, Phase
 from repro.runtime.parse_cache import ParseCache
+from tests.conftest import counters
 from tests.core.test_host_work import TallyContext
 from tests.spec import corpus
 from tests.spec.corpus import EDGE_COMMANDS, hot_repl_commands
@@ -181,7 +182,7 @@ def _chain_outcome(build, text, room, atomic, starts) -> tuple:
     used = arena.used
     rollback = arena.rollback_region(mark)
     return (shapes, error, op_matrix(ctx.counts.rows), used, rollback, arena.used,
-            arena.stats.as_dict(), arena.cursor.rmw_count,
+            counters(arena.stats), arena.cursor.rmw_count,
             cache.stats.nodes_materialized)
 
 
@@ -217,7 +218,7 @@ def _list_copy_outcome(build, room, atomic) -> tuple:
     flags = [(node.linked, node.nxt.idx if node.nxt else None) for node in fresh]
     used = arena.used
     return (error, flags, op_matrix(ctx.counts.rows), used, arena.rollback_region(mark),
-            arena.stats.as_dict(), arena.cursor.rmw_count)
+            counters(arena.stats), arena.cursor.rmw_count)
 
 
 @pytest.mark.parametrize("atomic", [False, True], ids=["bump", "atomic-cursor"])
@@ -248,7 +249,7 @@ def test_value_nodes_charge_what_alloc_and_write_charged(atomic):
                 nodes.append(make(arena, ntype, value, ctx))
         observed.append((
             [(n.ntype, n.ival, n.fval, n.sval, n.sealed) for n in nodes],
-            str(failure.value), op_matrix(ctx.counts.rows), arena.stats.as_dict(),
+            str(failure.value), op_matrix(ctx.counts.rows), counters(arena.stats),
             arena.cursor.rmw_count,
         ))
     assert observed[0] == observed[1]

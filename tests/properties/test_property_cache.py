@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import CacheStats, SetAssociativeCache
 
 addrs = st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=300)
 
@@ -36,7 +36,7 @@ def test_within_associativity_working_set_never_evicts(base, k):
     lines = [base + i * cache.n_sets for i in range(k)]  # same set index
     for line in lines:
         cache.access(line * 128)
-    cache.reset_stats()
+    cache.stats = CacheStats()
     for line in lines:
         cache.access(line * 128)
     assert cache.stats.misses == 0
@@ -49,7 +49,7 @@ def test_flush_forgets_everything(trace):
     for addr in trace:
         cache.access(addr)
     cache.flush()
-    cache.reset_stats()
+    cache.stats = CacheStats()
     seen_lines = {a // cache.line_bytes for a in trace}
     for addr in sorted(seen_lines):
         cache.access(addr * cache.line_bytes)

@@ -20,12 +20,13 @@ keep:
 CI runs this file twice: once with the baked-in seeds below, and once
 more in the seeded chaos matrix where ``REPRO_CHAOS_SEED`` /
 ``REPRO_CHAOS_KILL`` / ``REPRO_CHAOS_HANG`` override them (see
-``ChaosMonkey.from_env``).
+:func:`monkey_from_env`).
 """
 
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import pytest
 
@@ -48,8 +49,23 @@ INTERVAL = 4
 SEEDS = [7, 23, 401]
 
 
+def monkey_from_env() -> Optional[ChaosMonkey]:
+    """Build from ``REPRO_CHAOS_SEED`` / ``REPRO_CHAOS_KILL`` /
+    ``REPRO_CHAOS_HANG`` / ``REPRO_CHAOS_IDLE`` (CI's seeded chaos
+    matrix); None when no seed is set."""
+    seed = os.environ.get("REPRO_CHAOS_SEED")
+    if seed is None:
+        return None
+    return ChaosMonkey(
+        seed=int(seed),
+        kill_rate=float(os.environ.get("REPRO_CHAOS_KILL", "0.05")),
+        hang_rate=float(os.environ.get("REPRO_CHAOS_HANG", "0.03")),
+        idle_kill_rate=float(os.environ.get("REPRO_CHAOS_IDLE", "0.01")),
+    )
+
+
 def _monkey(seed: int) -> ChaosMonkey:
-    from_env = ChaosMonkey.from_env()
+    from_env = monkey_from_env()
     if from_env is not None:
         return from_env
     return ChaosMonkey(
@@ -198,10 +214,10 @@ def test_total_kill_rate_still_terminates():
 
 def test_from_env_round_trip(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
-    assert ChaosMonkey.from_env() is None
+    assert monkey_from_env() is None
     monkeypatch.setenv("REPRO_CHAOS_SEED", "42")
     monkeypatch.setenv("REPRO_CHAOS_KILL", "0.2")
     monkeypatch.setenv("REPRO_CHAOS_HANG", "0.1")
-    monkey = ChaosMonkey.from_env()
+    monkey = monkey_from_env()
     assert monkey is not None
     assert (monkey.seed, monkey.kill_rate, monkey.hang_rate) == (42, 0.2, 0.1)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from repro.context import NullContext
 from repro.core.builtins.helpers import nodes_equal
 from repro.core.interpreter import Interpreter
-from repro.core.printer import Printer
 from repro.core.reader import Parser
+from tests.conftest import print_text
 
 CTX = NullContext()
 
@@ -63,7 +63,7 @@ def parse_one(interp, text):
 def test_print_parse_roundtrip(text):
     interp = Interpreter()
     first = parse_one(interp, text)
-    printed = Printer(CTX).to_string(first)
+    printed = print_text(first, CTX)
     second = parse_one(interp, printed)
     assert nodes_equal(first, second, CTX)
 
@@ -72,9 +72,8 @@ def test_print_parse_roundtrip(text):
 @settings(max_examples=200, deadline=None)
 def test_printing_is_idempotent_normal_form(text):
     interp = Interpreter()
-    printer = Printer(CTX)
-    once = printer.to_string(parse_one(interp, text))
-    twice = printer.to_string(parse_one(interp, once))
+    once = print_text(parse_one(interp, text), CTX)
+    twice = print_text(parse_one(interp, once), CTX)
     assert once == twice
 
 

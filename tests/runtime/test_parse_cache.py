@@ -27,7 +27,6 @@ class TestCacheMechanics:
         assert interp.parse_cache.stats.misses == 1
         interp.prepare_command("(+ 1 2)", ctx)
         assert interp.parse_cache.stats.hits == 1
-        assert interp.parse_cache.stats.hit_rate == 0.5
 
     def test_lru_eviction(self):
         interp = make_interp(capacity=2)

@@ -6,7 +6,6 @@ from repro.runtime.workloads import (
     FIB_DEFUN,
     THREAD_SWEEP,
     fibonacci_workload,
-    parallel_apply_workload,
     parallel_sum_workload,
 )
 
@@ -38,11 +37,6 @@ class TestOtherWorkloads:
     def test_parallel_sum(self):
         w = parallel_sum_workload(3)
         assert w.command == "(||| 3 + (1 2 3) (3 2 1))"
-
-    def test_parallel_apply(self):
-        w = parallel_apply_workload(2, "(defun dbl (x) (* 2 x))", "dbl", 21)
-        assert w.preamble[0].startswith("(defun dbl")
-        assert w.command == "(||| 2 dbl (21 21))"
 
     def test_sweep_is_the_papers(self):
         assert THREAD_SWEEP == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)

@@ -43,7 +43,7 @@ class TestFastPathConfiguration:
 
     def test_session_roots_are_indexed(self, fast_server):
         session = fast_server.open_session()
-        assert session.env.indexed
+        assert session.env._index is not None
 
 
 class TestIsolationWithIndexedRoots:

@@ -20,6 +20,7 @@ from repro.serve import (
     capability_probe_ms,
     capability_score,
     generate_trace,
+    restore_ms_per_byte,
 )
 
 MIXED = ["gtx1080", "tesla-v100", "intel-e5-2620"]
@@ -103,8 +104,8 @@ class TestCostPlacement:
             gpu = next(d for d in devices if d.kind == "gpu")
             cpu = next(d for d in devices if d.kind == "cpu")
             nbytes = 1 << 20
-            assert gpu.restore_cost_ms(nbytes) > 0.0
-            assert cpu.restore_cost_ms(nbytes) == 0.0
+            assert restore_ms_per_byte(gpu.device.spec) > 0.0
+            assert restore_ms_per_byte(cpu.device.spec) == 0.0
             key_gpu = gpu.placement_key(incoming_nbytes=nbytes)
             key_cpu = cpu.placement_key(incoming_nbytes=nbytes)
             assert key_cpu < key_gpu
@@ -128,13 +129,14 @@ def _chain_key(pdev, incoming_nbytes=0):
     """The placement key spelled through the pool's load properties, in
     the float order ``placement_key`` must keep: resident demand, queued
     work, retained session heap, then the arriving snapshot."""
+    per_byte = restore_ms_per_byte(pdev.device.spec)
     backlog = (
         pdev.resident_demand_ms
         + pdev.queue_backlog_ms
-        + pdev.restore_cost_ms(pdev.session_retained_nodes * NODE_BYTES)
+        + pdev.session_retained_nodes * NODE_BYTES * per_byte
     )
     return (
-        backlog + pdev.restore_cost_ms(incoming_nbytes),
+        backlog + incoming_nbytes * per_byte,
         pdev.probe_ms,
         pdev.session_count,
         pdev.retained_nodes,

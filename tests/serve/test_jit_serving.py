@@ -16,12 +16,14 @@ Two interactions the trace executor must not break:
 from __future__ import annotations
 
 import json
+import os
 
 from repro.core.interpreter import InterpreterOptions
 from repro.cpu.device import CPUDeviceConfig
 from repro.errors import ArenaExhaustedError
 from repro.gpu.device import GPUDeviceConfig
 from repro.serve import CuLiServer
+from tests.conftest import counters
 
 DEVICE = "gtx1080"
 
@@ -48,7 +50,20 @@ def fault_server(jit: bool, **kwargs) -> CuLiServer:
 
 
 def device_jit_stats(server: CuLiServer, device_id: str) -> dict:
-    return server.pool[device_id].device.interp.jit_stats.as_dict()
+    return counters(server.pool[device_id].device.interp.jit_stats)
+
+
+class TestTierDefault:
+    def test_default_tier_follows_the_tier_matrix(self):
+        """CI's tier matrix runs ``tests/serve`` with ``REPRO_SERVE_JIT=0``
+        (applied by ``tests/serve/conftest.py``): every device of a
+        default-built server then tree-walks. An explicit ``jit=`` wins."""
+        expected = os.environ.get("REPRO_SERVE_JIT", "1") != "0"
+        fleet = ["gtx1080", "intel-e5-2620"]
+        for kwargs, jit in (({}, expected), ({"jit": True}, True), ({"jit": False}, False)):
+            with CuLiServer(devices=fleet, **kwargs) as server:
+                tiers = [p.device.interp.options.jit for p in server.pool.devices.values()]
+            assert tiers == [jit, jit], kwargs
 
 
 class TestJitFaultContainment:

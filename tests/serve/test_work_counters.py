@@ -61,6 +61,33 @@ def test_counters_are_seed_stable():
     assert _drain_counters(100) == _drain_counters(100)
 
 
+def _leveling_counters(n: int) -> int:
+    """``n`` one-ticket sessions on one device beside ``n // 16`` sessions
+    holding as much queued work on the other: the queues stay level, so
+    session leveling, not shedding, makes the moves. The hot tickets are
+    submitted newest session first, so the hot device's leading
+    residents (open order) are the last to drain."""
+    with CuLiServer(devices=["gtx1080", "gtx1080"], rebalance=True) as server:
+        hot = [server.open_session(device_id="gtx1080#0") for _ in range(n)]
+        cold = [server.open_session(device_id="gtx1080#1") for _ in range(n // 16)]
+        cold_tickets = [s.submit(f"(+ {j} 1)") for s in cold for j in range(16)]
+        hot_tickets = [s.submit("(+ 1 2)") for s in reversed(hot)]
+        server.flush()
+        assert [t.output for t in cold_tickets] == [str(j + 1) for _ in cold for j in range(16)]
+        assert [t.output for t in hot_tickets] == ["3"] * n
+        assert server.stats.sessions_migrated > 0
+        return server.stats.snapshot()["scheduler"]["sessions_examined"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 'No per-pick scans in fleet decisions': each leveling "
+    "pick walks the hot device's residents until one has nothing queued",
+)
+def test_no_leveling_cliff_when_sessions_double():
+    assert _leveling_counters(400) <= 2.2 * _leveling_counters(200)
+
+
 def _failover_counters(n: int, interval: int = 8) -> dict:
     """``n`` tenants with one ``(+ 1 2)`` each on two devices with
     failover and rebalancing on, drained to empty: every deterministic

@@ -21,6 +21,7 @@ from repro.gpu.memory import OutputBuffer, SourceBuffer
 from repro.gpu.specs import GTX1080
 from repro.ops import N_OPS, Op, Phase
 from repro.runtime.snapshot import snapshot_env
+from tests.conftest import counters
 from tests.spec.reference import installed
 
 #: The GTX 1080's L2: (KiB, line bytes, ways).
@@ -178,9 +179,9 @@ def run_program(
     rows = [row for entry in record.trail for row in entry[0]]
     record.cycles = [table.row_cycles(rows) for table in (GTX1080.costs, INTEL_E5_2620.costs)]
     record.heap = snapshot_env(env, "spec").to_dict()
-    record.jit = interp.jit_stats.as_dict()
+    record.jit = counters(interp.jit_stats)
     if interp.parse_cache is not None:
-        record.parse_cache = interp.parse_cache.stats.as_dict()
+        record.parse_cache = counters(interp.parse_cache.stats)
     return record
 
 

@@ -1,10 +1,10 @@
-"""C-style string routines with charging."""
+"""C-style string comparison with charging."""
 
 import pytest
 
 from repro.context import CountingContext, NullContext
 from repro.ops import Op
-from repro.strlib import str_cmp, str_copy_into, str_equal, str_len, str_ncmp
+from repro.strlib import str_cmp
 
 
 @pytest.fixture
@@ -45,24 +45,3 @@ class TestStrCmp:
         str_cmp("hello", "hello", cctx)
         assert cctx.counts.count_of(Op.SYM_CHAR_CMP) == 6  # 5 + terminator
 
-
-class TestOthers:
-    def test_str_len_counts_terminator(self):
-        cctx = CountingContext()
-        assert str_len("abcd", cctx) == 4
-        assert cctx.counts.count_of(Op.CHAR_LOAD) == 5
-
-    def test_str_ncmp(self, ctx):
-        assert str_ncmp("abcdef", "abcxyz", 3, ctx) == 0
-        assert str_ncmp("abcdef", "abcxyz", 4, ctx) < 0
-
-    def test_str_equal(self, ctx):
-        assert str_equal("same", "same", ctx)
-        assert not str_equal("same", "sane", ctx)
-
-    def test_str_copy_into(self):
-        cctx = CountingContext()
-        dst: list[str] = []
-        str_copy_into(dst, "hi", cctx)
-        assert dst == ["h", "i"]
-        assert cctx.counts.count_of(Op.CHAR_STORE) == 3  # 2 + terminator

@@ -4,7 +4,7 @@ import pytest
 
 from repro.context import CountingContext, NullContext
 from repro.ops import Op
-from repro.strlib import AtomClass, classify_atom, looks_numeric, parse_number
+from repro.strlib import AtomClass, classify_atom, numparse, parse_number
 
 
 @pytest.fixture
@@ -13,13 +13,23 @@ def ctx():
 
 
 class TestLooksNumeric:
+    """The paper's first-character test: only a token that starts like a
+    number is handed to the number parser."""
+
+    @staticmethod
+    def parsed(tok, monkeypatch):
+        seen = []
+        monkeypatch.setattr(numparse, "parse_number", lambda t, c: seen.append(t))
+        classify_atom(tok, NullContext())
+        return seen == [tok]
+
     @pytest.mark.parametrize("tok", ["1", "42", "+1", "-3", ".5", "E2", "9abc"])
-    def test_numeric_start(self, tok):
-        assert looks_numeric(tok)
+    def test_numeric_start(self, tok, monkeypatch):
+        assert self.parsed(tok, monkeypatch)
 
     @pytest.mark.parametrize("tok", ["abc", "*", "", "x1"])
-    def test_non_numeric_start(self, tok):
-        assert not looks_numeric(tok)
+    def test_non_numeric_start(self, tok, monkeypatch):
+        assert not self.parsed(tok, monkeypatch)
 
 
 class TestParseNumber:
