@@ -8,7 +8,9 @@ Two claims guard the bulk collection path:
   chunks, one bulk carrier session per device) must beat the paper's
   single-device ``|||`` distribution of the same work by >= 1.3x
   modeled jobs/s, with byte-identical output. The win is pure
-  parallelism across devices; the semantics never move.
+  parallelism across devices; the semantics never move. Both sides run
+  on the workers: the solo ``|||`` is served in master mode as 1,024
+  engine jobs, and every chunk makes one engine job per element.
 * **Coexistence holds** — replaying an all-interactive SLO trace while
   a 2048-element bulk job co-runs, the tenants' p99 latency must stay
   within 3x the bulk-free baseline *and* under their SLO. Two scheduler
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from repro import CuLiServer
 from repro.serve import generate_trace
+from repro.serve.bulk import split_list_text
 
 from conftest import record_point
 
@@ -44,18 +47,27 @@ DURATION_MS = 2.0
 INTERACTIVE_SLO_MS = 5.0
 BULK_ELEMS = 2048
 #: CI bound on interactive p99 inflation under a co-running bulk job
-#: (measured ~1.3x at COEXIST_CHUNK; was ~12x before batch segregation).
+#: (measured ~1.08x at COEXIST_CHUNK with chunks on the workers, ~1.14x
+#: when each chunk ran in one worker lane; ~12x before batch
+#: segregation).
 P99_BOUND = 3.0
 
 
 def run_solo() -> dict:
-    """The paper's path: one device, one ``|||`` distribution."""
+    """The paper's path: one device, one ``|||`` distribution. The
+    served request is the form alone, so the master evaluates it and
+    the engine runs one job per element on the device's workers."""
     body = " ".join(str(x) for x in range(N_ELEMENTS))
     with CuLiServer(devices=[DEVICE]) as server:
         out = server.open_session().eval(
             f"(||| {N_ELEMENTS} {FN} ({body}))"
         )
         snap = server.stats.snapshot()
+        (device,) = snap["devices"].values()
+        assert (device["jobs"], snap["fleet"]["nested_fallbacks"]) == (
+            N_ELEMENTS,
+            0,
+        ), "the solo ||| must run as one engine job per element"
         return {
             "output": out,
             "makespan_ms": snap["scheduler"]["makespan_ms"],
@@ -63,10 +75,25 @@ def run_solo() -> dict:
 
 
 def run_sharded() -> dict:
-    """The fleet path: host-sharded ``gpu_map`` across N devices."""
+    """The fleet path: host-sharded ``gpu_map`` across N devices. Each
+    chunk is a batch of its own, whose engine jobs are its elements."""
     with CuLiServer(devices=[DEVICE] * N_DEVICES) as server:
+        batches = []
+        record_batch = server.stats.record_batch
+
+        def recording(device_id, result):
+            batches.append(
+                (result.jobs, [len(split_list_text(o)) for o in result.outputs])
+            )
+            record_batch(device_id, result)
+
+        server.stats.record_batch = recording
         out = server.gpu_map(FN, list(range(N_ELEMENTS)), chunk_elems=128)
         snap = server.stats.snapshot()
+        assert snap["fleet"]["nested_fallbacks"] == 0
+        assert len(batches) == snap["bulk"]["chunks"]
+        for jobs, (elements,) in batches:
+            assert jobs == elements, "a chunk makes one engine job per element"
         return {
             "output": out,
             "makespan_ms": snap["scheduler"]["makespan_ms"],

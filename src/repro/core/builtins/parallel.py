@@ -14,7 +14,11 @@ delegated to the interpreter's *parallel engine* — the sequential engine
 evaluates rows in a loop, the GPU engine runs the postbox/warp machinery
 (in distribution rounds when jobs outnumber workers), the CPU engine
 runs a pthread-pool model. The master walks each argument list with a
-cursor (O(1) per job, not O(n) "n-th element" scans).
+cursor (O(1) per job, not O(n) "n-th element" scans). The engine runs
+the rows on workers when the master evaluates the form: in a single
+command, or in a served request whose plan is the form alone (master
+mode). A form a worker reaches, inside a row or anywhere else in a
+served request, runs its rows sequentially in that worker's lane.
 
 Three forms share the engine:
 
@@ -30,12 +34,15 @@ Three forms share the engine:
   per element, *every* element consumed. No worker count to truncate
   to, so ragged lists are an error rather than silently sliced.
   Equivalent to ``mapcar`` on equal-length lists (property-pinned),
-  but routed through the parallel engine.
+  but each element row is one engine job. The rows name no worker, so
+  the GPU engine spreads them one per warp first, as it does tenant
+  requests.
 * ``(preduce fn list [init])`` — parallel tree reduction: pairwise
   combination rounds through the engine, O(log n) rounds instead of
   ``reduce``'s O(n) chain. ``fn`` must be associative for the result
   to equal the sequential left fold (``+``, ``*``, ``max`` ... — the
-  usual tree-reduction contract).
+  usual tree-reduction contract). Its pairs are spread like
+  ``gpu-map``'s rows.
 """
 
 from __future__ import annotations
@@ -45,7 +52,10 @@ from ...ops import Op
 from ..nodes import Node, NodeType
 from .helpers import build_list, list_items, require_list
 
-__all__ = ["register"]
+__all__ = ["PARALLEL_HEADS", "register"]
+
+#: The names of the forms that hand rows to the parallel engine.
+PARALLEL_HEADS = frozenset({"|||", "gpu-map", "preduce"})
 
 
 def _resolve_fn(interp, env, ctx, node, depth, who: str) -> Node:
@@ -66,8 +76,13 @@ def _resolve_fn(interp, env, ctx, node, depth, who: str) -> Node:
     return fn
 
 
-def _run_engine(interp, fn, rows, env, ctx, depth, who: str) -> list[Node]:
-    results = interp.parallel_engine(interp, fn, rows, env, ctx, depth)
+def _run_engine(
+    interp, fn, rows, env, ctx, depth, who: str, spread: bool
+) -> list[Node]:
+    """Hand ``rows`` to the parallel engine. ``spread`` is the layout:
+    ``|||`` names the worker of each row and keeps the dense one, the
+    bulk forms' rows name none and are spread one per warp first."""
+    results = interp.parallel_engine(interp, fn, rows, env, ctx, depth, spread)
     if len(results) != len(rows):
         raise EvalError(
             f"{who}: engine returned {len(results)} results for "
@@ -116,7 +131,7 @@ def _parallel(interp, env, ctx, args, depth) -> Node:
             ctx.charge(Op.NODE_READ)
         rows.append(row)
 
-    results = _run_engine(interp, fn, rows, env, ctx, depth, "|||")
+    results = _run_engine(interp, fn, rows, env, ctx, depth, "|||", False)
     # "The master thread ... generates a new N_LIST node and appends the
     # workers' results in the same order as the work was distributed."
     return build_list(interp, results, ctx)
@@ -130,6 +145,10 @@ def _gpu_map(interp, env, ctx, args, depth) -> Node:
     *every* element is consumed. Ragged lists are an error — there is
     no ``n`` to truncate to, and silently dropping tail elements is
     exactly the ambiguity this form exists to avoid.
+
+    The rows run on the device's workers when the master evaluates the
+    form (a single command, or a served request that is this form
+    alone); a worker that reaches it runs the rows in its own lane.
     """
     fn = _resolve_fn(interp, env, ctx, args[0], depth, "gpu-map")
     columns = []
@@ -145,7 +164,7 @@ def _gpu_map(interp, env, ctx, args, depth) -> Node:
                 "lists must have equal length"
             )
     rows = [[column[i] for column in columns] for i in range(n)]
-    results = _run_engine(interp, fn, rows, env, ctx, depth, "gpu-map")
+    results = _run_engine(interp, fn, rows, env, ctx, depth, "gpu-map", True)
     return build_list(interp, results, ctx)
 
 
@@ -174,7 +193,7 @@ def _preduce(interp, env, ctx, args, depth) -> Node:
         rows = [
             [items[i], items[i + 1]] for i in range(0, len(items) - 1, 2)
         ]
-        combined = _run_engine(interp, fn, rows, env, ctx, depth, "preduce")
+        combined = _run_engine(interp, fn, rows, env, ctx, depth, "preduce", True)
         if len(items) % 2:
             combined.append(items[-1])
         items = combined

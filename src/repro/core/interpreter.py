@@ -37,12 +37,15 @@ __all__ = [
     "worker_expression",
 ]
 
-#: engine(interp, fn_node, rows, env, ctx, depth) -> list of result nodes
+#: engine(interp, fn_node, rows, env, ctx, depth, spread) -> list of
+#: result nodes; ``spread`` is True for rows that name no worker
+#: (``gpu-map``, ``preduce``), which a GPU places one per warp first.
 ParallelEngine = Callable[..., list]
 
 
 def sequential_engine(interp: "Interpreter", fn: Node, rows: list[list[Node]],
-                      env: Environment, ctx: ExecContext, depth: int) -> list[Node]:
+                      env: Environment, ctx: ExecContext, depth: int,
+                      spread: bool = False) -> list[Node]:
     """Fallback ||| engine: evaluate each worker's job in a loop.
 
     Each job still gets its own environment chained to the ``|||``

@@ -46,7 +46,6 @@ def wave_schedule(job_cycles: np.ndarray, width: int) -> tuple[float, int]:
 class CPUParallelEngine:
     def __init__(self, device: "CPUDevice") -> None:
         self.device = device
-        self.nested_fallbacks = 0
         self._active = False
         self.begin_command()
 
@@ -56,6 +55,8 @@ class CPUParallelEngine:
         self.collect_cycles = 0.0
         self.jobs = 0
         self.waves = 0
+        #: Parallel forms that ran inside a worker, sequentially.
+        self.nested_fallbacks = 0
 
     @property
     def round_count(self) -> int:
@@ -73,7 +74,9 @@ class CPUParallelEngine:
         env: "Environment",
         ctx: ExecContext,
         depth: int,
+        spread: bool = False,
     ) -> list[Node]:
+        # ``spread`` names a GPU layout: a CPU has no warps to spread over.
         if self._active:
             self.nested_fallbacks += 1
             return sequential_engine(interp, fn, rows, env, ctx, depth)

@@ -94,10 +94,12 @@ class LivelockError(DeviceError):
     lockstep threads that never receive work spin forever and block their
     warp siblings from completing.
 
-    Containment is positional, not purely type-based: a livelock raised
-    while one job evaluates (e.g. a nested ``|||`` ablation) kills just
-    that job, while the batch-level engine-configuration livelocks are
-    raised before any job runs and therefore abort the whole batch.
+    Containment is not purely type-based: a livelock raised while one
+    job evaluates (e.g. an injected fault) kills just that job, while
+    the engine-configuration livelocks (Figs. 12/13) abort the whole
+    batch. The kernel raises those with ``containable`` set to False on
+    the instance, because a served request in master mode meets them
+    inside its own contained evaluation.
     """
 
     containable = True

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..context import CountingContext
+from ..core.builtins.parallel import PARALLEL_HEADS
 from ..core.interpreter import Interpreter, InterpreterOptions
-from ..core.nodes import NODE_BYTES
+from ..core.nodes import NODE_BYTES, NodeType
 from ..core.printer import Printer
 from ..gpu.cache import SetAssociativeCache
 from ..gpu.fileio import FileServiceLink, HostFileSystem
@@ -212,6 +213,48 @@ class GPUDevice(BatchDevice):
             nodes_freed=freed,
         )
 
+    def _run_masters(
+        self, jobs: list[ServiceJob], masters: list[int], eval_cycles: list[float]
+    ) -> list[float]:
+        """Master mode (Alg. 1): the master evaluates each job at an
+        index in ``masters``, a request whose plan is one parallel form,
+        as a single command does, and the engine runs the form's rows on
+        the workers.
+
+        Each job runs under :func:`~repro.runtime.batch.run_contained`
+        with its own nursery watermark, as a service lane does. Its eval
+        (stored at its index in ``eval_cycles``) is the master's EVAL
+        delta plus its rounds' worker wall, less the distribution and
+        collection that the batch's times share out to every request, as
+        they share a service round's. Returns the batch's worker cycles
+        per request: ``eval_cycles`` with each master-mode request's
+        entry replaced by its rounds' wall.
+        """
+        master = self.master_ctx
+        interp = self.interp
+        engine = self.engine
+        worker_cycles = eval_cycles[:]
+        for i in masters:
+            job = jobs[i]
+            c0 = self.master_cycles(Phase.EVAL)
+            wall0 = engine.worker_wall_cycles
+            shared0 = engine.distribute_cycles + engine.collect_cycles
+            job.out.bind(master)
+            interp.push_output(job.out)
+            try:
+                job.results, job.error = run_contained(
+                    interp,
+                    master,
+                    lambda: [interp.run_plan_step(job.plan.steps[0], job.env, master)],
+                )
+            finally:
+                interp.pop_output()
+            wall = engine.worker_wall_cycles - wall0
+            shared = engine.distribute_cycles + engine.collect_cycles - shared0
+            eval_cycles[i] = self.master_cycles(Phase.EVAL) - c0 - shared + wall
+            worker_cycles[i] = wall
+        return worker_cycles
+
     def submit_batch(self, requests: Sequence[BatchRequest]) -> BatchResult:
         """Run many tenants' commands as one batched device transaction.
 
@@ -223,6 +266,15 @@ class GPUDevice(BatchDevice):
         and the master prints each result and releases the buffer once.
         The per-command handshake, the PCIe latency, and the distribution
         overhead are paid once per batch instead of once per command.
+
+        A request whose plan is one parallel form (``|||``, ``gpu-map``
+        or ``preduce``; noted by its head when the plan is prepared)
+        runs in master mode after the service round: the master
+        evaluates it and the engine distributes its rows to the workers,
+        as in :meth:`submit` (:meth:`_run_masters`). A parallel form
+        that a worker reaches — anywhere else in a request, or inside a
+        row — runs sequentially in that worker's lane and is counted in
+        ``nested_fallbacks``.
 
         Failure containment (fault isolation): each request's parse and
         evaluation run through :func:`~repro.runtime.batch.run_contained`,
@@ -278,6 +330,8 @@ class GPUDevice(BatchDevice):
         interp.begin_command_region()
 
         jobs: list[ServiceJob] = []
+        # The requests the master evaluates itself (master mode).
+        masters: list[int] = []
         parse_cycles = [0.0] * n
         print_cycles = [0.0] * n
         outputs = [""] * n
@@ -308,6 +362,19 @@ class GPUDevice(BatchDevice):
                 job.plan, job.error = run_contained(
                     interp, master, interp.prepare_command, source, master
                 )
+                # A plan that is one parallel form runs in master mode
+                # (such a form has no trace, so its step is a tree).
+                # Read by attribute and index only: a batch without such
+                # a form makes no call for the check.
+                steps = job.plan.steps if job.error is None else None
+                if steps and steps[-1] is steps[0] and steps[0].form is not None:
+                    head = steps[0].form.first
+                    if (
+                        head is not None
+                        and head.ntype is NodeType.N_SYMBOL
+                        and head.sval in PARALLEL_HEADS
+                    ):
+                        masters.append(i)
                 c1 = self.master_cycles(Phase.PARSE)
                 parse_cycles[i] = c1 - c0
                 c0 = c1
@@ -316,13 +383,21 @@ class GPUDevice(BatchDevice):
 
             # ---- shared service rounds: workers evaluate tenants (EVAL) ----
             master.set_phase(Phase.EVAL)
-            runnable = [i for i, job in enumerate(jobs) if job.error is None]
+            runnable = [
+                i for i, job in enumerate(jobs)
+                if job.error is None and i not in masters
+            ]
             eval_cycles = [0.0] * n
             for i, cycles in zip(
                 runnable,
                 self.engine.run_service_batch(interp, [jobs[i] for i in runnable]),
             ):
                 eval_cycles[i] = cycles
+            # A request's lane is its worker time; a master-mode
+            # request's is its rounds' wall.
+            worker_cycles = eval_cycles
+            if masters:
+                worker_cycles = self._run_masters(jobs, masters, eval_cycles)
 
             # ---- master: print each request's results (PRINT) -------------
             # Like PARSE, the phase opens uncharged, at an exact 0.0.
@@ -363,10 +438,12 @@ class GPUDevice(BatchDevice):
         cpm = self._cycles_per_ms
         own_ms = []
         for i in range(n):
-            eval_ms = eval_cycles[i] / cpm
-            own_ms.append(
-                (parse_cycles[i] / cpm, eval_ms, print_cycles[i] / cpm, eval_ms)
-            )
+            own_ms.append((
+                parse_cycles[i] / cpm,
+                eval_cycles[i] / cpm,
+                print_cycles[i] / cpm,
+                worker_cycles[i] / cpm,
+            ))
         return self._batch_result(
             requests,
             texts,

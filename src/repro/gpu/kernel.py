@@ -7,9 +7,11 @@ batch of tenant requests, runs through one loop,
 (block 0, thread 0):
 
 1. places up to one job per worker, in one of two layouts: *dense* (job
-   ``j`` on worker ``j``, so jobs fill warps in order) for the forms'
-   rounds, or *spread* (one job per warp first) for tenant requests,
-   whose different code would serialize inside a shared warp,
+   ``j`` on worker ``j``, so jobs fill warps in order) for ``|||``,
+   whose contract names the worker of each row, or *spread* (one job
+   per warp first) for ``gpu-map`` and ``preduce`` rows, which name no
+   worker, and for tenant requests: divergent code would serialize
+   inside a shared warp,
 2. deposits each job in its worker's postbox and raises the work/sync
    flags — for a form the job is a fresh list linking the function and
    the job's argument nodes (paper: "creates a new expression for each
@@ -22,16 +24,20 @@ batch of tenant requests, runs through one loop,
 4. waits for all workers, then collects results in distribution order.
 
 What differs between the two callers is what a job deposits and how its
-lanes run and sum (:meth:`~GPUParallelEngine.__call__`,
+lanes run (:meth:`~GPUParallelEngine.__call__`,
 :meth:`~GPUParallelEngine.run_service_batch`). Form workers evaluate
 their sub-tree in an environment chained to the form's environment, with
 their own (fresh) device stack; tenant workers run the request's plan in
-the tenant's environment.
+the tenant's environment. A served request whose plan is one parallel
+form runs in master mode instead (:meth:`GPUDevice.submit_batch
+<repro.gpu.device.GPUDevice.submit_batch>`): the master evaluates it and
+its rows take this engine's form rounds, as in a single command.
 
 Timing: the master's own work is charged to its context; worker wall
 time per round is the maximum over warps of the per-warp lockstep time,
-since every block is resident and runs concurrently. If there are more
-jobs than workers, the master distributes in rounds.
+since every block is resident and runs concurrently. Both lane runners
+sum a warp over the lanes that the layout placed on it. If there are
+more jobs than workers, the master distributes in rounds.
 """
 
 from __future__ import annotations
@@ -54,6 +60,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .device import GPUDevice
 
 __all__ = ["GPUParallelEngine", "RoundReport", "ServiceJob"]
+
+
+def _kernel_livelock(message: str) -> LivelockError:
+    """A livelock of the kernel's configuration (Figs. 12/13). It fails
+    the whole transaction even where a job's evaluation raises it (a
+    served request in master mode), so it is not containable."""
+    exc = LivelockError(message)
+    exc.containable = False
+    return exc
 
 
 def _entry_row(*charges: tuple[Op, int]) -> tuple[float, ...]:
@@ -116,7 +131,6 @@ class GPUParallelEngine:
 
     def __init__(self, device: "GPUDevice") -> None:
         self.device = device
-        self.nested_fallbacks = 0
         self._active = False
         self._layouts: dict[tuple[bool, int], tuple[list, list[int], int]] = {}
         #: One worker context serves every lane in turn. A worker never
@@ -138,6 +152,9 @@ class GPUParallelEngine:
         self.collect_cycles = 0.0
         self.spin_cycles = 0.0
         self.jobs = 0
+        #: Parallel forms that ran inside a worker, each sequentially in
+        #: that worker's lane (:meth:`__call__`).
+        self.nested_fallbacks = 0
         #: ``(jobs, warps_touched, wall_cycles, groups)`` per round.
         self._round_log: list[tuple[int, int, float, int]] = []
 
@@ -159,7 +176,11 @@ class GPUParallelEngine:
         env: "Environment",
         ctx: ExecContext,
         depth: int,
+        spread: bool = False,
     ) -> list[Node]:
+        """Distribute one parallel form's rows; ``spread`` selects the
+        layout (:meth:`_layout`): False for ``|||``, True for the forms
+        whose rows name no worker."""
         if self._active:
             # A worker hit a nested |||: CuLi has a single master, so
             # nested parallel sections degrade to sequential evaluation
@@ -170,12 +191,12 @@ class GPUParallelEngine:
         return self._rounds(
             ctx,
             rows,
-            False,
+            spread,
             lambda round_rows: [
                 worker_expression(interp, fn, row, ctx) for row in round_rows
             ],
             lambda round_rows, boxes, warp_of, warps: self._lockstep_lanes(
-                interp, fn, round_rows, env, boxes
+                interp, fn, round_rows, env, boxes, warp_of, warps
             ),
         )
 
@@ -196,9 +217,9 @@ class GPUParallelEngine:
         Placement differs from ``|||`` rounds: different tenants run
         *different* code, and divergent lanes within a warp serialize
         (paper §III-D-d), so jobs are spread one-per-warp first and only
-        share a warp once every warp has a job. A warp's time is the sum
-        of its jobs' lane times; the round's wall time is the max over
-        warps.
+        share a warp once every warp has a job (the layout ``gpu-map``
+        and ``preduce`` rows take too). A warp's time is the sum of its
+        jobs' lane times; the round's wall time is the max over warps.
 
         Failure containment: Lisp-level failures and *containable*
         device faults (arena exhaustion, a livelock inside one job's
@@ -207,7 +228,7 @@ class GPUParallelEngine:
         allocations rolled back to a per-job watermark so co-tenants can
         reuse the space. Device-fatal errors (shutdown, protocol
         corruption) and the batch-level engine-configuration livelocks
-        raised before any job runs still abort the transaction. Returns
+        (raised non-containable) still abort the transaction. Returns
         per-job lane cycles (the request's own eval time).
         Wall/distribute/collect/spin cycles accumulate on the engine
         exactly like ``|||`` rounds.
@@ -293,7 +314,7 @@ class GPUParallelEngine:
             # threads, the first block barrier diverges the master's warp
             # and the kernel livelocks. Volta's per-thread program
             # counters (the paper's "new threading model") remove this.
-            raise LivelockError(
+            raise _kernel_livelock(
                 "master-block worker threads are enabled: the master warp "
                 "diverges at the block barrier and spins forever (Fig. 12)"
             )
@@ -314,12 +335,12 @@ class GPUParallelEngine:
                 if idle_lanes_spin and (spread or k % spec.warp_size):
                     # Paper Fig. 13: without the per-block sync flag, the
                     # lockstep lanes left without a job spin forever.
-                    # Service rounds rarely fill whole warps, so they
+                    # Spread rounds rarely fill whole warps, so they
                     # need the flag whatever their size.
-                    raise LivelockError(
-                        "multi-tenant service rounds need the block sync "
-                        "flag: partially filled warps livelock without it "
-                        "(Fig. 13)"
+                    raise _kernel_livelock(
+                        "spread rounds (tenant requests, gpu-map, preduce) "
+                        "need the block sync flag: partially filled warps "
+                        "livelock without it (Fig. 13)"
                         if spread
                         else f"{k} jobs is not a multiple of {spec.warp_size} "
                         "and the block sync flag is disabled: unassigned "
@@ -404,11 +425,13 @@ class GPUParallelEngine:
         round_rows: list[list[Node]],
         env: "Environment",
         boxes: list,
+        warp_of: list[int],
+        warps: int,
     ) -> tuple[np.ndarray, float, int]:
         """Run one form round's workers on the expressions deposited in
-        ``boxes``; returns the lane cycles, wall cycles and task groups."""
+        ``boxes``, lane ``i`` on warp ``warp_of[i]`` of ``warps``; returns
+        the lane cycles, wall cycles and task groups."""
         dev = self.device
-        spec = dev.spec
         k = len(round_rows)
         lane_cycles = np.zeros(k, dtype=np.float64)
         sigs = [task_signature(fn, row) for row in round_rows]
@@ -444,14 +467,12 @@ class GPUParallelEngine:
         # one warp serialize, while lockstep-identical lanes run
         # together. A warp's time is therefore the SUM over its distinct
         # task signatures of that group's lane time; a uniform warp
-        # degenerates to the plain max.
-        warp_cycles = []
-        for w in range(0, k, spec.warp_size):
-            per_sig: dict = {}
-            for lane in range(w, min(w + spec.warp_size, k)):
-                sig = sigs[lane]
-                cycles = float(lane_cycles[lane])
-                if cycles > per_sig.get(sig, 0.0):
-                    per_sig[sig] = cycles
-            warp_cycles.append(sum(per_sig.values()))
-        return lane_cycles, max(warp_cycles), len(groups)
+        # degenerates to the plain max. The warps are the layout's, as
+        # in a service round.
+        per_warp: list[dict] = [{} for _ in range(warps)]
+        for sig, warp, cycles in zip(sigs, warp_of, lane_cycles.tolist()):
+            per_sig = per_warp[warp]
+            if cycles > per_sig.get(sig, 0.0):
+                per_sig[sig] = cycles
+        wall = max([sum(per_sig.values()) for per_sig in per_warp])
+        return lane_cycles, wall, len(groups)

@@ -117,6 +117,9 @@ class BatchResult:
     traces_compiled: int = 0
     trace_hits: int = 0
     guard_bails: int = 0
+    #: Parallel forms a worker reached in this batch, each run
+    #: sequentially in that worker's lane (``engine.nested_fallbacks``).
+    nested_fallbacks: int = 0
 
     @property
     def size(self) -> int:
@@ -342,7 +345,8 @@ class BatchDevice:
         loop, collection. So per-request stats stay additive. ``gc`` is
         the :meth:`_run_gc` tuple, ``jit0`` the JIT counters before the
         batch; the keyword totals are the device's own (the
-        upload/download split is zero on the CPU).
+        upload/download split is zero on the CPU). The nested fallbacks
+        are the engine's, which counts them per transaction.
 
         An item's times are its own ms plus the share, field by field; a
         field only one side carries would add an exact 0.0, so it is
@@ -394,6 +398,7 @@ class BatchDevice:
             jit.traces_compiled - jit0[0],
             jit.trace_hits - jit0[1],
             jit.guard_bails - jit0[2],
+            self.engine.nested_fallbacks,
         )
 
     def _jit_counts(self) -> tuple[int, int, int]:

@@ -7,9 +7,10 @@ across the pool's devices **capability-weighted** (a Volta card gets
 proportionally more elements than a Fermi card —
 :mod:`repro.serve.capability` scores), and submits each range as an
 ordinary ``(gpu-map fn (elems...))`` request on an internal per-device
-bulk session. Inside a device the existing parallel engine distributes
-the chunk's elements across warps (in rounds when elements outnumber
-workers), JIT traces apply per element like any other request, and the
+bulk session. A chunk request is the form alone, so the device runs it
+in master mode: the master evaluates the form and the parallel engine
+makes one job per element on the device's workers (on a GPU spread one
+per warp first, in rounds when elements outnumber workers), and the
 modeled upload/kernel/download for each chunk lands on that device's
 :class:`~repro.serve.timeline.DevicePipeline` clock.
 

@@ -103,8 +103,10 @@ class DeviceStats:
     batches: int = 0
     requests: int = 0
     errors: int = 0
-    jobs: int = 0            #: worker jobs (service + nested ``|||``)
+    jobs: int = 0            #: worker jobs (service + parallel-form rows)
     rounds: int = 0          #: shared distribution rounds
+    #: parallel forms a worker reached, run sequentially in its lane
+    nested_fallbacks: int = 0
     faults: int = 0          #: device faults (contained + batch-fatal)
     migrations_in: int = 0   #: sessions restored onto this device
     migrations_out: int = 0  #: sessions snapshotted off this device
@@ -160,6 +162,10 @@ class ServerStats:
     sessions_migrated = _fleet_total("migrations_in", "Sessions migrated.")
     sessions_recovered = _fleet_total(
         "recoveries_in", "Victim sessions rebuilt after a device loss."
+    )
+    nested_fallbacks = _fleet_total(
+        "nested_fallbacks",
+        "Parallel forms a worker reached and ran sequentially in its lane.",
     )
 
     def __init__(self) -> None:
@@ -283,6 +289,7 @@ class ServerStats:
         dstats.errors += n_errors
         dstats.jobs += result.jobs
         dstats.rounds += result.rounds
+        dstats.nested_fallbacks += result.nested_fallbacks
         dstats.faults += n_faults
 
     def record_latency(self, latency_ms: float) -> None:
@@ -547,6 +554,7 @@ class ServerStats:
             "fleet": {
                 "devices": len(self.per_device),
                 "utilization_spread": self.utilization_spread(),
+                "nested_fallbacks": self.nested_fallbacks,
             },
             "phases_ms": {
                 "parse": self.phase_totals.parse_ms,
@@ -612,6 +620,7 @@ class ServerStats:
                     "requests": d.requests,
                     "jobs": d.jobs,
                     "rounds": d.rounds,
+                    "nested_fallbacks": d.nested_fallbacks,
                     "faults": d.faults,
                     "migrations_in": d.migrations_in,
                     "migrations_out": d.migrations_out,
@@ -650,7 +659,8 @@ class ServerStats:
             f"throughput: {snap['throughput_rps']:.1f} req/s simulated"
             f" over {snap['makespan_ms']:.3f} ms makespan "
             f"({snap['fleet']['devices']} devices, utilization spread "
-            f"{snap['fleet']['utilization_spread'] * 100:.0f}%)",
+            f"{snap['fleet']['utilization_spread'] * 100:.0f}%, "
+            f"{snap['fleet']['nested_fallbacks']} nested fallbacks)",
             f"gc:       {snap['gc']['nodes_freed']} nodes freed in "
             f"{snap['gc']['regions_reset']} region resets + "
             f"{snap['gc']['major_collections']} major collections "

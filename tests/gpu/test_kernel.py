@@ -175,8 +175,10 @@ class TestNestedParallel:
 # -- exact figures --------------------------------------------------------------
 #
 # Every accumulator a command leaves on the engine, pinned with ==. The
-# tiny spec's costs are whole cycles and no warp mixes more than two task
-# signatures, so no figure depends on how a Python version sums floats.
+# tiny spec's costs are whole cycles, so every sum is exact and no figure
+# depends on how a Python version sums floats. ``|||`` rows fill warps
+# densely; ``gpu-map`` and ``preduce`` rows are spread one per warp
+# first, so their rounds touch all three warps of the tiny grid.
 
 #: The forms, each with its output, (distribute, worker wall, collect,
 #: spin) cycles, and its rounds as (jobs, warps touched, wall cycles).
@@ -196,14 +198,14 @@ ENGINE_PINS = {
     "gpu-map": (
         "(gpu-map (lambda (x) (* x x)) (1 2 3 4 5 6 7 8 9 10))",
         "(1 4 9 16 25 36 49 64 81 100)",
-        (5360.0, 31010.0, 600.0, 2945950.0),
-        [(10, 1, 31010.0)],
+        (5360.0, 12404.0, 600.0, 1159774.0),
+        [(10, 3, 12404.0)],
     ),
     "preduce": (
         "(preduce + (1 2 3 4 5 6 7 8 9 10 11))",
         "66",
-        (6740.0, 14030.0, 600.0, 1332850.0),
-        [(5, 1, 7015.0), (3, 1, 4209.0), (1, 1, 1403.0), (1, 1, 1403.0)],
+        (6740.0, 7015.0, 600.0, 659410.0),
+        [(5, 3, 2806.0), (3, 3, 1403.0), (1, 1, 1403.0), (1, 1, 1403.0)],
     ),
 }
 

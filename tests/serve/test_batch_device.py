@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interpreter import InterpreterOptions
 from repro.cpu.device import CPUDevice
 from repro.cpu.specs import INTEL_E5_2620
 from repro.errors import (
@@ -13,6 +14,7 @@ from repro.errors import (
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
 from repro.gpu.specs import GTX1080
 from repro.runtime.batch import BatchRequest
+from repro.runtime.devices import resolve_spec
 
 FORMS = ["(+ 1 2)", "(* 6 7)", "(append '(a) '(b c))", "(if (< 1 2) 'yes 'no)"]
 EXPECTED = ["3", "42", "(a b c)", "yes"]
@@ -55,13 +57,128 @@ class TestCorrectness:
         assert gpu.submit("shared").output == "9"
 
     def test_nested_parallel_degrades_inside_batch(self, gpu):
-        """A ||| inside a served request falls back to sequential eval
-        (single master), but still produces correct results."""
+        """A ||| inside a served ||| row runs in that row's worker: CuLi
+        has a single master, so it falls back to sequential eval, is
+        counted, and still produces correct results."""
         env = gpu.create_session_env()
-        gpu.submit_batch([BatchRequest("(defun sq (x) (* x x))", env=env)])
-        result = gpu.submit_batch([BatchRequest("(||| 4 sq (1 2 3 4))", env=env)])
-        assert result.outputs == ["(1 4 9 16)"]
-        assert gpu.engine.nested_fallbacks >= 1
+        gpu.submit_batch(
+            [BatchRequest("(defun inner (x) (car (||| 1 + (1) (2))))", env=env)]
+        )
+        result = gpu.submit_batch([BatchRequest("(||| 4 inner (0 0 0 0))", env=env)])
+        assert result.outputs == ["(3 3 3 3)"]
+        assert result.jobs == 4
+        assert result.nested_fallbacks == gpu.engine.nested_fallbacks >= 1
+
+
+def _engine_figures(engine) -> tuple:
+    return (
+        engine.distribute_cycles,
+        engine.worker_wall_cycles,
+        engine.collect_cycles,
+        engine.spin_cycles,
+        engine.jobs,
+        engine.nested_fallbacks,
+        [(r.jobs, r.warps_touched, r.wall_cycles, r.groups) for r in engine.rounds],
+    )
+
+
+def _gpu_map(k: int) -> str:
+    body = " ".join(str(x % 13) for x in range(k))
+    return f"(gpu-map (lambda (x) (+ (* x x) 3)) ({body}))"
+
+
+class TestMasterMode:
+    """A served request whose plan is one parallel form runs as Alg. 1
+    does for a single command: the master evaluates it and the engine
+    distributes its rows over the device's workers."""
+
+    @pytest.mark.parametrize("jit", [False, True], ids=["tree", "jit"])
+    @pytest.mark.parametrize("spec", ["gtx1080", "tesla-v100"])
+    @pytest.mark.parametrize("k", [8, 256])
+    def test_served_gpu_map_matches_single_command(self, spec, jit, k):
+        options = InterpreterOptions.fast(jit=True) if jit else None
+        config = GPUDeviceConfig(interpreter=options)
+        text = _gpu_map(k)
+        single = GPUDevice(resolve_spec(spec), config)
+        served = GPUDevice(resolve_spec(spec), config)
+        try:
+            stats = single.submit(text, env=single.create_session_env("t"))
+            env = served.create_session_env("t")
+            result = served.submit_batch([BatchRequest(text, env)])
+            assert result.outputs == [stats.output]
+            assert result.jobs == k
+            assert result.nested_fallbacks == 0
+            assert _engine_figures(served.engine) == _engine_figures(single.engine)
+            # A 1-request batch's eval is the single command's: the
+            # master's share of the batch plus the rounds' worker wall.
+            item = result.items[0].stats.times
+            assert item.eval_ms == pytest.approx(stats.times.eval_ms, rel=1e-12)
+            assert item.worker_ms == stats.times.worker_ms
+        finally:
+            single.close()
+            served.close()
+
+    def test_master_mode_beside_service_requests(self, gpu):
+        """A parallel form and plain requests in one batch: the form's
+        rows take the engine's rounds, the others one service round."""
+        env = gpu.create_session_env()
+        result = gpu.submit_batch(
+            [
+                BatchRequest("(+ 1 2)", env=env),
+                BatchRequest(_gpu_map(40), env=env),
+                BatchRequest("(preduce + (1 2 3 4 5))", env=env),
+                BatchRequest("(* 6 7)", env=env),
+            ]
+        )
+        assert result.outputs[0] == "3" and result.outputs[3] == "42"
+        assert result.outputs[2] == "15"
+        assert result.jobs == 2 + 40 + (2 + 1 + 1)
+        assert result.nested_fallbacks == 0
+
+    def test_parallel_form_not_at_the_head_stays_in_its_lane(self, gpu):
+        """Only a plan that is one parallel form runs in master mode: a
+        form inside a request, or a second top-level form, is reached by
+        the request's worker and runs in its lane."""
+        result = gpu.submit_batch(
+            [
+                BatchRequest("(car (gpu-map (lambda (x) x) (5 6 7)))"),
+                BatchRequest("(+ 1 1) (gpu-map (lambda (x) x) (5 6 7))"),
+            ]
+        )
+        assert result.outputs == ["5", "2 (5 6 7)"]
+        assert result.jobs == 2
+        assert result.nested_fallbacks == 2
+
+    def test_master_mode_error_is_contained(self, gpu):
+        """A master-mode request that fails (here in a worker's row)
+        resolves with its error; its co-tenants complete."""
+        result = gpu.submit_batch(
+            [
+                BatchRequest("(gpu-map car (1 2 3))"),
+                BatchRequest("(+ 2 2)"),
+            ]
+        )
+        assert result.outputs[0].startswith("error:")
+        assert result.outputs[1] == "4"
+        assert gpu.submit("(gpu-map (lambda (x) (* 2 x)) (1 2))").output == "(2 4)"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GPUDeviceConfig(enable_block_sync_flag=False),
+            GPUDeviceConfig(disable_master_block_workers=False),
+        ],
+        ids=["fig13-sync-flag", "fig12-master-block"],
+    )
+    def test_configuration_livelock_aborts_master_mode_batch(self, config):
+        """The Fig. 12/13 livelocks of the kernel's configuration abort
+        the transaction, even when a master-mode request's rounds raise
+        them inside its contained evaluation."""
+        device = GPUDevice(GTX1080, config=config)
+        with pytest.raises(LivelockError):
+            device.submit_batch([BatchRequest(_gpu_map(8))])
+        assert not device.interp.arena.region_active
+        device.close()
 
 
 class TestAmortization:

@@ -252,6 +252,31 @@ class TestStatsAccounting:
         assert "gtx1080#0" in snap["devices"]
         assert "throughput" in server.stats.render()
 
+    def test_nested_fallbacks_reported_per_device_and_fleet(self):
+        """A parallel form that a worker reaches runs in that worker's
+        lane; the snapshot counts each such fallback on its device, on
+        the GPU and the CPU alike, and sums them for the fleet. A
+        request that is the form alone runs in master mode and counts
+        none."""
+        with CuLiServer(devices=["gtx1080", "intel-e5-2620"]) as server:
+            gpu = server.open_session(device_id="gtx1080#0")
+            cpu = server.open_session(device_id="intel-e5-2620#1")
+            for session in (gpu, cpu):
+                session.eval("(defun inner (x) (car (||| 1 + (1) (2))))")
+                assert session.eval("(gpu-map (lambda (x) x) (1 2 3))") == "(1 2 3)"
+            snap = server.stats.snapshot()
+            assert snap["fleet"]["nested_fallbacks"] == 0
+            # Distinct rows: under WARP fidelity equal rows share one
+            # evaluation, and so one fallback.
+            assert gpu.eval("(||| 2 inner (0 1))") == "(3 3)"
+            assert cpu.eval("(car (gpu-map inner (0 1 2)))") == "3"
+            snap = server.stats.snapshot()
+            devices = snap["devices"]
+            assert devices["gtx1080#0"]["nested_fallbacks"] == 2
+            assert devices["intel-e5-2620#1"]["nested_fallbacks"] == 3
+            assert snap["fleet"]["nested_fallbacks"] == 5
+            assert "5 nested fallbacks" in server.stats.render()
+
 
 class TestMultiDevice:
     def test_sessions_shard_across_devices(self):

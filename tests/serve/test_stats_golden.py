@@ -138,39 +138,39 @@ SNAPSHOT = {
     },
     "latency": {
         "count": 148,
-        "mean_ms": 0.026246303173542606,
+        "mean_ms": 0.027889998499601852,
         "p50_ms": 0.00617084999999995,
         "p95_ms": 0.10256985228758175,
-        "p99_ms": 0.46720700718954256,
-        "max_ms": 0.6433481836601308,
+        "p99_ms": 0.528167791503268,
+        "max_ms": 0.7043089679738562,
     },
     "scheduler": {
-        "makespan_ms": 1.39,
+        "makespan_ms": 1.451,
         "tickets_examined": 235,
         "sessions_examined": 46,
         "devices": {
             "gtx1080#0": {
-                "completed_ms": 0.743,
-                "serial_ms": 0.743,
+                "completed_ms": 0.742,
+                "serial_ms": 0.742,
                 "overlap_ms": 0.0,
-                "engine_busy_ms": 0.626,
-                "utilization": 0.8422,
+                "engine_busy_ms": 0.625,
+                "utilization": 0.8413,
                 "batches": 10,
             },
             "intel-e5-2620#2": {
-                "completed_ms": 1.301,
-                "serial_ms": 1.301,
+                "completed_ms": 1.361,
+                "serial_ms": 1.361,
                 "overlap_ms": 0.0,
                 "engine_busy_ms": 0.143,
-                "utilization": 0.1097,
+                "utilization": 0.1048,
                 "batches": 46,
             },
             "tesla-v100#1": {
-                "completed_ms": 1.39,
-                "serial_ms": 1.51,
+                "completed_ms": 1.451,
+                "serial_ms": 1.571,
                 "overlap_ms": 0.12,
-                "engine_busy_ms": 1.36,
-                "utilization": 0.9784,
+                "engine_busy_ms": 1.421,
+                "utilization": 0.9793,
                 "batches": 15,
             },
         },
@@ -182,19 +182,23 @@ SNAPSHOT = {
         "poisoned": 1,
     },
     "batches": {"count": 71, "mean_size": 2.5774647887323945, "max_size": 8},
-    "throughput_rps": 1218.0151742568025,
-    "makespan_ms": 151.06544145664807,
-    "fleet": {"devices": 3, "utilization_spread": 0.9863869286525742},
+    "throughput_rps": 1218.02446640213,
+    "makespan_ms": 151.0642889986518,
+    "fleet": {
+        "devices": 3,
+        "utilization_spread": 0.9859832828060882,
+        "nested_fallbacks": 0,
+    },
     "phases_ms": {
         "parse": 0.17298172789712263,
-        "eval": 1.1195477997296441,
+        "eval": 1.179356126047103,
         "print": 0.04704347268071179,
         "transfer": 0.7114837000000007,
         "overhead": 300.788,
         "gc": 0.0011583472099190235,
     },
     "gc": {
-        "nodes_freed": 618,
+        "nodes_freed": 642,
         "regions_reset": 71,
         "major_collections": 0,
         "simulated_ms": 0.0011583472099190235,
@@ -243,11 +247,12 @@ SNAPSHOT = {
             "name": "gtx1080",
             "kind": "gpu",
             "capability_ms": 0.019402220564976147,
-            "busy_ms": 151.06544145664807,
+            "busy_ms": 151.0642889986518,
             "batches": 10,
             "requests": 14,
-            "jobs": 14,
+            "jobs": 20,
             "rounds": 10,
+            "nested_fallbacks": 0,
             "faults": 5,
             "migrations_in": 2,
             "migrations_out": 18,
@@ -261,11 +266,12 @@ SNAPSHOT = {
             "name": "tesla-v100",
             "kind": "gpu",
             "capability_ms": 0.011550216870915033,
-            "busy_ms": 2.05646463267974,
+            "busy_ms": 2.117425416993465,
             "batches": 15,
             "requests": 26,
             "jobs": 26,
-            "rounds": 15,
+            "rounds": 16,
+            "nested_fallbacks": 0,
             "faults": 6,
             "migrations_in": 1,
             "migrations_out": 13,
@@ -273,7 +279,7 @@ SNAPSHOT = {
             "hangs": 0,
             "recoveries_in": 32,
             "uptime": 1.0,
-            "utilization": 0.013613071347425895,
+            "utilization": 0.014016717193911808,
         },
         "intel-e5-2620#2": {
             "name": "intel-e5-2620",
@@ -284,6 +290,7 @@ SNAPSHOT = {
             "requests": 144,
             "jobs": 161,
             "rounds": 52,
+            "nested_fallbacks": 0,
             "faults": 10,
             "migrations_in": 28,
             "migrations_out": 0,
@@ -291,7 +298,7 @@ SNAPSHOT = {
             "hangs": 3,
             "recoveries_in": 27,
             "uptime": 0.967741935483871,
-            "utilization": 0.9939522951256181,
+            "utilization": 0.993959877912245,
         },
     },
     "queue_depths": {"gtx1080#0": 0, "tesla-v100#1": 0, "intel-e5-2620#2": 0},

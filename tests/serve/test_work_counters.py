@@ -269,6 +269,34 @@ def test_axis_work_grows_at_most_2_2x_per_doubling(counters, n):
         previous = current
 
 
+def _chunk_counters(k: int) -> tuple[int, int, int]:
+    """One ``k``-element ``gpu-map`` chunk served on one ``gtx1080``:
+    its engine jobs, nested fallbacks and calls from ``repro`` frames."""
+    fn = "(lambda (x) (+ (* x x) 3))"
+    elements = list(range(k))
+    with CuLiServer(devices=["gtx1080"]) as server:
+        (device,) = server.stats.snapshot()["devices"].values()
+        with _Work(server) as work:
+            out = server.gpu_map(fn, elements, chunk_elems=k)
+        assert out == "(" + " ".join(str(x * x + 3) for x in elements) + ")"
+        snap = server.stats.snapshot()
+        (after,) = snap["devices"].values()
+        assert snap["bulk"]["chunks"] == 1
+    return after["jobs"] - device["jobs"], after["nested_fallbacks"], work.calls
+
+
+def test_served_chunk_is_one_job_per_element_and_linear():
+    """A served chunk runs in master mode: one engine job per element,
+    no nested fallback, and host calls at most 2.2x per doubling."""
+    previous = None
+    for k in (64, 128, 256):
+        jobs, fallbacks, calls = _chunk_counters(k)
+        assert (jobs, fallbacks) == (k, 0)
+        if previous is not None:
+            assert calls <= 2.2 * previous, (k, previous, calls)
+        previous = calls
+
+
 # -- placement: calls per open_session --------------------------------------------
 
 #: The perfbench ``zipf-fleet`` pool.
