@@ -126,14 +126,19 @@ class CPUParallelEngine:
             wctx.charge(Op.ATOMIC_RMW)  # queue pop
             local = env.child(label="worker")
             wctx.charge(Op.NODE_ALLOC)
+            fallbacks = self.nested_fallbacks
             result = interp.eval_node(exprs[rep], local, wctx, 0)
             wctx.charge(Op.ATOMIC_RMW)  # completion count
             cycles = spec.costs.cycles(wctx.counts)
             job_cycles[rep] = cycles
             results[rep] = result
+            # Each twin job falls back as often as the job it copies, and
+            # yields its own result node (uncharged — the replicated
+            # cycle count already covers it).
+            fell = self.nested_fallbacks - fallbacks
+            if fell:
+                self.nested_fallbacks += fell * (len(indices) - 1)
             for idx in indices[1:]:
-                # Each twin job yields its own result node (uncharged —
-                # the replicated cycle count already covers it).
                 job_cycles[idx] = cycles
                 results[idx] = interp.copy_node(result, null)
 

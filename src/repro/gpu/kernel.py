@@ -450,16 +450,21 @@ class GPUParallelEngine:
             # fence, the two flag polls, the postbox fetch, a frame
             # chained to the form's environment, eval, barrier.
             lane_row[:] = _FORM_ENTRY
+            fallbacks = self.nested_fallbacks
             result = interp.eval_node(box.io, env.child(label="worker"), wctx, 0)
             wctx.charge(Op.BARRIER)
             box.complete(result, wctx)  # clears work/sync (2 atomic stores)
             lane_cycles[indices] = self._lane_rows[tuple(lane_row)]
+            # Lockstep twins (WARP fidelity): same instruction stream,
+            # same time, so each twin fell back as often as the lane it
+            # shares. Each twin produces its own result node (as FULL
+            # mode and the paper's C do) — allocated uncharged because
+            # the replicated cycle count already covers it. Flag traffic
+            # still happens physically on their cells.
+            fell = self.nested_fallbacks - fallbacks
+            if fell:
+                self.nested_fallbacks += fell * (len(indices) - 1)
             for idx in indices[1:]:
-                # Lockstep twins (WARP fidelity): same instruction stream,
-                # same time. Each twin produces its own result node (as
-                # FULL mode and the paper's C do) — allocated uncharged
-                # because the replicated cycle count already covers it.
-                # Flag traffic still happens physically on their cells.
                 boxes[idx].complete(interp.copy_node(result, null), null)
 
         # Warp divergence (paper §III-D-d): lanes on *different* code

@@ -15,19 +15,24 @@ placement: the modeled ms one request of a fixed probe batch costs on
 that device, measured by :func:`repro.serve.capability.capability_probe_ms`
 against the simulator itself (so it reflects per-arch op costs, service
 -round parallelism, command overhead, and transfer — not a spec-sheet
-guess). The calibrated figures, with scores relative to the GTX 1080:
+guess). The same probe's two-point fit splits a batch's cost into a
+fixed per-batch part and a per-request part
+(:func:`repro.serve.capability.batch_cost_ms`: a batch of ``n`` costs
+about ``batch_ms + n * request_ms``), which prices a session's chain of
+queued tickets, one ticket per batch. The calibrated figures, with
+scores relative to the GTX 1080:
 
-===============  ================  ==================
-spec             probe ms/request  score (gtx1080=1x)
-===============  ================  ==================
-gtx480           0.00677           2.87x
-gtx680           0.01517           1.28x
-gtx1080          0.01940           1.00x
-tesla-m40        0.04077           0.48x
-tesla-v100       0.01155           1.68x
-intel-e5-2620    0.00022           88.2x
-amd-6272         0.00028           69.4x
-===============  ================  ==================
+===============  ================  ==================  ========  ==========
+spec             probe ms/request  score (gtx1080=1x)  batch ms  request ms
+===============  ================  ==================  ========  ==========
+gtx480           0.00677           2.87x               0.04576   0.00391
+gtx680           0.01517           1.28x               0.04046   0.01264
+gtx1080          0.01940           1.00x               0.04836   0.01638
+tesla-m40        0.04077           0.48x               0.06797   0.03652
+tesla-v100       0.01155           1.68x               0.09431   0.00566
+intel-e5-2620    0.00022           88.2x               0.00304   0.00003
+amd-6272         0.00028           69.4x               0.00407   0.00003
+===============  ================  ==================  ========  ==========
 
 (tesla-c2075 and tesla-k20 probe like their arch siblings gtx480 and
 gtx680 scaled by clocks.) The CPUs dominating on a *single* interactive

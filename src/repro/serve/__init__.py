@@ -20,6 +20,7 @@ from ..errors import AdmissionError
 from .bulk import BulkChunk, BulkJob, split_list_text
 from .capability import (
     PROBE_FORMS,
+    batch_cost_ms,
     capability_probe_ms,
     capability_score,
     restore_ms_per_byte,
@@ -52,6 +53,7 @@ __all__ = [
     "PipelineSlot",
     "LatencyReservoir",
     "PROBE_FORMS",
+    "batch_cost_ms",
     "capability_probe_ms",
     "capability_score",
     "restore_ms_per_byte",

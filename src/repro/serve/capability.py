@@ -16,6 +16,17 @@ service-round parallelism, command overheads, and transfer. The result
 is pure modeled device time, deterministic per spec, and cached for the
 process (one probe per spec name, ever).
 
+The same throwaway device then runs a second, one-request batch of
+``PROBE_FORMS[0]``. The two batches give a two-point fit of the batch
+cost, ``T(n) = batch_ms + n * request_ms``
+(:func:`batch_cost_ms`): ``request_ms = (T16 - T1) / 15`` and
+``batch_ms = T1 - request_ms``. ``batch_ms`` is what every batch pays
+whatever it carries (handshake, PCIe latency, distribution — the fixed
+per-command cost of Figs. 14/15), ``request_ms`` what each request adds.
+The probe figure amortizes ``batch_ms`` over 16 requests; a session's
+queued chain cannot be amortized (a batch takes one ticket per session),
+so the serving layer's drain model prices batches and requests apart.
+
 Scores are conventionally read relative to the paper's flagship
 (:data:`REFERENCE_SPEC_NAME`, the GTX 1080): ``capability_score > 1``
 means faster per probe request. The calibrated figures (modeled ms per
@@ -37,6 +48,7 @@ from ..runtime.devices import device_for, resolve_spec
 __all__ = [
     "PROBE_FORMS",
     "REFERENCE_SPEC_NAME",
+    "batch_cost_ms",
     "capability_probe_ms",
     "capability_score",
     "restore_ms_per_byte",
@@ -71,10 +83,35 @@ PROBE_FORMS: tuple[str, ...] = (
 #: flagship GPU and the serving layer's default device).
 REFERENCE_SPEC_NAME = "gtx1080"
 
-#: Per-spec probe results, keyed by spec name. One probe per spec per
-#: process: the throwaway device build is host wall time (real), but the
-#: returned figure is pure modeled device ms — identical on every run.
-_PROBE_CACHE: dict[str, float] = {}
+#: Per-spec probe results, keyed by spec name: ``(probe_ms, batch_ms,
+#: request_ms)``. One probe per spec per process: the throwaway device
+#: build is host wall time (real), but the figures are pure modeled
+#: device ms — identical on every run.
+_PROBE_CACHE: dict[str, tuple[float, float, float]] = {}
+
+
+def _probe(spec: Union[str, Spec]) -> tuple[float, float, float]:
+    """Run (or recall) the probe on ``spec``: the 16-form batch, then a
+    one-request batch on the same throwaway device."""
+    if isinstance(spec, str):
+        spec = resolve_spec(spec)
+    cached = _PROBE_CACHE.get(spec.name)
+    if cached is not None:
+        return cached
+    device = device_for(spec)
+    try:
+        full = device.submit_batch(
+            [BatchRequest(text=text, env=None) for text in PROBE_FORMS]
+        ).times.total_ms
+        one = device.submit_batch(
+            [BatchRequest(text=PROBE_FORMS[0], env=None)]
+        ).times.total_ms
+    finally:
+        device.close()
+    n = len(PROBE_FORMS)
+    request_ms = (full - one) / (n - 1)
+    figures = _PROBE_CACHE[spec.name] = (full / n, one - request_ms, request_ms)
+    return figures
 
 
 def capability_probe_ms(spec: Union[str, Spec]) -> float:
@@ -83,23 +120,18 @@ def capability_probe_ms(spec: Union[str, Spec]) -> float:
     Builds one throwaway device with default options, runs the probe
     batch through ``submit_batch``, and returns
     ``times.total_ms / len(PROBE_FORMS)`` — the per-request service
-    demand placement multiplies queue depths and session counts by.
+    demand placement multiplies session counts by.
     """
-    if isinstance(spec, str):
-        spec = resolve_spec(spec)
-    cached = _PROBE_CACHE.get(spec.name)
-    if cached is not None:
-        return cached
-    device = device_for(spec)
-    try:
-        result = device.submit_batch(
-            [BatchRequest(text=text, env=None) for text in PROBE_FORMS]
-        )
-        ms = result.times.total_ms / len(PROBE_FORMS)
-    finally:
-        device.close()
-    _PROBE_CACHE[spec.name] = ms
-    return ms
+    return _probe(spec)[0]
+
+
+def batch_cost_ms(spec: Union[str, Spec]) -> tuple[float, float]:
+    """The two-point batch-cost fit on ``spec``: ``(batch_ms,
+    request_ms)``, so that a batch of ``n`` requests of the probe mix
+    costs about ``batch_ms + n * request_ms`` modeled ms (cached with
+    :func:`capability_probe_ms`)."""
+    _, batch_ms, request_ms = _probe(spec)
+    return batch_ms, request_ms
 
 
 def capability_score(spec: Union[str, Spec]) -> float:

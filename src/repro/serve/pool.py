@@ -41,7 +41,12 @@ from ..cpu.specs import CPUSpec
 from ..gpu.device import GPUDevice, GPUDeviceConfig
 from ..gpu.specs import GPUSpec
 from ..runtime.devices import device_for
-from .capability import capability_probe_ms, capability_score, restore_ms_per_byte
+from .capability import (
+    batch_cost_ms,
+    capability_probe_ms,
+    capability_score,
+    restore_ms_per_byte,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Ticket, TenantSession
@@ -50,6 +55,10 @@ __all__ = ["DevicePool", "DeviceQueue", "PooledDevice", "link_ms"]
 
 DeviceSpec = Union[str, GPUSpec, CPUSpec]
 DeviceConfig = Union[GPUDeviceConfig, CPUDeviceConfig]
+
+#: Requests per batch until a server sets its scheduler's ``max_batch``.
+DEFAULT_MAX_BATCH = 32
+
 
 def link_ms(pdev: "PooledDevice", nbytes: int) -> float:
     """Modeled time to move ``nbytes`` across one device's host link.
@@ -90,7 +99,9 @@ class DeviceQueue:
       of heads that have not, for the horizon jump
       (:meth:`admit` / :meth:`pop_ready`).
     * **per-count** — sessions grouped by queued-ticket count, each group
-      ordered by head position (:meth:`pick_session`).
+      ordered by head position (:meth:`pick_session`). The largest count
+      is kept in :attr:`deepest`: a batch takes one ticket per session,
+      so the deepest session needs that many batches to drain.
 
     Both are heaps with lazy deletion: a ticket's live EDF entry is the
     one its ``_entry`` slot points at, and a per-count entry is live
@@ -101,6 +112,7 @@ class DeviceQueue:
 
     __slots__ = (
         "depth",
+        "deepest",
         "_fifos",
         "_lo",
         "_hi",
@@ -114,6 +126,8 @@ class DeviceQueue:
     def __init__(self) -> None:
         #: Queued tickets (``len()``, readable without a method call).
         self.depth = 0
+        #: The most tickets any one session has queued (0 when empty).
+        self.deepest = 0
         self._fifos: dict["TenantSession", _Fifo] = {}
         # Next positions: appendleft counts down from _lo, append up
         # from _hi (pick_session breaks ties on them).
@@ -280,8 +294,9 @@ class DeviceQueue:
 
     def _recount(self, old: int, fifo: Optional[_Fifo]) -> None:
         """A session's count went from ``old`` to ``fifo.count`` (0 when
-        ``fifo`` is None), or its head changed."""
+        ``fifo`` is None), or its head changed; keeps :attr:`deepest`."""
         sizes = self._sizes
+        emptied = False  # the deepest count lost its last session
         if old:
             left = sizes[old] - 1
             if left:
@@ -289,9 +304,20 @@ class DeviceQueue:
             else:
                 del sizes[old]
                 del self._buckets[old]
+                emptied = old == self.deepest
         if fifo is None:
+            if emptied:
+                # The new deepest is the next count down still held.
+                deepest = old - 1
+                while deepest and deepest not in sizes:
+                    deepest -= 1
+                self.deepest = deepest
             return
         count = fifo.count
+        if count > self.deepest or emptied:
+            # Counts move by one, so an emptied deepest ``old`` leaves
+            # ``count == old - 1`` as the deepest.
+            self.deepest = count
         live = sizes[count] = sizes.get(count, 0) + 1
         heap = self._buckets.get(count)
         if heap is None:
@@ -335,6 +361,9 @@ class PooledDevice:
         "queue",
         "draining",
         "probe_ms",
+        "batch_ms",
+        "request_ms",
+        "max_batch",
         "capability",
         "config",
         "residents",
@@ -364,6 +393,13 @@ class PooledDevice:
         #: same figure as a GTX 1080-relative score for reporting.
         self.probe_ms = capability_probe_ms(device.spec)
         self.capability = capability_score(device.spec)
+        #: The two-point batch-cost fit of the same probe: the fixed
+        #: cost every batch pays and what each request adds
+        #: (repro.serve.capability.batch_cost_ms).
+        self.batch_ms, self.request_ms = batch_cost_ms(device.spec)
+        #: Requests one batch carries at most: the server sets its
+        #: scheduler's ``max_batch`` here.
+        self.max_batch = DEFAULT_MAX_BATCH
         #: Per-slot config override (heterogeneous pools, e.g. a bigger
         #: arena on the device that absorbs the most sessions); revive()
         #: rebuilds from it so a failover preserves the slot's shape.
@@ -425,8 +461,28 @@ class PooledDevice:
 
     @property
     def queue_backlog_ms(self) -> float:
-        """Expected drain time of the standing queue on this device."""
-        return self.queue_depth * self.probe_ms
+        """Expected drain time of the standing queue on this device.
+
+        A batch takes at most ``max_batch`` tickets and at most one per
+        session, so the queue needs ``batches = max(deepest,
+        ceil(depth / max_batch))`` batches. Each pays the fixed
+        ``batch_ms`` and each ticket adds ``request_ms``: ``batches *
+        batch_ms + depth * request_ms``. A full batch of the probe mix
+        costs about ``probe_ms`` per ticket; a session's chain of ``k``
+        tickets costs ``k`` whole batches.
+        """
+        return self.backlog_after_ms(0)
+
+    def backlog_after_ms(self, tickets: int) -> float:
+        """:attr:`queue_backlog_ms` once a session queueing ``tickets``
+        more (and none here yet) has moved in."""
+        queue = self.queue
+        depth = queue.depth + tickets
+        batches = -(-depth // self.max_batch)
+        deepest = queue.deepest if queue.deepest > tickets else tickets
+        if deepest > batches:
+            batches = deepest
+        return batches * self.batch_ms + depth * self.request_ms
 
     @property
     def resident_demand_ms(self) -> float:
@@ -441,8 +497,9 @@ class PooledDevice:
         full determinism.
 
         The backlog is, in this float order: the resident sessions'
-        demand (:attr:`resident_demand_ms`), the queued work
-        (:attr:`queue_backlog_ms`), the restore weight of the session
+        demand (:attr:`resident_demand_ms`), the queued work's drain
+        (:attr:`queue_backlog_ms`, the per-batch model), the restore
+        weight of the session
         heap already retained here (:attr:`session_retained_nodes`) and
         that of the arriving session's snapshot, ``incoming_nbytes``
         (restores and failovers land *with* their tenured subgraph, so
@@ -453,14 +510,18 @@ class PooledDevice:
         probe = self.probe_ms
         per_byte = self._restore_ms_per_byte
         sessions = len(self.residents)
-        depth = self.queue.depth
+        queue = self.queue
+        depth = queue.depth
+        batches = -(-depth // self.max_batch)
+        if queue.deepest > batches:
+            batches = queue.deepest
         retained = self.device.interp.arena.tenured_count
         extra = retained - self._baseline_retained
         if extra < 0:
             extra = 0
         return (
             sessions * probe
-            + depth * probe
+            + (batches * self.batch_ms + depth * self.request_ms)
             + extra * NODE_BYTES * per_byte
             + incoming_nbytes * per_byte,
             probe,

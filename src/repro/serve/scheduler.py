@@ -443,12 +443,13 @@ class Rebalancer:
       by device as it migrates (the policy cannot know which tenant is
       at fault), but the last healthy device is never drained — the
       pool always serves.
-    * **Overload shedding** — when the hottest device's queue backlog
+    * **Overload shedding** — when the hottest device's queue drain
       exceeds ``IMBALANCE_RATIO`` x the coldest's (and by a meaningful
-      margin), up to ``MAX_MOVES_PER_ROUND`` sessions move from hot to
-      cold. The candidate whose queued-ticket count best fills half the
-      gap is chosen, so one move does the most levelling possible
-      without overshooting.
+      margin), up to ``MAX_MOVES_PER_ROUND`` sessions move off it. The
+      candidate whose queued-ticket count best fills half the gap is
+      chosen, so one move does the most levelling possible without
+      overshooting, and it moves to the device where it would finish
+      first.
     * **Session leveling** — when resident session *demand* differs
       materially between the fullest and emptiest usable device,
       sessions migrate toward the emptiest (sharing the same per-round
@@ -457,11 +458,16 @@ class Rebalancer:
       behind, with every victim on the survivors and the revived device
       empty.
 
-    Backlogs and gaps are compared in **modeled milliseconds** — queue
-    depths and session counts weighted by each device's calibrated
-    per-request cost (``PooledDevice.probe_ms``) — so on a mixed fleet
-    the policy never "levels" five queued requests on a Xeon against
-    five on a Fermi card as if they weighed the same. Every move also
+    Backlogs and gaps are compared in **modeled milliseconds**, so on a
+    mixed fleet the policy never "levels" five queued requests on a
+    Xeon against five on a Fermi card as if they weighed the same.
+    Session counts are weighted by each device's calibrated per-request
+    cost (``PooledDevice.probe_ms``). Queues are priced by the
+    per-batch drain model (``PooledDevice.queue_backlog_ms``): a batch
+    takes one ticket per session, so one session's chain of ``k``
+    queued tickets drains in ``k`` batches, each paying the device's
+    fixed ``batch_ms``, which a per-ticket price amortized over full
+    batches would miss. Every move also
     faces a **cost/benefit veto**: the expected win must exceed the
     snapshot's wire cost over both ``link_ms`` legs — a session is
     never moved somewhere that makes it slower.
@@ -545,23 +551,38 @@ class Rebalancer:
     # -- overload shedding ---------------------------------------------------------
 
     def _shed_overload(self) -> list["MigrationRecord"]:
-        """Backlog shedding in modeled ms, with a cost/benefit veto.
+        """Backlog shedding in modeled drain ms, with a cost/benefit veto.
 
-        Every ticket is weighted by its device's per-request cost: the
-        gap must be worth at least two hot-device requests, and the hot
-        backlog must exceed ``IMBALANCE_RATIO`` x the cold backlog plus
-        one cold request. The transfer target
-        fills half the gap measured in drain time — moving a ticket off
-        the hot device saves ``e_hot`` there and costs ``e_cold`` on the
-        cold one, so half the gap is ``gap_ms / (e_hot + e_cold)``
-        tickets.
+        Hot and cold are the devices with the longest and the shortest
+        queue drain (:attr:`PooledDevice.queue_backlog_ms`, the
+        per-batch model: a session's chain of ``k`` tickets drains in
+        ``k`` batches). The gap must be worth at least two hot-device
+        probe requests, and one of two ratio gates must open:
 
-        The veto then prices the chosen move twice, and the move must
-        win both ways:
+        * **tickets** — the hot queue's tickets at ``probe_ms`` each
+          exceed ``IMBALANCE_RATIO`` x the cold queue's plus one cold
+          request (many sessions' work, amortized over full batches);
+        * **drain** — the hot drain exceeds ``IMBALANCE_RATIO`` x the
+          cold drain plus one cold singleton batch (a chain that full
+          batches cannot amortize).
 
-        * **queue relief** — the cold device's queued backlog after
-          absorbing the session's tickets, plus the snapshot wire cost
-          on both links, must undercut the hot queue backlog.
+        The transfer target fills half the gap: moving a ticket saves
+        ``e_hot`` on the hot device and costs ``e_cold`` on the cold
+        one, so half the gap is ``gap_ms / (e_hot + e_cold)`` tickets.
+        The chosen session goes to the device where it would finish
+        first: committed pipeline, plus drain after absorbing it, plus
+        the snapshot's wire cost on both links (the estimate: the hot
+        device's session-retained heap apportioned per resident; the
+        real size is only known after serialization, and
+        ``record_migration`` charges the actual bytes).
+
+        The veto then prices the move's relief as that receiver's drain
+        after the move plus the wire cost, and the move must win both
+        ways:
+
+        * **queue relief** — the relief must undercut the hot drain.
+          A chain moved to an equal device drains in as many batches
+          there, so it never moves.
         * **drain horizon** — the same comparison with each side's
           *committed pipeline completion* added in. Queue depths alone
           lie: a device that just dispatched everything
@@ -579,14 +600,25 @@ class Rebalancer:
             usable = [d for d in pool.devices.values() if not d.draining]
             if len(usable) < 2:
                 break
-            hot = max(usable, key=lambda d: d.queue_backlog_ms)
-            cold = min(usable, key=lambda d: d.queue_backlog_ms)
+            # The first longest and the first shortest drain, each
+            # device's drain read once.
+            hot = cold = usable[0]
+            hot_q_ms = cold_q_ms = hot.queue_backlog_ms
+            for pdev in usable[1:]:
+                drain_ms = pdev.queue_backlog_ms
+                if drain_ms > hot_q_ms:
+                    hot, hot_q_ms = pdev, drain_ms
+                elif drain_ms < cold_q_ms:
+                    cold, cold_q_ms = pdev, drain_ms
             e_hot, e_cold = hot.probe_ms, cold.probe_ms
-            hot_q_ms = hot.queue_backlog_ms
-            cold_q_ms = cold.queue_backlog_ms
             gap_ms = hot_q_ms - cold_q_ms
-            if gap_ms < 2 * e_hot or hot_q_ms < self.IMBALANCE_RATIO * (
-                cold_q_ms + e_cold
+            if gap_ms < 2 * e_hot:
+                break
+            ratio = self.IMBALANCE_RATIO
+            if hot.queue_depth * e_hot < ratio * (
+                cold.queue_depth * e_cold + e_cold
+            ) and hot_q_ms < ratio * (
+                cold_q_ms + cold.batch_ms + cold.request_ms
             ):
                 break
             target = max(1, int(gap_ms / (e_hot + e_cold)))
@@ -594,24 +626,31 @@ class Rebalancer:
             if session is None:
                 break
             moved_q = hot.queue.count(session)
-            # Wire estimate: the hot device's session-retained heap,
-            # apportioned per resident session (the snapshot's real size
-            # is only known after serialization — this prices the
-            # decision, record_migration charges the actual bytes).
             est_bytes = int(
                 NODE_BYTES
                 * hot.session_retained_nodes
                 / max(1, hot.session_count)
             )
-            wire_ms = link_ms(hot, est_bytes) + link_ms(cold, est_bytes)
-            relief_ms = moved_q * e_cold + wire_ms
-            if cold_q_ms + relief_ms >= hot_q_ms:
+            hot_wire = link_ms(hot, est_bytes)
+            receiver = None
+            for pdev in usable:
+                if pdev is hot:
+                    continue
+                after_ms = (
+                    pdev.backlog_after_ms(moved_q)
+                    + hot_wire
+                    + link_ms(pdev, est_bytes)
+                )
+                fin_ms = self._committed_ms(pdev) + after_ms
+                if receiver is None or fin_ms < receiver_fin:
+                    receiver, relief_ms, receiver_fin = pdev, after_ms, fin_ms
+            if relief_ms >= hot_q_ms:
                 break
-            hot_fin = self._committed_ms(hot) + hot_q_ms
-            cold_fin = self._committed_ms(cold) + cold_q_ms
-            if cold_fin + relief_ms >= hot_fin:
+            if receiver_fin >= self._committed_ms(hot) + hot_q_ms:
                 break
-            moves.append(self.server.migrate_session(session, cold.device_id))
+            moves.append(
+                self.server.migrate_session(session, receiver.device_id)
+            )
         return moves
 
     def _committed_ms(self, pdev: "PooledDevice") -> float:

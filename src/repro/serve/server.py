@@ -106,8 +106,15 @@ class CuLiServer:
         self.stats._queue_depth_fn = self.pool.queue_depths
         self.stats._scheduler_fn = self.scheduler.pipeline_snapshot
         for device_id, pdev in self.pool.devices.items():
+            # The pool's drain model counts the batches a queue needs.
+            pdev.max_batch = max_batch
             self.stats.register_device(
-                device_id, pdev.name, pdev.kind, capability_ms=pdev.probe_ms
+                device_id,
+                pdev.name,
+                pdev.kind,
+                capability_ms=pdev.probe_ms,
+                batch_ms=pdev.batch_ms,
+                request_ms=pdev.request_ms,
             )
         self.sessions: dict[str, TenantSession] = {}
         self._session_counter = count()

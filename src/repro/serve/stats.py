@@ -99,6 +99,8 @@ class DeviceStats:
     name: str
     kind: str
     capability_ms: float = 0.0  #: calibrated modeled ms per probe request
+    batch_ms: float = 0.0       #: calibrated fixed modeled ms per batch
+    request_ms: float = 0.0     #: calibrated modeled ms each request adds
     busy_ms: float = 0.0     #: simulated time spent executing batches
     batches: int = 0
     requests: int = 0
@@ -246,10 +248,16 @@ class ServerStats:
     # -- recording ----------------------------------------------------------------
 
     def register_device(
-        self, device_id: str, name: str, kind: str, capability_ms: float = 0.0
+        self,
+        device_id: str,
+        name: str,
+        kind: str,
+        capability_ms: float = 0.0,
+        batch_ms: float = 0.0,
+        request_ms: float = 0.0,
     ) -> None:
         self.per_device[device_id] = DeviceStats(
-            device_id, name, kind, capability_ms
+            device_id, name, kind, capability_ms, batch_ms, request_ms
         )
 
     def record_enqueue(self, n: int = 1) -> None:
@@ -615,6 +623,8 @@ class ServerStats:
                     "name": d.name,
                     "kind": d.kind,
                     "capability_ms": d.capability_ms,
+                    "batch_ms": d.batch_ms,
+                    "request_ms": d.request_ms,
                     "busy_ms": d.busy_ms,
                     "batches": d.batches,
                     "requests": d.requests,

@@ -16,7 +16,9 @@ from repro.cpu.device import CPUDeviceConfig
 from repro.gpu.device import GPUDeviceConfig
 from repro.serve import (
     CuLiServer,
+    PROBE_FORMS,
     DevicePool,
+    batch_cost_ms,
     capability_probe_ms,
     capability_score,
     generate_trace,
@@ -53,6 +55,25 @@ class TestCapabilityCalibration:
         assert capability_score("tesla-v100") > 1.0
         assert capability_score("tesla-m40") < 1.0
         assert capability_score("intel-e5-2620") > 50.0
+
+    def test_two_point_fit_spans_the_probe_batch(self):
+        """``batch_cost_ms`` splits the probe: the fit's 16-request batch
+        is the probe batch, both parts are positive, and the V100 pays
+        the heaviest fixed cost per batch of the three."""
+        fits = {name: batch_cost_ms(name) for name in MIXED}
+        for name, (batch_ms, request_ms) in fits.items():
+            assert batch_ms > 0.0 and request_ms > 0.0
+            n = len(PROBE_FORMS)
+            assert batch_ms + n * request_ms == pytest.approx(
+                n * capability_probe_ms(name)
+            )
+        assert fits["tesla-v100"][0] > fits["gtx1080"][0] > fits["intel-e5-2620"][0]
+        pool = DevicePool(MIXED)
+        try:
+            for pdev in pool.devices.values():
+                assert (pdev.batch_ms, pdev.request_ms) == fits[pdev.name]
+        finally:
+            pool.close()
 
     def test_pooled_device_carries_capability(self):
         pool = DevicePool(MIXED)

@@ -257,6 +257,63 @@ class TestFaultDrain:
                 assert all(stats.output for stats in session.history)
 
 
+class TestChainShedding:
+    """A batch takes one ticket per session, so one session's chain of
+    ``k`` queued tickets drains in ``k`` batches, each paying the
+    device's fixed per-batch cost. The rebalancer prices queues by that
+    drain and sheds such a chain to the device where it finishes first,
+    but never to an equal device, where it would drain just as long."""
+
+    CHAIN = 200
+
+    def run_chain(self, devices, rebalance, loaded_sessions=0):
+        """The chain on the first device; ``loaded_sessions`` sessions
+        queue 30 cheap tickets each on the second. Returns (makespan ms,
+        the chain's outputs and final device, migrations)."""
+        with CuLiServer(
+            devices=devices, rebalance=rebalance, max_session_queue=256
+        ) as server:
+            first, second = server.pool.devices
+            chain = server.open_session("chain", device_id=first)
+            others = [
+                server.open_session(f"o{i}", device_id=second)
+                for i in range(loaded_sessions)
+            ]
+            tickets = [chain.submit(f"(+ {k} 1)") for k in range(self.CHAIN)]
+            for j in range(30):
+                for other in others:
+                    other.submit(f"(* {j} 2)")
+            server.flush()
+            assert server.pending == 0
+            return (
+                server.scheduler.makespan_ms,
+                [t.output for t in tickets],
+                chain.device_id,
+                server.stats.sessions_migrated,
+            )
+
+    def test_chain_sheds_from_a_gpu_to_a_loaded_xeon(self):
+        """The Xeon holds 9,000 queued tickets: counted at the amortized
+        probe cost they look like half the GPU chain's, yet they drain
+        in about a millisecond while the chain takes 200 GPU batches."""
+        devices = ["gtx1080", "intel-e5-2620"]
+        static_ms, _, _, _ = self.run_chain(devices, False, 300)
+        shed_ms, outputs, device_id, moves = self.run_chain(devices, True, 300)
+        assert moves == 1
+        assert device_id == "intel-e5-2620#1"
+        assert static_ms >= 3 * shed_ms
+        commands = [f"(+ {k} 1)" for k in range(self.CHAIN)]
+        assert outputs == solo_outputs(commands)
+
+    def test_chain_stays_on_an_equal_device(self):
+        """On two GTX 1080s with nothing else queued the chain would
+        drain in as many batches after a move, plus the move."""
+        static_ms, _, _, _ = self.run_chain([DEVICE, DEVICE], False)
+        shed_ms, _, device_id, moves = self.run_chain([DEVICE, DEVICE], True)
+        assert (moves, device_id) == (0, "gtx1080#0")
+        assert shed_ms == static_ms
+
+
 class TestSaveRestore:
     def test_fleet_round_trips_through_json(self):
         scripts = {tag: session_script(tag) for tag in ("x", "yy")}

@@ -7,7 +7,9 @@ were before the index existed, kept verbatim apart from taking the
 deque explicitly and sizing through the upload gate. Randomized
 operation sequences drive both representations side by side and assert
 identical batches, identical picks, identical per-session FIFOs, and
-queue positions that sort into the deque's order.
+queue positions that sort into the deque's order. A second randomized
+run checks the queue's ``deepest`` against a brute-force max after
+every edit.
 """
 
 from __future__ import annotations
@@ -266,3 +268,43 @@ def _run(seed: int, steps: int = 300) -> None:
 @pytest.mark.parametrize("seed", range(80))
 def test_indexed_queue_matches_deque_reference(seed):
     _run(seed)
+
+
+# -- deepest: the largest per-session count ---------------------------------------
+
+
+def _deepest_run(seed: int, steps: int = 400) -> None:
+    """Random edits on one queue; after each, ``deepest`` equals the
+    brute-force max of the per-session counts."""
+    rng = random.Random(seed)
+    queue = DeviceQueue()
+    sessions = [_Session(k, None, False) for k in range(rng.randint(1, 6))]
+    seq = 0
+
+    def check():
+        counts = [queue.count(s) for s in sessions]
+        assert queue.deepest == max(counts)
+
+    for _ in range(steps):
+        op = rng.random()
+        session = rng.choice(sessions)
+        if op < 0.45:
+            seq += 1
+            queue.append(Ticket(session, "(+ 1 2)", arrival_ms=float(seq)))
+        elif op < 0.55:
+            seq += 1
+            queue.appendleft(Ticket(session, "(+ 1 2)", arrival_ms=float(seq)))
+        elif op < 0.85:
+            fifo = queue._fifos.get(session)
+            if fifo is not None:
+                queue.take(fifo.head)
+        elif op < 0.97:
+            queue.remove_session(session)
+        else:
+            queue.clear()
+        check()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_deepest_is_the_largest_session_count(seed):
+    _deepest_run(seed)

@@ -266,8 +266,6 @@ class TestStatsAccounting:
                 assert session.eval("(gpu-map (lambda (x) x) (1 2 3))") == "(1 2 3)"
             snap = server.stats.snapshot()
             assert snap["fleet"]["nested_fallbacks"] == 0
-            # Distinct rows: under WARP fidelity equal rows share one
-            # evaluation, and so one fallback.
             assert gpu.eval("(||| 2 inner (0 1))") == "(3 3)"
             assert cpu.eval("(car (gpu-map inner (0 1 2)))") == "3"
             snap = server.stats.snapshot()
@@ -276,6 +274,19 @@ class TestStatsAccounting:
             assert devices["intel-e5-2620#1"]["nested_fallbacks"] == 3
             assert snap["fleet"]["nested_fallbacks"] == 5
             assert "5 nested fallbacks" in server.stats.render()
+
+    def test_equal_rows_each_count_their_fallback(self):
+        """Under WARP fidelity rows with equal task signatures share one
+        lane evaluation; each such lockstep twin still counts the
+        fallback its worker made, on the GPU and the CPU alike."""
+        with CuLiServer(devices=["gtx1080", "intel-e5-2620"]) as server:
+            for device_id in server.pool.devices:
+                session = server.open_session(device_id=device_id)
+                session.eval("(defun inner (x) (car (||| 1 + (1) (2))))")
+                assert session.eval("(||| 2 inner (0 0))") == "(3 3)"
+            devices = server.stats.snapshot()["devices"]
+            assert devices["gtx1080#0"]["nested_fallbacks"] == 2
+            assert devices["intel-e5-2620#1"]["nested_fallbacks"] == 2
 
 
 class TestMultiDevice:

@@ -130,80 +130,80 @@ def test_migrations(golden_run):
 
 SNAPSHOT = {
     "requests": {
-        "enqueued": 187,
-        "completed": 184,
+        "enqueued": 216,
+        "completed": 213,
         "cancelled": 3,
         "rejected": 1,
-        "errors": 3,
+        "errors": 4,
     },
     "latency": {
         "count": 148,
-        "mean_ms": 0.027889998499601852,
-        "p50_ms": 0.00617084999999995,
-        "p95_ms": 0.10256985228758175,
-        "p99_ms": 0.528167791503268,
-        "max_ms": 0.7043089679738562,
+        "mean_ms": 0.027206178789129887,
+        "p50_ms": 0.006181949999999992,
+        "p95_ms": 0.10324146535947706,
+        "p99_ms": 0.19179197320261443,
+        "max_ms": 0.2603391333333335,
     },
     "scheduler": {
-        "makespan_ms": 1.451,
-        "tickets_examined": 235,
-        "sessions_examined": 46,
+        "makespan_ms": 1.457,
+        "tickets_examined": 261,
+        "sessions_examined": 64,
         "devices": {
             "gtx1080#0": {
-                "completed_ms": 0.742,
-                "serial_ms": 0.742,
-                "overlap_ms": 0.0,
-                "engine_busy_ms": 0.625,
-                "utilization": 0.8413,
-                "batches": 10,
+                "completed_ms": 1.457,
+                "serial_ms": 1.467,
+                "overlap_ms": 0.01,
+                "engine_busy_ms": 0.935,
+                "utilization": 0.642,
+                "batches": 17,
             },
             "intel-e5-2620#2": {
-                "completed_ms": 1.361,
-                "serial_ms": 1.361,
+                "completed_ms": 1.343,
+                "serial_ms": 1.343,
                 "overlap_ms": 0.0,
-                "engine_busy_ms": 0.143,
-                "utilization": 0.1048,
-                "batches": 46,
+                "engine_busy_ms": 0.171,
+                "utilization": 0.1277,
+                "batches": 55,
             },
             "tesla-v100#1": {
-                "completed_ms": 1.451,
-                "serial_ms": 1.571,
-                "overlap_ms": 0.12,
-                "engine_busy_ms": 1.421,
-                "utilization": 0.9793,
-                "batches": 15,
+                "completed_ms": 1.439,
+                "serial_ms": 1.479,
+                "overlap_ms": 0.04,
+                "engine_busy_ms": 1.172,
+                "utilization": 0.8143,
+                "batches": 12,
             },
         },
     },
     "faults": {
         "contained": 1,
         "batch_fatal": 2,
-        "quarantine_retries": 5,
+        "quarantine_retries": 6,
         "poisoned": 1,
     },
-    "batches": {"count": 71, "mean_size": 2.5774647887323945, "max_size": 8},
-    "throughput_rps": 1218.02446640213,
-    "makespan_ms": 151.0642889986518,
+    "batches": {"count": 84, "mean_size": 2.5238095238095237, "max_size": 8},
+    "throughput_rps": 851.3745419496294,
+    "makespan_ms": 250.18366125,
     "fleet": {
         "devices": 3,
-        "utilization_spread": 0.9859832828060882,
+        "utilization_spread": 0.7938689625639163,
         "nested_fallbacks": 0,
     },
     "phases_ms": {
-        "parse": 0.17298172789712263,
-        "eval": 1.179356126047103,
-        "print": 0.04704347268071179,
-        "transfer": 0.7114837000000007,
-        "overhead": 300.788,
-        "gc": 0.0011583472099190235,
+        "parse": 0.16974778267286827,
+        "eval": 1.137161320755766,
+        "print": 0.0508681380994437,
+        "transfer": 1.0612985333333345,
+        "overhead": 400.9190000000001,
+        "gc": 0.0014105013385067781,
     },
     "gc": {
-        "nodes_freed": 642,
-        "regions_reset": 71,
+        "nodes_freed": 834,
+        "regions_reset": 84,
         "major_collections": 0,
-        "simulated_ms": 0.0011583472099190235,
+        "simulated_ms": 0.0014105013385067781,
     },
-    "jit": {"traces_compiled": 19, "trace_hits": 125, "guard_bails": 0},
+    "jit": {"traces_compiled": 28, "trace_hits": 145, "guard_bails": 0},
     "bulk": {
         "jobs": 1,
         "chunks": 7,
@@ -212,29 +212,29 @@ SNAPSHOT = {
         "chunk_errors": 0,
     },
     "rebalance": {
-        "migrations": 31,
-        "nodes_moved": 247,
-        "bytes_moved": 16286,
-        "transfer_ms": 0.17247016666666665,
-        "devices_drained": 2,
+        "migrations": 78,
+        "nodes_moved": 619,
+        "bytes_moved": 40810,
+        "transfer_ms": 0.4667661333333331,
+        "devices_drained": 3,
         "sessions_restored": 0,
     },
     "failover": {
-        "devices_lost": 18,
-        "device_hangs": 6,
-        "sessions_recovered": 85,
-        "requests_replayed": 36,
-        "rpo_mean_rounds": 0.4235294117647059,
+        "devices_lost": 17,
+        "device_hangs": 8,
+        "sessions_recovered": 81,
+        "requests_replayed": 65,
+        "rpo_mean_rounds": 0.8024691358024691,
         "rpo_max_rounds": 2,
         "checkpoints_shipped": 41,
         "checkpoints_skipped": 2,
         "checkpoint_bytes": 22504,
-        "checkpoint_transfer_ms": 0.015171500000000001,
-        "restore_bytes": 42973,
-        "restore_transfer_ms": 0.27375123333333334,
-        "breaker_opens": 8,
-        "probes_sent": 8,
-        "probes_ok": 8,
+        "checkpoint_transfer_ms": 0.0101122,
+        "restore_bytes": 42602,
+        "restore_transfer_ms": 0.29427726666666654,
+        "breaker_opens": 7,
+        "probes_sent": 7,
+        "probes_ok": 7,
         "devices_evicted": 0,
         "breaker_states": {
             "gtx1080#0": "closed",
@@ -247,95 +247,148 @@ SNAPSHOT = {
             "name": "gtx1080",
             "kind": "gpu",
             "capability_ms": 0.019402220564976147,
-            "busy_ms": 151.0642889986518,
-            "batches": 10,
-            "requests": 14,
-            "jobs": 20,
-            "rounds": 10,
+            "batch_ms": 0.04835616027795064,
+            "request_ms": 0.016379960547604232,
+            "busy_ms": 51.570617643020235,
+            "batches": 17,
+            "requests": 34,
+            "jobs": 37,
+            "rounds": 17,
             "nested_fallbacks": 0,
-            "faults": 5,
-            "migrations_in": 2,
-            "migrations_out": 18,
-            "losses": 5,
-            "hangs": 3,
-            "recoveries_in": 26,
-            "uptime": 1.0,
-            "utilization": 1.0,
+            "faults": 3,
+            "migrations_in": 12,
+            "migrations_out": 39,
+            "losses": 3,
+            "hangs": 1,
+            "recoveries_in": 30,
+            "uptime": 0.9852941176470589,
+            "utilization": 0.2061310374360837,
         },
         "tesla-v100#1": {
             "name": "tesla-v100",
             "kind": "gpu",
             "capability_ms": 0.011550216870915033,
-            "busy_ms": 2.117425416993465,
-            "batches": 15,
-            "requests": 26,
+            "batch_ms": 0.0943050814379085,
+            "request_ms": 0.005656149281045752,
+            "busy_ms": 101.85932708104566,
+            "batches": 12,
+            "requests": 24,
             "jobs": 26,
-            "rounds": 16,
+            "rounds": 13,
             "nested_fallbacks": 0,
-            "faults": 6,
-            "migrations_in": 1,
-            "migrations_out": 13,
+            "faults": 7,
+            "migrations_in": 12,
+            "migrations_out": 29,
             "losses": 6,
-            "hangs": 0,
-            "recoveries_in": 32,
-            "uptime": 1.0,
-            "utilization": 0.014016717193911808,
+            "hangs": 2,
+            "recoveries_in": 33,
+            "uptime": 0.9852941176470589,
+            "utilization": 0.40713820627663255,
         },
         "intel-e5-2620#2": {
             "name": "intel-e5-2620",
             "kind": "cpu",
             "capability_ms": 0.000219965625,
-            "busy_ms": 150.15184225000004,
-            "batches": 46,
-            "requests": 144,
-            "jobs": 161,
-            "rounds": 52,
+            "batch_ms": 0.00303833,
+            "request_ms": 3.006999999999998e-05,
+            "busy_ms": 250.18366125,
+            "batches": 55,
+            "requests": 155,
+            "jobs": 187,
+            "rounds": 64,
             "nested_fallbacks": 0,
             "faults": 10,
-            "migrations_in": 28,
-            "migrations_out": 0,
-            "losses": 7,
-            "hangs": 3,
-            "recoveries_in": 27,
-            "uptime": 0.967741935483871,
-            "utilization": 0.993959877912245,
+            "migrations_in": 54,
+            "migrations_out": 10,
+            "losses": 8,
+            "hangs": 5,
+            "recoveries_in": 18,
+            "uptime": 0.9852941176470589,
+            "utilization": 1.0,
         },
     },
     "queue_depths": {"gtx1080#0": 0, "tesla-v100#1": 0, "intel-e5-2620#2": 0},
 }
 
-SESSION_COUNTS = {"gtx1080#0": 0, "tesla-v100#1": 0, "intel-e5-2620#2": 11}
+SESSION_COUNTS = {"gtx1080#0": 0, "tesla-v100#1": 1, "intel-e5-2620#2": 10}
 
 MIGRATIONS = [
-    ("t2", "gtx1080#0", "intel-e5-2620#2", 1, 66, 0.005011),
-    ("t8", "gtx1080#0", "intel-e5-2620#2", 0, 0, 0.005),
-    ("t0", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
+    ("t1", "tesla-v100#1", "intel-e5-2620#2", 1, 66, 0.0050066),
+    ("t2", "tesla-v100#1", "intel-e5-2620#2", 1, 66, 0.0050066),
+    ("t8", "tesla-v100#1", "intel-e5-2620#2", 0, 0, 0.005),
+    ("t2", "gtx1080#0", "intel-e5-2620#2", 0, 0, 0.005),
+    ("t1", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("t9", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
     ("t1", "gtx1080#0", "intel-e5-2620#2", 8, 529, 0.005088166666666667),
-    ("t5", "gtx1080#0", "intel-e5-2620#2", 8, 529, 0.005088166666666667),
-    ("t7", "tesla-v100#1", "gtx1080#0", 9, 593, 0.010158133333333333),
-    ("t0", "tesla-v100#1", "gtx1080#0", 9, 593, 0.010158133333333333),
-    ("t0", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t0", "intel-e5-2620#2", "tesla-v100#1", 9, 593, 0.0050593),
+    ("t1", "intel-e5-2620#2", "gtx1080#0", 9, 593, 0.005098833333333334),
+    ("t2", "intel-e5-2620#2", "tesla-v100#1", 9, 593, 0.0050593),
+    ("t3", "intel-e5-2620#2", "gtx1080#0", 9, 593, 0.005098833333333334),
+    ("t4", "intel-e5-2620#2", "tesla-v100#1", 9, 593, 0.0050593),
+    ("t5", "intel-e5-2620#2", "tesla-v100#1", 9, 593, 0.0050593),
+    ("t6", "intel-e5-2620#2", "gtx1080#0", 9, 593, 0.005098833333333334),
+    ("t7", "intel-e5-2620#2", "gtx1080#0", 9, 593, 0.005098833333333334),
+    ("t8", "intel-e5-2620#2", "gtx1080#0", 9, 593, 0.005098833333333334),
+    ("t9", "intel-e5-2620#2", "gtx1080#0", 9, 593, 0.005098833333333334),
+    ("t1", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("t3", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
     ("t7", "gtx1080#0", "intel-e5-2620#2", 8, 529, 0.005088166666666667),
+    ("t0", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
+    ("t1", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("t1", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t7", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
     ("t1", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t3", "gtx1080#0", "intel-e5-2620#2", 8, 529, 0.005088166666666667),
+    ("t0", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
+    ("t0", "tesla-v100#1", "gtx1080#0", 9, 593, 0.010158133333333333),
+    ("t3", "tesla-v100#1", "gtx1080#0", 9, 593, 0.010158133333333333),
+    ("t4", "tesla-v100#1", "gtx1080#0", 9, 593, 0.010158133333333333),
+    ("t6", "tesla-v100#1", "gtx1080#0", 9, 593, 0.010158133333333333),
+    ("t7", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t1", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t4", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t5", "gtx1080#0", "intel-e5-2620#2", 8, 529, 0.005088166666666667),
+    ("t8", "gtx1080#0", "intel-e5-2620#2", 8, 529, 0.005088166666666667),
+    ("t0", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("t2", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
     ("t3", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("t0", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t6", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t9", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t7", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t3", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t6", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
+    ("t8", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
+    ("t1", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("t4", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t5", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("bulk@intel-e5-2620#2/2", "gtx1080#0", "intel-e5-2620#2", 0, 0, 0.005),
+    ("t7", "tesla-v100#1", "gtx1080#0", 8, 529, 0.010141066666666667),
+    ("t0", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t1", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("bulk@intel-e5-2620#2/2", "tesla-v100#1", "intel-e5-2620#2", 0, 0, 0.005),
     ("t1", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t0", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t2", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t3", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t4", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t7", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t5", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("bulk@intel-e5-2620#2/2", "tesla-v100#1", "intel-e5-2620#2", 0, 0, 0.005),
+    ("t2", "tesla-v100#1", "gtx1080#0", 8, 529, 0.010141066666666667),
+    ("t0", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t2", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t3", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t4", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t3", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("t4", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
+    ("bulk@intel-e5-2620#2/2", "gtx1080#0", "intel-e5-2620#2", 0, 0, 0.005),
+    ("t0", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t1", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
+    ("t5", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
     ("t2", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
     ("t3", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
     ("t4", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
     ("t6", "tesla-v100#1", "intel-e5-2620#2", 8, 529, 0.0050529),
-    ("t3", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
-    ("t0", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("t6", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
-    ("t0", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("t7", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
-    ("t3", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("t2", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
-    ("t5", "tesla-v100#1", "intel-e5-2620#2", 9, 593, 0.0050593),
-    ("t0", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("t1", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("t3", "gtx1080#0", "tesla-v100#1", 9, 593, 0.010158133333333333),
-    ("t6", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
-    ("bulk@intel-e5-2620#2/2", "gtx1080#0", "intel-e5-2620#2", 0, 0, 0.005),
-    ("t3", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t7", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
+    ("t9", "gtx1080#0", "intel-e5-2620#2", 9, 593, 0.005098833333333334),
 ]
