@@ -418,13 +418,22 @@ class Interpreter:
         self.jit_stats.trace_hits += 1
         return result
 
+    def run_plan(self, plan: CommandPlan, env: Environment, ctx: ExecContext) -> list[Node]:
+        """Evaluate every step of a prepared command, in order (EVAL
+        phase); returns their results."""
+        results: list[Node] = []
+        for step in plan.steps:
+            # A 1-tuple added in place: an append() per step would be a
+            # host call every served master-mode request repeats.
+            results += (self.run_plan_step(step, env, ctx),)
+        return results
+
     # -- the paper's execution flow (Fig. 5) ------------------------------------------
 
     def process(
         self,
         source: str | SourceBuffer,
         ctx: ExecContext,
-        out: Optional[OutputBuffer] = None,
         env: Optional[Environment] = None,
     ) -> str:
         """parse -> eval -> print one REPL command; returns the output.
@@ -437,9 +446,7 @@ class Interpreter:
         # Explicit None check: an Environment with no bindings is falsy
         # (it has __len__) but is still a legitimate scope.
         env = env if env is not None else self.global_env
-        if out is None:
-            out = OutputBuffer()
-        out.bind(ctx)
+        out = OutputBuffer().bind(ctx)
         self.begin_command_region()
 
         ctx.set_phase(Phase.PARSE)
@@ -448,7 +455,7 @@ class Interpreter:
         ctx.set_phase(Phase.EVAL)
         self.push_output(out)
         try:
-            results = [self.run_plan_step(step, env, ctx) for step in plan.steps]
+            results = self.run_plan(plan, env, ctx)
         finally:
             self.pop_output()
 

@@ -11,7 +11,7 @@ construction (no CUDA context), which is why the paper's CPUs start
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,16 +19,12 @@ from ..context import CountingContext
 from ..core.interpreter import Interpreter, InterpreterOptions
 from ..gpu.fileio import HostFileSystem, InMemoryFileService
 from ..gpu.hostlink import gate_request
-from ..gpu.memory import OutputBuffer, SourceBuffer
 from ..ops import Phase
 from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
 from ..runtime.fidelity import Fidelity
-from ..timing import CommandStats, PhaseBreakdown
+from ..timing import PhaseBreakdown
 from .pool import CPUParallelEngine, wave_schedule
 from .specs import CPUSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.environment import Environment
 
 __all__ = ["CPUDevice", "CPUDeviceConfig"]
 
@@ -74,45 +70,9 @@ class CPUDevice(BatchDevice):
 
     # -- command execution -------------------------------------------------------------
 
-    def submit(
-        self, text: str, env: Optional["Environment"] = None
-    ) -> CommandStats:
-        self._check_lost()
-        text, _, refusal = gate_request(text, None)
-        if refusal is not None:
-            raise refusal
-
-        master = self.master_ctx
-        master.reset()
-        master.set_phase(Phase.EVAL)
-        self.engine.begin_command()
-
-        source = SourceBuffer(text)
-        out = OutputBuffer(capacity=1 << 20)
-        try:
-            output = self.interp.process(source, master, out, env=env)
-        except Exception:
-            self._abort_transaction()
-            raise
-
-        freed, gc_ms, _, _, _ = self._run_gc()
-        # Host and device share memory: no transfer time.
-        times = self._master_times(
-            self.master_cycles(Phase.PARSE), self.master_cycles(Phase.PRINT), gc_ms
-        )
-
-        self.commands_executed += 1
-        return CommandStats(
-            output=output,
-            times=times,
-            input_chars=len(text),
-            output_chars=len(output),
-            jobs=self.engine.jobs,
-            rounds=self.engine.round_count,
-            nodes_freed=freed,
-        )
-
-    def submit_batch(self, requests: Sequence[BatchRequest]) -> BatchResult:
+    def submit_batch(
+        self, requests: Sequence[BatchRequest], *, single: bool = False
+    ) -> BatchResult:
         """Run many tenants' commands as one batched transaction.
 
         On the CPU there is no PCIe and no lockstep: each request runs
@@ -121,6 +81,13 @@ class CPUDevice(BatchDevice):
         wave wall time is the slowest request in the wave. The
         condition-variable wake (``command_overhead_us``) is paid once
         per batch instead of once per command.
+
+        ``single`` (set only by
+        :meth:`~repro.runtime.batch.BatchDevice.submit`) runs the one
+        request on the master thread, whose ``|||`` rows the pool runs
+        in waves: the transaction's times are the master's phases, its
+        jobs and rounds the pool's, and a refused command raises before
+        anything runs.
 
         Failure containment is the GPU path's: each request runs through
         :func:`~repro.runtime.batch.run_contained`, so Lisp-level errors
@@ -136,12 +103,15 @@ class CPUDevice(BatchDevice):
             return BatchResult()
         # The upload gate with no command buffer: a CPU packs nothing.
         texts, _, refusals = zip(*[gate_request(r.text, None) for r in requests])
+        if single and refusals[0] is not None:
+            raise refusals[0]
         interp = self.interp
+        master = self.master_ctx
+        if single:
+            master.reset()
 
         engine = self.engine
         engine.begin_command()
-        jobs_before = engine.jobs
-        rounds_before = engine.round_count
         jit0 = self._jit_counts()
         # One nursery region for the whole batch; collection runs once
         # per batch wave-set, never per request.
@@ -157,14 +127,14 @@ class CPUDevice(BatchDevice):
 
         try:
             for i, (req, text, refusal) in enumerate(zip(requests, texts, refusals)):
-                rctx = CountingContext(max_depth, i)
+                rctx = master if single else CountingContext(max_depth, i)
                 env = req.env if req.env is not None else global_env
                 nested_wall0 = engine.worker_wall_cycles
                 if refusal is None:
                     # process() reads the text through a SourceBuffer and
                     # prints into an OutputBuffer of its own.
                     output, error = run_contained(
-                        interp, rctx, process, text, rctx, None, env
+                        interp, rctx, process, text, rctx, env
                     )
                 else:
                     output, error = None, refusal
@@ -187,25 +157,35 @@ class CPUDevice(BatchDevice):
         # sum(), not a + b + c: from Python 3.12 it sums floats compensated.
         job_cycles = np.array([sum(pc) for pc in phase_cycles])
 
-        wall_cycles, waves = wave_schedule(job_cycles, self.spec.hw_threads)
-        total_cycles = float(job_cycles.sum())
-        # The batch's kernel wall time keeps each phase's share of the
-        # summed work (phases interleave across concurrent threads).
-        shrink = wall_cycles / total_cycles if total_cycles > 0 else 0.0
-
         gc = self._run_gc()
 
         to_ms = self.spec.cycles_to_ms
-        parse_sum, eval_sum, print_sum = (sum(column) for column in zip(*phase_cycles))
-        batch_times = PhaseBreakdown(
-            parse_ms=to_ms(parse_sum * shrink),
-            eval_ms=to_ms(eval_sum * shrink),
-            print_ms=to_ms(print_sum * shrink),
-            other_ms=self.spec.command_overhead_us / 1000.0,  # ONE wake
-            host_ms=self._HOST_LOOP_MS,
-            gc_ms=gc[1],  # ONE collection per batch
-            worker_ms=to_ms(wall_cycles),
-        )
+        if single:
+            # The master ran the command and the pool its ||| rows.
+            batch_times = self._master_times(
+                self.master_cycles(Phase.PARSE), self.master_cycles(Phase.PRINT), gc[1]
+            )
+            jobs, rounds = engine.jobs, engine.round_count
+        else:
+            wall_cycles, waves = wave_schedule(job_cycles, self.spec.hw_threads)
+            total_cycles = float(job_cycles.sum())
+            # The batch's kernel wall time keeps each phase's share of the
+            # summed work (phases interleave across concurrent threads).
+            shrink = wall_cycles / total_cycles if total_cycles > 0 else 0.0
+            parse_sum, eval_sum, print_sum = (
+                sum(column) for column in zip(*phase_cycles)
+            )
+            batch_times = PhaseBreakdown(
+                parse_ms=to_ms(parse_sum * shrink),
+                eval_ms=to_ms(eval_sum * shrink),
+                print_ms=to_ms(print_sum * shrink),
+                other_ms=self.spec.command_overhead_us / 1000.0,  # ONE wake
+                host_ms=self._HOST_LOOP_MS,
+                gc_ms=gc[1],  # ONE collection per batch
+                worker_ms=to_ms(wall_cycles),
+            )
+            jobs = engine.jobs + errors.count(None)
+            rounds = engine.round_count + waves
         own_ms = [
             (to_ms(p), to_ms(e), to_ms(r), to_ms(cycles))
             for (p, e, r), cycles in zip(phase_cycles, job_cycles)
@@ -219,6 +199,6 @@ class CPUDevice(BatchDevice):
             batch_times,
             gc,
             jit0,
-            jobs=(self.engine.jobs - jobs_before) + errors.count(None),
-            rounds=(self.engine.round_count - rounds_before) + waves,
+            jobs=jobs,
+            rounds=rounds,
         )

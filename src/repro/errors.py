@@ -123,8 +123,10 @@ class DeviceLostError(DeviceError):
 
 
 class DeviceHangError(DeviceLostError):
-    """The device stopped responding: a service round exceeded its
-    wall-time deadline or the heartbeat went silent.
+    """The device stopped responding: it hung after a round (a chaos
+    hang or an injected ``device-hang`` fault) or the post-round
+    heartbeat went silent. Detection is modeled (``hang_detect_ms``),
+    never read off the host's wall clock.
 
     Classified as a *loss* (subclass of :class:`DeviceLostError`)
     because the only recovery is a force-reset: whatever the hung round

@@ -2,12 +2,14 @@
 
 The paper's kernel reads and writes postbox flags "using atomic memory
 functions ... to prevent CUDA's transparent caching" and notes the
-resulting performance penalty. We model each atomic cell as a value plus
-a contention counter: concurrent RMWs on one cell serialize, so the k-th
-simultaneous access pays k times the base cost. Spin-wait loads are
-tracked separately — they do not delay completion (the spinner was idle
-anyway) but burn energy, which the paper calls out as the core
-inefficiency of GPU busy-waiting.
+resulting performance penalty. We model each atomic cell as a value
+whose every access is charged to the context that makes it, as an
+``ATOMIC_RMW`` or ``ATOMIC_LOAD`` op; the charged op rows are the only
+record of the traffic. Concurrent RMWs on one counter serialize, so
+``width`` simultaneous accesses cost ``(width+1)/2`` RMWs on average.
+Spin-wait loads are charged as loads — they do not delay completion (the
+spinner was idle anyway) but burn energy, which the paper calls out as
+the core inefficiency of GPU busy-waiting.
 """
 
 from __future__ import annotations
@@ -21,21 +23,17 @@ __all__ = ["AtomicCell", "AtomicCounter"]
 class AtomicCell:
     """One word of global memory accessed atomically."""
 
-    __slots__ = ("value", "rmw_count", "load_count")
+    __slots__ = ("value",)
 
     def __init__(self, value: int = 0) -> None:
         self.value = value
-        self.rmw_count = 0
-        self.load_count = 0
 
     def load(self, ctx: ExecContext) -> int:
         ctx.charge(Op.ATOMIC_LOAD)
-        self.load_count += 1
         return self.value
 
     def store(self, value: int, ctx: ExecContext) -> None:
         ctx.charge(Op.ATOMIC_RMW)
-        self.rmw_count += 1
         self.value = value
 
 
@@ -48,17 +46,15 @@ class AtomicCounter:
     by the shared-cursor arena ablation.
     """
 
-    __slots__ = ("value", "rmw_count")
+    __slots__ = ("value",)
 
     def __init__(self, value: int = 0) -> None:
         self.value = value
-        self.rmw_count = 0
 
     def fetch_add_contended(self, n: int, ctx: ExecContext, width: int) -> int:
         if width < 1:
             width = 1
         ctx.charge(Op.ATOMIC_RMW, (width + 1) / 2)
-        self.rmw_count += 1
         old = self.value
         self.value += n
         return old

@@ -15,7 +15,7 @@ building the global environment (charged op-by-op) + the graceful stop
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..context import CountingContext
 from ..core.builtins.parallel import PARALLEL_HEADS
@@ -33,10 +33,6 @@ from ..gpu.specs import GPUSpec
 from ..ops import Op, Phase
 from ..runtime.batch import BatchDevice, BatchRequest, BatchResult, run_contained
 from ..runtime.fidelity import Fidelity
-from ..timing import CommandStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.environment import Environment
 
 __all__ = ["GPUDevice", "GPUDeviceConfig"]
 
@@ -155,71 +151,13 @@ class GPUDevice(BatchDevice):
 
     # -- command execution ------------------------------------------------------------
 
-    def submit(
-        self, text: str, env: Optional["Environment"] = None
-    ) -> CommandStats:
-        """Run one REPL command through the full host<->device protocol.
-
-        ``env`` selects the persistent scope the command runs in (a
-        tenant's session environment); None means the global environment,
-        i.e. classic single-tenant CuLi.
-        """
-        self._check_lost()
-        text, _, refusal = gate_request(text, self.cmdbuf.capacity)
-        if refusal is not None:
-            raise refusal
-
-        # Host uploads through the mapped command buffer.
-        up_ms = self.cmdbuf.host_upload(text)
-
-        # Device side: wake the master, run parse -> eval -> print.
-        master = self.master_ctx
-        master.reset()
-        master.set_phase(Phase.EVAL)
-        self.engine.begin_command()
-        self.file_link.stats.reset()
-        cache_hits0 = self.cache.stats.hits
-        cache_miss0 = self.cache.stats.misses
-
-        source = SourceBuffer(self.cmdbuf.device_read(), base=self.input_region.base)
-        out = OutputBuffer(base=self.output_region.base, capacity=self.cmdbuf.capacity)
-        try:
-            output = self.interp.process(source, master, out, env=env)
-        except Exception:
-            self._abort_transaction()
-            raise
-        self.cmdbuf.device_write_result(output)
-
-        result_text, down_ms = self.cmdbuf.host_download()
-
-        freed, gc_ms, _, _, _ = self._run_gc()
-        times = self._master_times(
-            self.master_cycles(Phase.PARSE),
-            self.master_cycles(Phase.PRINT),
-            gc_ms,
-            transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
-            cache_hits=self.cache.stats.hits - cache_hits0,
-            cache_misses=self.cache.stats.misses - cache_miss0,
-        )
-
-        self.commands_executed += 1
-        return CommandStats(
-            output=result_text,
-            times=times,
-            input_chars=len(text),
-            output_chars=len(result_text),
-            jobs=self.engine.jobs,
-            rounds=self.engine.round_count,
-            nodes_freed=freed,
-        )
-
     def _run_masters(
         self, jobs: list[ServiceJob], masters: list[int], eval_cycles: list[float]
     ) -> list[float]:
         """Master mode (Alg. 1): the master evaluates each job at an
-        index in ``masters``, a request whose plan is one parallel form,
-        as a single command does, and the engine runs the form's rows on
-        the workers.
+        index in ``masters`` (a single command, or a served request
+        whose plan is one parallel form), and the engine runs the rows
+        of its parallel forms on the workers.
 
         Each job runs under :func:`~repro.runtime.batch.run_contained`
         with its own nursery watermark, as a service lane does. Its eval
@@ -243,9 +181,7 @@ class GPUDevice(BatchDevice):
             interp.push_output(job.out)
             try:
                 job.results, job.error = run_contained(
-                    interp,
-                    master,
-                    lambda: [interp.run_plan_step(job.plan.steps[0], job.env, master)],
+                    interp, master, interp.run_plan, job.plan, job.env, master
                 )
             finally:
                 interp.pop_output()
@@ -255,7 +191,9 @@ class GPUDevice(BatchDevice):
             worker_cycles[i] = wall
         return worker_cycles
 
-    def submit_batch(self, requests: Sequence[BatchRequest]) -> BatchResult:
+    def submit_batch(
+        self, requests: Sequence[BatchRequest], *, single: bool = False
+    ) -> BatchResult:
         """Run many tenants' commands as one batched device transaction.
 
         The multi-tenant execution model (repro.serve): one mapped-buffer
@@ -270,11 +208,14 @@ class GPUDevice(BatchDevice):
         A request whose plan is one parallel form (``|||``, ``gpu-map``
         or ``preduce``; noted by its head when the plan is prepared)
         runs in master mode after the service round: the master
-        evaluates it and the engine distributes its rows to the workers,
-        as in :meth:`submit` (:meth:`_run_masters`). A parallel form
-        that a worker reaches — anywhere else in a request, or inside a
-        row — runs sequentially in that worker's lane and is counted in
-        ``nested_fallbacks``.
+        evaluates it and the engine distributes its rows to the workers
+        (:meth:`_run_masters`). ``single`` (set only by
+        :meth:`~repro.runtime.batch.BatchDevice.submit`) runs the one
+        request in master mode whatever its plan, which is how a single
+        REPL command runs, and raises its upload refusal before anything
+        is uploaded. A parallel form that a worker reaches — anywhere
+        else in a served request, or inside a row — runs sequentially in
+        that worker's lane and is counted in ``nested_fallbacks``.
 
         Failure containment (fault isolation): each request's parse and
         evaluation run through :func:`~repro.runtime.batch.run_contained`,
@@ -285,8 +226,8 @@ class GPUDevice(BatchDevice):
         while the remaining runnable jobs finish their service round.
         Only device-fatal errors (shutdown, buffer-protocol corruption,
         batch-level engine misconfiguration) abort the transaction; the
-        buffer is then released and the open nursery region closed,
-        matching :meth:`submit`, so the device serves subsequent batches.
+        buffer is then released and the open nursery region closed, so
+        the device serves subsequent batches.
 
         The batch is one buffer transaction. An unbalanced or singly
         over-capacity request is refused per request and carries no
@@ -305,10 +246,13 @@ class GPUDevice(BatchDevice):
         capacity = self.cmdbuf.capacity
 
         # The host's upload gate, once per request: a refused command is
-        # reported without failing its batch and carries no payload.
+        # reported without failing its batch and carries no payload. A
+        # refused single command raises before anything is uploaded.
         texts, sizes, refusals = zip(
             *[gate_request(r.text, capacity) for r in requests]
         )
+        if single and refusals[0] is not None:
+            raise refusals[0]
         # Host packs the accepted requests into one mapped-buffer transaction.
         up_ms = self.cmdbuf.host_upload(
             " ".join([t for t, refusal in zip(texts, refusals) if refusal is None])
@@ -362,12 +306,14 @@ class GPUDevice(BatchDevice):
                 job.plan, job.error = run_contained(
                     interp, master, interp.prepare_command, source, master
                 )
-                # A plan that is one parallel form runs in master mode
-                # (such a form has no trace, so its step is a tree).
-                # Read by attribute and index only: a batch without such
-                # a form makes no call for the check.
+                # A single command, or a plan that is one parallel form,
+                # runs in master mode (such a form has no trace, so its
+                # step is a tree). Read by attribute and index only: a
+                # batch without such a form makes no call for the check.
                 steps = job.plan.steps if job.error is None else None
-                if steps and steps[-1] is steps[0] and steps[0].form is not None:
+                if single and steps is not None:
+                    masters.append(i)
+                elif steps and steps[-1] is steps[0] and steps[0].form is not None:
                     head = steps[0].form.first
                     if (
                         head is not None

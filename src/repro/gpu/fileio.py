@@ -16,7 +16,7 @@ memory + PCIe costs as REPL traffic. The file system is virtual
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..context import ExecContext
@@ -53,15 +53,9 @@ class HostFileSystem:
 
 @dataclass
 class FileServiceStats:
-    requests: int = 0
-    bytes_up: int = 0
-    bytes_down: int = 0
     transfer_ms: float = 0.0
 
     def reset(self) -> None:
-        self.requests = 0
-        self.bytes_up = 0
-        self.bytes_down = 0
         self.transfer_ms = 0.0
 
 
@@ -88,9 +82,6 @@ class FileServiceLink:
         ctx.charge(Op.ATOMIC_RMW)   # raise the message flag
         ctx.charge(Op.ATOMIC_LOAD)  # wait for the host's answer flag
         ctx.charge(Op.CHAR_LOAD, len(response))
-        self.stats.requests += 1
-        self.stats.bytes_up += len(request.encode())
-        self.stats.bytes_down += len(response.encode())
         self.stats.transfer_ms += self.spec.transfer_ms(len(request.encode()))
         self.stats.transfer_ms += self.spec.transfer_ms(len(response.encode()))
 
@@ -132,28 +123,22 @@ class InMemoryFileService:
         # Explicit None check: an *empty* HostFileSystem is falsy
         # (it has __len__), but it is still the caller's filesystem.
         self.filesystem = filesystem if filesystem is not None else HostFileSystem()
-        self.stats = FileServiceStats()
 
     def read(self, name: str, ctx: ExecContext) -> Optional[str]:
         content = self.filesystem.read(name)
         if content is not None:
             ctx.charge(Op.CHAR_LOAD, len(content))
-        self.stats.requests += 1
         return content
 
     def write(self, name: str, text: str, ctx: ExecContext) -> None:
         ctx.charge(Op.CHAR_STORE, len(text))
-        self.stats.requests += 1
         self.filesystem.write(name, text)
 
     def exists(self, name: str, ctx: ExecContext) -> bool:
-        self.stats.requests += 1
         return self.filesystem.exists(name)
 
     def listing(self, ctx: ExecContext) -> list[str]:
-        self.stats.requests += 1
         return self.filesystem.listing()
 
     def delete(self, name: str, ctx: ExecContext) -> bool:
-        self.stats.requests += 1
         return self.filesystem.delete(name)

@@ -15,7 +15,7 @@ uploads/downloads pay latency + size/bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import HostProtocolError, UnbalancedInputError
@@ -80,15 +80,6 @@ def gate_request(
 
 
 @dataclass
-class TransferLog:
-    uploads: int = 0
-    downloads: int = 0
-    bytes_up: int = 0
-    bytes_down: int = 0
-    transfer_ms: float = 0.0
-
-
-@dataclass
 class CommandBuffer:
     """The mapped host/device struct plus protocol bookkeeping."""
 
@@ -98,7 +89,6 @@ class CommandBuffer:
     dev_sync: int = 0
     buffer_length: int = 0
     command_buffer: str = ""
-    log: TransferLog = field(default_factory=TransferLog)
 
     def host_upload(self, text: str) -> float:
         """Host writes the input and raises ``dev_sync``; returns ms spent.
@@ -119,11 +109,7 @@ class CommandBuffer:
         self.command_buffer = text
         self.buffer_length = nbytes
         self.dev_sync = 1
-        ms = self.spec.transfer_ms(nbytes)
-        self.log.uploads += 1
-        self.log.bytes_up += nbytes
-        self.log.transfer_ms += ms
-        return ms
+        return self.spec.transfer_ms(nbytes)
 
     def device_read(self) -> str:
         if not self.dev_sync:
@@ -147,12 +133,7 @@ class CommandBuffer:
         """Host reads the result after dev_sync fell; returns (text, ms)."""
         if self.dev_sync:
             raise HostProtocolError("host read while device owns the buffer")
-        nbytes = self.buffer_length
-        ms = self.spec.transfer_ms(nbytes)
-        self.log.downloads += 1
-        self.log.bytes_down += nbytes
-        self.log.transfer_ms += ms
-        return self.command_buffer, ms
+        return self.command_buffer, self.spec.transfer_ms(self.buffer_length)
 
     def host_stop_kernel(self) -> None:
         """Host terminates the device loop (dev_active = 0, Fig. 9)."""

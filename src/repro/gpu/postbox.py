@@ -44,10 +44,7 @@ class Postbox:
         stores, charged as one ``ATOMIC_RMW`` of count 2 (an exact
         integer fold, DESIGN.md "Host-side charge folding")."""
         ctx.charge(Op.ATOMIC_RMW, 2)
-        work, sync = self.work, self.sync
-        work.value = sync.value = value
-        work.rmw_count += 1
-        sync.rmw_count += 1
+        self.work.value = self.sync.value = value
 
     def collect(self, ctx: ExecContext) -> Any:
         """Master side: read the result back."""
@@ -68,7 +65,7 @@ class PostboxArray:
     so it needs no object: a big grid costs nothing until its workers
     are used. Deactivating the never-touched boxes is charged as one
     bulk ``ATOMIC_RMW`` of the same count, so op-count rows and every
-    box's ``rmw_count`` equal those of an eagerly built array.
+    box's flags equal those of an eagerly built array.
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -96,7 +93,6 @@ class PostboxArray:
             box = self._boxes[thread_id] = Postbox(thread_id)
             if self._sweeps:
                 box.active.value = 0
-                box.active.rmw_count = self._sweeps
         return box
 
     def deactivate_all(self, ctx: ExecContext) -> None:

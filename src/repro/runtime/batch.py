@@ -11,7 +11,9 @@ master's distribute/collect work, which is shared across tenants inside
 ``|||``-style service rounds.
 
 :class:`BatchDevice` is the host layer both device kinds share around
-their kernels, and :func:`run_contained` is the one per-job containment
+their kernels. Its ``submit`` runs a single REPL command as a
+one-request transaction that the master evaluates, so a device has one
+command path. :func:`run_contained` is the one per-job containment
 clause every batched parse or eval runs through.
 """
 
@@ -178,10 +180,10 @@ class BatchDevice:
     Both run the same interpreter behind the same REPL protocol and
     differ only in the parallel back-end and the host link, so the
     lifecycle and device-loss surface, the tenant scopes, the
-    end-of-command collection, the abort path and the batch result
-    assembly live here once. Subclasses build ``interp``, ``engine`` and
-    ``master_ctx`` and define ``kind``, ``close``, ``base_latency_ms``,
-    ``submit`` and ``submit_batch``.
+    single-command entry, the end-of-command collection, the abort path
+    and the batch result assembly live here once. Subclasses build
+    ``interp``, ``engine`` and ``master_ctx`` and define ``kind``,
+    ``close``, ``base_latency_ms`` and ``submit_batch``.
     """
 
     #: Host-side work per command (prompt handling, fgets, puts) in ms.
@@ -191,7 +193,6 @@ class BatchDevice:
         self.spec = spec
         self.config = config
         self.fidelity = config.fidelity
-        self.commands_executed = 0
         self._closed = False
         self._lost_reason: Optional[str] = None
         #: ``cycles_to_ms`` divides by it: a division written in place
@@ -245,6 +246,39 @@ class BatchDevice:
     def release_session_env(self, env: Environment) -> None:
         """Drop a tenant scope; its bindings become garbage."""
         self.interp.release_session_env(env)
+
+    # -- the REPL command -----------------------------------------------------------
+
+    def submit(self, text: str, env: Optional[Environment] = None) -> CommandStats:
+        """Run one REPL command through the full host<->device protocol
+        (paper Fig. 9, Alg. 1).
+
+        The command is a one-request batch transaction in master mode:
+        the master parses, evaluates and prints it, and the engine
+        distributes the rows of its parallel forms to the workers. A
+        refused command (unbalanced, or over the command buffer) raises
+        before anything is uploaded; a command that fails raises its
+        error once the transaction has closed. ``env`` selects the
+        persistent scope the command runs in (a tenant's session
+        environment); None means the global environment, i.e. classic
+        single-tenant CuLi.
+        """
+        result = self.submit_batch([BatchRequest(text, env)], single=True)
+        item = result.items[0]
+        if item.error is not None:
+            raise item.error
+        # The master ran the whole transaction, so its totals are the
+        # command's own.
+        stats = item.stats
+        return CommandStats(
+            stats.output,
+            result.times,
+            stats.input_chars,
+            stats.output_chars,
+            result.jobs,
+            result.rounds,
+            result.nodes_freed,
+        )
 
     # -- command accounting --------------------------------------------------------
 
@@ -380,7 +414,6 @@ class BatchDevice:
             ran = int(error is None)
             stats = CommandStats(output, times, len(text), len(output), ran, ran)
             items.append(BatchItem(stats, error))
-        self.commands_executed += n
         freed, _, regions_reset, majors, gc_wall_ms = gc
         jit = self.interp.jit_stats
         # Positional, in field order, like the item times above.

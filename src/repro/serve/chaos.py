@@ -10,8 +10,8 @@ of three events per device:
   the round's work never ran, so a plain retry after recovery is
   exactly-once from the tenant's point of view.
 * **hang** — the batch runs to completion on the device, *then* the
-  round's deadline fires and the force-reset wipes the result before it
-  reaches the host. This is the at-least-once corner: the work's
+  watchdog declares it hung (after a modeled ``hang_detect_ms`` wait)
+  and the force-reset wipes the result before it reaches the host. This is the at-least-once corner: the work's
   persistent effects happened and are destroyed with the arena, so
   recovery replays it from the last checkpoint.
 * **idle kill** — the device dies *between* rounds with nothing in

@@ -2,7 +2,8 @@
 
 Under ``atomic_arena_cursor=True`` (DESIGN.md deviation #1) the arena's
 cursor is advanced once per node, whichever path makes the node, so
-after any program ``arena.cursor.rmw_count`` equals ``arena.stats.allocs``.
+after any program the ``ATOMIC_RMW`` the cursor charged, at width 1 one
+per take, equals ``arena.stats.allocs``.
 The program below takes nodes through every path that makes them: the
 reader (quote sugar and strings), a parse-cache hit and a traced literal
 chain, a ``build_list`` copy, ``copy_node`` and the ``new_*``
@@ -16,8 +17,10 @@ import pytest
 
 from repro.context import CountingContext, NullContext
 from repro.core.interpreter import InterpreterOptions
+from repro.gpu.atomics import AtomicCounter
 from repro.gpu.device import GPUDevice, GPUDeviceConfig
 from repro.gpu.specs import GTX1080
+from repro.ops import Op
 from repro.runtime.snapshot import restore_env, snapshot_env
 
 PROGRAM = (
@@ -37,7 +40,17 @@ OPTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(OPTIONS))
-def test_every_take_makes_one_contended_fetch_add(name):
+def test_every_take_makes_one_contended_fetch_add(name, monkeypatch):
+    # Each fetch-add's charge is made once more on a tally context, so
+    # takes charged to an uncounted context (the WARP twins) show too.
+    tally = CountingContext()
+    fetch_add = AtomicCounter.fetch_add_contended
+
+    def tallied(counter, n, ctx, width):
+        fetch_add(AtomicCounter(), n, tally, width)
+        return fetch_add(counter, n, ctx, width)
+
+    monkeypatch.setattr(AtomicCounter, "fetch_add_contended", tallied)
     device = GPUDevice(GTX1080, config=GPUDeviceConfig(interpreter=OPTIONS[name]))
     interp = device.interp
     arena = interp.arena
@@ -73,4 +86,5 @@ def test_every_take_makes_one_contended_fetch_add(name):
         assert interp.parse_cache.stats.nodes_materialized > 0
         assert interp.jit_stats.trace_hits > 0
     assert arena.stats.allocs > 0
-    assert arena.cursor.rmw_count == arena.stats.allocs
+    assert tally.counts.count_of(Op.ATOMIC_RMW) == arena.stats.allocs
+    assert arena.cursor.value == arena.stats.allocs

@@ -35,7 +35,7 @@ from repro.core.interpreter import Interpreter, InterpreterOptions
 from repro.core.nodes import TemplateNode
 from repro.core.reader import Parser
 from repro.gpu.cache import SetAssociativeCache
-from repro.gpu.memory import OutputBuffer, SourceBuffer
+from repro.gpu.memory import SourceBuffer
 from repro.ops import Op, Phase
 
 from benchmarks.host_calls import CallCounter
@@ -132,7 +132,7 @@ def test_charge_calls_per_request_at_or_below_ceiling():
     interp = Interpreter()
     ctx = _tally()
     for text in CORPUS:
-        interp.process(SourceBuffer(text), ctx, OutputBuffer())
+        interp.process(SourceBuffer(text), ctx)
     calls = ctx.calls["charge"] + ctx.calls["charge_many"]
     assert calls <= CHARGE_CALLS_CEILING, f"{calls / len(CORPUS):.1f} per request"
 
@@ -145,7 +145,7 @@ def _traced_request_calls(head: str, n: int) -> tuple[int, int]:
         interp.process(text, _tally())
         interp.collect_garbage()
     ctx = _tally()
-    interp.process(SourceBuffer(text), ctx, OutputBuffer())
+    interp.process(SourceBuffer(text), ctx)
     assert interp.jit_stats.trace_hits == 1
     return ctx.calls["charge"] + ctx.calls["charge_many"], ctx.calls["touch"]
 

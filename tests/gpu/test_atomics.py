@@ -12,8 +12,8 @@ class TestAtomicCell:
         assert cell.load(ctx) == 3
         cell.store(7, ctx)
         assert cell.load(ctx) == 7
-        assert cell.rmw_count == 1
-        assert cell.load_count == 2
+        assert ctx.counts.count_of(Op.ATOMIC_RMW) == 1
+        assert ctx.counts.count_of(Op.ATOMIC_LOAD) == 2
 
     def test_charging(self):
         ctx = CountingContext()
@@ -32,7 +32,6 @@ class TestAtomicCounter:
         assert counter.fetch_add_contended(3, ctx, width=1) == 0
         assert counter.fetch_add_contended(2, ctx, width=1) == 3
         assert counter.value == 5
-        assert counter.rmw_count == 2
         assert ctx.counts.count_of(Op.ATOMIC_RMW) == 2
 
     def test_contended_serialization_cost(self):

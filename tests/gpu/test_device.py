@@ -45,11 +45,6 @@ class TestSubmission:
         with pytest.raises(UnbalancedInputError):
             gpu_device.submit("(+ 1 2")
 
-    def test_commands_counted(self, gpu_device):
-        gpu_device.submit("1")
-        gpu_device.submit("2")
-        assert gpu_device.commands_executed == 2
-
     def test_gc_keeps_arena_bounded(self, gpu_device):
         gpu_device.submit("(defun f (x) (list x x x))")
         levels = []

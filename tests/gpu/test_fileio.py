@@ -33,8 +33,9 @@ class TestFileServiceLink:
     def test_read_round_trip_charges_transfer(self, link):
         ctx = CountingContext()
         assert link.read("data", ctx) == "hello"
-        assert link.stats.requests == 1
-        assert link.stats.transfer_ms > 0
+        # The request message goes up, the file's bytes come down.
+        up, down = GTX480.transfer_ms(len("READ data")), GTX480.transfer_ms(5)
+        assert link.stats.transfer_ms == up + down
         assert ctx.counts.count_of(Op.CHAR_LOAD) == 5  # response bytes
         assert ctx.counts.count_of(Op.ATOMIC_RMW) == 1  # message flag
 
@@ -42,7 +43,8 @@ class TestFileServiceLink:
         ctx = CountingContext()
         link.write("out", "abc", ctx)
         assert link.filesystem.read("out") == "abc"
-        assert link.stats.bytes_up > 0
+        up, down = GTX480.transfer_ms(len("WRITE out abc")), GTX480.transfer_ms(2)
+        assert link.stats.transfer_ms == up + down
 
     def test_missing_file(self, link):
         ctx = CountingContext()
@@ -110,9 +112,10 @@ class TestInMemoryService:
         assert run('(write-file "x" "abc")') == "3"
         assert run('(read-file "x")') == '"abc"'
 
-    def test_stats_counted(self):
+    def test_character_work_charged(self):
         service = InMemoryFileService()
         ctx = CountingContext()
         service.write("a", "text", ctx)
-        service.read("a", ctx)
-        assert service.stats.requests == 2
+        assert service.read("a", ctx) == "text"
+        assert ctx.counts.count_of(Op.CHAR_STORE) == 4
+        assert ctx.counts.count_of(Op.CHAR_LOAD) == 4

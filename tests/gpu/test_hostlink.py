@@ -130,15 +130,14 @@ class TestProtocol:
 
 
 class TestTransferAccounting:
-    def test_log_accumulates(self, buf):
-        buf.host_upload("(+ 1 2)")
-        buf.device_write_result("3")
-        buf.host_download()
-        assert buf.log.uploads == 1
-        assert buf.log.downloads == 1
-        assert buf.log.bytes_up == 7
-        assert buf.log.bytes_down == 1
-        assert buf.log.transfer_ms > 0
+    def test_each_direction_charges_its_bytes(self, buf):
+        up_ms = buf.host_upload("(+ 1 2)")
+        buf.device_write_result("é")
+        text, down_ms = buf.host_download()
+        assert text == "é"
+        assert up_ms == buf.spec.transfer_ms(7)
+        assert down_ms == buf.spec.transfer_ms(2)  # bytes, not characters
+        assert down_ms > 0
 
     def test_transfer_time_scales_with_size(self):
         spec = GTX480

@@ -70,7 +70,7 @@ class TestPostboxArray:
         boxes = PostboxArray(3)
         boxes[0].assign("x", ctx)
         boxes.deactivate_all(ctx)
-        assert total_rmw_count(boxes) == 2 + 3
+        assert ctx.counts.count_of(Op.ATOMIC_RMW) == 2 + 3
 
     def test_requires_threads(self):
         with pytest.raises(ValueError):
@@ -95,12 +95,12 @@ class EagerPostboxArray:
             box.deactivate(ctx)
 
 
-def total_rmw_count(boxes) -> int:
-    """Atomic RMWs over every box's three cells (builds each lazy box)."""
-    return sum(
-        b.active.rmw_count + b.work.rmw_count + b.sync.rmw_count
+def all_flags(boxes) -> list:
+    """Every box's three flags (builds each lazy box)."""
+    return [
+        (b.active.value, b.work.value, b.sync.value)
         for b in (boxes[i] for i in range(len(boxes)))
-    )
+    ]
 
 
 def _device_lifetime(spec_name: str) -> dict:
@@ -118,7 +118,7 @@ def _device_lifetime(spec_name: str) -> dict:
     return {
         "outputs": outputs,
         "rows": [list(row) for row in device.master_ctx.counts.rows],
-        "rmw": total_rmw_count(device.postboxes),
+        "flags": all_flags(device.postboxes),
         "base_latency_ms": device.base_latency_ms,
     }
 
@@ -137,7 +137,7 @@ class TestLazyPostboxes:
         boxes = PostboxArray(4)
         boxes.deactivate_all(ctx)
         assert boxes[2].active.value == 0
-        assert total_rmw_count(boxes) == 4
+        assert all_flags(boxes) == [(0, 0, 0)] * 4
         assert ctx.counts.count_of(Op.ATOMIC_RMW) == 4
 
     @pytest.mark.parametrize("spec_name", ["gtx1080", "tesla-v100"])

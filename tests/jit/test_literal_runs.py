@@ -182,7 +182,7 @@ def _chain_outcome(build, text, room, atomic, starts) -> tuple:
     used = arena.used
     rollback = arena.rollback_region(mark)
     return (shapes, error, op_matrix(ctx.counts.rows), used, rollback, arena.used,
-            counters(arena.stats), arena.cursor.rmw_count,
+            counters(arena.stats), arena.cursor.value,
             cache.stats.nodes_materialized)
 
 
@@ -218,7 +218,7 @@ def _list_copy_outcome(build, room, atomic) -> tuple:
     flags = [(node.linked, node.nxt.idx if node.nxt else None) for node in fresh]
     used = arena.used
     return (error, flags, op_matrix(ctx.counts.rows), used, arena.rollback_region(mark),
-            counters(arena.stats), arena.cursor.rmw_count)
+            counters(arena.stats), arena.cursor.value)
 
 
 @pytest.mark.parametrize("atomic", [False, True], ids=["bump", "atomic-cursor"])
@@ -250,7 +250,7 @@ def test_value_nodes_charge_what_alloc_and_write_charged(atomic):
         observed.append((
             [(n.ntype, n.ival, n.fval, n.sval, n.sealed) for n in nodes],
             str(failure.value), op_matrix(ctx.counts.rows), counters(arena.stats),
-            arena.cursor.rmw_count,
+            arena.cursor.value,
         ))
     assert observed[0] == observed[1]
 

@@ -245,13 +245,17 @@ class TestLossAndShutdown:
     def test_lost_device_refuses_work(self, make, gpu, cpu):
         device = gpu if make == "gpu" else cpu
         assert not device.lost
+        used = device.interp.arena.used
+        allocs = device.interp.arena.stats.allocs
         device.mark_lost("test: fell off the bus")
         assert device.lost
         with pytest.raises(DeviceLostError, match="fell off the bus"):
             device.submit("(+ 1 2)")
         with pytest.raises(DeviceLostError, match="fell off the bus"):
             device.submit_batch([BatchRequest("(+ 1 2)")])
-        assert device.commands_executed == 0
+        # Nothing was parsed: the refusal came before the transaction.
+        assert device.interp.arena.used == used
+        assert device.interp.arena.stats.allocs == allocs
 
     def test_closed_device_refuses_work(self, make, gpu, cpu):
         device = gpu if make == "gpu" else cpu
@@ -280,15 +284,18 @@ class TestDeviceLevelInvariants:
         is the one packer) — ``host_upload`` refuses the batch before
         any device state changes, and the device serves the next one."""
         big = "(+ " + " ".join(["1"] * 20000) + ")"  # ~40 KiB each
-        uploads = gpu.cmdbuf.log.uploads
+        allocs = gpu.interp.arena.stats.allocs
         with pytest.raises(HostProtocolError, match="exceeds command buffer"):
             gpu.submit_batch([BatchRequest(big), BatchRequest(big)])
-        assert gpu.cmdbuf.log.uploads == uploads
+        # Nothing was uploaded and nothing parsed.
+        assert gpu.cmdbuf.command_buffer == "" and gpu.cmdbuf.buffer_length == 0
         assert gpu.cmdbuf.dev_sync == 0
-        assert gpu.commands_executed == 0
+        assert gpu.interp.arena.stats.allocs == allocs
         assert not gpu.interp.arena.region_active
         result = gpu.submit_batch([BatchRequest(big), BatchRequest("(+ 1 1)")])
         assert result.outputs == ["20000", "2"]
+        payload = len(big) + 1 + len("(+ 1 1)")
+        assert result.upload_ms == gpu.spec.transfer_ms(payload)
 
     def test_master_block_ablation_livelocks_service_round(self):
         """Fig. 12 applies to service rounds exactly as to ||| rounds."""

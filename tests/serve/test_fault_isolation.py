@@ -367,8 +367,8 @@ class TestMultibytePayloadOffsets:
         device = GPUDevice(GTX1080)
         capacity = device.cmdbuf.capacity
         packed = sum(gate_request(t, capacity)[1] for t in texts)
-        device.submit_batch([BatchRequest(t) for t in texts])
-        assert device.cmdbuf.log.bytes_up == packed - 1
+        result = device.submit_batch([BatchRequest(t) for t in texts])
+        assert result.upload_ms == device.spec.transfer_ms(packed - 1)
         device.close()
 
     def test_multibyte_batch_outputs_correct(self):
@@ -409,9 +409,11 @@ class TestSanitizedCapacityAccounting:
             tb = b.submit("(* 2 3)" + pad)
             batch = server.scheduler.form_batch_async(pdev)
             assert batch == [ta, tb]
-            uploads_before = pdev.device.cmdbuf.log.uploads
-            server.scheduler.dispatch(pdev, batch)
-            assert pdev.device.cmdbuf.log.uploads == uploads_before + 1
+            result = server.scheduler.dispatch(pdev, batch)
+            # One buffer transaction carries both sanitized texts.
+            assert result.size == 2
+            payload = len("(+ 1 2) (* 2 3)")
+            assert result.upload_ms == pdev.device.spec.transfer_ms(payload)
             assert ta.output == "3" and tb.output == "6"
 
     def test_capacity_split_still_respected(self):

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from repro.context import CountingContext
 from repro.core.interpreter import Interpreter, InterpreterOptions
+from repro.core.printer import Printer
 from repro.cpu.specs import INTEL_E5_2620
 from repro.errors import CuLiError
 from repro.gpu.cache import SetAssociativeCache
@@ -107,6 +108,30 @@ def _template_shape(template) -> list:
     return shape
 
 
+def _process(interp: Interpreter, source: SourceBuffer, ctx: CountingContext,
+             out: OutputBuffer, env) -> str:
+    """``Interpreter.process`` printing into ``out``, the run's own output
+    buffer: parse, eval and print one command, each in its phase."""
+    out.bind(ctx)
+    interp.begin_command_region()
+    ctx.set_phase(Phase.PARSE)
+    plan = interp.prepare_command(source, ctx)
+    ctx.set_phase(Phase.EVAL)
+    interp.push_output(out)
+    try:
+        results = interp.run_plan(plan, env, ctx)
+    finally:
+        interp.pop_output()
+    ctx.set_phase(Phase.PRINT)
+    printer = Printer(ctx)
+    for i, result in enumerate(results):
+        if i:
+            out.append(" ")
+        printer.print_node(result, out, readable=True)
+    ctx.set_phase(Phase.OTHER)
+    return out.getvalue()
+
+
 def run_program(
     commands: Sequence[str],
     options: InterpreterOptions,
@@ -158,8 +183,8 @@ def run_program(
         record.templates.append(None)
         out = OutputBuffer(base=1 << 20, capacity=out_capacity)
         try:
-            output = interp.process(SourceBuffer(command, base=bases[n % len(bases)]),
-                                    ctx, out, env=env)
+            output = _process(interp, SourceBuffer(command, base=bases[n % len(bases)]),
+                              ctx, out, env)
         except CuLiError as exc:
             position = getattr(exc, "position", None)
             output = f"error: {type(exc).__name__}: {exc} @{position} | {out.getvalue()}"
@@ -171,8 +196,7 @@ def run_program(
             [list(row) for row in ctx.counts.rows],
             list(ctx.extra_cycles),
             None if l2 is None else (l2.stats.hits, l2.stats.misses),
-            [arena.used, arena.stats.allocs, arena.stats.frees, arena.stats.peak_used,
-             arena.cursor.rmw_count],
+            [arena.used, arena.stats.allocs, arena.stats.frees, arena.stats.peak_used],
         ))
     # Every command's rows in one conversion per table, as a device
     # converts a batch's rows.
